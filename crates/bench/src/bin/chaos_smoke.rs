@@ -15,7 +15,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, EngineRun, FaultPlan, LerEngine, SampleOptions, Tiered, UnionFindDecoder,
+    graph_for_circuit, EngineRun, FaultPlan, LerEngine, RunSpec, SampleOptions, Tiered,
+    UnionFindDecoder,
 };
 use caliqec_stab::CompiledCircuit;
 use std::fmt::Write as _;
@@ -71,10 +72,12 @@ fn main() -> ExitCode {
 
     eprintln!("chaos_smoke: d={d}, {shots} shots, faults {spec:?}...");
     let clean = LerEngine::new(threads).estimate(&compiled, &factory, options, seed);
-    let chaos = match LerEngine::new(threads)
-        .with_faults(plan)
-        .try_estimate(&compiled, &factory, options, seed)
-    {
+    let chaos = match LerEngine::new(threads).with_faults(plan).try_run(
+        &compiled,
+        &factory,
+        &RunSpec::from(options),
+        seed,
+    ) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("chaos_smoke: error: engine did not recover: {e}");

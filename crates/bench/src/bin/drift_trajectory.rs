@@ -29,7 +29,9 @@ use caliqec_code::{
     drift_rate_table, memory_circuit, rotated_patch, MemoryBasis, NoiseModel, PatchLayout,
 };
 use caliqec_device::DriftModel;
-use caliqec_match::{EpochSchedule, LerEngine, MatchingGraph, SampleOptions, UnionFindDecoder};
+use caliqec_match::{
+    EpochSchedule, Epochs, LerEngine, MatchingGraph, RunSpec, SampleOptions, UnionFindDecoder,
+};
 use caliqec_stab::{extract_dem, CompiledCircuit};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -90,25 +92,21 @@ fn main() -> ExitCode {
         let compiled = CompiledCircuit::new(&mem.circuit);
         let seed = SEED.wrapping_add(i as u64);
 
-        let static_run = engine.estimate_epochs(
-            &compiled,
-            &base_graph,
-            &factory,
-            &static_schedule,
-            opts,
-            seed,
-        );
+        let run = |schedule: &EpochSchedule| {
+            let source = Epochs {
+                graph: &base_graph,
+                schedule,
+                factory: &factory,
+            };
+            engine
+                .try_run(&compiled, &source, &RunSpec::from(opts), seed)
+                .expect("epoch run failed")
+        };
+        let static_run = run(&static_schedule);
 
         let mut aware_schedule = EpochSchedule::new(1.0);
         aware_schedule.push(0.0, drift_rate_table(&base_mem, &dem, &noise));
-        let aware_run = engine.estimate_epochs(
-            &compiled,
-            &base_graph,
-            &factory,
-            &aware_schedule,
-            opts,
-            seed,
-        );
+        let aware_run = run(&aware_schedule);
 
         assert_eq!(
             static_run.estimate.shots, aware_run.estimate.shots,

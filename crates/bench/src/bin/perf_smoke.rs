@@ -26,10 +26,9 @@
 //!
 //! Flags: `--shots N` (shot budget per config, default 100 000),
 //! `--threads N` (worker count, default auto), `--configs LIST`
-//! (comma-separated distances), `--cluster-tier auto|on|off`,
-//! `--cluster-gate-threshold X` (mean defects/shot above which the `auto`
-//! gate runs the cluster decomposition; default
-//! `caliqec_match::CLUSTER_GATE_MIN_MEAN_DEFECTS`), `--out PATH`,
+//! (comma-separated distances), `--cluster-tier auto|on|off` (`auto`
+//! runs the cluster decomposition on batches averaging at least
+//! `caliqec_match::CLUSTER_GATE_MIN_MEAN_DEFECTS` defects/shot), `--out PATH`,
 //! `--label TEXT` (free-form run label stamped into the JSON),
 //! `--compare OLD.json` (after running, print a per-config speedup table
 //! against a previously written file — a missing, corrupt, or
@@ -105,10 +104,6 @@ fn main() -> ExitCode {
     let compare = caliqec_bench::string_from_args("compare", "");
     let configs_arg = caliqec_bench::string_from_args("configs", "7,11,15");
     let cluster_tier = caliqec_bench::string_from_args("cluster-tier", "auto");
-    let gate_threshold = caliqec_bench::f64_from_args(
-        "cluster-gate-threshold",
-        caliqec_match::CLUSTER_GATE_MIN_MEAN_DEFECTS,
-    );
     let p = 1e-3;
 
     let gate = match cluster_tier.as_str() {
@@ -120,13 +115,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !gate_threshold.is_finite() || gate_threshold < 0.0 {
-        eprintln!(
-            "perf_smoke: error: --cluster-gate-threshold wants a finite non-negative \
-             number, got {gate_threshold}"
-        );
-        return ExitCode::from(2);
-    }
 
     let mut distances = Vec::new();
     for part in configs_arg.split(',') {
@@ -178,8 +166,7 @@ fn main() -> ExitCode {
                     let graph = graph.clone();
                     move || UnionFindDecoder::new(graph.clone())
                 })
-                .with_cluster_gate(gate)
-                .with_cluster_gate_threshold(gate_threshold),
+                .with_cluster_gate(gate),
                 SampleOptions {
                     min_shots: shots,
                     ..Default::default()

@@ -44,15 +44,32 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, ClusterGate, EngineRun, LerEngine, RareOptions, SampleOptions, Tiered,
-    UnionFindDecoder,
+    graph_for_circuit, ClusterGate, EngineRun, LerEngine, RunSpec, SampleOptions, StopRule, Tiered,
+    UnionFindDecoder, Weighting,
 };
-use caliqec_stab::CompiledCircuit;
+use caliqec_stab::{CompiledCircuit, RateTable};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Boost factors swept by the pilot.
 const BETAS: [f64; 5] = [2.0, 3.0, 4.0, 5.0, 6.0];
+
+/// An importance-sampled spec at boost `beta` over `min_shots..=max_shots`
+/// (0 = `min_shots` is the budget), CI-stopped at `target_rse` (0 = never).
+fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
+    RunSpec {
+        budget: SampleOptions {
+            min_shots,
+            max_failures: 0,
+            max_shots,
+        },
+        weighting: Weighting::Boosted {
+            beta,
+            rates: RateTable::identity(),
+        },
+        stop: StopRule::TargetRse(target_rse),
+    }
+}
 
 /// Achieved relative CI half-width of a run (`inf` when the estimate is
 /// zero — an estimator that saw no failure mass has no precision at all).
@@ -119,17 +136,14 @@ fn main() -> ExitCode {
         let mut pilot_json = String::new();
         let mut best: Option<(f64, f64)> = None; // (beta, relative ci)
         for (j, beta) in BETAS.into_iter().enumerate() {
-            let run = engine.estimate_rare(
-                &compiled,
-                &factory,
-                RareOptions {
-                    boost_beta: beta,
-                    target_rse: 0.0,
-                    min_shots: pilot_shots,
-                    ..Default::default()
-                },
-                seed,
-            );
+            let run = engine
+                .try_run(
+                    &compiled,
+                    &factory,
+                    &boosted(beta, 0.0, pilot_shots, 0),
+                    seed,
+                )
+                .expect("pilot run failed");
             let rse = relative_ci(&run);
             eprintln!(
                 "rare_event: d={d}: pilot beta={beta}: ler={:.3e}, rse={:.3}, ess={:.0}/{}",
@@ -175,18 +189,14 @@ fn main() -> ExitCode {
             "rare_event: d={d}: full IS run at beta={best_beta}, target rse {target_rse}, \
              up to {max_shots} shots..."
         );
-        let is_run = engine.estimate_rare(
-            &compiled,
-            &factory,
-            RareOptions {
-                boost_beta: best_beta,
-                target_rse,
-                min_shots: pilot_shots,
-                max_shots,
-                ..Default::default()
-            },
-            seed,
-        );
+        let is_run = engine
+            .try_run(
+                &compiled,
+                &factory,
+                &boosted(best_beta, target_rse, pilot_shots, max_shots),
+                seed,
+            )
+            .expect("importance-sampled run failed");
         let p_hat = is_run.ler();
         let is_rse = relative_ci(&is_run);
         let healthy = p_hat > 0.0 && is_run.ci_halfwidth.is_finite();

@@ -22,6 +22,7 @@ use caliqec_code::{
 };
 use caliqec_match::{graph_for_circuit, LerEngine, SampleOptions, UnionFindDecoder};
 use caliqec_sched::ler;
+use caliqec_stab::CompiledCircuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -327,8 +328,8 @@ pub fn run(params: &Fig10Params) -> Fig10Result {
             let mem = memory_circuit(&layout, &noise, params.rounds, MemoryBasis::Z);
             let graph = graph_for_circuit(&mem.circuit);
             let est = LerEngine::new(params.threads)
-                .estimate_circuit(
-                    &mem.circuit,
+                .estimate(
+                    &CompiledCircuit::new(&mem.circuit),
                     &|| UnionFindDecoder::new(graph.clone()),
                     SampleOptions {
                         min_shots: params.min_shots,

@@ -16,6 +16,7 @@ use caliqec_code::{
     Side, StabKind,
 };
 use caliqec_match::{graph_for_circuit, LerEngine, SampleOptions, UnionFindDecoder};
+use caliqec_stab::CompiledCircuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -244,8 +245,8 @@ fn run_scenario(
     let mem = memory_circuit(&layout, &noise, params.rounds, MemoryBasis::Z);
     let graph = graph_for_circuit(&mem.circuit);
     let est = LerEngine::new(params.threads)
-        .estimate_circuit(
-            &mem.circuit,
+        .estimate(
+            &CompiledCircuit::new(&mem.circuit),
             &|| UnionFindDecoder::new(graph.clone()),
             SampleOptions {
                 min_shots: params.min_shots,

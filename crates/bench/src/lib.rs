@@ -57,24 +57,6 @@ pub fn usize_from_args(name: &str, default: usize) -> usize {
     default
 }
 
-/// Parses `--<name> X` (or `--<name>=X`) as a float from the process
-/// arguments, falling back to `default` when absent or malformed.
-pub fn f64_from_args(name: &str, default: f64) -> f64 {
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(n) = a.strip_prefix(&prefix).and_then(|v| v.parse().ok()) {
-            return n;
-        }
-    }
-    default
-}
-
 /// Parses `--<name> VALUE` (or `--<name>=VALUE`) from the process
 /// arguments, falling back to `default` when absent.
 pub fn string_from_args(name: &str, default: &str) -> String {

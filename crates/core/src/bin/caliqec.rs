@@ -11,9 +11,9 @@
 //! caliqec draw         [--distance D] [--lattice square|heavy-hex] [--hole R,C ...]
 //! caliqec serve        [--tenants N] [--distance D] [--windows W] [--rounds R]
 //!                      [--workers T] [--queue-bound Q] [--deadline-us U]
-//!                      [--gap-us G] [--seed S] [--p P] [--cluster]
-//!                      [--cluster-gate-threshold X] [--strict] [--faults SPEC]
-//!                      [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
+//!                      [--gap-us G] [--seed S] [--p P] [--cluster] [--strict]
+//!                      [--faults SPEC] [--health-out FILE] [--metrics-out FILE]
+//!                      [--prom-out FILE]
 //! caliqec stream-smoke [same flags; tiny-budget preset]
 //! caliqec help
 //! ```
@@ -30,8 +30,8 @@ use caliqec_code::{
 };
 use caliqec_device::{DeviceConfig, DeviceModel};
 use caliqec_match::{
-    graph_for_circuit, loopback_serve, FaultPlan, LoopbackOptions, StreamConfig, TenantSpec,
-    Tiered, UnionFindDecoder,
+    graph_for_circuit, loopback_serve, ClusterGate, FaultPlan, LoopbackOptions, StreamConfig,
+    TenantSpec, Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{
     render_chrome_trace, render_json, render_prometheus, render_summary, verbosity, ObsSink,
@@ -532,12 +532,6 @@ fn cmd_serve(args: &Args, smoke: bool) -> Result<(), CliError> {
             "--p wants a probability in (0, 0.5), got {p}"
         )));
     }
-    let gate_threshold = args
-        .f64_or(
-            "cluster-gate-threshold",
-            caliqec_match::CLUSTER_GATE_MIN_MEAN_DEFECTS,
-        )
-        .map_err(CliError::Usage)?;
     let strict = args.flags.contains_key("strict");
     let faults = fault_plan_from(args)?;
     if faults.is_some() {
@@ -567,12 +561,13 @@ fn cmd_serve(args: &Args, smoke: bool) -> Result<(), CliError> {
             let g = graph.clone();
             let factory: Box<dyn Fn() -> UnionFindDecoder + Send + Sync> =
                 Box::new(move || UnionFindDecoder::new(g.clone()));
-            let mut tiered = Tiered::new(&graph, factory);
-            if args.flags.contains_key("cluster") {
-                tiered = tiered.with_cluster();
-            }
+            let gate = if args.flags.contains_key("cluster") {
+                ClusterGate::On
+            } else {
+                ClusterGate::Off
+            };
             TenantSpec {
-                factory: tiered.with_cluster_gate_threshold(gate_threshold),
+                factory: Tiered::new(&graph, factory).with_cluster_gate(gate),
                 detectors: graph.num_detectors(),
             }
         })
@@ -704,9 +699,9 @@ USAGE:
       Render a (deformed) patch as ASCII art.
   caliqec serve [--tenants N] [--distance D] [--windows W] [--rounds R]
                 [--workers T] [--queue-bound Q] [--deadline-us U] [--gap-us G]
-                [--seed S] [--p P] [--cluster] [--cluster-gate-threshold X]
-                [--strict] [--faults SPEC] [--health-out FILE]
-                [--metrics-out FILE] [--prom-out FILE] [--quiet]
+                [--seed S] [--p P] [--cluster] [--strict] [--faults SPEC]
+                [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
+                [--quiet]
       Run the streaming decode service against deterministic loopback
       tenants: each tenant replays a distance-D memory circuit round by
       round from seed chunk_seed(S, tenant) and the shared worker pool

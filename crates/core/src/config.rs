@@ -41,7 +41,7 @@ pub struct CaliqecConfig {
     pub drift_aware: bool,
     /// Rare-event estimation: when set (and `mc_shots > 0`), trace points
     /// measure their LER with the importance-sampled engine
-    /// (`LerEngine::estimate_rare`) at [`CaliqecConfig::boost_beta`]
+    /// (a boosted `RunSpec`) at [`CaliqecConfig::boost_beta`]
     /// instead of plain Monte Carlo. With `boost_beta == 1` and
     /// `target_rse == 0` the run degenerates to plain MC bit for bit.
     pub rare_event: bool,

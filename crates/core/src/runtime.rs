@@ -17,8 +17,8 @@ use caliqec_code::{
 };
 use caliqec_device::DeviceModel;
 use caliqec_match::{
-    graph_for_circuit, EpochSchedule, FaultPlan, LerEngine, MatchingGraph, RareOptions,
-    SampleOptions, UnionFindDecoder,
+    graph_for_circuit, EpochSchedule, Epochs, FaultPlan, LerEngine, MatchingGraph, RunSpec,
+    SampleOptions, StopRule, UnionFindDecoder, Weighting,
 };
 use caliqec_obs::ObsSink;
 use caliqec_sched::ler;
@@ -358,32 +358,35 @@ fn measure_point_ler(
         engine = engine.with_faults(plan.clone());
     }
     let factory = || UnionFindDecoder::new(graph.clone());
-    if config.rare_event {
+    let spec = if config.rare_event {
         // A quarter of the budget must decode before the CI rule may fire,
         // so a lucky early chunk can never stop a run on noise alone.
-        let min_shots = (config.mc_shots / 4).max(256).min(config.mc_shots);
-        return engine.estimate_rare_circuit(
-            &mem.circuit,
-            &factory,
-            RareOptions {
-                boost_beta: config.boost_beta,
-                target_rse: config.target_rse.max(0.0),
-                min_shots,
+        RunSpec {
+            budget: SampleOptions {
+                min_shots: (config.mc_shots / 4).max(256).min(config.mc_shots),
+                max_failures: 0,
                 max_shots: config.mc_shots,
-                ..RareOptions::default()
             },
-            chunk_seed(0xCA11_0EC5, point_index),
-        );
-    }
-    engine.estimate_circuit(
-        &mem.circuit,
-        &factory,
-        SampleOptions {
+            weighting: Weighting::Boosted {
+                beta: config.boost_beta,
+                rates: RateTable::identity(),
+            },
+            stop: StopRule::TargetRse(config.target_rse.max(0.0)),
+        }
+    } else {
+        RunSpec::from(SampleOptions {
             min_shots: config.mc_shots,
             ..SampleOptions::default()
-        },
-        chunk_seed(0xCA11_0EC5, point_index),
-    )
+        })
+    };
+    engine
+        .try_run(
+            &CompiledCircuit::new(&mem.circuit),
+            &factory,
+            &spec,
+            chunk_seed(0xCA11_0EC5, point_index),
+        )
+        .expect("engine run failed")
 }
 
 /// Calibration-aware variant of [`measure_point_ler`]: the matching graph
@@ -422,17 +425,23 @@ fn measure_point_ler_drift_aware(
     }
     let mut schedule = EpochSchedule::new(1.0);
     schedule.push(0.0, RateTable::uniform(p));
-    engine.estimate_epochs(
-        &CompiledCircuit::new(&mem.circuit),
+    let source = Epochs {
         graph,
-        &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-        &schedule,
-        SampleOptions {
-            min_shots: config.mc_shots,
-            ..SampleOptions::default()
-        },
-        chunk_seed(0xCA11_0EC5, point_index),
-    )
+        schedule: &schedule,
+        factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
+    };
+    let spec = RunSpec::from(SampleOptions {
+        min_shots: config.mc_shots,
+        ..SampleOptions::default()
+    });
+    engine
+        .try_run(
+            &CompiledCircuit::new(&mem.circuit),
+            &source,
+            &spec,
+            chunk_seed(0xCA11_0EC5, point_index),
+        )
+        .expect("engine run failed")
 }
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ impl ClusterOutcome {
 }
 
 /// The dense-regime cluster tier. See the module docs for the decomposition
-/// and the separation argument; see [`crate::Tiered::with_cluster`] for the
+/// and the separation argument; see [`crate::Tiered::with_cluster_gate`] for the
 /// engine opt-in.
 #[derive(Clone, Debug)]
 pub struct ClusterTier {

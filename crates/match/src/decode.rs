@@ -13,6 +13,12 @@ pub trait Decoder {
     fn decode(&mut self, defects: &[NodeId]) -> u64;
 }
 
+impl<D: Decoder + ?Sized> Decoder for &mut D {
+    fn decode(&mut self, defects: &[NodeId]) -> u64 {
+        (**self).decode(defects)
+    }
+}
+
 /// Result of a Monte-Carlo logical-error-rate estimation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LerEstimate {

@@ -1,9 +1,12 @@
 //! Thread-parallel Monte-Carlo logical-error-rate engine.
 //!
-//! [`LerEngine`] dispatches 64-shot batches, grouped into fixed-size
-//! chunks, to worker threads over a shared [`CompiledCircuit`]. The
-//! determinism contract: **results depend only on `(options, base_seed)`
-//! — never on the thread count or scheduling order.** Concretely:
+//! [`LerEngine::try_run`] is the one measured path: it runs a [`RunSpec`]
+//! (shot budget, weighting, stop rule) over a [`CompiledCircuit`], decoding
+//! with a [`RunSource`] — a [`DecoderFactory`], or an [`Epochs`] schedule
+//! of drifting calibrations. 64-shot batches, grouped into fixed-size
+//! chunks, go to worker threads. The determinism contract: **results
+//! depend only on `(spec, base_seed)` — never on the thread count or
+//! scheduling order.** Concretely:
 //!
 //! - The chunk size is a function of the shot budget alone, and every
 //!   64-shot batch `b` (numbered globally across the run) samples from its
@@ -12,9 +15,9 @@
 //!   [`LANES`] of them in SIMD lockstep ([`CompiledCircuit::sample_batches_wide_into`])
 //!   while each batch stays bit-identical to a narrow
 //!   `sample_batch_into` replay with the same seed.
-//! - `max_failures` early-stopping is resolved at chunk granularity: the
-//!   run is cut at the *first* chunk at which the cumulative failure count
-//!   over chunks `0..=k` reaches the budget, and only chunks up to the cut
+//! - Early stopping ([`StopRule::Failures`], [`StopRule::TargetRse`]) is
+//!   resolved at chunk granularity: the run is cut at the *first* chunk
+//!   whose prefix `0..=k` meets the rule, and only chunks up to the cut
 //!   contribute to the estimate. Chunks that other workers had already
 //!   started are discarded, so a racing thread can waste work but never
 //!   change the answer.
@@ -29,18 +32,17 @@
 //!
 //! The engine is hardened against decoder faults (see DESIGN.md §9):
 //!
-//! - Inputs are validated up front by the fallible entry points
-//!   ([`LerEngine::try_estimate`] and friends) — a malformed circuit or
-//!   matching graph returns a typed [`EngineError`] instead of panicking
+//! - Inputs are validated up front — a malformed circuit, matching graph,
+//!   or run spec returns a typed [`EngineError`] instead of panicking
 //!   inside a worker.
 //! - Each chunk's sample+decode runs under `catch_unwind`. A chunk that
 //!   panics (or stalls, or trips graph validation) is quarantined and
 //!   re-run with the **same** per-batch seed schedule on the next
-//!   rung of a degradation ladder: rung 0 is the factory's decoder with
-//!   its predecoder, rung 1 a freshly built decoder without the
-//!   predecoder, rung 2 a [`ReferenceUnionFind`] over the factory's
-//!   fallback graph. Because the sampled shots depend only on the chunk's
-//!   batch seeds, a retry re-decodes the *identical* syndrome stream.
+//!   rung of a degradation ladder: rung 0 is the context's full
+//!   [`DecodeStack`], rung 1 a freshly built bare decoder, rung 2 a
+//!   [`ReferenceUnionFind`] over the context's fallback graph. Because the
+//!   sampled shots depend only on the chunk's batch seeds, a retry
+//!   re-decodes the *identical* syndrome stream.
 //! - A worker panic can no longer cascade: the shared mutex recovers from
 //!   poisoning via `PoisonError::into_inner`, and a chunk that faults on
 //!   every rung surfaces as one typed [`EngineError::ChunkFailed`].
@@ -62,8 +64,8 @@ use crate::predecode::{ClusterGate, Predecoder, CLUSTER_GATE_MIN_MEAN_DEFECTS};
 use crate::reference::ReferenceUnionFind;
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
 use caliqec_stab::{
-    chunk_seed, resolve_threads, BatchEvents, Circuit, CompiledCircuit, FrameState, RateTable,
-    SparseBatch, WideFrameState, BATCH, LANES,
+    chunk_seed, resolve_threads, BatchEvents, CompiledCircuit, FrameState, RateTable, SparseBatch,
+    WideFrameState, BATCH, LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +75,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Builds per-worker decoder instances for parallel estimation.
+/// Builds per-worker decoder stacks for parallel estimation.
 ///
 /// Blanket-implemented for any `Fn() -> D` closure that is `Sync`, so the
 /// idiomatic call site is:
@@ -86,52 +88,25 @@ pub trait DecoderFactory: Sync {
     /// The decoder type produced.
     type Decoder: Decoder;
 
-    /// Builds one decoder. Called once per worker thread (and once more
-    /// after any quarantined chunk, since a panicking decoder may leave
-    /// its scratch torn).
+    /// Builds one bare decoder. Rung 1 of the degradation ladder calls
+    /// this for every retry, since a panicking decoder may leave its
+    /// scratch torn.
     fn build(&self) -> Self::Decoder;
 
-    /// Optional tier-1 predecoder placed in front of every decoder this
-    /// factory builds (one clone per worker; clones share their tables).
-    /// The default is `None` — plain factories decode every nonempty shot
-    /// in full. Wrap a factory in [`crate::Tiered`] to enable it.
-    fn predecoder(&self) -> Option<Predecoder> {
-        None
+    /// Builds one rung-0 decoder stack: the decoder plus whatever front
+    /// tiers the factory arms (one stack per worker; stacks share their
+    /// tables). The default is a bare stack — plain factories decode every
+    /// nonempty shot in full. Wrap a factory in [`crate::Tiered`] for the
+    /// predecoder and cluster tiers.
+    fn stack(&self) -> DecodeStack<Self::Decoder> {
+        DecodeStack::new(self.build())
     }
 
     /// Validates whatever inputs this factory bakes into its decoders.
-    /// The fallible engine entry points call this before launching
-    /// workers; the default factory has nothing visible to check.
+    /// [`LerEngine::try_run`] calls this before launching workers; the
+    /// default factory has nothing visible to check.
     fn validate(&self) -> Result<(), ValidationError> {
         Ok(())
-    }
-
-    /// Optional dense-regime cluster tier placed in front of every rung-0
-    /// decoder (one instance per worker; instances share their tables).
-    /// The default is `None` — dense shots decode monolithically. Wrap a
-    /// factory in [`crate::Tiered`] and call [`crate::Tiered::with_cluster`]
-    /// to enable it.
-    fn cluster_tier(&self) -> Option<ClusterTier> {
-        None
-    }
-
-    /// How the engine should gate the cluster tier by defect density.
-    /// Meaningful only when [`DecoderFactory::cluster_tier`] returns one;
-    /// [`ClusterGate::Auto`] lets the engine skip the decomposition for
-    /// batches whose mean defect count is below
-    /// [`DecoderFactory::cluster_gate_threshold`].
-    fn cluster_gate(&self) -> ClusterGate {
-        ClusterGate::Off
-    }
-
-    /// Mean defects per shot at which [`ClusterGate::Auto`] fires the
-    /// cluster tier for a batch. Defaults to the workspace-tuned
-    /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`]; deployments with a different
-    /// dense/sparse crossover (or a shed fast path that wants the cluster
-    /// tier earlier) override it via
-    /// [`crate::Tiered::with_cluster_gate_threshold`].
-    fn cluster_gate_threshold(&self) -> f64 {
-        CLUSTER_GATE_MIN_MEAN_DEFECTS
     }
 
     /// The matching graph backing this factory's decoders, if the factory
@@ -151,17 +126,11 @@ impl<D: Decoder, F: Fn() -> D + Sync> DecoderFactory for F {
     }
 }
 
-/// Builds decoders over a *given* graph, for the calibration-epoch entry
-/// points where the engine owns one reweighted graph per epoch.
+/// Builds decoders over a *given* graph, for [`Epochs`] runs where the
+/// engine owns one reweighted graph per calibration epoch.
 ///
 /// Blanket-implemented for any `Fn(&MatchingGraph) -> D` closure that is
-/// `Sync`:
-///
-/// ```ignore
-/// engine.estimate_epochs(&compiled, &graph,
-///     &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-///     &schedule, opts, seed);
-/// ```
+/// `Sync`.
 pub trait GraphDecoderFactory: Sync {
     /// The decoder type produced.
     type Decoder: Decoder;
@@ -169,14 +138,6 @@ pub trait GraphDecoderFactory: Sync {
     /// Builds one decoder over `graph` (already reweighted for the epoch it
     /// will decode).
     fn build_for(&self, graph: &MatchingGraph) -> Self::Decoder;
-
-    /// Whether epoch contexts should carry a dense-regime cluster tier
-    /// (built per epoch from the epoch predecoder's tables, since both are
-    /// weight-derived). Defaults to off, mirroring
-    /// [`DecoderFactory::cluster_tier`].
-    fn cluster(&self) -> bool {
-        false
-    }
 }
 
 impl<D: Decoder, F: Fn(&MatchingGraph) -> D + Sync> GraphDecoderFactory for F {
@@ -184,6 +145,36 @@ impl<D: Decoder, F: Fn(&MatchingGraph) -> D + Sync> GraphDecoderFactory for F {
 
     fn build_for(&self, graph: &MatchingGraph) -> D {
         self(graph)
+    }
+}
+
+/// A decoder plus the front tiers that see each shot before it: the tier-1
+/// [`Predecoder`], the dense-regime [`ClusterTier`] and its density
+/// [`ClusterGate`]. [`DecoderFactory::stack`] builds one per worker; the
+/// batch engine and the streaming service decode every window through it.
+#[derive(Debug)]
+pub struct DecodeStack<D> {
+    /// The full decoder every uncertified shot reaches.
+    pub decoder: D,
+    /// Certifier for provably-local sparse shots, if armed.
+    pub predecoder: Option<Predecoder>,
+    /// Flood decomposition for dense shots, if armed.
+    pub cluster: Option<ClusterTier>,
+    /// When the cluster tier runs (meaningful only with `cluster` armed).
+    pub gate: ClusterGate,
+    pub(crate) scratch: WindowScratch,
+}
+
+impl<D> DecodeStack<D> {
+    /// A bare stack: `decoder` alone, no front tiers.
+    pub fn new(decoder: D) -> DecodeStack<D> {
+        DecodeStack {
+            decoder,
+            predecoder: None,
+            cluster: None,
+            gate: ClusterGate::Off,
+            scratch: WindowScratch::default(),
+        }
     }
 }
 
@@ -199,7 +190,7 @@ pub struct CalibrationEpoch {
 
 /// A schedule of calibration epochs over a simulated run horizon.
 ///
-/// [`LerEngine::estimate_epochs`] spreads the shot budget uniformly over
+/// An [`Epochs`] run spreads the shot budget uniformly over
 /// `[0, horizon_hours]` and decodes each chunk with the epoch active at the
 /// chunk's midpoint time — the epoch with the largest `hours` not exceeding
 /// it (the first epoch covers any earlier time). An empty schedule behaves
@@ -247,41 +238,250 @@ impl EpochSchedule {
     }
 }
 
-/// Options for rare-event (importance-sampled) estimation via
-/// [`LerEngine::estimate_rare`].
-#[derive(Clone, Debug)]
-pub struct RareOptions {
-    /// Rate boost factor β: every fault channel fires at
-    /// `min(β · p, ½)` (never below its nominal rate). `1.0` degenerates
-    /// to the plain unweighted sampler bit for bit.
-    pub boost_beta: f64,
-    /// Target relative CI half-width: the run stops at the first chunk
-    /// boundary where the 95% CI half-width of the weighted LER estimate
-    /// is at most `target_rse · estimate` (once `min_shots` have been
-    /// decoded). `≤ 0` disables CI stopping — the run consumes the full
-    /// shot budget, exactly like [`SampleOptions`] with no failure cap.
-    pub target_rse: f64,
-    /// Minimum shots before the CI stopping rule may fire (also the whole
-    /// budget when `max_shots` is 0).
-    pub min_shots: usize,
-    /// Shot budget ceiling (0 = `min_shots` is the whole budget).
-    pub max_shots: usize,
-    /// Nominal per-channel rates: overrides compose with β exactly like a
-    /// calibration-epoch reweight
-    /// ([`CompiledCircuit::boosted_with_rates`]). Identity = the compiled
-    /// circuit's own rates.
-    pub rates: RateTable,
+/// Calibration-aware run source: decode under an [`EpochSchedule`] of
+/// drifting per-gate rates.
+///
+/// Each epoch gets one graph — `graph` incrementally reweighted via
+/// [`MatchingGraph::reweight`] (identity rate tables skip the reweight, so
+/// a single-epoch identity schedule is bit-identical to a
+/// [`crate::Tiered`] factory over `graph`) — plus a fresh [`Predecoder`]
+/// over it, since the predecoder's tables are weight-derived. The sampled
+/// syndrome stream depends only on `(spec, base_seed)`, never on the
+/// schedule; only decode weights vary. Up-front reweight and table-build
+/// time is reported as [`EngineRun::reweight_seconds`].
+///
+/// ```ignore
+/// let source = Epochs { graph: &graph, schedule: &schedule,
+///     factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()) };
+/// engine.try_run(&compiled, &source, &RunSpec::from(opts), seed)?;
+/// ```
+pub struct Epochs<'a, G> {
+    /// The base graph every epoch reweights.
+    pub graph: &'a MatchingGraph,
+    /// The epochs and the horizon the shot budget spreads over.
+    pub schedule: &'a EpochSchedule,
+    /// Builds each epoch's decoder over its reweighted graph.
+    pub factory: &'a G,
 }
 
-impl Default for RareOptions {
-    fn default() -> RareOptions {
-        RareOptions {
-            boost_beta: 4.0,
-            target_rse: 0.1,
-            min_shots: 10_000,
-            max_shots: 0,
-            rates: RateTable::identity(),
+impl<G> fmt::Debug for Epochs<'_, G> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Epochs")
+            .field("schedule", self.schedule)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One epoch's decode context for an [`Epochs`] run: the reweighted graph,
+/// the predecoder re-derived from it (predecoder tables are
+/// weight-dependent — see [`Predecoder::is_current_for`]), and the epoch
+/// factory. Its rung-0 stack carries the predecoder; the graph backs rung 2.
+#[derive(Debug)]
+pub struct EpochContext<'a, G> {
+    graph: MatchingGraph,
+    predecoder: Predecoder,
+    factory: &'a G,
+}
+
+impl<G: GraphDecoderFactory> DecoderFactory for EpochContext<'_, G> {
+    type Decoder = G::Decoder;
+
+    fn build(&self) -> G::Decoder {
+        self.factory.build_for(&self.graph)
+    }
+
+    fn stack(&self) -> DecodeStack<G::Decoder> {
+        DecodeStack {
+            predecoder: Some(self.predecoder.clone()),
+            ..DecodeStack::new(self.build())
         }
+    }
+
+    fn fallback_graph(&self) -> Option<&MatchingGraph> {
+        Some(&self.graph)
+    }
+}
+
+/// What [`LerEngine::try_run`] decodes with: the per-epoch decode contexts
+/// (each a [`DecoderFactory`]) and which one decodes each chunk.
+/// Implemented by every [`DecoderFactory`] (one context for the whole run)
+/// and by [`Epochs`] (one context per calibration epoch).
+pub trait RunSource: Sync {
+    /// One epoch's decode context.
+    type Context: DecoderFactory;
+    /// The run's contexts: borrowed from the source, or built for the run.
+    type Contexts<'s>: AsRef<[Self::Context]>
+    where
+        Self: 's;
+
+    /// Validates the source's inputs before any run state exists.
+    fn validate_inputs(&self) -> Result<(), EngineError>;
+
+    /// The decode contexts plus the seconds spent building them; each
+    /// build is journaled on `coord`.
+    fn contexts(&self, coord: &mut WorkerObs) -> Result<(Self::Contexts<'_>, f64), EngineError>;
+
+    /// Index of the context that decodes chunk `chunk` of `chunks`.
+    fn context_of(&self, _chunk: usize, _chunks: usize) -> usize {
+        0
+    }
+}
+
+impl<F: DecoderFactory> RunSource for F {
+    type Context = F;
+    type Contexts<'s>
+        = &'s [F]
+    where
+        F: 's;
+
+    fn validate_inputs(&self) -> Result<(), EngineError> {
+        Ok(self.validate()?)
+    }
+
+    fn contexts(&self, _coord: &mut WorkerObs) -> Result<(&[F], f64), EngineError> {
+        Ok((std::slice::from_ref(self), 0.0))
+    }
+}
+
+impl<'a, G: GraphDecoderFactory> RunSource for Epochs<'a, G> {
+    type Context = EpochContext<'a, G>;
+    type Contexts<'s>
+        = Vec<EpochContext<'a, G>>
+    where
+        Self: 's;
+
+    fn validate_inputs(&self) -> Result<(), EngineError> {
+        Ok(self.graph.validate()?)
+    }
+
+    /// One context per epoch (an empty schedule is one implicit identity
+    /// epoch), each a reweighted clone of the base graph — topology
+    /// untouched, weights recomputed from the epoch's rates.
+    fn contexts(
+        &self,
+        coord: &mut WorkerObs,
+    ) -> Result<(Vec<EpochContext<'a, G>>, f64), EngineError> {
+        let started = Instant::now();
+        let identity = RateTable::identity();
+        let rates: Vec<&RateTable> = match self.schedule.epochs() {
+            [] => vec![&identity],
+            epochs => epochs.iter().map(|e| &e.rates).collect(),
+        };
+        let mut contexts = Vec::with_capacity(rates.len());
+        for (epoch, rates) in rates.into_iter().enumerate() {
+            let t = coord.clock();
+            let mut graph = self.graph.clone();
+            if !rates.is_identity() {
+                graph.reweight(rates)?;
+                graph.validate()?;
+            }
+            contexts.push(EpochContext {
+                predecoder: Predecoder::new(&graph),
+                graph,
+                factory: self.factory,
+            });
+            record_reweight(coord, epoch as u32, t);
+        }
+        Ok((contexts, started.elapsed().as_secs_f64()))
+    }
+
+    /// The epoch active at the chunk's midpoint time
+    /// `horizon · (chunk + ½) / chunks`.
+    fn context_of(&self, chunk: usize, chunks: usize) -> usize {
+        let t = self.schedule.horizon_hours() * (chunk as f64 + 0.5) / chunks as f64;
+        self.schedule.active_at(t)
+    }
+}
+
+/// How a run's shots are weighted.
+#[derive(Clone, Debug, Default)]
+pub enum Weighting {
+    /// Plain Monte Carlo at the circuit's own rates: every shot weighs 1.
+    #[default]
+    Nominal,
+    /// Importance sampling: every fault channel fires at `min(β · p, ½)`
+    /// (never below its nominal rate) while each shot carries its exact
+    /// likelihood weight against the nominal rates, making
+    /// [`EngineRun::ler`] an unbiased estimator of the nominal LER with far
+    /// more failing shots to average over. `rates` overrides compose with β
+    /// exactly like a calibration-epoch reweight
+    /// ([`CompiledCircuit::boosted_with_rates`]). `beta == 1` with identity
+    /// rates runs the plain sampler itself, bit for bit.
+    Boosted {
+        /// Rate boost factor β (finite, ≥ 1).
+        beta: f64,
+        /// Nominal per-channel rates (identity = the circuit's own).
+        rates: RateTable,
+    },
+}
+
+/// When a run stops. Every rule is resolved at chunk granularity over the
+/// deterministic chunk prefix, so the cut is thread-count independent.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub enum StopRule {
+    /// Run the whole shot budget.
+    #[default]
+    Shots,
+    /// Stop at the first chunk prefix holding this many failures
+    /// (0 = never).
+    Failures(usize),
+    /// Stop at the first chunk prefix, past the budget's `min_shots`, whose
+    /// 95% CI half-width is at most this fraction of the (weighted)
+    /// estimate. `0` never fires — the run consumes the full budget.
+    TargetRse(f64),
+}
+
+/// One engine measurement: the shot budget, the weighting and the stop
+/// rule. `RunSpec::from(options)` is the plain run the engine has always
+/// made from [`SampleOptions`] (its `max_failures` becomes
+/// [`StopRule::Failures`]).
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// Shot budget: `min_shots`/`max_shots` fix the chunk geometry. A
+    /// nonzero `max_failures` must agree with `stop`.
+    pub budget: SampleOptions,
+    /// Nominal or importance-sampled shots.
+    pub weighting: Weighting,
+    /// When the run may end before the budget's last shot.
+    pub stop: StopRule,
+}
+
+impl From<SampleOptions> for RunSpec {
+    fn from(budget: SampleOptions) -> RunSpec {
+        RunSpec {
+            budget,
+            weighting: Weighting::Nominal,
+            stop: match budget.max_failures {
+                0 => StopRule::Shots,
+                n => StopRule::Failures(n),
+            },
+        }
+    }
+}
+
+impl RunSpec {
+    /// Rejects a non-finite or sub-unit boost, a non-finite or negative RSE
+    /// target, and a budget failure cap the stop rule contradicts.
+    fn validate(&self) -> Result<(), EngineError> {
+        let bad = |detail: String| Err(EngineError::Options { detail });
+        if let Weighting::Boosted { beta, .. } = self.weighting {
+            if !beta.is_finite() || beta < 1.0 {
+                return bad(format!("boost_beta must be finite and >= 1 (got {beta})"));
+            }
+        }
+        if let StopRule::TargetRse(rse) = self.stop {
+            if !rse.is_finite() || rse < 0.0 {
+                return bad(format!("target_rse must be finite and >= 0 (got {rse})"));
+            }
+        }
+        let cap = self.budget.max_failures;
+        if cap != 0 && self.stop != StopRule::Failures(cap) {
+            return bad(format!(
+                "budget.max_failures = {cap} contradicts stop rule {:?}",
+                self.stop
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -289,6 +489,8 @@ impl Default for RareOptions {
 /// serial reference path.
 #[derive(Clone, Copy, Debug)]
 struct ChunkPlan {
+    /// Keys the per-batch RNG schedule.
+    base_seed: u64,
     /// Batches per chunk — a function of the shot budget only.
     chunk_batches: usize,
     /// Total chunks covering `max_batches`.
@@ -297,50 +499,37 @@ struct ChunkPlan {
     max_batches: usize,
     /// Failure budget (0 = run the full batch budget).
     max_failures: usize,
-    /// Relative-CI stopping target for rare-event runs (≤ 0 disables; see
-    /// [`RareOptions::target_rse`]). Resolved at chunk granularity like
-    /// `max_failures`, so the cut is thread-count independent.
+    /// Relative-CI stopping target (0 disables).
     target_rse: f64,
     /// Batches that must complete before the CI rule may fire.
     min_ci_batches: usize,
 }
 
 impl ChunkPlan {
-    fn new(options: SampleOptions) -> ChunkPlan {
-        let min_batches = options.min_shots.div_ceil(BATCH).max(1);
-        let max_batches = if options.max_shots == 0 {
+    fn new(spec: &RunSpec, base_seed: u64) -> ChunkPlan {
+        let min_batches = spec.budget.min_shots.div_ceil(BATCH).max(1);
+        let max_batches = if spec.budget.max_shots == 0 {
             min_batches
         } else {
-            options.max_shots.div_ceil(BATCH).max(min_batches)
+            spec.budget.max_shots.div_ceil(BATCH).max(min_batches)
         };
         // Aim for ~64 chunks so early-stopping stays reasonably fine-grained
         // while per-chunk overhead amortizes; never let the chunk size depend
         // on the thread count, or determinism across thread counts breaks.
         let chunk_batches = max_batches.div_ceil(64).clamp(1, 64);
+        let (max_failures, target_rse) = match spec.stop {
+            StopRule::Shots => (0, 0.0),
+            StopRule::Failures(n) => (n, 0.0),
+            StopRule::TargetRse(rse) => (0, rse),
+        };
         ChunkPlan {
+            base_seed,
             chunk_batches,
             num_chunks: max_batches.div_ceil(chunk_batches),
             max_batches,
-            max_failures: options.max_failures,
-            target_rse: 0.0,
-            min_ci_batches: 0,
-        }
-    }
-
-    /// The schedule for a rare-event run: identical batch/chunk geometry
-    /// to [`ChunkPlan::new`] over the same `(min_shots, max_shots)` — so a
-    /// β=1 rare run replays a plain run's chunk schedule bit for bit —
-    /// plus the CI stopping rule in place of the failure budget.
-    fn rare(options: &RareOptions) -> ChunkPlan {
-        let base = ChunkPlan::new(SampleOptions {
-            min_shots: options.min_shots,
-            max_failures: 0,
-            max_shots: options.max_shots,
-        });
-        ChunkPlan {
-            target_rse: options.target_rse.max(0.0),
-            min_ci_batches: options.min_shots.div_ceil(BATCH).max(1),
-            ..base
+            max_failures,
+            target_rse,
+            min_ci_batches: min_batches,
         }
     }
 
@@ -402,16 +591,318 @@ pub fn defect_hist_bucket(defects: usize) -> usize {
     }
 }
 
-/// Rungs of the decoder degradation ladder: the factory decoder with its
-/// predecoder, a fresh factory decoder without predecode, and a
-/// [`ReferenceUnionFind`] over the factory's fallback graph.
+/// Rungs of the decoder degradation ladder: the context's full decode
+/// stack, a fresh bare decoder, and a [`ReferenceUnionFind`] over the
+/// context's fallback graph.
 pub const LADDER_RUNGS: usize = 3;
+
+/// Per-window decode statistics accumulated by
+/// [`DecodeStack::decode_window_masks`].
+///
+/// The batch engine accumulates one of these per chunk (every batch in the
+/// chunk sums into the same struct); the streaming service accumulates one
+/// per decoded window. All counts are deterministic functions of the
+/// window's syndrome content and the decoder configuration.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WindowStats {
+    /// Shots with an empty defect list (identity correction, no decoder).
+    pub(crate) tier0_shots: usize,
+    /// Shots certified by the tier-1 predecoder.
+    pub(crate) predecoded_shots: usize,
+    /// Defects on those certified shots.
+    pub(crate) predecoded_defects: usize,
+    /// Shots that reached a full-decoder call.
+    pub(crate) residual_shots: usize,
+    /// Dense shots fully resolved by the cluster tier.
+    pub(crate) clustered_shots: usize,
+    /// Defects peeled by certified clusters.
+    pub(crate) clustered_defects: usize,
+    /// Flood clusters decomposed.
+    pub(crate) clusters_total: u64,
+    /// Cluster-size histogram ([`cluster_hist_bucket`] buckets).
+    pub(crate) cluster_size_histogram: [u64; CLUSTER_HIST_BUCKETS],
+    /// Per-shot defect-count histogram ([`defect_hist_bucket`] buckets).
+    pub(crate) defect_histogram: [u64; DEFECT_HIST_BUCKETS],
+    /// Windows the density gate sent through the cluster decomposition
+    /// (counted only while a cluster tier is armed).
+    pub(crate) cluster_gate_on: usize,
+    /// Windows the gate diverted to the monolithic path.
+    pub(crate) cluster_gate_off: usize,
+    /// Time inside the tier-dispatch classification scan (the batch engine
+    /// charges this to its extract phase).
+    pub(crate) classify_seconds: f64,
+    /// Predecoder certification time.
+    pub(crate) predecode_seconds: f64,
+    /// Flood-decomposition time.
+    pub(crate) cluster_seconds: f64,
+    /// Full-decoder time.
+    pub(crate) decode_seconds: f64,
+}
+
+impl Default for WindowStats {
+    fn default() -> WindowStats {
+        WindowStats {
+            tier0_shots: 0,
+            predecoded_shots: 0,
+            predecoded_defects: 0,
+            residual_shots: 0,
+            clustered_shots: 0,
+            clustered_defects: 0,
+            clusters_total: 0,
+            cluster_size_histogram: [0; CLUSTER_HIST_BUCKETS],
+            defect_histogram: [0; DEFECT_HIST_BUCKETS],
+            cluster_gate_on: 0,
+            cluster_gate_off: 0,
+            classify_seconds: 0.0,
+            predecode_seconds: 0.0,
+            cluster_seconds: 0.0,
+            decode_seconds: 0.0,
+        }
+    }
+}
+
+impl WindowStats {
+    /// Adds `other` into `self`, field by field.
+    fn add(&mut self, other: &WindowStats) {
+        self.tier0_shots += other.tier0_shots;
+        self.predecoded_shots += other.predecoded_shots;
+        self.predecoded_defects += other.predecoded_defects;
+        self.residual_shots += other.residual_shots;
+        self.clustered_shots += other.clustered_shots;
+        self.clustered_defects += other.clustered_defects;
+        self.clusters_total += other.clusters_total;
+        for (acc, b) in self
+            .cluster_size_histogram
+            .iter_mut()
+            .zip(other.cluster_size_histogram)
+        {
+            *acc += b;
+        }
+        for (acc, b) in self.defect_histogram.iter_mut().zip(other.defect_histogram) {
+            *acc += b;
+        }
+        self.cluster_gate_on += other.cluster_gate_on;
+        self.cluster_gate_off += other.cluster_gate_off;
+        self.classify_seconds += other.classify_seconds;
+        self.predecode_seconds += other.predecode_seconds;
+        self.cluster_seconds += other.cluster_seconds;
+        self.decode_seconds += other.decode_seconds;
+    }
+}
+
+/// Reusable shot-classification scratch for
+/// [`DecodeStack::decode_window_masks`]: tier-dispatch index lists whose
+/// capacity persists across windows.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WindowScratch {
+    /// Shots past the certification bound, straight to the full decoder.
+    dense: Vec<u32>,
+    /// Predecoder candidates.
+    cand: Vec<u32>,
+    /// Candidates the predecoder declined.
+    uncertified: Vec<u32>,
+}
+
+impl<D: Decoder> DecodeStack<D> {
+    /// Decodes one extracted 64-shot window into per-shot predicted
+    /// observable masks — the tier-dispatch core shared by the batch engine
+    /// ([`LerEngine`]) and the streaming service
+    /// ([`crate::StreamingDecoder`]).
+    ///
+    /// `masks[s]` receives the stack's predicted observable mask for shot
+    /// `s`: `0` for an empty syndrome, the certified mask for a predecoded
+    /// shot, the peel-XOR-residual mask on the cluster path, and the full
+    /// decoder's mask otherwise. Callers that know the ground truth (the
+    /// batch engine, which sampled the observables alongside the detectors)
+    /// XOR against it to count failures; callers that don't (a streaming
+    /// service fed detector events only) forward the masks as corrections.
+    /// The mask of every shot is a deterministic function of `(window
+    /// contents, stack configuration)` — nothing here depends on wall clock
+    /// or thread interleaving.
+    ///
+    /// Tier accounting accumulates into `stats` (additive across windows),
+    /// including the density gate's verdict when a cluster tier is armed.
+    /// The `Auto` gate
+    /// compares the window's mean defect count against
+    /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`]. When `obs` is enabled, per-shot
+    /// predecode/decode latencies land in its histograms (`decode_hist`
+    /// selects the rung-specific decode histogram); a disabled handle costs
+    /// one branch per shot and reads no clock.
+    pub(crate) fn decode_window_masks(
+        &mut self,
+        sparse: &SparseBatch,
+        obs: &mut WorkerObs,
+        decode_hist: Hist,
+        stats: &mut WindowStats,
+        masks: &mut [u64; BATCH],
+    ) {
+        let DecodeStack {
+            decoder,
+            predecoder,
+            cluster,
+            gate,
+            scratch:
+                WindowScratch {
+                    dense,
+                    cand,
+                    uncertified,
+                },
+        } = self;
+        let has_pre = predecoder.is_some();
+        // Tier dispatch: tier 0 (empty defect list — identity correction) is
+        // resolved here; shots past the certification bound go straight to
+        // `dense` (at d ≥ 15 this is nearly every shot, and the predecoder
+        // phase used to pay for all of them).
+        let t1 = Instant::now();
+        dense.clear();
+        cand.clear();
+        let mut window_defects = 0usize;
+        for (s, mask) in masks.iter_mut().enumerate() {
+            let defects = sparse.defect_count(s);
+            stats.defect_histogram[defect_hist_bucket(defects)] += 1;
+            window_defects += defects;
+            if defects == 0 {
+                stats.tier0_shots += 1;
+                *mask = 0;
+            } else if has_pre && defects <= Predecoder::MAX_CERT_DEFECTS {
+                cand.push(s as u32);
+            } else {
+                dense.push(s as u32);
+            }
+        }
+        let t2 = Instant::now();
+        stats.classify_seconds += (t2 - t1).as_secs_f64();
+        uncertified.clear();
+        if let Some(pre) = predecoder {
+            // Dense configs leave `cand` empty for almost every window;
+            // skipping the pass entirely avoids paying the per-shot timer
+            // setup just to report a tier that never fired.
+            if !cand.is_empty() {
+                let mut shot_t = obs.clock();
+                for &s in cand.iter() {
+                    let s = s as usize;
+                    if let Some(mask) = pre.predecode(sparse.defects(s)) {
+                        stats.predecoded_shots += 1;
+                        stats.predecoded_defects += sparse.defect_count(s);
+                        masks[s] = mask;
+                    } else {
+                        uncertified.push(s as u32);
+                    }
+                    shot_t = obs.record_since(Hist::PredecodeShot, shot_t);
+                }
+            }
+        }
+        let t3 = Instant::now();
+        stats.predecode_seconds += (t3 - t2).as_secs_f64();
+        // Defect-density gate: below the threshold, the flood decomposition
+        // costs more than the monolithic decodes it replaces, so `Auto`
+        // diverts sparse windows to the merge path. Both paths decode every
+        // shot exactly, so gating never changes a mask — only where the time
+        // goes.
+        let cluster_ran = cluster.is_some()
+            && match gate {
+                ClusterGate::On => true,
+                ClusterGate::Off => false,
+                ClusterGate::Auto => {
+                    window_defects as f64 / BATCH as f64 >= CLUSTER_GATE_MIN_MEAN_DEFECTS
+                }
+            };
+        if cluster.is_some() {
+            if cluster_ran {
+                stats.cluster_gate_on += 1;
+            } else {
+                stats.cluster_gate_off += 1;
+            }
+        }
+        if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
+            // Dense shots: flood-decompose, peel certified clusters, decode
+            // the residual union in one full-decoder call, XOR the masks.
+            // Phase time is summed per shot (decomposition vs decoding), so
+            // loop-tail bookkeeping is charged to neither and the timers
+            // stay below wall clock.
+            for &s in dense.iter() {
+                let s = s as usize;
+                let c0 = Instant::now();
+                let out = clu.decompose(sparse.defects(s));
+                let c1 = Instant::now();
+                stats.cluster_seconds += (c1 - c0).as_secs_f64();
+                stats.clusters_total += out.clusters as u64;
+                for &size in clu.cluster_sizes() {
+                    stats.cluster_size_histogram[cluster_hist_bucket(size as usize)] += 1;
+                }
+                stats.clustered_defects += out.peeled_defects as usize;
+                let mut mask = out.mask;
+                if out.fully_peeled() {
+                    stats.clustered_shots += 1;
+                    if obs.enabled() {
+                        obs.record(Hist::ClusterShot, (c1 - c0).as_nanos() as u64);
+                    }
+                } else {
+                    stats.residual_shots += 1;
+                    let d0 = Instant::now();
+                    mask ^= decoder.decode(clu.residual_defects());
+                    let d1 = Instant::now();
+                    stats.decode_seconds += (d1 - d0).as_secs_f64();
+                    if obs.enabled() {
+                        obs.record(decode_hist, (d1 - d0).as_nanos() as u64);
+                    }
+                }
+                masks[s] = mask;
+            }
+            // The predecoder-declined candidates still decode monolithically
+            // (they are at most MAX_CERT_DEFECTS defects — not dense).
+            let mut shot_t = obs.clock();
+            for &s in uncertified.iter() {
+                let s = s as usize;
+                let d0 = Instant::now();
+                masks[s] = decoder.decode(sparse.defects(s));
+                stats.decode_seconds += d0.elapsed().as_secs_f64();
+                shot_t = obs.record_since(decode_hist, shot_t);
+            }
+            stats.residual_shots += uncertified.len();
+        } else {
+            // Decode dense ∪ uncertified in ascending shot order (both lists
+            // are ascending — a two-pointer merge preserves the historic
+            // decode order exactly).
+            let mut shot_t = obs.clock();
+            let (mut i, mut j) = (0usize, 0usize);
+            loop {
+                let s = match (dense.get(i), uncertified.get(j)) {
+                    (Some(&a), Some(&b)) => {
+                        if a < b {
+                            i += 1;
+                            a
+                        } else {
+                            j += 1;
+                            b
+                        }
+                    }
+                    (Some(&a), None) => {
+                        i += 1;
+                        a
+                    }
+                    (None, Some(&b)) => {
+                        j += 1;
+                        b
+                    }
+                    (None, None) => break,
+                } as usize;
+                masks[s] = decoder.decode(sparse.defects(s));
+                shot_t = obs.record_since(decode_hist, shot_t);
+            }
+            stats.decode_seconds += (t3.elapsed()).as_secs_f64();
+            stats.residual_shots += dense.len() + uncertified.len();
+        }
+    }
+}
 
 /// Outcome of sampling and decoding one chunk.
 #[derive(Clone, Copy, Debug)]
 struct ChunkResult {
     batches: usize,
     failures: usize,
+    /// Ladder rung the chunk completed on.
+    rung: usize,
     /// Whether the chunk sampled under boosted rates with per-shot
     /// likelihood weights. On plain chunks the weighted sums below are
     /// filled from the integer counters (weight ≡ 1) — exactly, since
@@ -426,30 +917,18 @@ struct ChunkResult {
     sum_wf: f64,
     /// Σ wₛ² over failing shots (= `failures` when unweighted).
     sum_w2f: f64,
-    /// Batches the cluster-density gate ran the decomposition for (0 when
-    /// no cluster tier was armed).
-    cluster_gate_on: usize,
-    /// Batches the gate diverted to the monolithic path.
-    cluster_gate_off: usize,
-    tier0_shots: usize,
-    predecoded_shots: usize,
-    predecoded_defects: usize,
-    residual_shots: usize,
-    clustered_shots: usize,
-    clustered_defects: usize,
-    clusters_total: u64,
-    cluster_size_histogram: [u64; CLUSTER_HIST_BUCKETS],
-    defect_histogram: [u64; DEFECT_HIST_BUCKETS],
+    /// Tier and gate accounting and the predecode/cluster/decode phase
+    /// timers.
+    stats: WindowStats,
     sample_seconds: f64,
+    /// Sparse extraction plus the tier-dispatch classification scan.
     extract_seconds: f64,
-    predecode_seconds: f64,
-    cluster_seconds: f64,
-    decode_seconds: f64,
 }
 
-/// Why one chunk attempt did not produce a result.
+/// Why one decode attempt did not produce a result. Shared by the batch
+/// engine's chunk ladder and the streaming service's window retries.
 #[derive(Clone, Debug)]
-enum ChunkFault {
+pub(crate) enum ChunkFault {
     /// The decode panicked (caught by `catch_unwind`).
     Panicked(String),
     /// The attempt overran its stall deadline.
@@ -478,39 +957,6 @@ impl fmt::Display for ChunkFault {
     }
 }
 
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Per-chunk fault bookkeeping accumulated by a worker, merged into
-/// [`Shared`] under one lock.
-#[derive(Clone, Copy, Debug, Default)]
-struct FaultTally {
-    faults: usize,
-    retries: usize,
-    panics: usize,
-    stalls: usize,
-    graphs: usize,
-}
-
-impl FaultTally {
-    fn record(&mut self, fault: &ChunkFault) {
-        self.faults += 1;
-        match fault {
-            ChunkFault::Panicked(_) => self.panics += 1,
-            ChunkFault::Stalled { .. } => self.stalls += 1,
-            ChunkFault::InvalidGraph(_) => self.graphs += 1,
-        }
-    }
-}
-
 impl ChunkFault {
     /// Stable tag used in journal [`EventKind::Fault`] events.
     fn tag(&self) -> &'static str {
@@ -531,12 +977,59 @@ impl ChunkFault {
     }
 }
 
-/// The per-shot decode-latency histogram for a given ladder rung.
-fn decode_hist_for(rung: usize) -> Hist {
-    match rung {
-        0 => Hist::DecodeShotRung0,
-        1 => Hist::DecodeShotRung1,
-        _ => Hist::DecodeShotRung2,
+/// Extracts a human-readable message from a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Runs `work` panic-isolated: a caught panic becomes
+/// [`ChunkFault::Panicked`] carrying its message.
+pub(crate) fn isolate<T>(work: impl FnOnce() -> T) -> Result<T, ChunkFault> {
+    std::panic::catch_unwind(AssertUnwindSafe(work))
+        .map_err(|payload| ChunkFault::Panicked(panic_message(payload)))
+}
+
+/// Records the journal entry and counter for one faulted attempt on `rung`.
+pub(crate) fn observe_chunk_fault(obs: &mut WorkerObs, fault: &ChunkFault, rung: usize) {
+    obs.add(fault.counter(), 1);
+    obs.event(EventKind::Fault {
+        kind: fault.tag(),
+        rung: rung as u8,
+    });
+}
+
+/// Fault bookkeeping: per chunk in a worker, then summed in [`Shared`].
+#[derive(Clone, Copy, Debug, Default)]
+struct FaultTally {
+    faults: usize,
+    retries: usize,
+    panics: usize,
+    stalls: usize,
+    graphs: usize,
+}
+
+impl FaultTally {
+    fn record(&mut self, fault: &ChunkFault) {
+        self.faults += 1;
+        match fault {
+            ChunkFault::Panicked(_) => self.panics += 1,
+            ChunkFault::Stalled { .. } => self.stalls += 1,
+            ChunkFault::InvalidGraph(_) => self.graphs += 1,
+        }
+    }
+
+    fn add(&mut self, other: &FaultTally) {
+        self.faults += other.faults;
+        self.retries += other.retries;
+        self.panics += other.panics;
+        self.stalls += other.stalls;
+        self.graphs += other.graphs;
     }
 }
 
@@ -552,336 +1045,56 @@ fn record_reweight(coord: &mut WorkerObs, epoch: u32, started: Option<Instant>) 
     }
 }
 
-/// Per-window decode statistics accumulated by [`decode_window_masks`].
-///
-/// The batch engine accumulates one of these per chunk (every batch in the
-/// chunk sums into the same struct); the streaming service accumulates one
-/// per decoded window. All fields are deterministic functions of the
-/// window's syndrome content and the decoder configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct WindowStats {
-    /// Shots with an empty defect list (identity correction, no decoder).
-    pub tier0_shots: usize,
-    /// Shots certified by the tier-1 predecoder.
-    pub predecoded_shots: usize,
-    /// Defects on those certified shots.
-    pub predecoded_defects: usize,
-    /// Shots that reached a full-decoder call.
-    pub residual_shots: usize,
-    /// Dense shots fully resolved by the cluster tier.
-    pub clustered_shots: usize,
-    /// Defects peeled by certified clusters.
-    pub clustered_defects: usize,
-    /// Flood clusters decomposed.
-    pub clusters_total: u64,
-    /// Cluster-size histogram ([`cluster_hist_bucket`] buckets).
-    pub cluster_size_histogram: [u64; CLUSTER_HIST_BUCKETS],
-    /// Per-shot defect-count histogram ([`defect_hist_bucket`] buckets).
-    pub defect_histogram: [u64; DEFECT_HIST_BUCKETS],
-    /// Time inside the tier-dispatch classification scan (the batch engine
-    /// charges this to `extract_seconds`, preserving its historical phase
-    /// partition).
-    pub classify_seconds: f64,
-    /// Predecoder certification time.
-    pub predecode_seconds: f64,
-    /// Flood-decomposition time.
-    pub cluster_seconds: f64,
-    /// Full-decoder time.
-    pub decode_seconds: f64,
-}
-
-impl Default for WindowStats {
-    fn default() -> WindowStats {
-        WindowStats {
-            tier0_shots: 0,
-            predecoded_shots: 0,
-            predecoded_defects: 0,
-            residual_shots: 0,
-            clustered_shots: 0,
-            clustered_defects: 0,
-            clusters_total: 0,
-            cluster_size_histogram: [0; CLUSTER_HIST_BUCKETS],
-            defect_histogram: [0; DEFECT_HIST_BUCKETS],
-            classify_seconds: 0.0,
-            predecode_seconds: 0.0,
-            cluster_seconds: 0.0,
-            decode_seconds: 0.0,
-        }
-    }
-}
-
-/// Per-call outcome of [`decode_window_masks`]: the window facts that are
-/// not additive across windows.
-#[derive(Clone, Copy, Debug)]
-pub struct WindowOutcome {
-    /// Total defects across the window's shots.
-    pub defects: usize,
-    /// Whether the defect-density gate ran the cluster decomposition for
-    /// this window (always `false` without an armed cluster tier).
-    pub cluster_ran: bool,
-}
-
-/// Reusable shot-classification scratch for [`decode_window_masks`]:
-/// tier-dispatch index lists whose capacity persists across windows.
-#[derive(Clone, Debug, Default)]
-pub struct WindowScratch {
-    /// Shots past the certification bound, straight to the full decoder.
-    dense: Vec<u32>,
-    /// Predecoder candidates.
-    cand: Vec<u32>,
-    /// Candidates the predecoder declined.
-    uncertified: Vec<u32>,
-}
-
-/// Decodes one extracted 64-shot window into per-shot predicted observable
-/// masks — the tier-dispatch core shared by the batch engine
-/// ([`LerEngine`]) and the streaming service ([`crate::StreamingDecoder`]).
-///
-/// `masks[s]` receives the decoder stack's predicted observable mask for
-/// shot `s`: `0` for an empty syndrome, the certified mask for a
-/// predecoded shot, the peel-XOR-residual mask on the cluster path, and
-/// the full decoder's mask otherwise. Callers that know the ground truth
-/// (the batch engine, which sampled the observables alongside the
-/// detectors) XOR against it to count failures; callers that don't (a
-/// streaming service fed detector events only) forward the masks as
-/// corrections. The mask of every shot is a deterministic function of
-/// `(window contents, decoder configuration)` — nothing here depends on
-/// wall clock or thread interleaving.
-///
-/// Tier accounting accumulates into `stats` (additive across windows);
-/// per-window facts return in the [`WindowOutcome`]. The density `gate`
-/// compares the window's mean defect count against `gate_threshold`
-/// (see [`DecoderFactory::cluster_gate_threshold`]).
-#[allow(clippy::too_many_arguments)]
-pub fn decode_window_masks<D: Decoder>(
-    decoder: &mut D,
-    predecoder: Option<&mut Predecoder>,
-    cluster: Option<&mut ClusterTier>,
-    gate: ClusterGate,
-    gate_threshold: f64,
-    sparse: &SparseBatch,
-    scratch: &mut WindowScratch,
-    obs: &mut WorkerObs,
-    decode_hist: Hist,
-    stats: &mut WindowStats,
-    masks: &mut [u64; BATCH],
-) -> WindowOutcome {
-    let WindowScratch {
-        dense,
-        cand,
-        uncertified,
-    } = scratch;
-    let has_pre = predecoder.is_some();
-    // Tier dispatch: tier 0 (empty defect list — identity correction) is
-    // resolved here; shots past the certification bound go straight to
-    // `dense` (at d ≥ 15 this is nearly every shot, and the predecoder
-    // phase used to pay for all of them).
-    let t1 = Instant::now();
-    dense.clear();
-    cand.clear();
-    let mut window_defects = 0usize;
-    for (s, mask) in masks.iter_mut().enumerate() {
-        let defects = sparse.defect_count(s);
-        stats.defect_histogram[defect_hist_bucket(defects)] += 1;
-        window_defects += defects;
-        if defects == 0 {
-            stats.tier0_shots += 1;
-            *mask = 0;
-        } else if has_pre && defects <= Predecoder::MAX_CERT_DEFECTS {
-            cand.push(s as u32);
-        } else {
-            dense.push(s as u32);
-        }
-    }
-    let t2 = Instant::now();
-    stats.classify_seconds += (t2 - t1).as_secs_f64();
-    uncertified.clear();
-    if let Some(pre) = predecoder {
-        // Dense configs leave `cand` empty for almost every window;
-        // skipping the pass entirely avoids paying the per-shot timer
-        // setup just to report a tier that never fired.
-        if !cand.is_empty() {
-            let mut shot_t = obs.clock();
-            for &s in cand.iter() {
-                let s = s as usize;
-                if let Some(mask) = pre.predecode(sparse.defects(s)) {
-                    stats.predecoded_shots += 1;
-                    stats.predecoded_defects += sparse.defect_count(s);
-                    masks[s] = mask;
-                } else {
-                    uncertified.push(s as u32);
-                }
-                shot_t = obs.record_since(Hist::PredecodeShot, shot_t);
-            }
-        }
-    }
-    let t3 = Instant::now();
-    stats.predecode_seconds += (t3 - t2).as_secs_f64();
-    // Defect-density gate: below the threshold, the flood decomposition
-    // costs more than the monolithic decodes it replaces, so `Auto`
-    // diverts sparse windows to the merge path. Both paths decode every
-    // shot exactly, so gating never changes a mask — only where the time
-    // goes.
-    let cluster_ran = cluster.is_some()
-        && match gate {
-            ClusterGate::On => true,
-            ClusterGate::Off => false,
-            ClusterGate::Auto => window_defects as f64 / BATCH as f64 >= gate_threshold,
-        };
-    if let Some(clu) = cluster.filter(|_| cluster_ran) {
-        // Dense shots: flood-decompose, peel certified clusters, decode
-        // the residual union in one full-decoder call, XOR the masks.
-        // Phase time is summed per shot (decomposition vs decoding), so
-        // loop-tail bookkeeping is charged to neither and the timers
-        // stay below wall clock.
-        for &s in dense.iter() {
-            let s = s as usize;
-            let c0 = Instant::now();
-            let out = clu.decompose(sparse.defects(s));
-            let c1 = Instant::now();
-            stats.cluster_seconds += (c1 - c0).as_secs_f64();
-            stats.clusters_total += out.clusters as u64;
-            for &size in clu.cluster_sizes() {
-                stats.cluster_size_histogram[cluster_hist_bucket(size as usize)] += 1;
-            }
-            stats.clustered_defects += out.peeled_defects as usize;
-            let mut mask = out.mask;
-            if out.fully_peeled() {
-                stats.clustered_shots += 1;
-                if obs.enabled() {
-                    obs.record(Hist::ClusterShot, (c1 - c0).as_nanos() as u64);
-                }
-            } else {
-                stats.residual_shots += 1;
-                let d0 = Instant::now();
-                mask ^= decoder.decode(clu.residual_defects());
-                let d1 = Instant::now();
-                stats.decode_seconds += (d1 - d0).as_secs_f64();
-                if obs.enabled() {
-                    obs.record(decode_hist, (d1 - d0).as_nanos() as u64);
-                }
-            }
-            masks[s] = mask;
-        }
-        // The predecoder-declined candidates still decode monolithically
-        // (they are at most MAX_CERT_DEFECTS defects — not dense).
-        let mut shot_t = obs.clock();
-        for &s in uncertified.iter() {
-            let s = s as usize;
-            let d0 = Instant::now();
-            masks[s] = decoder.decode(sparse.defects(s));
-            stats.decode_seconds += d0.elapsed().as_secs_f64();
-            shot_t = obs.record_since(decode_hist, shot_t);
-        }
-        stats.residual_shots += uncertified.len();
-    } else {
-        // Decode dense ∪ uncertified in ascending shot order (both lists
-        // are ascending — a two-pointer merge preserves the historic
-        // decode order exactly).
-        let mut shot_t = obs.clock();
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            let s = match (dense.get(i), uncertified.get(j)) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        i += 1;
-                        a
-                    } else {
-                        j += 1;
-                        b
-                    }
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => break,
-            } as usize;
-            masks[s] = decoder.decode(sparse.defects(s));
-            shot_t = obs.record_since(decode_hist, shot_t);
-        }
-        stats.decode_seconds += (t3.elapsed()).as_secs_f64();
-        stats.residual_shots += dense.len() + uncertified.len();
-    }
-    WindowOutcome {
-        defects: window_defects,
-        cluster_ran,
-    }
-}
-
 /// Samples and decodes one chunk from its deterministic seed.
 ///
 /// The phases are timed separately and *partition* the chunk's wall time:
-/// frame sampling (`t0..t1`), word-sparse syndrome extraction plus
-/// tier-dispatch bookkeeping (`t1..t2` — defect counting, the histogram,
-/// and tier-0 skips are syndrome accounting, so they are charged to
-/// `extract_seconds`, not to a decode phase), predecoder certification
-/// (`t2..t3`), and full decoding of the residual shots (`t3..t4`).
-/// Historically the defect scan was charged to `predecode_seconds` and the
-/// loop-tail bookkeeping to `decode_seconds`; the four-way split makes
-/// `sample + extract + predecode + decode <= wall` hold per worker with
-/// each phase measuring only its own work.
+/// frame sampling, word-sparse syndrome extraction plus tier-dispatch
+/// bookkeeping (defect counting, the histogram, and tier-0 skips are
+/// syndrome accounting, so they are charged to `extract_seconds`, not to a
+/// decode phase), predecoder certification, cluster decomposition, and
+/// full decoding of the residual shots — so `sample + extract + predecode
+/// + cluster + decode <= wall` holds per worker.
 ///
 /// Tier dispatch preserves the failure count bit for bit: tier-0 skips
-/// reproduce `decode(&[]) == 0`, and a [`Predecoder`] only certifies shots
-/// whose local correction provably equals the full decoder's. The residual
-/// shots reach `decoder` in ascending shot order, exactly as before (the
-/// dense shots and the failed predecode candidates are merged by shot
-/// index).
-///
-/// When `obs` is enabled, per-shot predecode/decode latencies land in the
-/// histograms (`decode_hist` selects the rung-specific decode histogram);
-/// a disabled handle costs one branch per shot and reads no clock.
-///
-/// When a [`ClusterTier`] is supplied (rung 0 of a cluster-enabled
-/// [`crate::Tiered`] factory only), dense shots are flood-decomposed into
-/// independent clusters first: certified clusters are peeled without a
-/// decoder call (a fully-peeled shot counts as `clustered`, not
-/// `residual`), and each uncertified cluster is decoded by its own
-/// `decoder.decode` call on the cluster's defect slice, the masks XORed.
-/// Decomposition time is charged to `cluster_seconds`; per-cluster decoder
-/// calls to `decode_seconds`. The per-batch phase timestamps are replaced
-/// by per-shot interval sums on this path, so the timers still never
-/// exceed wall clock.
-#[allow(clippy::too_many_arguments)]
+/// reproduce `decode(&[]) == 0`, a [`Predecoder`] only certifies shots
+/// whose local correction provably equals the full decoder's, and the
+/// residual shots reach the decoder in ascending shot order.
 fn run_chunk<D: Decoder>(
     compiled: &CompiledCircuit,
-    decoder: &mut D,
-    mut predecoder: Option<&mut Predecoder>,
-    mut cluster: Option<&mut ClusterTier>,
-    gate: ClusterGate,
-    gate_threshold: f64,
-    scratch: &mut SampleScratch,
     plan: &ChunkPlan,
     chunk: usize,
-    base_seed: u64,
+    stack: &mut DecodeStack<D>,
+    scratch: &mut SampleScratch,
     obs: &mut WorkerObs,
-    decode_hist: Hist,
+    rung: usize,
 ) -> ChunkResult {
     let batches = plan.batches_in(chunk);
     let first_batch = plan.first_batch(chunk) as u64;
+    let decode_hist = match rung {
+        0 => Hist::DecodeShotRung0,
+        1 => Hist::DecodeShotRung1,
+        _ => Hist::DecodeShotRung2,
+    };
     // Boosted programs sample under importance weights: the weighted
     // sampler variants fill per-lane LLR buffers, and every shot's weight
     // is folded into the Σw/Σw² accumulators below. Retries re-run the
     // same boosted program with the same seeds, so a degraded chunk
     // reproduces identical weights.
     let weighted = compiled.is_boosted();
-    let mut sum_w = 0.0f64;
-    let mut sum_w2 = 0.0f64;
-    let mut sum_wf = 0.0f64;
-    let mut sum_w2f = 0.0f64;
-    let mut cluster_gate_on = 0usize;
-    let mut cluster_gate_off = 0usize;
-    let mut failures = 0usize;
-    let mut stats = WindowStats::default();
+    let mut result = ChunkResult {
+        batches,
+        failures: 0,
+        rung,
+        weighted,
+        sum_w: 0.0,
+        sum_w2: 0.0,
+        sum_wf: 0.0,
+        sum_w2f: 0.0,
+        stats: WindowStats::default(),
+        sample_seconds: 0.0,
+        extract_seconds: 0.0,
+    };
     let mut masks = [0u64; BATCH];
-    let mut sample_seconds = 0.0;
-    let mut extract_seconds = 0.0;
-    let mut window_scratch = WindowScratch::default();
     let SampleScratch {
         state,
         wide,
@@ -889,6 +1102,7 @@ fn run_chunk<D: Decoder>(
         sparse,
         llr,
     } = scratch;
+    let seed = |b: usize| StdRng::seed_from_u64(chunk_seed(plan.base_seed, first_batch + b as u64));
     let mut b = 0usize;
     while b < batches {
         // Sample up to LANES batches in lockstep. Each lane is an
@@ -898,9 +1112,7 @@ fn run_chunk<D: Decoder>(
         let lanes = LANES.min(batches - b);
         let t0 = Instant::now();
         if lanes == LANES {
-            let mut rngs: [StdRng; LANES] = std::array::from_fn(|l| {
-                StdRng::seed_from_u64(chunk_seed(base_seed, first_batch + (b + l) as u64))
-            });
+            let mut rngs: [StdRng; LANES] = std::array::from_fn(|l| seed(b + l));
             if weighted {
                 compiled.sample_batches_wide_weighted_into(wide, &mut rngs, lane_events, llr);
             } else {
@@ -908,8 +1120,7 @@ fn run_chunk<D: Decoder>(
             }
         } else {
             for (l, ev) in lane_events[..lanes].iter_mut().enumerate() {
-                let mut rng =
-                    StdRng::seed_from_u64(chunk_seed(base_seed, first_batch + (b + l) as u64));
+                let mut rng = seed(b + l);
                 if weighted {
                     compiled.sample_batch_weighted_into(state, &mut rng, ev, &mut llr[l]);
                 } else {
@@ -917,39 +1128,18 @@ fn run_chunk<D: Decoder>(
                 }
             }
         }
-        sample_seconds += t0.elapsed().as_secs_f64();
+        result.sample_seconds += t0.elapsed().as_secs_f64();
         b += lanes;
         for (l, events) in lane_events[..lanes].iter().enumerate() {
             let t1 = Instant::now();
             sparse.extract(events);
-            extract_seconds += t1.elapsed().as_secs_f64();
-            let outcome = decode_window_masks(
-                decoder,
-                predecoder.as_deref_mut(),
-                cluster.as_deref_mut(),
-                gate,
-                gate_threshold,
-                sparse,
-                &mut window_scratch,
-                obs,
-                decode_hist,
-                &mut stats,
-                &mut masks,
-            );
-            if cluster.is_some() {
-                if outcome.cluster_ran {
-                    cluster_gate_on += 1;
-                } else {
-                    cluster_gate_off += 1;
-                }
-            }
+            result.extract_seconds += t1.elapsed().as_secs_f64();
+            stack.decode_window_masks(sparse, obs, decode_hist, &mut result.stats, &mut masks);
             // Score the predicted masks against the sampled ground truth.
-            // Every tier's mask is exactly what the pre-refactor inline
-            // comparison used, so the failure count is bit-identical.
             let mut failed = 0u64;
             for (s, &mask) in masks.iter().enumerate() {
                 if mask != sparse.observables(s) {
-                    failures += 1;
+                    result.failures += 1;
                     failed |= 1u64 << s;
                 }
             }
@@ -958,11 +1148,11 @@ fn run_chunk<D: Decoder>(
                 // phase-sum ≤ wall-clock invariant survives the weighted path.
                 for (s, lr) in llr[l].iter().enumerate() {
                     let w = lr.exp();
-                    sum_w += w;
-                    sum_w2 += w * w;
+                    result.sum_w += w;
+                    result.sum_w2 += w * w;
                     if failed >> s & 1 == 1 {
-                        sum_wf += w;
-                        sum_w2f += w * w;
+                        result.sum_wf += w;
+                        result.sum_w2f += w * w;
                     }
                 }
             }
@@ -973,43 +1163,19 @@ fn run_chunk<D: Decoder>(
         // counters keeps the CI/ESS arithmetic uniform and exact (u64 shot
         // counts of this size round-trip through f64 losslessly).
         let n = (batches * BATCH) as f64;
-        sum_w = n;
-        sum_w2 = n;
-        sum_wf = failures as f64;
-        sum_w2f = failures as f64;
+        result.sum_w = n;
+        result.sum_w2 = n;
+        result.sum_wf = result.failures as f64;
+        result.sum_w2f = result.failures as f64;
     }
-    ChunkResult {
-        batches,
-        failures,
-        weighted,
-        sum_w,
-        sum_w2,
-        sum_wf,
-        sum_w2f,
-        cluster_gate_on,
-        cluster_gate_off,
-        tier0_shots: stats.tier0_shots,
-        predecoded_shots: stats.predecoded_shots,
-        predecoded_defects: stats.predecoded_defects,
-        residual_shots: stats.residual_shots,
-        clustered_shots: stats.clustered_shots,
-        clustered_defects: stats.clustered_defects,
-        clusters_total: stats.clusters_total,
-        cluster_size_histogram: stats.cluster_size_histogram,
-        defect_histogram: stats.defect_histogram,
-        sample_seconds,
-        // The tier-dispatch classification scan is syndrome accounting,
-        // charged to the extract phase as it always was.
-        extract_seconds: extract_seconds + stats.classify_seconds,
-        predecode_seconds: stats.predecode_seconds,
-        cluster_seconds: stats.cluster_seconds,
-        decode_seconds: stats.decode_seconds,
-    }
+    // The tier-dispatch classification scan is syndrome accounting, so it
+    // is charged to the extract phase, not to a decode phase.
+    result.extract_seconds += result.stats.classify_seconds;
+    result
 }
 
-/// Runs one panic-isolated attempt at a chunk, injecting the scheduled
-/// fault first (injections only reach rung-0 attempts; retries pass
-/// `injected = None`).
+/// Runs one panic-isolated attempt at a chunk on `rung`, injecting the
+/// scheduled fault first (injections only reach rung-0 attempts).
 ///
 /// Injections model real failure classes: `Panic` is a decoder bug,
 /// `CorruptDefects` hands the decoder an out-of-range node id as corrupted
@@ -1020,96 +1186,64 @@ fn run_chunk<D: Decoder>(
 /// and `BadWeights` validates a weight-poisoned copy of the fallback graph,
 /// surfacing the typed [`ValidationError`] a corrupted calibration feed
 /// would produce.
-#[allow(clippy::too_many_arguments)]
-fn attempt_chunk<D: Decoder>(
-    compiled: &CompiledCircuit,
-    decoder: &mut D,
-    predecoder: Option<&mut Predecoder>,
-    cluster: Option<&mut ClusterTier>,
-    gate: ClusterGate,
-    gate_threshold: f64,
+fn attempt_chunk<C: DecoderFactory, D: Decoder>(
+    job: &Job<'_, C>,
+    stack: &mut DecodeStack<D>,
     scratch: &mut SampleScratch,
-    plan: &ChunkPlan,
     chunk: usize,
-    base_seed: u64,
-    injected: Option<FaultKind>,
-    faults: Option<&FaultPlan>,
-    fallback_graph: Option<&MatchingGraph>,
+    rung: usize,
+    fallback: Option<&MatchingGraph>,
     obs: &mut WorkerObs,
-    decode_hist: Hist,
 ) -> Result<ChunkResult, ChunkFault> {
-    if let Some(kind) = injected {
-        match kind {
-            FaultKind::Stall => {
-                let plan_ref = faults.expect("stall injection without an armed plan");
-                let started = Instant::now();
-                std::thread::sleep(plan_ref.stall_sleep());
-                let elapsed = started.elapsed();
-                if elapsed >= plan_ref.stall_deadline() {
-                    return Err(ChunkFault::Stalled {
-                        elapsed,
-                        deadline: plan_ref.stall_deadline(),
-                    });
-                }
-            }
-            FaultKind::BadWeights => {
-                let poisoned = crate::faults::poison_weights(fallback_graph);
-                if let Err(e) = poisoned.validate() {
-                    return Err(ChunkFault::InvalidGraph(e));
-                }
-            }
-            FaultKind::Panic | FaultKind::CorruptDefects | FaultKind::ClusterPanic => {
-                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| match kind {
-                    FaultKind::Panic => panic!("injected decoder panic at chunk {chunk}"),
-                    FaultKind::ClusterPanic => {
-                        // A cluster-tier bug: the flood decomposition blows
-                        // up before the first decoder call. The retry rung
-                        // drops the tier entirely (rungs ≥ 1 pass no
-                        // cluster), so recovery decodes monolithically.
-                        panic!("injected cluster-tier panic at chunk {chunk}")
-                    }
-                    FaultKind::CorruptDefects => {
-                        // A corrupted syndrome stream: one defect id far past
-                        // every node the decoder knows.
-                        decoder.decode(&[usize::MAX / 2]);
-                    }
-                    _ => unreachable!("handled above"),
-                }));
-                if let Err(payload) = caught {
-                    return Err(ChunkFault::Panicked(panic_message(payload)));
-                }
-            }
-            // Streaming injections are the StreamingDecoder's business; the
-            // batch engine filters them out at the injection lookup, so they
-            // can never reach here.
-            FaultKind::SlowTenant
-            | FaultKind::DelayedArrival
-            | FaultKind::BurstArrival
-            | FaultKind::WorkerWedge => {
-                unreachable!("streaming fault {kind} reached the batch engine")
+    let injected = job
+        .faults
+        .filter(|_| rung == 0)
+        .and_then(|p| p.injection(chunk))
+        .filter(|k| !k.is_streaming());
+    match injected {
+        None => {}
+        Some(FaultKind::Stall) => {
+            let plan = job
+                .faults
+                .expect("stall injection comes from an armed plan");
+            let started = Instant::now();
+            std::thread::sleep(plan.stall_sleep());
+            let elapsed = started.elapsed();
+            if elapsed >= plan.stall_deadline() {
+                return Err(ChunkFault::Stalled {
+                    elapsed,
+                    deadline: plan.stall_deadline(),
+                });
             }
         }
+        Some(FaultKind::BadWeights) => {
+            if let Err(e) = crate::faults::poison_weights(fallback).validate() {
+                return Err(ChunkFault::InvalidGraph(e));
+            }
+        }
+        Some(FaultKind::Panic) => {
+            isolate(|| panic!("injected decoder panic at chunk {chunk}"))?;
+        }
+        Some(FaultKind::ClusterPanic) => {
+            // A cluster-tier bug: the flood decomposition blows up before
+            // the first decoder call. The retry rung drops the tier
+            // entirely (rungs ≥ 1 are bare), so recovery decodes
+            // monolithically.
+            isolate(|| panic!("injected cluster-tier panic at chunk {chunk}"))?;
+        }
+        Some(FaultKind::CorruptDefects) => {
+            // A corrupted syndrome stream: one defect id far past every
+            // node the decoder knows.
+            isolate(|| stack.decoder.decode(&[usize::MAX / 2]))?;
+        }
+        // Streaming injections are the StreamingDecoder's business and are
+        // filtered out above.
+        Some(kind) => unreachable!("streaming fault {kind} reached the batch engine"),
     }
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_chunk(
-            compiled,
-            decoder,
-            predecoder,
-            cluster,
-            gate,
-            gate_threshold,
-            scratch,
-            plan,
-            chunk,
-            base_seed,
-            obs,
-            decode_hist,
-        )
-    }))
-    .map_err(|payload| ChunkFault::Panicked(panic_message(payload)))
+    isolate(|| run_chunk(job.compiled, &job.plan, chunk, stack, scratch, obs, rung))
 }
 
-/// Result of one [`LerEngine::estimate`] run: the estimate plus
+/// Result of one [`LerEngine::try_run`]: the estimate plus
 /// throughput/timing counters.
 ///
 /// Timing covers *all executed* chunks, including any discarded past an
@@ -1140,8 +1274,8 @@ pub struct EngineRun {
     pub predecode_seconds: f64,
     /// CPU seconds spent flood-decomposing dense shots into independent
     /// clusters and peeling the certified ones (the dense-regime cluster
-    /// tier). Zero unless the factory enables the tier
-    /// ([`crate::Tiered::with_cluster`]). Per-cluster decoder calls on
+    /// tier). Zero unless the factory arms the tier
+    /// ([`crate::Tiered::with_cluster_gate`]). Per-cluster decoder calls on
     /// uncertified clusters are charged to `decode_seconds`.
     pub cluster_seconds: f64,
     /// CPU seconds spent in the full decoder on residual shots, summed
@@ -1150,10 +1284,9 @@ pub struct EngineRun {
     /// Shots with an empty defect list (tier 0: skipped decoding).
     ///
     /// Like the timing counters, the per-tier shot counters and the
-    /// histogram cover *all executed* chunks; without early stopping
-    /// (`max_failures == 0`) they partition `estimate.shots` exactly:
-    /// `tier0_shots + predecoded_shots + clustered_shots + residual_shots
-    /// == shots`.
+    /// histogram cover *all executed* chunks; without early stopping they
+    /// partition `estimate.shots` exactly: `tier0_shots + predecoded_shots
+    /// + clustered_shots + residual_shots == shots`.
     pub tier0_shots: usize,
     /// Shots fully resolved by the tier-1 predecoder (tier 1).
     pub predecoded_shots: usize,
@@ -1181,11 +1314,10 @@ pub struct EngineRun {
     /// [`defect_hist_bucket`] (32–63, 64–127, 128–255, ≥256).
     pub defect_histogram: [u64; DEFECT_HIST_BUCKETS],
     /// Seconds spent building per-epoch reweighted graphs and predecoder
-    /// tables before workers launched. Zero on the single-graph entry
-    /// points, where no reweighting happens.
+    /// tables before workers launched. Zero on single-graph runs, where no
+    /// reweighting happens.
     pub reweight_seconds: f64,
-    /// Calibration epochs active during the run (1 on the single-graph
-    /// entry points).
+    /// Calibration epochs active during the run (1 on single-graph runs).
     pub epochs: usize,
     /// Fault events observed across all chunk attempts (a chunk that
     /// faults on two rungs counts twice). Zero when no fault fired.
@@ -1253,128 +1385,53 @@ impl EngineRun {
     }
 }
 
-/// Aggregation state shared by workers under a mutex.
+/// Aggregation state shared by workers under a mutex: per-chunk results
+/// and the summed fault tally, folded into an [`EngineRun`] once by
+/// [`assemble_run`].
 struct Shared {
+    /// Every executed chunk's result, including any past the cut.
     results: Vec<Option<ChunkResult>>,
-    /// First chunk index at which the cumulative failure budget is met,
-    /// once known (requires the full prefix to have completed).
+    /// First chunk index at which the stop rule is met, once known
+    /// (requires the full prefix to have completed).
     cut: Option<usize>,
     /// First ladder-exhaustion error, if any; set once, ends the run.
     fatal: Option<EngineError>,
-    chunks_executed: usize,
-    sample_seconds: f64,
-    extract_seconds: f64,
-    predecode_seconds: f64,
-    cluster_seconds: f64,
-    decode_seconds: f64,
-    tier0_shots: usize,
-    predecoded_shots: usize,
-    predecoded_defects: usize,
-    residual_shots: usize,
-    clustered_shots: usize,
-    clustered_defects: usize,
-    clusters_total: u64,
-    cluster_size_histogram: [u64; CLUSTER_HIST_BUCKETS],
-    defect_histogram: [u64; DEFECT_HIST_BUCKETS],
-    faulted_chunks: usize,
-    retried_chunks: usize,
-    degraded_shots: usize,
-    rung_chunks: [usize; LADDER_RUNGS],
-    panic_faults: usize,
-    stall_faults: usize,
-    graph_faults: usize,
-    cluster_gate_on: usize,
-    cluster_gate_off: usize,
+    faults: FaultTally,
 }
 
 impl Shared {
-    /// Fresh shared state for a run of `num_chunks` chunks, all counters
-    /// zeroed.
-    fn new(num_chunks: usize) -> Shared {
-        Shared {
-            results: vec![None; num_chunks],
-            cut: None,
-            fatal: None,
-            chunks_executed: 0,
-            sample_seconds: 0.0,
-            extract_seconds: 0.0,
-            predecode_seconds: 0.0,
-            cluster_seconds: 0.0,
-            decode_seconds: 0.0,
-            tier0_shots: 0,
-            predecoded_shots: 0,
-            predecoded_defects: 0,
-            residual_shots: 0,
-            clustered_shots: 0,
-            clustered_defects: 0,
-            clusters_total: 0,
-            cluster_size_histogram: [0; CLUSTER_HIST_BUCKETS],
-            defect_histogram: [0; DEFECT_HIST_BUCKETS],
-            faulted_chunks: 0,
-            retried_chunks: 0,
-            degraded_shots: 0,
-            rung_chunks: [0; LADDER_RUNGS],
-            panic_faults: 0,
-            stall_faults: 0,
-            graph_faults: 0,
-            cluster_gate_on: 0,
-            cluster_gate_off: 0,
-        }
-    }
-
-    /// Recomputes the early-stop cut over the completed prefix.
-    fn recompute_cut(&mut self, max_failures: usize) {
-        let mut failures = 0usize;
-        for (k, res) in self.results.iter().enumerate() {
-            match res {
-                Some(r) => {
-                    failures += r.failures;
-                    if failures >= max_failures {
-                        self.cut = Some(k);
-                        return;
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Recomputes the target-relative-CI cut over the completed prefix.
+    /// Recomputes the stop-rule cut over the completed prefix.
     ///
-    /// Like [`Shared::recompute_cut`], the cut is a pure function of the
-    /// deterministic chunk prefix: it fires at the first chunk index where
-    /// the prefix spans at least `plan.min_ci_batches` batches, the
-    /// weighted estimate is nonzero, and the 95% CI half-width has fallen
-    /// to `plan.target_rse` of the estimate — so any thread count stops at
-    /// the same place. Plain chunks fill their weighted sums from the
-    /// integer counters, which makes this the plain-MC shots-to-target-CI
-    /// stopping rule when `boost_beta == 1`.
-    fn recompute_ci_cut(&mut self, plan: &ChunkPlan) {
-        let mut n = 0.0f64;
-        let mut sum_wf = 0.0f64;
-        let mut sum_w2f = 0.0f64;
-        let mut batches = 0usize;
+    /// The cut is a pure function of the deterministic chunk prefix, so any
+    /// thread count stops at the same place: the first chunk index where
+    /// the prefix holds `plan.max_failures` failures, or — for an RSE
+    /// target — spans at least `plan.min_ci_batches` batches with a nonzero
+    /// weighted estimate whose 95% CI half-width has fallen to
+    /// `plan.target_rse` of it. Plain chunks fill their weighted sums from
+    /// the integer counters, which makes the RSE rule the plain-MC
+    /// shots-to-target-CI stopping rule at β = 1.
+    fn recompute_cut(&mut self, plan: &ChunkPlan) {
+        let (mut failures, mut batches) = (0usize, 0usize);
+        let (mut sum_wf, mut sum_w2f) = (0.0f64, 0.0f64);
         for (k, res) in self.results.iter().enumerate() {
-            match res {
-                Some(r) => {
-                    n += (r.batches * BATCH) as f64;
-                    sum_wf += r.sum_wf;
-                    sum_w2f += r.sum_w2f;
-                    batches += r.batches;
-                    if batches < plan.min_ci_batches {
-                        continue;
-                    }
-                    let p_hat = sum_wf / n;
-                    if p_hat <= 0.0 {
-                        continue;
-                    }
-                    let var = (sum_w2f / n - p_hat * p_hat).max(0.0) / n;
-                    if 1.96 * var.sqrt() <= plan.target_rse * p_hat {
-                        self.cut = Some(k);
-                        return;
-                    }
-                }
-                None => return,
+            let Some(r) = res else { return };
+            failures += r.failures;
+            batches += r.batches;
+            sum_wf += r.sum_wf;
+            sum_w2f += r.sum_w2f;
+            let stop = if plan.max_failures > 0 {
+                failures >= plan.max_failures
+            } else {
+                let n = (batches * BATCH) as f64;
+                let p_hat = sum_wf / n;
+                let var = (sum_w2f / n - p_hat * p_hat).max(0.0) / n;
+                batches >= plan.min_ci_batches
+                    && p_hat > 0.0
+                    && 1.96 * var.sqrt() <= plan.target_rse * p_hat
+            };
+            if stop {
+                self.cut = Some(k);
+                return;
             }
         }
     }
@@ -1382,12 +1439,24 @@ impl Shared {
 
 /// Locks the shared state, recovering from poisoning: a worker that
 /// panicked while holding the lock has already been quarantined by
-/// `catch_unwind`, and the counters it was merging are monotone — the
-/// worst case is one chunk's statistics lost, never a torn estimate, so
-/// the remaining workers keep going instead of cascading N secondary
-/// panics.
-fn lock_shared<'a>(shared: &'a Mutex<Shared>) -> MutexGuard<'a, Shared> {
+/// `catch_unwind`, and the state it was merging is monotone — the worst
+/// case is one chunk's statistics lost, never a torn estimate, so the
+/// remaining workers keep going instead of cascading N secondary panics.
+fn lock_shared(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
     shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything a run's workers share: the sampled program, the chunk
+/// schedule, the decode contexts and the chunk → context map, plus the
+/// work counter and the aggregation state.
+struct Job<'a, C> {
+    compiled: &'a CompiledCircuit,
+    plan: ChunkPlan,
+    contexts: &'a [C],
+    chunk_context: Vec<u32>,
+    faults: Option<&'a FaultPlan>,
+    next: AtomicUsize,
+    shared: Mutex<Shared>,
 }
 
 /// Thread-parallel Monte-Carlo LER estimator. See the module docs for the
@@ -1396,7 +1465,7 @@ fn lock_shared<'a>(shared: &'a Mutex<Shared>) -> MutexGuard<'a, Shared> {
 /// # Examples
 ///
 /// ```
-/// use caliqec_match::{graph_for_circuit, LerEngine, SampleOptions, UnionFindDecoder};
+/// use caliqec_match::{graph_for_circuit, LerEngine, RunSpec, SampleOptions, UnionFindDecoder};
 /// use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1};
 ///
 /// let mut c = Circuit::new(1);
@@ -1406,14 +1475,12 @@ fn lock_shared<'a>(shared: &'a Mutex<Shared>) -> MutexGuard<'a, Shared> {
 /// c.detector(&[m]);
 /// c.observable(0, &[m]);
 ///
-/// let compiled = CompiledCircuit::new(&c);
+/// let compiled = CompiledCircuit::try_new(&c).unwrap();
 /// let graph = graph_for_circuit(&c);
-/// let run = LerEngine::new(2).estimate(
-///     &compiled,
-///     &|| UnionFindDecoder::new(graph.clone()),
-///     SampleOptions { min_shots: 640, ..Default::default() },
-///     7,
-/// );
+/// let spec = RunSpec::from(SampleOptions { min_shots: 640, ..Default::default() });
+/// let run = LerEngine::new(2)
+///     .try_run(&compiled, &|| UnionFindDecoder::new(graph.clone()), &spec, 7)
+///     .unwrap();
 /// // A single perfectly-heralded error is always corrected.
 /// assert_eq!(run.estimate.failures, 0);
 /// assert_eq!(run.estimate.shots, 640);
@@ -1473,14 +1540,9 @@ impl LerEngine {
         self.threads
     }
 
-    /// Estimates the residual LER of `compiled` using per-worker decoders
-    /// from `factory`. Deterministic in `(options, base_seed)`.
-    ///
-    /// Infallible wrapper over [`LerEngine::try_estimate`]: panics on a
-    /// typed [`EngineError`] (invalid inputs, or a chunk that exhausted
-    /// the degradation ladder). Every pre-hardening call site used this
-    /// signature; new code that wants to handle failure should call
-    /// `try_estimate`.
+    /// A plain run of `options` over `factory`:
+    /// [`LerEngine::try_run`] with `RunSpec::from(options)`, panicking on
+    /// a typed [`EngineError`].
     pub fn estimate<F: DecoderFactory>(
         &self,
         compiled: &CompiledCircuit,
@@ -1488,308 +1550,49 @@ impl LerEngine {
         options: SampleOptions,
         base_seed: u64,
     ) -> EngineRun {
-        self.try_estimate(compiled, factory, options, base_seed)
-            .unwrap_or_else(|e| panic!("engine run failed: {e}"))
+        self.try_run(compiled, factory, &RunSpec::from(options), base_seed)
+            .expect("engine run failed")
     }
 
-    /// Fallible estimation: validates `compiled` and the factory's graph
-    /// up front, then runs the hardened chunk loop. Returns a typed
-    /// [`EngineError`] for invalid inputs or a chunk that faulted on every
-    /// rung of the degradation ladder; all recovered faults are reported
-    /// in the returned [`EngineRun`] instead.
-    pub fn try_estimate<F: DecoderFactory>(
+    /// Runs `spec` over `compiled`, decoding with `source`. Deterministic
+    /// in `(spec, base_seed)` at any thread count.
+    ///
+    /// Validates the circuit, the source and the spec up front, then runs
+    /// the hardened chunk loop. Returns a typed [`EngineError`] for invalid
+    /// inputs or a chunk that faulted on every rung of the degradation
+    /// ladder; all recovered faults are reported in the returned
+    /// [`EngineRun`] instead. A boosted [`Weighting`] samples a boosted
+    /// copy of `compiled` with per-shot likelihood weights;
+    /// [`EngineRun::ess`] and [`EngineRun::ci_halfwidth`] report estimator
+    /// health. β = 1 with identity rates samples `compiled` itself, so it
+    /// is bit-identical to a nominal run of the same budget.
+    pub fn try_run<S: RunSource>(
         &self,
         compiled: &CompiledCircuit,
-        factory: &F,
-        options: SampleOptions,
+        source: &S,
+        spec: &RunSpec,
         base_seed: u64,
     ) -> Result<EngineRun, EngineError> {
         compiled.validate()?;
-        factory.validate()?;
+        source.validate_inputs()?;
+        spec.validate()?;
         let started = Instant::now();
-        self.run_plan(
-            compiled,
-            factory,
-            ChunkPlan::new(options),
-            base_seed,
-            started,
-            1.0,
-        )
-    }
-
-    /// Rare-event estimation: importance-sampled Monte Carlo with per-shot
-    /// likelihood weights. Infallible wrapper over
-    /// [`LerEngine::try_estimate_rare`].
-    pub fn estimate_rare<F: DecoderFactory>(
-        &self,
-        compiled: &CompiledCircuit,
-        factory: &F,
-        options: RareOptions,
-        base_seed: u64,
-    ) -> EngineRun {
-        self.try_estimate_rare(compiled, factory, options, base_seed)
-            .unwrap_or_else(|e| panic!("engine rare-event run failed: {e}"))
-    }
-
-    /// Rare-event estimation under importance sampling.
-    ///
-    /// Every fault channel samples at the boosted rate `min(β·p, ½)` while
-    /// the sampler accumulates each shot's exact log-likelihood ratio
-    /// against the nominal rates, making `Σ wₛ·failₛ / Σ shots`
-    /// ([`EngineRun::ler`]) an unbiased estimator of the nominal LER with
-    /// far more failing shots to average over. The run stops early at the
-    /// deterministic chunk prefix where the 95% CI half-width falls to
-    /// [`RareOptions::target_rse`] of the estimate (after
-    /// [`RareOptions::min_shots`]); [`EngineRun::ess`] and
-    /// [`EngineRun::ci_halfwidth`] report estimator health.
-    ///
-    /// The determinism contract is unchanged: the same chunk-seed schedule,
-    /// bit-identical results at any thread count, and `boost_beta == 1`
-    /// with identity rates runs the plain sampler itself — byte-identical
-    /// to [`LerEngine::try_estimate`] over the equivalent
-    /// [`SampleOptions`].
-    pub fn try_estimate_rare<F: DecoderFactory>(
-        &self,
-        compiled: &CompiledCircuit,
-        factory: &F,
-        options: RareOptions,
-        base_seed: u64,
-    ) -> Result<EngineRun, EngineError> {
-        compiled.validate()?;
-        factory.validate()?;
-        if !options.boost_beta.is_finite() || options.boost_beta < 1.0 {
-            return Err(EngineError::Options {
-                detail: format!(
-                    "boost_beta must be finite and >= 1 (got {})",
-                    options.boost_beta
-                ),
-            });
-        }
-        if !options.target_rse.is_finite() || options.target_rse < 0.0 {
-            return Err(EngineError::Options {
-                detail: format!(
-                    "target_rse must be finite and >= 0 (got {})",
-                    options.target_rse
-                ),
-            });
-        }
-        let started = Instant::now();
-        let plan = ChunkPlan::rare(&options);
-        if options.boost_beta == 1.0 && options.rates.is_identity() {
-            // β = 1 degenerates to plain Monte Carlo; running the original
-            // compiled program keeps the fast unweighted sampler and makes
-            // the degenerate case bit-identical to `try_estimate`.
-            self.run_plan(compiled, factory, plan, base_seed, started, 1.0)
-        } else {
-            let boosted = compiled.boosted_with_rates(options.boost_beta, &options.rates);
-            self.run_plan(
-                &boosted,
-                factory,
-                plan,
-                base_seed,
-                started,
-                options.boost_beta,
-            )
-        }
-    }
-
-    /// Convenience: compiles `circuit` and runs
-    /// [`LerEngine::estimate_rare`] in one call.
-    pub fn estimate_rare_circuit<F: DecoderFactory>(
-        &self,
-        circuit: &Circuit,
-        factory: &F,
-        options: RareOptions,
-        base_seed: u64,
-    ) -> EngineRun {
-        self.estimate_rare(&CompiledCircuit::new(circuit), factory, options, base_seed)
-    }
-
-    /// Fallible form of [`LerEngine::estimate_rare_circuit`].
-    pub fn try_estimate_rare_circuit<F: DecoderFactory>(
-        &self,
-        circuit: &Circuit,
-        factory: &F,
-        options: RareOptions,
-        base_seed: u64,
-    ) -> Result<EngineRun, EngineError> {
-        circuit.validate()?;
-        self.try_estimate_rare(&CompiledCircuit::new(circuit), factory, options, base_seed)
-    }
-
-    /// Shared engine core: runs `plan` over `compiled` with the factory's
-    /// ladder and returns the assembled run. Both the plain and rare-event
-    /// entry points land here, so a degenerate rare run (β = 1, identity
-    /// rates, `target_rse == 0`) executes byte-identical code to
-    /// [`LerEngine::try_estimate`].
-    fn run_plan<F: DecoderFactory>(
-        &self,
-        compiled: &CompiledCircuit,
-        factory: &F,
-        plan: ChunkPlan,
-        base_seed: u64,
-        started: Instant,
-        boost_beta: f64,
-    ) -> Result<EngineRun, EngineError> {
-        let threads = self.threads.min(plan.num_chunks).max(1);
-        let faults = self.faults.as_ref();
-        let fallback = factory.fallback_graph();
-        let next = AtomicUsize::new(0);
-        let shared = Mutex::new(Shared::new(plan.num_chunks));
+        let plan = ChunkPlan::new(spec, base_seed);
+        let boosted;
+        let (compiled, boost_beta) = match &spec.weighting {
+            Weighting::Boosted { beta, rates } if *beta != 1.0 || !rates.is_identity() => {
+                boosted = compiled.boosted_with_rates(*beta, rates);
+                (&boosted, *beta)
+            }
+            _ => (compiled, 1.0),
+        };
 
         let run_id = self.obs.begin_run();
         let mut coord = self.obs.worker(run_id, Event::COORDINATOR);
         coord.add(Counter::RunsStarted, 1);
-        coord.set(Gauge::Workers, threads as u64);
-        coord.set(Gauge::ChunksPlanned, plan.num_chunks as u64);
-        coord.set(Gauge::Epochs, 1);
-        coord.event(EventKind::RunStart {
-            threads: threads as u32,
-            chunks: plan.num_chunks as u32,
-        });
-        coord.flush();
-
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let next = &next;
-            let shared = &shared;
-            for worker in 0..threads {
-                let obs = self.obs.worker(run_id, worker as u32);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("caliqec-ler-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        worker_loop(
-                            compiled, factory, plan, base_seed, faults, fallback, next, shared, obs,
-                        )
-                    });
-                spawned.expect("spawn LER worker thread");
-            }
-        });
-
-        let sh = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let run = assemble_run(sh, &plan, threads, started, 0.0, 1, boost_beta)?;
-        if boost_beta != 1.0 || plan.target_rse > 0.0 {
-            // Rare runs publish estimator health; the plain path records
-            // nothing new, keeping its metrics stream unchanged.
-            coord.set(Gauge::Ess, run.ess as u64);
-            coord.flush();
-        }
-        Ok(run)
-    }
-
-    /// Convenience: compiles `circuit` and estimates in one call.
-    pub fn estimate_circuit<F: DecoderFactory>(
-        &self,
-        circuit: &Circuit,
-        factory: &F,
-        options: SampleOptions,
-        base_seed: u64,
-    ) -> EngineRun {
-        self.estimate(&CompiledCircuit::new(circuit), factory, options, base_seed)
-    }
-
-    /// Fallible form of [`LerEngine::estimate_circuit`]: validates the
-    /// circuit IR before compiling, so malformed programs (e.g. from
-    /// [`Circuit::from_ops`]) surface as [`EngineError::Circuit`].
-    pub fn try_estimate_circuit<F: DecoderFactory>(
-        &self,
-        circuit: &Circuit,
-        factory: &F,
-        options: SampleOptions,
-        base_seed: u64,
-    ) -> Result<EngineRun, EngineError> {
-        circuit.validate()?;
-        self.try_estimate(&CompiledCircuit::new(circuit), factory, options, base_seed)
-    }
-
-    /// Calibration-aware estimation: infallible wrapper over
-    /// [`LerEngine::try_estimate_epochs`], panicking on a typed error like
-    /// [`LerEngine::estimate`] does.
-    pub fn estimate_epochs<F: GraphDecoderFactory>(
-        &self,
-        compiled: &CompiledCircuit,
-        graph: &MatchingGraph,
-        factory: &F,
-        schedule: &EpochSchedule,
-        options: SampleOptions,
-        base_seed: u64,
-    ) -> EngineRun {
-        self.try_estimate_epochs(compiled, graph, factory, schedule, options, base_seed)
-            .unwrap_or_else(|e| panic!("engine epoch run failed: {e}"))
-    }
-
-    /// Calibration-aware estimation over a schedule of `(t, RateTable)`
-    /// epochs.
-    ///
-    /// The shot budget maps uniformly onto simulated time `[0,
-    /// horizon_hours]`; chunk `i` (of `n`) decodes with the epoch active at
-    /// its midpoint `horizon · (i + ½) / n`. Each epoch gets one graph —
-    /// the base `graph` incrementally reweighted via
-    /// [`MatchingGraph::reweight`] (identity rate tables skip the reweight,
-    /// so a single-epoch identity schedule is bit-identical to
-    /// [`LerEngine::try_estimate`] over a [`crate::Tiered`] factory) — plus
-    /// a fresh [`Predecoder`] over it, since the predecoder's tables are
-    /// weight-derived. Upfront reweight + table-build time is reported as
-    /// [`EngineRun::reweight_seconds`].
-    ///
-    /// Chunks keep the same deterministic per-batch [`chunk_seed`]
-    /// schedule as
-    /// [`LerEngine::try_estimate`] — the sampled syndrome stream depends
-    /// only on `(options, base_seed)`, never on the epoch schedule; only
-    /// decode weights vary. The degradation ladder is preserved: rung 1
-    /// rebuilds the epoch's decoder without predecoding, rung 2 falls back
-    /// to [`ReferenceUnionFind`] over the epoch graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_estimate_epochs<F: GraphDecoderFactory>(
-        &self,
-        compiled: &CompiledCircuit,
-        graph: &MatchingGraph,
-        factory: &F,
-        schedule: &EpochSchedule,
-        options: SampleOptions,
-        base_seed: u64,
-    ) -> Result<EngineRun, EngineError> {
-        compiled.validate()?;
-        graph.validate()?;
-        let started = Instant::now();
-        let plan = ChunkPlan::new(options);
-
-        let run_id = self.obs.begin_run();
-        let mut coord = self.obs.worker(run_id, Event::COORDINATOR);
-        coord.add(Counter::RunsStarted, 1);
-
-        // Build one context per epoch up front (an empty schedule is one
-        // implicit identity epoch). Reweighting is incremental on a clone
-        // of the caller's graph — topology untouched, weights recomputed
-        // from the epoch's rates — and each context re-derives the
-        // weight-dependent predecoder tables.
-        let reweight_started = Instant::now();
-        let mut contexts: Vec<EpochContext> = Vec::new();
-        if schedule.epochs().is_empty() {
-            let t = coord.clock();
-            contexts.push(EpochContext::identity(graph));
-            record_reweight(&mut coord, 0, t);
-        } else {
-            for (i, epoch) in schedule.epochs().iter().enumerate() {
-                let t = coord.clock();
-                contexts.push(EpochContext::reweighted(graph, &epoch.rates)?);
-                record_reweight(&mut coord, i as u32, t);
-            }
-        }
-        let reweight_seconds = reweight_started.elapsed().as_secs_f64();
-
-        let chunk_epoch: Vec<u32> = (0..plan.num_chunks)
-            .map(|i| {
-                let t = schedule.horizon_hours() * (i as f64 + 0.5) / plan.num_chunks as f64;
-                schedule.active_at(t).min(contexts.len() - 1) as u32
-            })
-            .collect();
-
+        let (contexts, reweight_seconds) = source.contexts(&mut coord)?;
+        let contexts = contexts.as_ref();
         let threads = self.threads.min(plan.num_chunks).max(1);
-        let faults = self.faults.as_ref();
-        let next = AtomicUsize::new(0);
-        let shared = Mutex::new(Shared::new(plan.num_chunks));
-
         coord.set(Gauge::Workers, threads as u64);
         coord.set(Gauge::ChunksPlanned, plan.num_chunks as u64);
         coord.set(Gauge::Epochs, contexts.len() as u64);
@@ -1799,80 +1602,59 @@ impl LerEngine {
         });
         coord.flush();
 
+        let job = Job {
+            compiled,
+            plan,
+            contexts,
+            chunk_context: (0..plan.num_chunks)
+                .map(|chunk| source.context_of(chunk, plan.num_chunks) as u32)
+                .collect(),
+            faults: self.faults.as_ref(),
+            next: AtomicUsize::new(0),
+            shared: Mutex::new(Shared {
+                results: vec![None; plan.num_chunks],
+                cut: None,
+                fatal: None,
+                faults: FaultTally::default(),
+            }),
+        };
         std::thread::scope(|scope| {
-            let plan = &plan;
-            let next = &next;
-            let shared = &shared;
-            let contexts = &contexts;
-            let chunk_epoch = &chunk_epoch;
             for worker in 0..threads {
                 let obs = self.obs.worker(run_id, worker as u32);
-                let spawned = std::thread::Builder::new()
+                let job = &job;
+                std::thread::Builder::new()
                     .name(format!("caliqec-ler-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        epoch_worker_loop(
-                            compiled,
-                            factory,
-                            contexts,
-                            chunk_epoch,
-                            plan,
-                            base_seed,
-                            faults,
-                            next,
-                            shared,
-                            obs,
-                        )
-                    });
-                spawned.expect("spawn LER worker thread");
+                    .spawn_scoped(scope, move || worker_loop(job, obs))
+                    .expect("spawn LER worker thread");
             }
         });
 
-        let sh = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
-        assemble_run(
+        let sh = job
+            .shared
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let run = assemble_run(
             sh,
             &plan,
             threads,
             started,
             reweight_seconds,
             contexts.len(),
-            1.0,
-        )
-    }
-}
-
-/// Per-epoch decode context: the reweighted graph and the predecoder
-/// re-derived from it (predecoder tables are weight-dependent — see
-/// [`Predecoder::is_current_for`]).
-struct EpochContext {
-    graph: MatchingGraph,
-    predecoder: Predecoder,
-}
-
-impl EpochContext {
-    /// Context for an identity epoch: the base graph verbatim.
-    fn identity(graph: &MatchingGraph) -> EpochContext {
-        let graph = graph.clone();
-        let predecoder = Predecoder::new(&graph);
-        EpochContext { graph, predecoder }
-    }
-
-    /// Context for a drifted epoch: base graph incrementally reweighted
-    /// (identity tables skip the reweight so the clone stays bit-identical
-    /// to the base), then validated.
-    fn reweighted(base: &MatchingGraph, rates: &RateTable) -> Result<EpochContext, EngineError> {
-        let mut graph = base.clone();
-        if !rates.is_identity() {
-            graph.reweight(rates)?;
-            graph.validate()?;
+            boost_beta,
+        )?;
+        if boost_beta != 1.0 || plan.target_rse > 0.0 {
+            // Weighted or CI-stopped runs publish estimator health; plain
+            // runs record nothing new, keeping their metrics stream unchanged.
+            coord.set(Gauge::Ess, run.ess as u64);
+            coord.flush();
         }
-        let predecoder = Predecoder::new(&graph);
-        Ok(EpochContext { graph, predecoder })
+        Ok(run)
     }
 }
 
-/// Folds the merged shared state into the final [`EngineRun`], applying the
-/// deterministic early-stop cut. Common tail of [`LerEngine::try_estimate`]
-/// and [`LerEngine::try_estimate_epochs`].
+/// Folds the per-chunk results into the final [`EngineRun`]: counters and
+/// timers over every executed chunk, the estimate and estimator health
+/// over the deterministic prefix up to the cut.
 fn assemble_run(
     sh: Shared,
     plan: &ChunkPlan,
@@ -1885,19 +1667,30 @@ fn assemble_run(
     if let Some(fatal) = sh.fatal {
         return Err(fatal);
     }
+    let mut stats = WindowStats::default();
+    let (mut sample_seconds, mut extract_seconds) = (0.0f64, 0.0f64);
+    let (mut chunks_executed, mut degraded_shots) = (0usize, 0usize);
+    let mut rung_chunks = [0usize; LADDER_RUNGS];
+    for r in sh.results.iter().flatten() {
+        stats.add(&r.stats);
+        sample_seconds += r.sample_seconds;
+        extract_seconds += r.extract_seconds;
+        chunks_executed += 1;
+        rung_chunks[r.rung] += 1;
+        if r.rung > 0 {
+            degraded_shots += r.batches * BATCH;
+        }
+    }
     let included = sh.cut.map_or(plan.num_chunks, |k| k + 1);
     let mut estimate = LerEstimate::default();
-    let mut sum_w = 0.0f64;
-    let mut sum_w2 = 0.0f64;
-    let mut sum_wf = 0.0f64;
-    let mut sum_w2f = 0.0f64;
-    for result in sh.results[..included].iter().flatten() {
-        estimate.shots += result.batches * BATCH;
-        estimate.failures += result.failures;
-        sum_w += result.sum_w;
-        sum_w2 += result.sum_w2;
-        sum_wf += result.sum_wf;
-        sum_w2f += result.sum_w2f;
+    let (mut sum_w, mut sum_w2, mut sum_wf, mut sum_w2f) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for r in sh.results[..included].iter().flatten() {
+        estimate.shots += r.batches * BATCH;
+        estimate.failures += r.failures;
+        sum_w += r.sum_w;
+        sum_w2 += r.sum_w2;
+        sum_wf += r.sum_wf;
+        sum_w2f += r.sum_w2f;
     }
     let n = estimate.shots as f64;
     // ESS ≤ n by Cauchy–Schwarz; the clamp only absorbs f64 rounding.
@@ -1912,92 +1705,94 @@ fn assemble_run(
     } else {
         0.0
     };
+    let faults = sh.faults;
     Ok(EngineRun {
         estimate,
         threads,
         chunks_included: included,
-        chunks_executed: sh.chunks_executed,
+        chunks_executed,
         wall_seconds: started.elapsed().as_secs_f64(),
-        sample_seconds: sh.sample_seconds,
-        extract_seconds: sh.extract_seconds,
-        predecode_seconds: sh.predecode_seconds,
-        cluster_seconds: sh.cluster_seconds,
-        decode_seconds: sh.decode_seconds,
-        tier0_shots: sh.tier0_shots,
-        predecoded_shots: sh.predecoded_shots,
-        predecoded_defects: sh.predecoded_defects,
-        residual_shots: sh.residual_shots,
-        clustered_shots: sh.clustered_shots,
-        clustered_defects: sh.clustered_defects,
-        clusters_total: sh.clusters_total,
-        cluster_size_histogram: sh.cluster_size_histogram,
-        defect_histogram: sh.defect_histogram,
+        sample_seconds,
+        extract_seconds,
+        predecode_seconds: stats.predecode_seconds,
+        cluster_seconds: stats.cluster_seconds,
+        decode_seconds: stats.decode_seconds,
+        tier0_shots: stats.tier0_shots,
+        predecoded_shots: stats.predecoded_shots,
+        predecoded_defects: stats.predecoded_defects,
+        residual_shots: stats.residual_shots,
+        clustered_shots: stats.clustered_shots,
+        clustered_defects: stats.clustered_defects,
+        clusters_total: stats.clusters_total,
+        cluster_size_histogram: stats.cluster_size_histogram,
+        defect_histogram: stats.defect_histogram,
         reweight_seconds,
         epochs,
-        faulted_chunks: sh.faulted_chunks,
-        retried_chunks: sh.retried_chunks,
-        degraded_shots: sh.degraded_shots,
-        rung_chunks: sh.rung_chunks,
-        panic_faults: sh.panic_faults,
-        stall_faults: sh.stall_faults,
-        graph_faults: sh.graph_faults,
+        faulted_chunks: faults.faults,
+        retried_chunks: faults.retries,
+        degraded_shots,
+        rung_chunks,
+        panic_faults: faults.panics,
+        stall_faults: faults.stalls,
+        graph_faults: faults.graphs,
         ess,
         ci_halfwidth,
         boost_beta,
         weighted_failures: sum_wf,
-        cluster_gate_on: sh.cluster_gate_on,
-        cluster_gate_off: sh.cluster_gate_off,
+        cluster_gate_on: stats.cluster_gate_on,
+        cluster_gate_off: stats.cluster_gate_off,
     })
 }
 
 /// Records the metrics and journal entry for a chunk that completed on
-/// `rung`. `attempt_started` is the [`WorkerObs::clock`] reading taken when
-/// the successful attempt began; on a disabled handle everything no-ops.
+/// `result.rung`. `attempt_started` is the [`WorkerObs::clock`] reading
+/// taken when the successful attempt began; on a disabled handle everything
+/// no-ops.
 fn observe_chunk_finish(
     obs: &mut WorkerObs,
     result: &ChunkResult,
-    rung: usize,
     attempt_started: Option<Instant>,
 ) {
     if !obs.enabled() {
         return;
     }
+    let stats = &result.stats;
     let _ = obs.record_since(Hist::ChunkWall, attempt_started);
     obs.add(Counter::ChunksFinished, 1);
-    obs.add(Counter::ShotsTier0, result.tier0_shots as u64);
-    obs.add(Counter::ShotsTier1, result.predecoded_shots as u64);
-    obs.add(Counter::ShotsTier2, result.residual_shots as u64);
-    if result.clustered_shots > 0 {
-        obs.add(Counter::ShotsCluster, result.clustered_shots as u64);
+    obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
+    obs.add(Counter::ShotsTier1, stats.predecoded_shots as u64);
+    obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
+    if stats.clustered_shots > 0 {
+        obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
     }
     let shots = (result.batches * BATCH) as u64;
     // Per-rung chunk counters mirror `EngineRun::rung_chunks` into the
     // exporters, so degradation is visible on `--prom-out` too.
     obs.add(
-        match rung {
+        match result.rung {
             0 => Counter::ChunksRung0,
             1 => Counter::ChunksRung1,
             _ => Counter::ChunksRung2,
         },
         1,
     );
-    if rung > 0 {
+    if result.rung > 0 {
         obs.add(Counter::ShotsDegraded, shots);
     }
     if result.weighted {
         obs.add(Counter::ShotsWeighted, shots);
     }
     obs.event(EventKind::ChunkFinish {
-        rung: rung as u8,
+        rung: result.rung as u8,
         shots: shots as u32,
         failures: result.failures as u32,
-        tier0: result.tier0_shots as u32,
-        tier1: result.predecoded_shots as u32,
-        tier2: result.residual_shots as u32,
+        tier0: stats.tier0_shots as u32,
+        tier1: stats.predecoded_shots as u32,
+        tier2: stats.residual_shots as u32,
         sample_nanos: (result.sample_seconds * 1e9) as u64,
         extract_nanos: (result.extract_seconds * 1e9) as u64,
-        predecode_nanos: (result.predecode_seconds * 1e9) as u64,
-        decode_nanos: (result.decode_seconds * 1e9) as u64,
+        predecode_nanos: (stats.predecode_seconds * 1e9) as u64,
+        decode_nanos: (stats.decode_seconds * 1e9) as u64,
     });
     // Both payloads are deterministic functions of the chunk's own shots,
     // so the journal stays thread-count independent; plain runs emit
@@ -2014,161 +1809,97 @@ fn observe_chunk_finish(
             ess,
         });
     }
-    if result.cluster_gate_on + result.cluster_gate_off > 0 {
+    if stats.cluster_gate_on + stats.cluster_gate_off > 0 {
         obs.event(EventKind::ClusterGate {
-            on: result.cluster_gate_on as u32,
-            off: result.cluster_gate_off as u32,
+            on: stats.cluster_gate_on as u32,
+            off: stats.cluster_gate_off as u32,
         });
     }
 }
 
-/// Records the journal entry and counter for one chunk-attempt fault.
-fn observe_chunk_fault(obs: &mut WorkerObs, fault: &ChunkFault, rung: usize) {
-    obs.add(fault.counter(), 1);
-    obs.event(EventKind::Fault {
-        kind: fault.tag(),
-        rung: rung as u8,
-    });
-}
-
 /// The body of one worker thread: claim chunks, run each up the
-/// degradation ladder, merge results.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<F: DecoderFactory>(
-    compiled: &CompiledCircuit,
-    factory: &F,
-    plan: &ChunkPlan,
-    base_seed: u64,
-    faults: Option<&FaultPlan>,
-    fallback: Option<&MatchingGraph>,
-    next: &AtomicUsize,
-    shared: &Mutex<Shared>,
-    mut obs: WorkerObs,
-) {
-    let mut decoder = factory.build();
-    let mut predecoder = factory.predecoder();
-    let mut cluster = factory.cluster_tier();
-    let gate = factory.cluster_gate();
-    let gate_threshold = factory.cluster_gate_threshold();
-    let mut scratch = SampleScratch::new(compiled);
+/// degradation ladder on its epoch's decode context, merge results.
+///
+/// Rung-0 stacks are built lazily per context (workers typically touch a
+/// contiguous band of chunks, hence few epochs) and quarantined on a
+/// rung-0 fault — dropped and rebuilt from the context on next use, since
+/// a panicking decoder may leave its scratch torn.
+fn worker_loop<C: DecoderFactory>(job: &Job<'_, C>, mut obs: WorkerObs) {
+    let mut stacks: Vec<Option<DecodeStack<C::Decoder>>> =
+        job.contexts.iter().map(|_| None).collect();
+    let mut scratch = SampleScratch::new(job.compiled);
     loop {
         {
-            let sh = lock_shared(shared);
+            let sh = lock_shared(&job.shared);
             if sh.cut.is_some() || sh.fatal.is_some() {
                 break;
             }
         }
-        let chunk = next.fetch_add(1, Ordering::Relaxed);
-        if chunk >= plan.num_chunks {
+        let chunk = job.next.fetch_add(1, Ordering::Relaxed);
+        if chunk >= job.plan.num_chunks {
             break;
         }
+        let ctx = job.chunk_context[chunk] as usize;
+        let context = &job.contexts[ctx];
+        let fallback = context.fallback_graph();
         obs.begin_chunk(chunk as u32);
         obs.add(Counter::ChunksStarted, 1);
 
-        // Degradation ladder: rung 0 = factory decoder + predecoder;
-        // rung 1 = fresh factory decoder, no predecode; rung 2 =
-        // ReferenceUnionFind over the fallback graph. Every rung re-runs
-        // the same chunk seed, so the retried syndrome stream is
-        // identical; injected faults only fire at rung 0.
+        // Degradation ladder: rung 0 = the context's full stack; rung 1 =
+        // fresh bare decoder; rung 2 = ReferenceUnionFind over the fallback
+        // graph. Every rung re-runs the same chunk seed, so the retried
+        // syndrome stream is identical; injected faults only fire at rung 0.
         let mut tally = FaultTally::default();
         let mut rung = 0usize;
-        let outcome: Result<(ChunkResult, usize), (ChunkFault, usize)> = loop {
-            let injected = if rung == 0 {
-                faults
-                    .and_then(|p| p.injection(chunk))
-                    .filter(|k| !k.is_streaming())
-            } else {
-                None
-            };
+        let outcome: Result<ChunkResult, (ChunkFault, usize)> = loop {
             obs.event(EventKind::ChunkStart { rung: rung as u8 });
             let attempt_started = obs.clock();
-            let decode_hist = decode_hist_for(rung);
             let attempt = match rung {
-                0 => attempt_chunk(
-                    compiled,
-                    &mut decoder,
-                    predecoder.as_mut(),
-                    cluster.as_mut(),
-                    gate,
-                    gate_threshold,
-                    &mut scratch,
-                    plan,
-                    chunk,
-                    base_seed,
-                    injected,
-                    faults,
-                    fallback,
-                    &mut obs,
-                    decode_hist,
-                ),
+                0 => {
+                    let stack = stacks[ctx].get_or_insert_with(|| context.stack());
+                    attempt_chunk(job, stack, &mut scratch, chunk, rung, fallback, &mut obs)
+                }
                 1 => {
-                    let mut fresh = factory.build();
+                    let mut bare = DecodeStack::new(context.build());
                     attempt_chunk(
-                        compiled,
-                        &mut fresh,
-                        None,
-                        None,
-                        ClusterGate::Off,
-                        CLUSTER_GATE_MIN_MEAN_DEFECTS,
+                        job,
+                        &mut bare,
                         &mut scratch,
-                        plan,
                         chunk,
-                        base_seed,
-                        None,
-                        faults,
+                        rung,
                         fallback,
                         &mut obs,
-                        decode_hist,
                     )
                 }
-                _ => match fallback {
-                    Some(graph) => {
-                        let mut reference = ReferenceUnionFind::new(graph.clone());
-                        attempt_chunk(
-                            compiled,
-                            &mut reference,
-                            None,
-                            None,
-                            ClusterGate::Off,
-                            CLUSTER_GATE_MIN_MEAN_DEFECTS,
-                            &mut scratch,
-                            plan,
-                            chunk,
-                            base_seed,
-                            None,
-                            faults,
-                            fallback,
-                            &mut obs,
-                            decode_hist,
-                        )
-                    }
-                    None => Err(ChunkFault::InvalidGraph(ValidationError::CsrInconsistent {
-                        detail: "no fallback graph available for rung 2".into(),
-                    })),
-                },
+                _ => {
+                    let graph = fallback.expect("the ladder reaches rung 2 only with a fallback");
+                    let mut reference = DecodeStack::new(ReferenceUnionFind::new(graph.clone()));
+                    attempt_chunk(
+                        job,
+                        &mut reference,
+                        &mut scratch,
+                        chunk,
+                        rung,
+                        fallback,
+                        &mut obs,
+                    )
+                }
             };
             match attempt {
                 Ok(result) => {
-                    observe_chunk_finish(&mut obs, &result, rung, attempt_started);
-                    break Ok((result, rung));
+                    observe_chunk_finish(&mut obs, &result, attempt_started);
+                    break Ok(result);
                 }
                 Err(fault) => {
                     observe_chunk_fault(&mut obs, &fault, rung);
                     tally.record(&fault);
                     if rung == 0 {
-                        // Quarantine: the long-lived decoder's scratch may
-                        // be torn mid-panic; rebuild before it ever touches
-                        // another chunk.
-                        decoder = factory.build();
-                        predecoder = factory.predecoder();
-                        cluster = factory.cluster_tier();
+                        stacks[ctx] = None;
                     }
                     // Rung 2 without a fallback graph cannot be attempted;
                     // stop the ladder one rung early rather than count a
                     // phantom retry.
-                    let next_rung_possible =
-                        rung + 1 < LADDER_RUNGS && (rung + 1 < 2 || fallback.is_some());
-                    if !next_rung_possible {
+                    if rung + 1 == LADDER_RUNGS || (rung + 1 == 2 && fallback.is_none()) {
                         break Err((fault, rung));
                     }
                     tally.retries += 1;
@@ -2179,229 +1910,24 @@ fn worker_loop<F: DecoderFactory>(
             }
         };
 
-        merge_chunk(shared, plan, chunk, &tally, outcome);
-        obs.flush();
-    }
-}
-
-/// Merges one chunk's outcome (success at some rung, or ladder exhaustion)
-/// and its fault tally into the shared state. Common to [`worker_loop`] and
-/// [`epoch_worker_loop`].
-fn merge_chunk(
-    shared: &Mutex<Shared>,
-    plan: &ChunkPlan,
-    chunk: usize,
-    tally: &FaultTally,
-    outcome: Result<(ChunkResult, usize), (ChunkFault, usize)>,
-) {
-    let mut sh = lock_shared(shared);
-    sh.faulted_chunks += tally.faults;
-    sh.retried_chunks += tally.retries;
-    sh.panic_faults += tally.panics;
-    sh.stall_faults += tally.stalls;
-    sh.graph_faults += tally.graphs;
-    match outcome {
-        Ok((result, rung)) => {
-            sh.chunks_executed += 1;
-            sh.rung_chunks[rung] += 1;
-            if rung > 0 {
-                sh.degraded_shots += result.batches * BATCH;
+        let mut sh = lock_shared(&job.shared);
+        sh.faults.add(&tally);
+        match outcome {
+            Ok(result) => {
+                sh.results[chunk] = Some(result);
+                if sh.cut.is_none() && (job.plan.max_failures > 0 || job.plan.target_rse > 0.0) {
+                    sh.recompute_cut(&job.plan);
+                }
             }
-            sh.sample_seconds += result.sample_seconds;
-            sh.extract_seconds += result.extract_seconds;
-            sh.predecode_seconds += result.predecode_seconds;
-            sh.cluster_seconds += result.cluster_seconds;
-            sh.decode_seconds += result.decode_seconds;
-            sh.tier0_shots += result.tier0_shots;
-            sh.predecoded_shots += result.predecoded_shots;
-            sh.predecoded_defects += result.predecoded_defects;
-            sh.residual_shots += result.residual_shots;
-            sh.clustered_shots += result.clustered_shots;
-            sh.clustered_defects += result.clustered_defects;
-            sh.clusters_total += result.clusters_total;
-            for (acc, &b) in sh
-                .cluster_size_histogram
-                .iter_mut()
-                .zip(result.cluster_size_histogram.iter())
-            {
-                *acc += b;
-            }
-            for (acc, &b) in sh
-                .defect_histogram
-                .iter_mut()
-                .zip(result.defect_histogram.iter())
-            {
-                *acc += b;
-            }
-            sh.cluster_gate_on += result.cluster_gate_on;
-            sh.cluster_gate_off += result.cluster_gate_off;
-            sh.results[chunk] = Some(result);
-            if plan.max_failures > 0 && sh.cut.is_none() {
-                sh.recompute_cut(plan.max_failures);
-            }
-            if plan.target_rse > 0.0 && sh.cut.is_none() {
-                sh.recompute_ci_cut(plan);
-            }
-        }
-        Err((fault, rung)) => {
-            if sh.fatal.is_none() {
-                sh.fatal = Some(EngineError::ChunkFailed {
+            Err((fault, rung)) => {
+                sh.fatal.get_or_insert(EngineError::ChunkFailed {
                     chunk,
                     rung,
                     reason: fault.to_string(),
                 });
             }
         }
-    }
-}
-
-/// The body of one epoch-aware worker thread: like [`worker_loop`], but the
-/// chunk→epoch map selects which per-epoch `(decoder, predecoder)` pair
-/// decodes each chunk. Pairs are built lazily per worker (workers typically
-/// touch a contiguous band of chunks, hence few epochs) and quarantined on
-/// a rung-0 fault exactly like the single-graph loop.
-#[allow(clippy::too_many_arguments)]
-fn epoch_worker_loop<F: GraphDecoderFactory>(
-    compiled: &CompiledCircuit,
-    factory: &F,
-    contexts: &[EpochContext],
-    chunk_epoch: &[u32],
-    plan: &ChunkPlan,
-    base_seed: u64,
-    faults: Option<&FaultPlan>,
-    next: &AtomicUsize,
-    shared: &Mutex<Shared>,
-    mut obs: WorkerObs,
-) {
-    type EpochCache<D> = Vec<Option<(D, Predecoder, Option<ClusterTier>)>>;
-    let mut cache: EpochCache<F::Decoder> = (0..contexts.len()).map(|_| None).collect();
-    let mut scratch = SampleScratch::new(compiled);
-    loop {
-        {
-            let sh = lock_shared(shared);
-            if sh.cut.is_some() || sh.fatal.is_some() {
-                break;
-            }
-        }
-        let chunk = next.fetch_add(1, Ordering::Relaxed);
-        if chunk >= plan.num_chunks {
-            break;
-        }
-        let epoch = chunk_epoch[chunk] as usize;
-        let ctx = &contexts[epoch];
-        obs.begin_chunk(chunk as u32);
-        obs.add(Counter::ChunksStarted, 1);
-
-        // Same three-rung ladder as `worker_loop`, anchored on the epoch's
-        // graph: rung 1 rebuilds the epoch decoder without predecoding,
-        // rung 2 is the reference oracle over the epoch graph (always
-        // available here, unlike opaque factories).
-        let mut tally = FaultTally::default();
-        let mut rung = 0usize;
-        let outcome: Result<(ChunkResult, usize), (ChunkFault, usize)> = loop {
-            let injected = if rung == 0 {
-                faults
-                    .and_then(|p| p.injection(chunk))
-                    .filter(|k| !k.is_streaming())
-            } else {
-                None
-            };
-            obs.event(EventKind::ChunkStart { rung: rung as u8 });
-            let attempt_started = obs.clock();
-            let decode_hist = decode_hist_for(rung);
-            let attempt = match rung {
-                0 => {
-                    let (decoder, predecoder, cluster) = cache[epoch].get_or_insert_with(|| {
-                        let predecoder = ctx.predecoder.clone();
-                        let cluster = factory
-                            .cluster()
-                            .then(|| ClusterTier::from_predecoder(&predecoder));
-                        (factory.build_for(&ctx.graph), predecoder, cluster)
-                    });
-                    attempt_chunk(
-                        compiled,
-                        decoder,
-                        Some(predecoder),
-                        cluster.as_mut(),
-                        ClusterGate::On,
-                        CLUSTER_GATE_MIN_MEAN_DEFECTS,
-                        &mut scratch,
-                        plan,
-                        chunk,
-                        base_seed,
-                        injected,
-                        faults,
-                        Some(&ctx.graph),
-                        &mut obs,
-                        decode_hist,
-                    )
-                }
-                1 => {
-                    let mut fresh = factory.build_for(&ctx.graph);
-                    attempt_chunk(
-                        compiled,
-                        &mut fresh,
-                        None,
-                        None,
-                        ClusterGate::Off,
-                        CLUSTER_GATE_MIN_MEAN_DEFECTS,
-                        &mut scratch,
-                        plan,
-                        chunk,
-                        base_seed,
-                        None,
-                        faults,
-                        Some(&ctx.graph),
-                        &mut obs,
-                        decode_hist,
-                    )
-                }
-                _ => {
-                    let mut reference = ReferenceUnionFind::new(ctx.graph.clone());
-                    attempt_chunk(
-                        compiled,
-                        &mut reference,
-                        None,
-                        None,
-                        ClusterGate::Off,
-                        CLUSTER_GATE_MIN_MEAN_DEFECTS,
-                        &mut scratch,
-                        plan,
-                        chunk,
-                        base_seed,
-                        None,
-                        faults,
-                        Some(&ctx.graph),
-                        &mut obs,
-                        decode_hist,
-                    )
-                }
-            };
-            match attempt {
-                Ok(result) => {
-                    observe_chunk_finish(&mut obs, &result, rung, attempt_started);
-                    break Ok((result, rung));
-                }
-                Err(fault) => {
-                    observe_chunk_fault(&mut obs, &fault, rung);
-                    tally.record(&fault);
-                    if rung == 0 {
-                        // Quarantine the epoch's cached pair; it is rebuilt
-                        // from the context on next use.
-                        cache[epoch] = None;
-                    }
-                    if rung + 1 >= LADDER_RUNGS {
-                        break Err((fault, rung));
-                    }
-                    tally.retries += 1;
-                    rung += 1;
-                    obs.add(Counter::Retries, 1);
-                    obs.event(EventKind::Retry { rung: rung as u8 });
-                }
-            }
-        };
-
-        merge_chunk(shared, plan, chunk, &tally, outcome);
+        drop(sh);
         obs.flush();
     }
 }
@@ -2419,24 +1945,20 @@ pub fn estimate_ler_seeded<D: Decoder>(
     options: SampleOptions,
     base_seed: u64,
 ) -> LerEstimate {
-    let plan = ChunkPlan::new(options);
+    let plan = ChunkPlan::new(&RunSpec::from(options), base_seed);
+    let mut stack = DecodeStack::new(decoder);
     let mut scratch = SampleScratch::new(compiled);
     let mut estimate = LerEstimate::default();
     let mut obs = WorkerObs::disabled();
     for chunk in 0..plan.num_chunks {
         let result = run_chunk(
             compiled,
-            decoder,
-            None,
-            None,
-            ClusterGate::Off,
-            CLUSTER_GATE_MIN_MEAN_DEFECTS,
-            &mut scratch,
             &plan,
             chunk,
-            base_seed,
+            &mut stack,
+            &mut scratch,
             &mut obs,
-            Hist::DecodeShotRung0,
+            0,
         );
         estimate.shots += result.batches * BATCH;
         estimate.failures += result.failures;
@@ -2453,7 +1975,35 @@ mod tests {
     use crate::decode::graph_for_circuit;
     use crate::predecode::Tiered;
     use crate::unionfind::UnionFindDecoder;
-    use caliqec_stab::{Basis, Noise1};
+    use caliqec_stab::{Basis, Circuit, Noise1};
+
+    /// An importance-sampled spec at identity rates.
+    fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
+        RunSpec {
+            budget: SampleOptions {
+                min_shots,
+                max_failures: 0,
+                max_shots,
+            },
+            weighting: Weighting::Boosted {
+                beta,
+                rates: RateTable::identity(),
+            },
+            stop: StopRule::TargetRse(target_rse),
+        }
+    }
+
+    /// An epoch source decoding with plain union-find.
+    fn uf_epochs<'a>(
+        graph: &'a MatchingGraph,
+        schedule: &'a EpochSchedule,
+    ) -> Epochs<'a, impl Fn(&MatchingGraph) -> UnionFindDecoder + Sync> {
+        Epochs {
+            graph,
+            schedule,
+            factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
+        }
+    }
 
     /// Distance-n repetition code, single round, X noise (mirrors the
     /// fixture in `decode.rs`).
@@ -2532,8 +2082,8 @@ mod tests {
     fn run_reports_throughput() {
         let c = rep_circuit(3, 0.05);
         let graph = graph_for_circuit(&c);
-        let run = LerEngine::new(2).estimate_circuit(
-            &c,
+        let run = LerEngine::new(2).estimate(
+            &CompiledCircuit::new(&c),
             &|| UnionFindDecoder::new(graph.clone()),
             SampleOptions {
                 min_shots: 1_000,
@@ -2560,8 +2110,8 @@ mod tests {
         // One batch = one chunk: the run-level check *is* the per-chunk
         // check. Then a multi-chunk run checks the aggregate.
         for min_shots in [64usize, 2_000] {
-            let run = LerEngine::new(1).estimate_circuit(
-                &c,
+            let run = LerEngine::new(1).estimate(
+                &CompiledCircuit::new(&c),
                 &|| UnionFindDecoder::new(graph.clone()),
                 SampleOptions {
                     min_shots,
@@ -2602,8 +2152,8 @@ mod tests {
             min_shots: 2_000,
             ..Default::default()
         };
-        let plain = LerEngine::new(2).estimate_circuit(
-            &c,
+        let plain = LerEngine::new(2).estimate(
+            &CompiledCircuit::new(&c),
             &|| UnionFindDecoder::new(graph.clone()),
             opts,
             5,
@@ -2661,7 +2211,7 @@ mod tests {
             let graph = graph.clone();
             move || UnionFindDecoder::new(graph.clone())
         })
-        .with_cluster();
+        .with_cluster_gate(ClusterGate::On);
         let run = LerEngine::new(2).estimate(&compiled, &factory, opts, 5);
         assert_eq!(
             run.tier0_shots + run.predecoded_shots + run.clustered_shots + run.residual_shots,
@@ -2700,17 +2250,9 @@ mod tests {
             ..Default::default()
         };
         let plain = LerEngine::new(2).estimate(&compiled, &factory, opts, 42);
-        let rare = LerEngine::new(2).estimate_rare(
-            &compiled,
-            &factory,
-            RareOptions {
-                boost_beta: 1.0,
-                target_rse: 0.0,
-                min_shots: 5_000,
-                ..Default::default()
-            },
-            42,
-        );
+        let rare = LerEngine::new(2)
+            .try_run(&compiled, &factory, &boosted(1.0, 0.0, 5_000, 0), 42)
+            .unwrap();
         assert_eq!(rare.estimate, plain.estimate);
         assert_eq!(rare.chunks_included, plain.chunks_included);
         assert_eq!(rare.boost_beta, 1.0);
@@ -2729,18 +2271,16 @@ mod tests {
         let compiled = CompiledCircuit::new(&c);
         let graph = graph_for_circuit(&c);
         let factory = || UnionFindDecoder::new(graph.clone());
-        let options = RareOptions {
-            boost_beta: 4.0,
-            target_rse: 0.1,
-            min_shots: 2_000,
-            max_shots: 50_000,
-            ..Default::default()
+        let spec = boosted(4.0, 0.1, 2_000, 50_000);
+        let run_at = |threads| {
+            LerEngine::new(threads)
+                .try_run(&compiled, &factory, &spec, 7)
+                .unwrap()
         };
-        let reference = LerEngine::new(1).estimate_rare(&compiled, &factory, options.clone(), 7);
+        let reference = run_at(1);
         assert!(reference.ess > 0.0);
         for threads in [2, 8] {
-            let run =
-                LerEngine::new(threads).estimate_rare(&compiled, &factory, options.clone(), 7);
+            let run = run_at(threads);
             assert_eq!(run.estimate, reference.estimate, "threads={threads}");
             assert_eq!(run.chunks_included, reference.chunks_included);
             assert_eq!(run.weighted_failures, reference.weighted_failures);
@@ -2768,17 +2308,9 @@ mod tests {
             },
             99,
         );
-        let rare = LerEngine::new(2).estimate_rare(
-            &compiled,
-            &factory,
-            RareOptions {
-                boost_beta: 6.0,
-                target_rse: 0.0,
-                min_shots: 50_000,
-                ..Default::default()
-            },
-            99,
-        );
+        let rare = LerEngine::new(2)
+            .try_run(&compiled, &factory, &boosted(6.0, 0.0, 50_000, 0), 99)
+            .unwrap();
         let p_plain = plain.ler();
         assert!(p_plain > 0.0, "fixture must fail sometimes");
         assert!(
@@ -2809,14 +2341,10 @@ mod tests {
         let compiled = CompiledCircuit::new(&c);
         let graph = graph_for_circuit(&c);
         let factory = || UnionFindDecoder::new(graph.clone());
-        let options = RareOptions {
-            boost_beta: 1.0,
-            target_rse: 0.2,
-            min_shots: 1_000,
-            max_shots: 1_000_000,
-            ..Default::default()
-        };
-        let run = LerEngine::new(4).estimate_rare(&compiled, &factory, options.clone(), 3);
+        let spec = boosted(1.0, 0.2, 1_000, 1_000_000);
+        let run = LerEngine::new(4)
+            .try_run(&compiled, &factory, &spec, 3)
+            .unwrap();
         assert!(run.estimate.shots >= 1_000);
         assert!(
             run.estimate.shots < 1_000_000,
@@ -2825,7 +2353,9 @@ mod tests {
         );
         let p = run.ler();
         assert!(run.ci_halfwidth <= 0.2 * p + f64::EPSILON);
-        let serial = LerEngine::new(1).estimate_rare(&compiled, &factory, options, 3);
+        let serial = LerEngine::new(1)
+            .try_run(&compiled, &factory, &spec, 3)
+            .unwrap();
         assert_eq!(serial.estimate, run.estimate);
         assert_eq!(serial.chunks_included, run.chunks_included);
     }
@@ -2855,7 +2385,7 @@ mod tests {
         };
         let auto = crate::predecode::Tiered::new(&graph, build.clone())
             .with_cluster_gate(ClusterGate::Auto);
-        let on = crate::predecode::Tiered::new(&graph, build).with_cluster();
+        let on = crate::predecode::Tiered::new(&graph, build).with_cluster_gate(ClusterGate::On);
         let gated = LerEngine::new(2).estimate(&compiled, &auto, opts, 5);
         let forced = LerEngine::new(2).estimate(&compiled, &on, opts, 5);
         assert!(gated.cluster_gate_off > 0, "gate never evaluated");
@@ -2885,16 +2415,20 @@ mod tests {
     }
 
     #[test]
-    fn try_estimate_rejects_malformed_circuits() {
+    fn malformed_circuits_never_reach_the_engine() {
         use caliqec_stab::{MeasIdx, Op};
         let bad = Circuit::from_ops(1, vec![Op::Detector(vec![MeasIdx(7)])]);
         let graph = graph_for_circuit(&rep_circuit(3, 0.05));
-        let result = LerEngine::new(1).try_estimate_circuit(
-            &bad,
-            &|| UnionFindDecoder::new(graph.clone()),
-            SampleOptions::default(),
-            1,
-        );
+        let result = CompiledCircuit::try_new(&bad)
+            .map_err(EngineError::from)
+            .and_then(|compiled| {
+                LerEngine::new(1).try_run(
+                    &compiled,
+                    &|| UnionFindDecoder::new(graph.clone()),
+                    &RunSpec::from(SampleOptions::default()),
+                    1,
+                )
+            });
         assert!(matches!(result, Err(EngineError::Circuit(_))));
     }
 
@@ -2917,7 +2451,7 @@ mod tests {
         let plan = FaultPlan::new().panic_at(0).corrupt_defects_at(2);
         let faulty = LerEngine::new(2)
             .with_faults(plan)
-            .try_estimate(&compiled, &factory, opts, 42)
+            .try_run(&compiled, &factory, &RunSpec::from(opts), 42)
             .expect("ladder must recover from injected faults");
         assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
         assert_eq!(faulty.faulted_chunks, 2);
@@ -3043,14 +2577,15 @@ mod tests {
         schedule.push(0.0, RateTable::identity());
         schedule.push(5.0, RateTable::uniform(0.12));
         let sink = ObsSink::enabled();
-        let run = LerEngine::new(2).with_obs(sink.clone()).estimate_epochs(
-            &compiled,
-            &graph,
-            &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-            &schedule,
-            opts,
-            7,
-        );
+        let run = LerEngine::new(2)
+            .with_obs(sink.clone())
+            .try_run(
+                &compiled,
+                &uf_epochs(&graph, &schedule),
+                &RunSpec::from(opts),
+                7,
+            )
+            .unwrap();
         assert_eq!(run.epochs, 2);
         let snap = sink.snapshot();
         assert_eq!(snap.counter("epoch_reweights"), 2);
@@ -3124,14 +2659,14 @@ mod tests {
             s.push(0.0, RateTable::identity());
             s
         }] {
-            let run = LerEngine::new(2).estimate_epochs(
-                &compiled,
-                &graph,
-                &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-                &schedule,
-                opts,
-                42,
-            );
+            let run = LerEngine::new(2)
+                .try_run(
+                    &compiled,
+                    &uf_epochs(&graph, &schedule),
+                    &RunSpec::from(opts),
+                    42,
+                )
+                .unwrap();
             assert_eq!(run.estimate, baseline.estimate);
             assert_eq!(run.tier0_shots, baseline.tier0_shots);
             assert_eq!(run.predecoded_shots, baseline.predecoded_shots);
@@ -3154,13 +2689,16 @@ mod tests {
         let mut schedule = EpochSchedule::new(10.0);
         schedule.push(0.0, RateTable::identity());
         schedule.push(5.0, RateTable::uniform(0.12));
-        let factory = |g: &MatchingGraph| UnionFindDecoder::new(g.clone());
-        let first =
-            LerEngine::new(1).estimate_epochs(&compiled, &graph, &factory, &schedule, opts, 7);
+        let source = uf_epochs(&graph, &schedule);
+        let run_at = |threads| {
+            LerEngine::new(threads)
+                .try_run(&compiled, &source, &RunSpec::from(opts), 7)
+                .unwrap()
+        };
+        let first = run_at(1);
         assert_eq!(first.epochs, 2);
         for threads in [2, 4] {
-            let run = LerEngine::new(threads)
-                .estimate_epochs(&compiled, &graph, &factory, &schedule, opts, 7);
+            let run = run_at(threads);
             assert_eq!(run.estimate, first.estimate, "threads={threads}");
             assert_eq!(run.defect_histogram, first.defect_histogram);
         }
@@ -3178,15 +2716,16 @@ mod tests {
         let mut schedule = EpochSchedule::new(10.0);
         schedule.push(0.0, RateTable::identity());
         schedule.push(5.0, RateTable::uniform(0.12));
-        let factory = |g: &MatchingGraph| UnionFindDecoder::new(g.clone());
-        let clean =
-            LerEngine::new(2).estimate_epochs(&compiled, &graph, &factory, &schedule, opts, 7);
+        let source = uf_epochs(&graph, &schedule);
+        let clean = LerEngine::new(2)
+            .try_run(&compiled, &source, &RunSpec::from(opts), 7)
+            .unwrap();
         assert_eq!(clean.faulted_chunks, 0);
 
         let plan = FaultPlan::new().panic_at(0).corrupt_defects_at(2);
         let faulty = LerEngine::new(2)
             .with_faults(plan)
-            .try_estimate_epochs(&compiled, &graph, &factory, &schedule, opts, 7)
+            .try_run(&compiled, &source, &RunSpec::from(opts), 7)
             .expect("epoch ladder must recover from injected faults");
         assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
         assert_eq!(faulty.faulted_chunks, 2);

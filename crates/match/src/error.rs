@@ -5,7 +5,7 @@
 //! CSR inconsistencies, nodes that cannot reach the boundary — found by
 //! [`MatchingGraph::validate`](crate::MatchingGraph::validate).
 //! [`EngineError`] is what the fallible engine entry points
-//! ([`LerEngine::try_estimate`](crate::LerEngine::try_estimate) and friends)
+//! ([`LerEngine::try_run`](crate::LerEngine::try_run))
 //! return: an input-validation failure, or a chunk that exhausted the
 //! decoder degradation ladder at run time.
 

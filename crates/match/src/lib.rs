@@ -19,25 +19,29 @@
 //!   certifier that resolves provably-locally-matchable shots without
 //!   invoking a full decoder, and the [`DecoderFactory`] adapter that
 //!   threads it through the engine ([`Tiered::without_predecode`] is the
-//!   escape hatch).
+//!   escape hatch). A factory's [`DecodeStack`] (decoder, predecoder,
+//!   cluster tier, gate) is what the engine and the streaming service
+//!   decode every window through.
 //! - [`estimate_ler`]: end-to-end residual logical-error-rate estimation
 //!   using the batched Pauli-frame sampler.
 //! - [`LerEngine`]: the thread-parallel Monte-Carlo engine behind
-//!   `estimate_ler`, deterministic in `(options, base_seed)` regardless of
-//!   thread count, with per-run throughput counters in [`EngineRun`].
-//!   Hardened against decoder faults: inputs are validated up front
-//!   ([`MatchingGraph::validate`], typed [`ValidationError`]/[`EngineError`]),
-//!   each chunk runs panic-isolated with a deterministic same-seed retry on
-//!   a degradation ladder, and [`FaultPlan`] can inject faults (panics,
-//!   stalls, corrupted defects, poisoned weights) at chosen chunks to prove
-//!   it all works.
+//!   `estimate_ler`. Its one run method, [`LerEngine::try_run`], executes a
+//!   [`RunSpec`] — shot budget, [`Weighting`] (nominal or boosted by
+//!   importance sampling) and [`StopRule`] — deterministically in
+//!   `(spec, base_seed)` regardless of thread count, with per-run
+//!   throughput counters in [`EngineRun`]. Hardened against decoder faults: inputs are validated
+//!   up front ([`MatchingGraph::validate`], typed
+//!   [`ValidationError`]/[`EngineError`]), each chunk runs panic-isolated
+//!   with a deterministic same-seed retry on a degradation ladder, and
+//!   [`FaultPlan`] can inject faults (panics, stalls, corrupted defects,
+//!   poisoned weights) at chosen chunks to prove it all works.
 //! - Calibration-aware reweighting: graphs built from a DEM keep per-edge
 //!   provenance, so [`MatchingGraph::reweight`] recomputes probabilities and
 //!   weights in place from an updated [`caliqec_stab::RateTable`] without
 //!   re-extracting the DEM ([`MwpmDecoder::reweight`] and
 //!   [`UnionFindDecoder::reweight`] also invalidate their weight-derived
-//!   caches), and [`LerEngine::estimate_epochs`] decodes a shot budget under
-//!   an [`EpochSchedule`] of drifting per-gate rates (DESIGN.md §10).
+//!   caches), and an [`Epochs`] run source decodes a shot budget under an
+//!   [`EpochSchedule`] of drifting per-gate rates (DESIGN.md §10).
 //!
 //! # Example
 //!
@@ -85,9 +89,9 @@ pub use cluster::{
 };
 pub use decode::{estimate_ler, graph_for_circuit, Decoder, LerEstimate, SampleOptions};
 pub use engine::{
-    decode_window_masks, defect_hist_bucket, estimate_ler_seeded, CalibrationEpoch, DecoderFactory,
-    EngineRun, EpochSchedule, GraphDecoderFactory, LerEngine, RareOptions, WindowOutcome,
-    WindowScratch, WindowStats, DEFECT_HIST_BUCKETS, LADDER_RUNGS,
+    defect_hist_bucket, estimate_ler_seeded, CalibrationEpoch, DecodeStack, DecoderFactory,
+    EngineRun, EpochSchedule, Epochs, GraphDecoderFactory, LerEngine, RunSource, RunSpec, StopRule,
+    Weighting, DEFECT_HIST_BUCKETS, LADDER_RUNGS,
 };
 pub use error::{EngineError, ValidationError};
 pub use faults::{poison_weights, FaultKind, FaultPlan, Injection};

@@ -97,7 +97,8 @@
 //! for another worker thread costs one atomic increment plus a small flag
 //! buffer.
 
-use crate::engine::DecoderFactory;
+use crate::cluster::ClusterTier;
+use crate::engine::{DecodeStack, DecoderFactory};
 use crate::graph::{MatchingGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -814,9 +815,6 @@ pub struct Tiered<F> {
     /// shots too dense for the predecoder are flood-decomposed and decoded
     /// per cluster instead of monolithically, subject to the gate.
     cluster: ClusterGate,
-    /// Mean defects per shot at which [`ClusterGate::Auto`] fires,
-    /// defaulting to [`CLUSTER_GATE_MIN_MEAN_DEFECTS`].
-    gate_threshold: f64,
 }
 
 impl<F: DecoderFactory> Tiered<F> {
@@ -829,7 +827,6 @@ impl<F: DecoderFactory> Tiered<F> {
             predecoder: Some(Predecoder::new(graph)),
             fallback: Some(graph.clone()),
             cluster: ClusterGate::Off,
-            gate_threshold: CLUSTER_GATE_MIN_MEAN_DEFECTS,
         }
     }
 
@@ -854,7 +851,6 @@ impl<F: DecoderFactory> Tiered<F> {
             predecoder: None,
             fallback: None,
             cluster: ClusterGate::Off,
-            gate_threshold: CLUSTER_GATE_MIN_MEAN_DEFECTS,
         }
     }
 
@@ -865,34 +861,16 @@ impl<F: DecoderFactory> Tiered<F> {
         self
     }
 
-    /// Enables the dense-regime cluster tier unconditionally (rung 0
-    /// only): shots with more defects than [`Predecoder::MAX_CERT_DEFECTS`]
-    /// are flood-decomposed into independent clusters, certified clusters
-    /// are peeled locally, and only the uncertified remainder reaches the
-    /// full decoder. The tier shares the predecoder's certification
-    /// tables, so this is a no-op on a [`Tiered::without_predecode`]
-    /// adapter. Equivalent to `with_cluster_gate(ClusterGate::On)`.
-    pub fn with_cluster(self) -> Tiered<F> {
-        self.with_cluster_gate(ClusterGate::On)
-    }
-
-    /// Sets the cluster tier's gating policy (see [`ClusterGate`]).
-    /// `Auto` arms the tier but lets the engine skip the decomposition for
-    /// batches below the density threshold, journaling the decision.
+    /// Arms the dense-regime cluster tier (rung 0 only) under `gate`:
+    /// shots with more defects than [`Predecoder::MAX_CERT_DEFECTS`] are
+    /// flood-decomposed into independent clusters, certified clusters are
+    /// peeled locally, and only the uncertified remainder reaches the full
+    /// decoder. `On` decomposes every batch; `Auto` skips batches below
+    /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`], journaling the decision. The tier
+    /// shares the predecoder's certification tables, so this is a no-op on
+    /// a [`Tiered::without_predecode`] adapter.
     pub fn with_cluster_gate(mut self, gate: ClusterGate) -> Tiered<F> {
         self.cluster = gate;
-        self
-    }
-
-    /// Overrides the mean-defects-per-shot threshold at which the `Auto`
-    /// gate fires (default [`CLUSTER_GATE_MIN_MEAN_DEFECTS`]). Non-finite
-    /// or negative thresholds are clamped to 0 (gate always fires).
-    pub fn with_cluster_gate_threshold(mut self, threshold: f64) -> Tiered<F> {
-        self.gate_threshold = if threshold.is_finite() && threshold > 0.0 {
-            threshold
-        } else {
-            0.0
-        };
         self
     }
 }
@@ -904,30 +882,17 @@ impl<F: DecoderFactory> DecoderFactory for Tiered<F> {
         self.factory.build()
     }
 
-    fn predecoder(&self) -> Option<Predecoder> {
-        self.predecoder.clone()
-    }
-
-    fn cluster_tier(&self) -> Option<crate::cluster::ClusterTier> {
-        if self.cluster != ClusterGate::Off {
-            self.predecoder
+    fn stack(&self) -> DecodeStack<F::Decoder> {
+        DecodeStack {
+            predecoder: self.predecoder.clone(),
+            cluster: self
+                .predecoder
                 .as_ref()
-                .map(crate::cluster::ClusterTier::from_predecoder)
-        } else {
-            None
+                .filter(|_| self.cluster != ClusterGate::Off)
+                .map(ClusterTier::from_predecoder),
+            gate: self.cluster,
+            ..DecodeStack::new(self.factory.build())
         }
-    }
-
-    fn cluster_gate(&self) -> ClusterGate {
-        if self.predecoder.is_some() {
-            self.cluster
-        } else {
-            ClusterGate::Off
-        }
-    }
-
-    fn cluster_gate_threshold(&self) -> f64 {
-        self.gate_threshold
     }
 
     fn validate(&self) -> Result<(), crate::error::ValidationError> {
@@ -1047,11 +1012,11 @@ mod tests {
             let g = g.clone();
             move || UnionFindDecoder::new(g.clone())
         });
-        assert!(tiered.predecoder().is_some());
+        assert!(tiered.stack().predecoder.is_some());
         let plain = Tiered::without_predecode({
             let g = g.clone();
             move || UnionFindDecoder::new(g.clone())
         });
-        assert!(plain.predecoder().is_none());
+        assert!(plain.stack().predecoder.is_none());
     }
 }

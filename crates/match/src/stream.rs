@@ -15,8 +15,9 @@
 //!   rejected rounds are counted separately and never counted as ingested.
 //! - **Decoding** runs on a shared worker pool multiplexing all tenants
 //!   through the zero-allocation [`SparseBatch`] extraction path and the
-//!   engine's reusable per-window core
-//!   ([`decode_window_masks`](crate::decode_window_masks)).
+//!   engine's per-window core: each (worker, tenant) pair decodes through
+//!   its own [`DecodeStack`] from the tenant factory's
+//!   [`DecoderFactory::stack`].
 //! - **Deadlines** drive a three-rung shed ladder, judged by queue age at
 //!   dequeue: in-deadline windows decode in full (rung 0); windows older
 //!   than the deadline take the predecode/cluster-peel fast path (rung 1,
@@ -29,6 +30,14 @@
 //!   on a window past the wedge deadline. A wedged-then-recovered worker
 //!   retries the same window; decoding is a pure function of the window
 //!   bytes, so the retry is bit-identical to the attempt that stalled.
+//! - **Retry policy**: a decoder panic is caught by the engine's
+//!   panic-isolation helper and journaled like a batch-engine fault, but
+//!   the recovery differs on purpose. A batch chunk has no deadline, so the
+//!   engine retries it *down* its rung ladder; a stream window races a
+//!   wall-clock deadline, so the service rebuilds the same stack and
+//!   retries the *same* window up to `max_retries` times, then declares it
+//!   deferred. One executor serving both would have to branch on its
+//!   caller at every step.
 //! - **Accounting invariant**: once drained, every ingested round is
 //!   decoded, shed, or deferred — `rounds_ingested = rounds_decoded +
 //!   rounds_shed + rounds_deferred` — and [`ServiceHealth`] exposes the
@@ -41,12 +50,10 @@
 //! and shed/deferred/rejected *counts* may vary with timing, and those are
 //! reported as distributions, never folded into the masks.
 
-use crate::cluster::ClusterTier;
 use crate::decode::Decoder;
-use crate::engine::{decode_window_masks, DecoderFactory, WindowScratch, WindowStats};
+use crate::engine::{isolate, observe_chunk_fault, DecodeStack, DecoderFactory, WindowStats};
 use crate::error::ValidationError;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::predecode::{ClusterGate, Predecoder};
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
 use caliqec_stab::{
     chunk_seed, for_each_set_bit, BatchEvents, Circuit, RoundStream, SparseBatch, WindowBuilder,
@@ -55,7 +62,6 @@ use caliqec_stab::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -648,26 +654,6 @@ impl<F: DecoderFactory + Send + Sync + 'static> StreamingDecoder<F> {
     }
 }
 
-/// Per-(worker, tenant) decode lane: the decoder plus its front tiers,
-/// built lazily from the tenant's factory and rebuilt after a quarantine.
-struct Lane<D> {
-    decoder: D,
-    predecoder: Option<Predecoder>,
-    cluster: Option<ClusterTier>,
-    gate: ClusterGate,
-    gate_threshold: f64,
-}
-
-fn build_lane<F: DecoderFactory>(factory: &F) -> Lane<F::Decoder> {
-    Lane {
-        decoder: factory.build(),
-        predecoder: factory.predecoder(),
-        cluster: factory.cluster_tier(),
-        gate: factory.cluster_gate(),
-        gate_threshold: factory.cluster_gate_threshold(),
-    }
-}
-
 fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
@@ -677,10 +663,11 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
     idx: usize,
     mut obs: WorkerObs,
 ) {
-    let mut lanes: Vec<Option<Lane<F::Decoder>>> =
+    // Per-tenant decode stacks, built lazily from the tenant's factory and
+    // rebuilt after a quarantined panic.
+    let mut stacks: Vec<Option<DecodeStack<F::Decoder>>> =
         (0..shared.tenants.len()).map(|_| None).collect();
     let mut sparse = SparseBatch::new();
-    let mut scratch = WindowScratch::default();
     loop {
         let job = {
             let mut queue = lock(&shared.queue);
@@ -711,15 +698,7 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
             .fetch_sub(1, Ordering::AcqRel);
 
         obs.begin_chunk(job.seq as u32);
-        process_job(
-            &shared,
-            idx,
-            &mut lanes,
-            &mut sparse,
-            &mut scratch,
-            &mut obs,
-            &job,
-        );
+        process_job(&shared, idx, &mut stacks, &mut sparse, &mut obs, &job);
         slot.busy.store(u64::MAX, Ordering::Release);
         obs.flush();
         lock(&shared.pool).push(job.events);
@@ -730,13 +709,11 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
 /// Decodes (or sheds) one window and records the outcome. The shed rung is
 /// judged once, by queue age at dequeue; injected wedges stall *before*
 /// that judgement so deadline semantics still apply to the retry.
-#[allow(clippy::too_many_arguments)]
 fn process_job<F: DecoderFactory + Send + Sync + 'static>(
     shared: &Shared<F>,
     idx: usize,
-    lanes: &mut [Option<Lane<F::Decoder>>],
+    stacks: &mut [Option<DecodeStack<F::Decoder>>],
     sparse: &mut SparseBatch,
-    scratch: &mut WindowScratch,
     obs: &mut WorkerObs,
     job: &Job,
 ) {
@@ -797,7 +774,7 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
         Some(_) => 0,
     };
 
-    let lane = lanes[job.tenant as usize].get_or_insert_with(|| build_lane(&tenant.factory));
+    let stack = stacks[job.tenant as usize].get_or_insert_with(|| tenant.factory.stack());
     let mut masks = [0u64; BATCH];
     let disposition = match shed_rung {
         2 => {
@@ -811,7 +788,7 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
         1 => {
             let t0 = obs.clock().or_else(|| Some(Instant::now()));
             sparse.extract(&job.events);
-            fast_path_masks(lane, sparse, &mut masks);
+            fast_path_masks(stack, sparse, &mut masks);
             obs.record_since(Hist::WindowDecode, t0);
             obs.event(EventKind::Shed {
                 patch: job.tenant,
@@ -822,29 +799,22 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
         }
         _ => {
             // Full decode, panic-isolated with bounded same-window retries
-            // (quarantine rebuilds the lane — a panicking decoder may have
+            // (quarantine rebuilds the stack — a panicking decoder may have
             // torn scratch state).
             sparse.extract(&job.events);
             loop {
                 let mut stats = WindowStats::default();
                 let started = Instant::now();
-                let lane_ref = &mut *lane;
-                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    decode_window_masks(
-                        &mut lane_ref.decoder,
-                        lane_ref.predecoder.as_mut(),
-                        lane_ref.cluster.as_mut(),
-                        lane_ref.gate,
-                        lane_ref.gate_threshold,
+                let attempt = isolate(|| {
+                    stack.decode_window_masks(
                         sparse,
-                        scratch,
                         &mut WorkerObs::disabled(),
                         Hist::DecodeShotRung0,
                         &mut stats,
                         &mut masks,
                     )
-                }));
-                match caught {
+                });
+                match attempt {
                     Ok(_) => {
                         obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
                         obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
@@ -860,13 +830,9 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
                         }
                         break Disposition::Decoded;
                     }
-                    Err(_) => {
-                        obs.event(EventKind::Fault {
-                            kind: "panic",
-                            rung: 0,
-                        });
-                        obs.add(Counter::FaultsPanic, 1);
-                        *lane = build_lane(&tenant.factory);
+                    Err(fault) => {
+                        observe_chunk_fault(obs, &fault, 0);
+                        *stack = tenant.factory.stack();
                         if retries >= shared.config.max_retries {
                             // Retries exhausted: declare the window
                             // deferred rather than pretend it decoded.
@@ -922,18 +888,22 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
 /// exactly; cluster-peelable structure resolves locally; anything left
 /// keeps an identity mask. Deterministic, bounded work, honest degradation
 /// — the masks are best-effort, never presented as a full decode.
-fn fast_path_masks<D: Decoder>(lane: &mut Lane<D>, sparse: &SparseBatch, masks: &mut [u64; BATCH]) {
+fn fast_path_masks<D: Decoder>(
+    stack: &mut DecodeStack<D>,
+    sparse: &SparseBatch,
+    masks: &mut [u64; BATCH],
+) {
     for (s, mask) in masks.iter_mut().enumerate() {
         let defects = sparse.defects(s);
         if defects.is_empty() {
             *mask = 0;
             continue;
         }
-        if let Some(m) = lane.predecoder.as_mut().and_then(|p| p.predecode(defects)) {
+        if let Some(m) = stack.predecoder.as_mut().and_then(|p| p.predecode(defects)) {
             *mask = m;
             continue;
         }
-        *mask = match lane.cluster.as_mut() {
+        *mask = match stack.cluster.as_mut() {
             // Peeled clusters contribute their certified masks; the
             // residual is left unmatched (identity) — that's the shed.
             Some(cluster) => cluster.decompose(defects).mask,

@@ -158,6 +158,15 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
+    /// Validating form of [`CompiledCircuit::new`]: runs
+    /// [`Circuit::validate`] first, so malformed IR (e.g. from
+    /// [`Circuit::from_ops`]) comes back as a typed [`CircuitError`] instead
+    /// of compiling into a program that panics while sampling.
+    pub fn try_new(circuit: &Circuit) -> Result<CompiledCircuit, CircuitError> {
+        circuit.validate()?;
+        Ok(CompiledCircuit::new(circuit))
+    }
+
     /// Compiles `circuit`.
     pub fn new(circuit: &Circuit) -> CompiledCircuit {
         let mut instrs = Vec::new();

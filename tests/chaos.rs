@@ -5,8 +5,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, EngineRun, FaultKind, FaultPlan, LerEngine, SampleOptions, Tiered,
-    UnionFindDecoder,
+    graph_for_circuit, ClusterGate, Decoder, EngineError, EngineRun, FaultKind, FaultPlan,
+    LerEngine, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{EventKind, ObsSink, Snapshot};
 use caliqec_stab::CompiledCircuit;
@@ -68,7 +68,7 @@ fn run_with(plan: FaultPlan, threads: usize) -> EngineRun {
     let (compiled, factory) = workload();
     LerEngine::new(threads)
         .with_faults(plan)
-        .try_estimate(&compiled, &factory, OPTS, SEED)
+        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
         .expect("engine must recover injected faults on the ladder")
 }
 
@@ -78,7 +78,7 @@ fn run_observed(plan: FaultPlan, threads: usize) -> (EngineRun, Snapshot) {
     let run = LerEngine::new(threads)
         .with_faults(plan)
         .with_obs(sink.clone())
-        .try_estimate(&compiled, &factory, OPTS, SEED)
+        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
         .expect("engine must recover injected faults on the ladder");
     (run, sink.snapshot())
 }
@@ -141,7 +141,7 @@ fn faults_off_reports_zero_faulted_chunks() {
     let (compiled, factory) = workload();
     let empty = LerEngine::new(2)
         .with_faults(FaultPlan::new())
-        .try_estimate(&compiled, &factory, OPTS, SEED)
+        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
         .expect("empty plan cannot fault");
     assert_eq!(empty.faulted_chunks, 0);
     assert_eq!(
@@ -287,7 +287,7 @@ fn cluster_workload() -> (
         let graph = graph.clone();
         move || UnionFindDecoder::new(graph.clone())
     })
-    .with_cluster();
+    .with_cluster_gate(ClusterGate::On);
     (compiled, factory)
 }
 
@@ -305,7 +305,7 @@ fn faulted_cluster_decode_retries_down_the_ladder_bit_identically() {
     let (compiled, factory) = cluster_workload();
     let chaos = LerEngine::new(2)
         .with_faults(FaultPlan::parse("cluster@0").expect("cluster kind parses"))
-        .try_estimate(&compiled, &factory, OPTS, SEED)
+        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
         .expect("a cluster-tier panic must be recovered on the ladder");
     assert_eq!(
         (chaos.estimate.shots, chaos.estimate.failures),
@@ -324,6 +324,56 @@ fn faulted_cluster_decode_retries_down_the_ladder_bit_identically() {
             <= clean.clustered_shots + clean.clusters_total as usize,
         "the rung-1 chunk contributes no clustered shots"
     );
+}
+
+/// A decoder that panics on every nonempty syndrome: no retry with a
+/// rebuilt copy of it can succeed.
+struct Doomed;
+
+impl Decoder for Doomed {
+    fn decode(&mut self, defects: &[usize]) -> u64 {
+        assert!(
+            defects.is_empty(),
+            "doomed decoder saw {} defects",
+            defects.len()
+        );
+        0
+    }
+}
+
+#[test]
+fn no_fallback_ladder_ends_at_rung_one() {
+    quiet_worker_panics();
+    let (compiled, _) = workload();
+    let spec = RunSpec::from(OPTS);
+    // Without a fallback graph, rung 1 is the last rung: the first chunk
+    // that faults there fails the run with a typed error.
+    let result = LerEngine::new(2).try_run(&compiled, &|| Doomed, &spec, SEED);
+    assert!(
+        matches!(result, Err(EngineError::ChunkFailed { rung: 1, .. })),
+        "expected a rung-1 ChunkFailed, got {result:?}"
+    );
+    // With one, rung 2's reference union-find decodes every chunk the
+    // doomed decoder could not, bit-identically to the clean run.
+    let mem = memory_circuit(
+        &rotated_patch(3, 3),
+        &NoiseModel::uniform(3e-3),
+        3,
+        MemoryBasis::Z,
+    );
+    let graph = graph_for_circuit(&mem.circuit);
+    let factory = Tiered::without_predecode(|| Doomed).with_fallback_graph(&graph);
+    let run = LerEngine::new(2)
+        .try_run(&compiled, &factory, &spec, SEED)
+        .expect("rung 2 must recover");
+    let clean = run_clean();
+    assert_eq!(
+        (run.estimate.shots, run.estimate.failures),
+        (clean.estimate.shots, clean.estimate.failures)
+    );
+    assert!(run.rung_chunks[2] > 0);
+    assert_eq!(run.faulted_chunks, 2 * run.rung_chunks[2]);
+    assert_eq!(run.retried_chunks, run.faulted_chunks);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    estimate_ler, graph_for_circuit, ClusterTier, Decoder, LerEngine, MwpmDecoder, Predecoder,
-    SampleOptions, Tiered, UnionFindDecoder, MAX_CLUSTER_DEFECTS,
+    estimate_ler, graph_for_circuit, ClusterGate, ClusterTier, Decoder, LerEngine, MwpmDecoder,
+    Predecoder, SampleOptions, Tiered, UnionFindDecoder, MAX_CLUSTER_DEFECTS,
 };
 use caliqec_stab::{CompiledCircuit, FrameSampler, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -234,7 +234,7 @@ fn golden_engine_fingerprints_cluster_on_off() {
                 let graph = graph.clone();
                 move || UnionFindDecoder::new(graph.clone())
             })
-            .with_cluster(),
+            .with_cluster_gate(ClusterGate::On),
             opts,
             0xF1E1D,
         );

@@ -2,15 +2,15 @@
 //! golden fingerprints — estimate, defect histogram, and per-tier shot
 //! counters — are bit-identical with the sink enabled or disabled, across
 //! decoders (tiered union-find, MWPM), thread counts (1/2/8), and both
-//! entry points (single-graph `estimate` and the epoch-schedule
-//! `estimate_epochs`). The journal itself is deterministic across thread
+//! run sources (a single-graph factory and an `Epochs` schedule). The
+//! journal itself is deterministic across thread
 //! counts, and the Prometheus rendering passes a line-format sanity
 //! parser.
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, EngineRun, EpochSchedule, LerEngine, MatchingGraph, MwpmDecoder,
-    SampleOptions, Tiered, UnionFindDecoder, DEFECT_HIST_BUCKETS,
+    graph_for_circuit, EngineRun, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
+    RunSpec, SampleOptions, Tiered, UnionFindDecoder, DEFECT_HIST_BUCKETS,
 };
 use caliqec_obs::{render_prometheus, ObsSink};
 use caliqec_stab::{CompiledCircuit, RateTable};
@@ -109,17 +109,22 @@ fn mwpm_fingerprints_identical_obs_on_off() {
 #[test]
 fn epoch_entry_point_fingerprints_identical_obs_on_off() {
     let (compiled, graph) = workload(3);
-    let factory = |g: &MatchingGraph| UnionFindDecoder::new(g.clone());
     let mut schedule = EpochSchedule::new(1.0);
     schedule.push(0.0, RateTable::uniform(3e-3));
     schedule.push(0.5, RateTable::uniform(5e-3));
+    let source = Epochs {
+        graph: &graph,
+        schedule: &schedule,
+        factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
+    };
     let mut prints = Vec::new();
     for threads in [1usize, 2, 8] {
         for sink in [ObsSink::disabled(), ObsSink::enabled()] {
             let enabled = sink.is_enabled();
             let run = LerEngine::new(threads)
                 .with_obs(sink)
-                .estimate_epochs(&compiled, &graph, &factory, &schedule, OPTS, SEED);
+                .try_run(&compiled, &source, &RunSpec::from(OPTS), SEED)
+                .unwrap();
             assert_eq!(run.epochs, 2, "threads={threads} obs_enabled={enabled}");
             prints.push((threads, enabled, fingerprint(&run)));
         }

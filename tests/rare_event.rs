@@ -7,10 +7,29 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, LerEngine, RareOptions, SampleOptions, Tiered, UnionFindDecoder,
+    graph_for_circuit, LerEngine, RunSpec, SampleOptions, StopRule, Tiered, UnionFindDecoder,
+    Weighting,
 };
-use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1};
+use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1, RateTable};
 use proptest::prelude::*;
+
+/// An importance-sampled spec at boost `beta` and identity rates over
+/// `min_shots..=max_shots` (0 = `min_shots` is the budget), CI-stopped at
+/// `target_rse` (0 = never).
+fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
+    RunSpec {
+        budget: SampleOptions {
+            min_shots,
+            max_failures: 0,
+            max_shots,
+        },
+        weighting: Weighting::Boosted {
+            beta,
+            rates: RateTable::identity(),
+        },
+        stop: StopRule::TargetRse(target_rse),
+    }
+}
 
 /// Distance-n repetition code, single round, X noise (mirrors the decoder
 /// test fixtures).
@@ -70,17 +89,14 @@ fn beta_one_reproduces_golden_fingerprints_at_any_thread_count() {
             "d={d}: plain golden fingerprint drifted"
         );
         for threads in [1, 2, 8] {
-            let rare = LerEngine::new(threads).estimate_rare(
-                &compiled,
-                &factory,
-                RareOptions {
-                    boost_beta: 1.0,
-                    target_rse: 0.0,
-                    min_shots,
-                    ..Default::default()
-                },
-                0xF1E1D,
-            );
+            let rare = LerEngine::new(threads)
+                .try_run(
+                    &compiled,
+                    &factory,
+                    &boosted(1.0, 0.0, min_shots, 0),
+                    0xF1E1D,
+                )
+                .unwrap();
             assert_eq!(
                 rare.estimate, plain.estimate,
                 "d={d} threads={threads}: beta=1 must be bit-identical to plain"
@@ -101,19 +117,17 @@ fn boosted_runs_are_bit_identical_across_thread_counts() {
     let compiled = CompiledCircuit::new(&c);
     let graph = graph_for_circuit(&c);
     let factory = || UnionFindDecoder::new(graph.clone());
-    let options = RareOptions {
-        boost_beta: 4.0,
-        target_rse: 0.1,
-        min_shots: 2_000,
-        max_shots: 100_000,
-        ..Default::default()
+    let spec = boosted(4.0, 0.1, 2_000, 100_000);
+    let run_at = |threads| {
+        LerEngine::new(threads)
+            .try_run(&compiled, &factory, &spec, 0xBEE)
+            .unwrap()
     };
-    let reference = LerEngine::new(1).estimate_rare(&compiled, &factory, options.clone(), 0xBEE);
+    let reference = run_at(1);
     assert!(reference.ess > 0.0);
     assert!(reference.ci_halfwidth.is_finite());
     for threads in [2, 8] {
-        let run =
-            LerEngine::new(threads).estimate_rare(&compiled, &factory, options.clone(), 0xBEE);
+        let run = run_at(threads);
         assert_eq!(run.estimate, reference.estimate, "threads={threads}");
         assert_eq!(run.chunks_included, reference.chunks_included);
         assert_eq!(run.weighted_failures, reference.weighted_failures);
@@ -148,17 +162,9 @@ proptest! {
             SampleOptions { min_shots: shots, ..Default::default() },
             seed,
         );
-        let rare = LerEngine::new(2).estimate_rare(
-            &compiled,
-            &factory,
-            RareOptions {
-                boost_beta: beta,
-                target_rse: 0.0,
-                min_shots: shots,
-                ..Default::default()
-            },
-            seed,
-        );
+        let rare = LerEngine::new(2)
+            .try_run(&compiled, &factory, &boosted(beta, 0.0, shots, 0), seed)
+            .unwrap();
         prop_assert!(rare.ess > 0.0);
         prop_assert!(rare.ess <= rare.estimate.shots as f64);
         prop_assert!(rare.ci_halfwidth.is_finite());

@@ -16,8 +16,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, Decoder, EpochSchedule, LerEngine, MatchingGraph, MwpmDecoder, Predecoder,
-    SampleOptions, Tiered, UnionFindDecoder,
+    graph_for_circuit, Decoder, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
+    Predecoder, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{extract_dem, CompiledCircuit, FrameSampler, RateTable, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -220,14 +220,14 @@ fn identity_reweight_preserves_engine_fingerprints() {
             );
             // The calibration-epoch entry point with an identity schedule
             // is the same computation again.
-            let epoch_run = LerEngine::new(threads).estimate_epochs(
-                &compiled,
-                &graph,
-                &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-                &EpochSchedule::new(1.0),
-                opts,
-                seed,
-            );
+            let source = Epochs {
+                graph: &graph,
+                schedule: &EpochSchedule::new(1.0),
+                factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
+            };
+            let epoch_run = LerEngine::new(threads)
+                .try_run(&compiled, &source, &RunSpec::from(opts), seed)
+                .unwrap();
             assert_eq!(
                 (epoch_run.estimate.shots, epoch_run.estimate.failures),
                 uf_expect,

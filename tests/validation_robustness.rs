@@ -5,9 +5,9 @@
 
 use caliqec_match::{
     graph_for_circuit, Edge, EngineError, LerEngine, MatchingGraph, MwpmDecoder,
-    ReferenceUnionFind, SampleOptions, Tiered, UnionFindDecoder,
+    ReferenceUnionFind, RunSpec, SampleOptions, StopRule, Tiered, UnionFindDecoder, Weighting,
 };
-use caliqec_stab::{Basis, Circuit, MeasIdx, Noise1, Op};
+use caliqec_stab::{Basis, Circuit, CompiledCircuit, MeasIdx, Noise1, Op, RateTable};
 use proptest::prelude::*;
 
 const MAX_DETECTORS: usize = 5;
@@ -98,8 +98,9 @@ proptest! {
         prop_assert_eq!(verdict.is_ok(), reference.is_ok());
     }
 
-    /// A circuit that fails validation is rejected by the engine's IR entry
-    /// point with a typed `EngineError::Circuit` — never a panic.
+    /// A circuit that fails validation is rejected by the validating
+    /// compile, `CompiledCircuit::try_new`, before any engine run: the
+    /// typed error converts into `EngineError::Circuit` — never a panic.
     #[test]
     fn malformed_circuits_yield_typed_errors(
         ops in prop::collection::vec(op_strategy(), 0..12),
@@ -107,18 +108,54 @@ proptest! {
         let circuit = Circuit::from_ops(3, ops);
         if circuit.validate().is_err() {
             let (_, graph) = valid_workload();
-            let result = LerEngine::new(1).try_estimate_circuit(
-                &circuit,
-                &|| UnionFindDecoder::new(graph.clone()),
-                TINY,
-                7,
-            );
+            let result = CompiledCircuit::try_new(&circuit)
+                .map_err(EngineError::from)
+                .and_then(|compiled| {
+                    LerEngine::new(1).try_run(
+                        &compiled,
+                        &|| UnionFindDecoder::new(graph.clone()),
+                        &RunSpec::from(TINY),
+                        7,
+                    )
+                });
             prop_assert!(matches!(result, Err(EngineError::Circuit(_))));
         }
     }
 
+    /// Run specs with a non-finite or sub-unit boost, a non-finite or
+    /// negative RSE target, or a failure cap the stop rule contradicts are
+    /// rejected with a typed `EngineError::Options` before any sampling.
+    #[test]
+    fn malformed_run_specs_yield_typed_errors(
+        beta in prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(0.5), Just(-1.0), Just(2.0)],
+        rse in prop_oneof![Just(f64::NAN), Just(-0.1), Just(f64::INFINITY), Just(0.1)],
+    ) {
+        let (circuit, graph) = valid_workload();
+        let compiled = CompiledCircuit::try_new(&circuit).unwrap();
+        let factory = || UnionFindDecoder::new(graph.clone());
+        let spec = RunSpec {
+            weighting: Weighting::Boosted { beta, rates: RateTable::identity() },
+            stop: StopRule::TargetRse(rse),
+            ..RunSpec::from(TINY)
+        };
+        let result = LerEngine::new(1).try_run(&compiled, &factory, &spec, 5);
+        let valid = beta.is_finite() && beta >= 1.0 && rse.is_finite() && rse >= 0.0;
+        prop_assert_eq!(result.is_ok(), valid);
+        let typed = matches!(result, Err(EngineError::Options { .. }));
+        prop_assert_eq!(typed, !valid);
+        let contradictory = RunSpec {
+            budget: SampleOptions { max_failures: 3, ..TINY },
+            ..RunSpec::from(TINY)
+        };
+        let rejected = matches!(
+            LerEngine::new(1).try_run(&compiled, &factory, &contradictory, 5),
+            Err(EngineError::Options { .. })
+        );
+        prop_assert!(rejected);
+    }
+
     /// A factory carrying a malformed graph is rejected up front by
-    /// `try_estimate` (typed `EngineError::Graph`), and `Tiered::try_new`
+    /// `try_run` (typed `EngineError::Graph`), and `Tiered::try_new`
     /// refuses to build predecode tables over it.
     #[test]
     fn poisoned_factories_are_rejected(
@@ -134,10 +171,10 @@ proptest! {
             };
             prop_assert!(Tiered::try_new(&bad, make.clone()).is_err());
             let factory = Tiered::new(&graph, make).with_fallback_graph(&bad);
-            let result = LerEngine::new(1).try_estimate(
-                &caliqec_stab::CompiledCircuit::new(&circuit),
+            let result = LerEngine::new(1).try_run(
+                &CompiledCircuit::new(&circuit),
                 &factory,
-                TINY,
+                &RunSpec::from(TINY),
                 3,
             );
             prop_assert!(matches!(result, Err(EngineError::Graph(_))));
