@@ -118,7 +118,8 @@ fn matching_fragment<'a>(old_json: &'a str, new_frag: &str) -> Option<&'a str> {
 
 /// Renders the per-config speedup table of this run's JSON against a vetted
 /// baseline (old/new decode seconds and shots-per-second, with ratios).
-/// Rows match on `(d, threads)` via [`matching_fragment`].
+/// Rows match on `(d, threads)`, or on `d` alone for a baseline whose
+/// rows carry no thread count.
 pub fn compare_table(new_json: &str, old_json: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -284,13 +284,6 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
                     .to_string(),
             ));
         }
-        if config.drift_aware {
-            return Err(CliError::Usage(
-                "--rare-event and --drift-aware are mutually exclusive \
-                 (the epoch-reweighted decode path samples at nominal rates)"
-                    .to_string(),
-            ));
-        }
         if !config.boost_beta.is_finite() || config.boost_beta < 1.0 {
             return Err(CliError::Usage(format!(
                 "--boost-beta wants a finite factor >= 1, got {}",
@@ -677,7 +670,9 @@ USAGE:
       95% CI half-width falls to --target-rse of the estimate (default
       0.1; <= 0 runs the full budget). --boost-beta 1 --target-rse 0
       reproduces the plain-MC trace byte for byte; estimator health
-      (shots, ESS, max CI half-width) is reported on stderr.
+      (shots, ESS, max CI half-width) is reported on stderr. It composes
+      with --drift-aware, which decodes the same boosted shots on the
+      reweighted graph.
       --faults SPEC (or the CALIQEC_FAULTS environment variable) injects
       decoder faults as kind@chunk[,kind@chunk...] with kinds panic,
       stall, corrupt, badweights; the engine recovers them on its

@@ -271,7 +271,7 @@ pub fn run_runtime_observed(
             report.retried_chunks += run.retried_chunks;
             report.degraded_shots += run.degraded_shots;
             report.reweight_seconds += run.reweight_seconds;
-            if config.rare_event && !config.drift_aware {
+            if config.rare_event {
                 report.rare_shots += run.estimate.shots;
                 report.rare_ess += run.ess;
                 report.rare_max_ci = report.rare_max_ci.max(run.ci_halfwidth);
@@ -358,35 +358,41 @@ fn measure_point_ler(
         engine = engine.with_faults(plan.clone());
     }
     let factory = || UnionFindDecoder::new(graph.clone());
-    let spec = if config.rare_event {
-        // A quarter of the budget must decode before the CI rule may fire,
-        // so a lucky early chunk can never stop a run on noise alone.
-        RunSpec {
-            budget: SampleOptions {
-                min_shots: (config.mc_shots / 4).max(256).min(config.mc_shots),
-                max_failures: 0,
-                max_shots: config.mc_shots,
-            },
-            weighting: Weighting::Boosted {
-                beta: config.boost_beta,
-                rates: RateTable::identity(),
-            },
-            stop: StopRule::TargetRse(config.target_rse.max(0.0)),
-        }
-    } else {
-        RunSpec::from(SampleOptions {
-            min_shots: config.mc_shots,
-            ..SampleOptions::default()
-        })
-    };
     engine
         .try_run(
             &CompiledCircuit::new(&mem.circuit),
             &factory,
-            &spec,
+            &point_spec(config),
             chunk_seed(0xCA11_0EC5, point_index),
         )
         .expect("engine run failed")
+}
+
+/// The run spec of one measured trace point, shared by both measurement
+/// paths: plain Monte Carlo over `mc_shots`, or with `config.rare_event` an
+/// importance-sampled run at `config.boost_beta` that treats `mc_shots` as
+/// a ceiling and may stop early at `config.target_rse`.
+fn point_spec(config: &CaliqecConfig) -> RunSpec {
+    if !config.rare_event {
+        return RunSpec::from(SampleOptions {
+            min_shots: config.mc_shots,
+            ..SampleOptions::default()
+        });
+    }
+    // A quarter of the budget must decode before the CI rule may fire, so a
+    // lucky early chunk can never stop a run on noise alone.
+    RunSpec {
+        budget: SampleOptions {
+            min_shots: (config.mc_shots / 4).max(256).min(config.mc_shots),
+            max_failures: 0,
+            max_shots: config.mc_shots,
+        },
+        weighting: Weighting::Boosted {
+            beta: config.boost_beta,
+            rates: RateTable::identity(),
+        },
+        stop: StopRule::TargetRse(config.target_rse.max(0.0)),
+    }
 }
 
 /// Calibration-aware variant of [`measure_point_ler`]: the matching graph
@@ -398,7 +404,8 @@ fn measure_point_ler(
 /// measured trace matches [`measure_point_ler`] exactly; only the decode
 /// setup cost (reported as `reweight_seconds`) differs. The sampled
 /// circuit is still regenerated per point — physical noise must drift even
-/// when the decoder updates incrementally.
+/// when the decoder updates incrementally. The run spec is the same
+/// [`point_spec`], so `config.rare_event` importance-samples this path too.
 #[allow(clippy::too_many_arguments)]
 fn measure_point_ler_drift_aware(
     layout: &PatchLayout,
@@ -430,15 +437,11 @@ fn measure_point_ler_drift_aware(
         schedule: &schedule,
         factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
     };
-    let spec = RunSpec::from(SampleOptions {
-        min_shots: config.mc_shots,
-        ..SampleOptions::default()
-    });
     engine
         .try_run(
             &CompiledCircuit::new(&mem.circuit),
             &source,
-            &spec,
+            &point_spec(config),
             chunk_seed(0xCA11_0EC5, point_index),
         )
         .expect("engine run failed")
@@ -596,40 +599,55 @@ mod tests {
         config.threads = 2;
         let plain = run_runtime(&device, Some(&plan), &config, 8.0, 4);
         assert_eq!(plain.rare_shots, 0, "plain runs keep rare counters zero");
+        let ms_plain: Vec<_> = plain.trace.iter().map(|p| p.measured_ler).collect();
         config.rare_event = true;
         config.boost_beta = 1.0;
         config.target_rse = 0.0;
-        let rare = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        let ms_plain: Vec<_> = plain.trace.iter().map(|p| p.measured_ler).collect();
-        let ms_rare: Vec<_> = rare.trace.iter().map(|p| p.measured_ler).collect();
-        assert_eq!(
-            ms_plain, ms_rare,
-            "beta=1, target_rse=0 must reproduce the plain trace bit for bit"
-        );
-        // Unit weights: the ESS of every measurement equals its shot count.
-        assert_eq!(rare.rare_ess, rare.rare_shots as f64);
-        assert!(rare.rare_shots > 0);
-        assert!(rare.rare_max_ci.is_finite());
+        for drift_aware in [false, true] {
+            config.drift_aware = drift_aware;
+            let rare = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+            let ms_rare: Vec<_> = rare.trace.iter().map(|p| p.measured_ler).collect();
+            assert_eq!(
+                ms_plain, ms_rare,
+                "drift_aware={drift_aware}: beta=1, target_rse=0 must reproduce \
+                 the plain trace bit for bit"
+            );
+            // Unit weights: the ESS of every measurement equals its shot count.
+            assert_eq!(rare.rare_ess, rare.rare_shots as f64);
+            assert!(rare.rare_shots > 0, "drift_aware={drift_aware}");
+            assert!(rare.rare_max_ci.is_finite());
+        }
     }
 
     #[test]
     fn boosted_rare_trace_is_thread_count_independent_and_healthy() {
         let (device, plan, mut config) = setup(true);
         config.mc_shots = 2_048;
-        config.threads = 1;
         config.rare_event = true;
         config.boost_beta = 4.0;
         config.target_rse = 0.2;
-        let a = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        config.threads = 2;
-        let b = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        let ms_a: Vec<_> = a.trace.iter().map(|p| p.measured_ler).collect();
-        let ms_b: Vec<_> = b.trace.iter().map(|p| p.measured_ler).collect();
-        assert!(ms_a.iter().all(|m| m.is_some()));
-        assert_eq!(ms_a, ms_b, "rare trace must not depend on thread count");
-        assert_eq!((a.rare_shots, a.rare_ess), (b.rare_shots, b.rare_ess));
-        assert!(a.rare_ess > 0.0 && a.rare_ess <= a.rare_shots as f64);
-        assert!(a.rare_max_ci.is_finite());
+        let mut plain_graph = None;
+        for drift_aware in [false, true] {
+            config.drift_aware = drift_aware;
+            config.threads = 1;
+            let a = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+            config.threads = 2;
+            let b = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+            let ms_a: Vec<_> = a.trace.iter().map(|p| p.measured_ler).collect();
+            let ms_b: Vec<_> = b.trace.iter().map(|p| p.measured_ler).collect();
+            assert!(ms_a.iter().all(|m| m.is_some()));
+            assert_eq!(ms_a, ms_b, "rare trace must not depend on thread count");
+            assert_eq!((a.rare_shots, a.rare_ess), (b.rare_shots, b.rare_ess));
+            assert!(a.rare_ess > 0.0 && a.rare_ess <= a.rare_shots as f64);
+            assert!(a.rare_max_ci.is_finite());
+            // The reweighted graph equals a fresh one, so the drift-aware
+            // path must reproduce the plain-graph rare run exactly.
+            let summary = (ms_a, a.rare_shots, a.rare_ess);
+            match &plain_graph {
+                None => plain_graph = Some(summary),
+                Some(want) => assert_eq!(&summary, want, "drift-aware rare run drifted"),
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub const LSC_CONGESTION: f64 = 0.18;
 /// `calibration_events_per_hour` and `t_cali_hours` describe the calibration
 /// schedule. LSC's logical state transfers occupy routing corridors and
 /// staging patches while a calibration is in flight, slowing the
-/// lattice-surgery fabric by [`LSC_CONGESTION`] for the utilized fraction of
+/// lattice-surgery fabric by `LSC_CONGESTION` for the utilized fraction of
 /// the run (plus the per-move logical-SWAP latency). QECali calibrates in
 /// situ and the no-calibration baseline never calibrates: both run at the
 /// baseline time.

@@ -27,7 +27,7 @@ impl BenchProgram {
     }
 
     /// Hubbard model simulation on an `nx × ny` site lattice (paper
-    /// benchmark [3]); two logical qubits per site, gate counts fitted
+    /// benchmark \[3\]); two logical qubits per site, gate counts fitted
     /// through the paper's 10×10 and 20×20 anchors.
     pub fn hubbard(nx: usize, ny: usize) -> BenchProgram {
         let sites = (nx * ny) as f64;
@@ -40,7 +40,7 @@ impl BenchProgram {
     }
 
     /// Jellium (uniform electron gas) simulation with `n` spin orbitals
-    /// (paper benchmark [61]); fitted through the 250 and 1024 anchors.
+    /// (paper benchmark \[61\]); fitted through the 250 and 1024 anchors.
     pub fn jellium(n: usize) -> BenchProgram {
         let x = n as f64 / 250.0;
         BenchProgram {
@@ -64,7 +64,7 @@ impl BenchProgram {
     }
 
     /// FeMoCo catalyst ground-state estimation, the paper's flagship
-    /// quantum-chemistry motivation [40] (tensor-hypercontraction resource
+    /// quantum-chemistry motivation \[40\] (tensor-hypercontraction resource
     /// figures from Lee et al. 2021).
     pub fn femoco() -> BenchProgram {
         BenchProgram {

@@ -12,9 +12,11 @@
 //!   64-shot batch `b` (numbered globally across the run) samples from its
 //!   own RNG seeded by [`chunk_seed`]`(base_seed, b)`. Per-*batch* seeding
 //!   makes batches independent streams, which lets a chunk sample
-//!   [`LANES`] of them in SIMD lockstep ([`CompiledCircuit::sample_batches_wide_into`])
-//!   while each batch stays bit-identical to a narrow
-//!   `sample_batch_into` replay with the same seed.
+//!   [`LANES`] of them in SIMD lockstep and its tail one at a time
+//!   ([`CompiledCircuit::sample_lanes_into`], which also fills the
+//!   per-shot weights of a boosted program) while each batch stays
+//!   bit-identical to a narrow `sample_batch_into` replay with the same
+//!   seed.
 //! - Early stopping ([`StopRule::Failures`], [`StopRule::TargetRse`]) is
 //!   resolved at chunk granularity: the run is cut at the *first* chunk
 //!   whose prefix `0..=k` meets the rule, and only chunks up to the cut
@@ -1075,11 +1077,11 @@ fn run_chunk<D: Decoder>(
         1 => Hist::DecodeShotRung1,
         _ => Hist::DecodeShotRung2,
     };
-    // Boosted programs sample under importance weights: the weighted
-    // sampler variants fill per-lane LLR buffers, and every shot's weight
-    // is folded into the Σw/Σw² accumulators below. Retries re-run the
-    // same boosted program with the same seeds, so a degraded chunk
-    // reproduces identical weights.
+    // Boosted programs sample under importance weights: the sampler fills
+    // the per-lane LLR buffers, and every shot's weight is folded into the
+    // Σw/Σw² accumulators below. Retries re-run the same boosted program
+    // with the same seeds, so a degraded chunk reproduces identical
+    // weights.
     let weighted = compiled.is_boosted();
     let mut result = ChunkResult {
         batches,
@@ -1105,28 +1107,22 @@ fn run_chunk<D: Decoder>(
     let seed = |b: usize| StdRng::seed_from_u64(chunk_seed(plan.base_seed, first_batch + b as u64));
     let mut b = 0usize;
     while b < batches {
-        // Sample up to LANES batches in lockstep. Each lane is an
-        // independent per-batch RNG stream, so the wide path and the
-        // narrow tail produce bit-identical words for a given batch index
-        // — only the sampling throughput differs.
-        let lanes = LANES.min(batches - b);
+        // Sample the next lane group: LANES batches in lockstep, or one
+        // batch of the chunk's tail. Each lane is an independent per-batch
+        // RNG stream, so both group sizes produce bit-identical words for a
+        // given batch index — only the sampling throughput differs.
+        let lanes = if batches - b >= LANES { LANES } else { 1 };
         let t0 = Instant::now();
         if lanes == LANES {
             let mut rngs: [StdRng; LANES] = std::array::from_fn(|l| seed(b + l));
-            if weighted {
-                compiled.sample_batches_wide_weighted_into(wide, &mut rngs, lane_events, llr);
-            } else {
-                compiled.sample_batches_wide_into(wide, &mut rngs, lane_events);
-            }
+            compiled.sample_lanes_into(wide, &mut rngs, lane_events, llr);
         } else {
-            for (l, ev) in lane_events[..lanes].iter_mut().enumerate() {
-                let mut rng = seed(b + l);
-                if weighted {
-                    compiled.sample_batch_weighted_into(state, &mut rng, ev, &mut llr[l]);
-                } else {
-                    compiled.sample_batch_into(state, &mut rng, ev);
-                }
-            }
+            compiled.sample_lanes_into(
+                state,
+                &mut [seed(b)],
+                std::array::from_mut(&mut lane_events[0]),
+                std::array::from_mut(&mut llr[0]),
+            );
         }
         result.sample_seconds += t0.elapsed().as_secs_f64();
         b += lanes;

@@ -388,8 +388,8 @@ fn scheduled(plan: Option<&FaultPlan>, kind: FaultKind, index: u64) -> bool {
     })
 }
 
-/// The streaming decode service. See the [module docs](self) for the
-/// architecture; the lifecycle is [`StreamingDecoder::start`] →
+/// The streaming decode service (DESIGN.md §14 describes the
+/// architecture). The lifecycle is [`StreamingDecoder::start`] →
 /// [`StreamingDecoder::push_round`] (any number of times) →
 /// [`StreamingDecoder::drain`] (optional) → [`StreamingDecoder::shutdown`].
 pub struct StreamingDecoder<F: DecoderFactory + Send + Sync + 'static> {

@@ -4,7 +4,7 @@
 //! All four render from a [`Snapshot`], so they can run long after the
 //! engine finished and never touch the record path. JSON is hand-rolled —
 //! the repo deliberately has no serialization dependency — and every
-//! string that reaches the output goes through [`json_escape`].
+//! string that reaches the output goes through `json_escape`.
 
 use crate::journal::{Event, EventKind};
 use crate::metrics::HistSnapshot;

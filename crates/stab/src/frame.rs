@@ -308,29 +308,6 @@ impl FrameSampler {
             .sample_batch_into(&mut self.state, rng, &mut self.events);
         self.events.clone()
     }
-
-    /// Samples at least `min_shots` shots and returns
-    /// `(shots, logical_error_counts_per_observable)` where a logical error is
-    /// any shot whose observable event bit is set.
-    ///
-    /// This raw counter ignores decoding; use the decoder crate to count
-    /// *residual* logical errors after correction. For the thread-parallel
-    /// variant see [`CompiledCircuit::count_raw_observable_flips`].
-    pub fn count_raw_observable_flips<R: Rng>(
-        &mut self,
-        min_shots: usize,
-        rng: &mut R,
-    ) -> (usize, Vec<usize>) {
-        let batches = min_shots.div_ceil(BATCH).max(1);
-        let mut counts = vec![0usize; self.compiled.num_observables()];
-        for _ in 0..batches {
-            let ev = self.sample_batch(rng);
-            for (c, w) in counts.iter_mut().zip(&ev.observables) {
-                *c += w.count_ones() as usize;
-            }
-        }
-        (batches * BATCH, counts)
-    }
 }
 
 /// The original op-by-op Pauli-frame sampler, kept as the reference
@@ -501,28 +478,6 @@ impl<'c> InterpretingSampler<'c> {
         }
         events
     }
-
-    /// Samples at least `min_shots` shots and returns
-    /// `(shots, logical_error_counts_per_observable)` where a logical error is
-    /// any shot whose observable event bit is set.
-    ///
-    /// This raw counter ignores decoding; use the decoder crate to count
-    /// *residual* logical errors after correction.
-    pub fn count_raw_observable_flips<R: Rng>(
-        &mut self,
-        min_shots: usize,
-        rng: &mut R,
-    ) -> (usize, Vec<usize>) {
-        let batches = min_shots.div_ceil(BATCH);
-        let mut counts = vec![0usize; self.circuit.num_observables()];
-        for _ in 0..batches {
-            let ev = self.sample_batch(rng);
-            for (c, w) in counts.iter_mut().zip(&ev.observables) {
-                *c += w.count_ones() as usize;
-            }
-        }
-        (batches * BATCH, counts)
-    }
 }
 
 #[cfg(test)]
@@ -658,16 +613,6 @@ mod tests {
         let mut sampler = FrameSampler::new(&c);
         let ev = sampler.sample_batch(&mut rng);
         assert_eq!(ev.detectors[0], 0);
-    }
-
-    #[test]
-    fn raw_flip_counter_counts() {
-        let c = noisy_rep_circuit(1.0); // every data qubit always flipped
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut sampler = FrameSampler::new(&c);
-        let (shots, counts) = sampler.count_raw_observable_flips(100, &mut rng);
-        assert_eq!(shots, 128);
-        assert_eq!(counts[0], 128); // d0 always flipped => observable always flips
     }
 
     #[test]

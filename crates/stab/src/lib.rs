@@ -13,10 +13,10 @@
 //! - [`SparseBatch`]: word-sparse, allocation-free extraction of per-shot
 //!   defect lists and observable masks from a sampled batch — the
 //!   decoder-facing hot path of the LER engine.
-//! - [`CompiledCircuit`] / [`FrameState`]: the one-time-compiled form of a
+//! - [`CompiledCircuit`] / [`Frames`]: the one-time-compiled form of a
 //!   circuit backing `FrameSampler`, shareable by `&` across threads with
-//!   one cheap `FrameState` per worker — the substrate of the parallel LER
-//!   engine in `caliqec-match`.
+//!   one cheap `Frames` scratch per worker — the substrate of the parallel
+//!   LER engine in `caliqec-match`.
 //! - [`extract_dem`] / [`DetectorErrorModel`]: reduction of a noisy circuit
 //!   to its error mechanisms, the decoder-facing interface.
 //!
@@ -62,7 +62,7 @@ mod text;
 
 pub use circuit::{Basis, Circuit, DetIdx, Gate1, Gate2, MeasIdx, Noise1, Noise2, Op};
 pub use compiled::{
-    chunk_seed, resolve_threads, CompiledCircuit, FrameState, WideFrameState, LANES,
+    chunk_seed, resolve_threads, CompiledCircuit, FrameState, Frames, WideFrameState, LANES,
 };
 pub use dem::{extract_dem, DetectorErrorModel, ErrorMechanism, ErrorSource, SourceContribution};
 pub use error::CircuitError;
