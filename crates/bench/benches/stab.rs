@@ -92,7 +92,7 @@ fn bench_sample_simd(c: &mut Criterion) {
 fn bench_dem_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("dem_extraction");
     group.sample_size(10);
-    for d in [3usize, 5, 7] {
+    for d in [3usize, 5, 7, 11, 15] {
         let mem = memory(d);
         group.bench_with_input(BenchmarkId::new("memory_z", d), &mem, |b, mem| {
             b.iter(|| extract_dem(&mem.circuit));

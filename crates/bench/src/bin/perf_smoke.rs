@@ -18,6 +18,14 @@
 //! (including `--compare`) must treat the fields as optional rather than
 //! read zeros that were never measured.
 //!
+//! Each config row also carries its one-off set-up costs, timed once per
+//! distance and shared by both thread rows: `dem_seconds` (`extract_dem`),
+//! `graph_seconds` (`MatchingGraph::from_dem`), `compile_seconds`
+//! (`CompiledCircuit::new`) and `tables_seconds` (`Tiered::new`'s
+//! predecoder tables plus one build of the cluster tier's widened tables,
+//! which every engine worker repeats inside the run unless the gate is
+//! off).
+//!
 //! The binary also asserts the engine's accounting invariants and exits
 //! nonzero when they fail: the four tiers must partition the shot budget,
 //! the defect histogram must sum to the shots, the cluster-size histogram
@@ -40,12 +48,13 @@
 use caliqec_bench::compare::{compare_table, load_baseline, regression_warnings};
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, ClusterGate, LerEngine, SampleOptions, Tiered, UnionFindDecoder,
+    ClusterGate, ClusterTier, LerEngine, MatchingGraph, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{Hist, HistSnapshot, ObsSink};
-use caliqec_stab::CompiledCircuit;
+use caliqec_stab::{extract_dem, CompiledCircuit};
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Warn when a compared percentile or decode time regresses by more than
 /// this ratio (new > old × threshold).
@@ -82,6 +91,13 @@ fn percentile_fields(prefix: &str, h: &HistSnapshot) -> String {
         us(0.99),
         h.max_nanos as f64 / 1e3,
     )
+}
+
+/// Runs `f`, returning its result and wall seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
 }
 
 /// Renders a histogram slice as a JSON array body.
@@ -139,8 +155,24 @@ fn main() -> ExitCode {
             d,
             MemoryBasis::Z,
         );
-        let compiled = CompiledCircuit::new(&mem.circuit);
-        let graph = graph_for_circuit(&mem.circuit);
+        let (compiled, compile_seconds) = timed(|| CompiledCircuit::new(&mem.circuit));
+        let (dem, dem_seconds) = timed(|| extract_dem(&mem.circuit));
+        let (graph, graph_seconds) = timed(|| MatchingGraph::from_dem(&dem));
+        drop(dem);
+        let (tiered, tables_seconds) = timed(|| {
+            if gate != ClusterGate::Off {
+                std::hint::black_box(ClusterTier::new(&graph));
+            }
+            Tiered::new(&graph, {
+                let graph = graph.clone();
+                move || UnionFindDecoder::new(graph.clone())
+            })
+            .with_cluster_gate(gate)
+        });
+        eprintln!(
+            "perf_smoke: d={d} set-up: dem {dem_seconds:.3}s, graph {graph_seconds:.3}s, \
+             compile {compile_seconds:.3}s, tables {tables_seconds:.3}s"
+        );
         // Every config gets a second row pinned to 8 workers so the
         // checked-in JSON tracks parallel scaling across commits (skipped
         // when the primary row already resolves to 8 threads — the results
@@ -162,11 +194,7 @@ fn main() -> ExitCode {
             );
             let run = engine.estimate(
                 &compiled,
-                &Tiered::new(&graph, {
-                    let graph = graph.clone();
-                    move || UnionFindDecoder::new(graph.clone())
-                })
-                .with_cluster_gate(gate),
+                &tiered,
                 SampleOptions {
                     min_shots: shots,
                     ..Default::default()
@@ -269,6 +297,8 @@ fn main() -> ExitCode {
                     "\"cluster_gate_on\": {}, \"cluster_gate_off\": {}, ",
                     "\"residual_shots\": {}, \"reweight_seconds\": {:.6}, ",
                     "\"epochs\": {}, ",
+                    "\"dem_seconds\": {:.6}, \"graph_seconds\": {:.6}, ",
+                    "\"compile_seconds\": {:.6}, \"tables_seconds\": {:.6}, ",
                     "{}{}{}",
                     "\"defect_histogram\": [{}], ",
                     "\"cluster_size_histogram\": [{}]}}"
@@ -297,6 +327,10 @@ fn main() -> ExitCode {
                 run.residual_shots,
                 run.reweight_seconds,
                 run.epochs,
+                dem_seconds,
+                graph_seconds,
+                compile_seconds,
+                tables_seconds,
                 percentile_fields("tier1", &tier1),
                 percentile_fields("cluster", &cluster_hist),
                 percentile_fields("tier2", &tier2),

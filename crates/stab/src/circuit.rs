@@ -288,7 +288,17 @@ impl Circuit {
 
     /// Accumulates the listed measurement records into logical observable
     /// `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is 64 or more (observables are 64-bit masks), or
+    /// if any record index refers to a measurement that has not yet been
+    /// appended.
     pub fn observable(&mut self, index: usize, meas: &[MeasIdx]) -> &mut Self {
+        assert!(
+            index < 64,
+            "observable index {index} exceeds the 64-bit observable mask"
+        );
         for m in meas {
             assert!(
                 m.0 < self.num_measurements,
@@ -534,6 +544,14 @@ mod tests {
     fn detector_cannot_reference_future() {
         let mut c = Circuit::new(1);
         c.detector(&[MeasIdx(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit observable mask")]
+    fn observable_index_checked() {
+        let mut c = Circuit::new(1);
+        let m = c.measure(0, Basis::Z, 0.0);
+        c.observable(64, &[m]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! with `rec[-n]` lookback targets.
 
 use crate::circuit::{Basis, Circuit, Gate1, Gate2, MeasIdx, Noise1, Noise2, Op};
+use crate::error::{check_probability, CircuitError};
 use std::fmt::Write as _;
 
 /// Error produced when parsing circuit text.
@@ -148,7 +149,10 @@ pub fn to_stim_text(circuit: &Circuit) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseCircuitError`] with the offending line for unsupported
-/// instructions, malformed arguments, or out-of-range `rec[...]` lookbacks.
+/// instructions, malformed arguments, probabilities that are not finite or
+/// not in `[0, 1]`, two-qubit targets that repeat a qubit, observable
+/// indices that are not integers in `0..64`, or out-of-range `rec[...]`
+/// lookbacks.
 pub fn from_stim_text(text: &str) -> Result<Circuit, ParseCircuitError> {
     // First pass: find the qubit count.
     let mut max_qubit: u32 = 0;
@@ -217,6 +221,34 @@ pub fn from_stim_text(text: &str) -> Result<Circuit, ParseCircuitError> {
             .collect();
         let qubits = qubits?;
         let recs = recs?;
+        let fail = |message: String| ParseCircuitError {
+            line: lineno,
+            message,
+        };
+        // A noise rate or readout-flip probability; absent means 0.
+        let probability = || -> Result<f64, ParseCircuitError> {
+            let p = arg.unwrap_or(0.0);
+            check_probability(p).map_err(|e| fail(e.to_string()))?;
+            Ok(p)
+        };
+        // Two-qubit targets: an even count, each pair on distinct qubits.
+        let pairs = || -> Result<Vec<(u32, u32)>, ParseCircuitError> {
+            if qubits.len() % 2 != 0 {
+                return Err(fail(format!("{name} needs an even number of targets")));
+            }
+            qubits
+                .chunks(2)
+                .map(|p| {
+                    if p[0] == p[1] {
+                        Err(fail(
+                            CircuitError::DuplicatePairTarget { qubit: p[0] }.to_string(),
+                        ))
+                    } else {
+                        Ok((p[0], p[1]))
+                    }
+                })
+                .collect()
+        };
 
         let g1 = |g: Gate1, c: &mut Circuit| {
             c.g1_all(g, &qubits);
@@ -229,19 +261,13 @@ pub fn from_stim_text(text: &str) -> Result<Circuit, ParseCircuitError> {
             "S" => g1(Gate1::S, &mut circuit),
             "S_DAG" => g1(Gate1::SDag, &mut circuit),
             "CX" | "CNOT" | "CZ" | "SWAP" => {
-                if qubits.len() % 2 != 0 {
-                    return Err(ParseCircuitError {
-                        line: lineno,
-                        message: format!("{name} needs an even number of targets"),
-                    });
-                }
                 let gate = match name {
                     "CX" | "CNOT" => Gate2::Cx,
                     "CZ" => Gate2::Cz,
                     _ => Gate2::Swap,
                 };
-                for pair in qubits.chunks(2) {
-                    circuit.g2(gate, pair[0], pair[1]);
+                for (a, b) in pairs()? {
+                    circuit.g2(gate, a, b);
                 }
             }
             "R" => {
@@ -252,8 +278,9 @@ pub fn from_stim_text(text: &str) -> Result<Circuit, ParseCircuitError> {
             }
             "M" | "MX" => {
                 let basis = if name == "M" { Basis::Z } else { Basis::X };
+                let flip = probability()?;
                 for &q in &qubits {
-                    meas.push(circuit.measure(q, basis, arg.unwrap_or(0.0)));
+                    meas.push(circuit.measure(q, basis, flip));
                 }
             }
             "X_ERROR" | "Y_ERROR" | "Z_ERROR" | "DEPOLARIZE1" => {
@@ -263,27 +290,23 @@ pub fn from_stim_text(text: &str) -> Result<Circuit, ParseCircuitError> {
                     "Z_ERROR" => Noise1::ZError,
                     _ => Noise1::Depolarize1,
                 };
-                circuit.noise1(kind, arg.unwrap_or(0.0), &qubits);
+                circuit.noise1(kind, probability()?, &qubits);
             }
             "DEPOLARIZE2" => {
-                if qubits.len() % 2 != 0 {
-                    return Err(ParseCircuitError {
-                        line: lineno,
-                        message: "DEPOLARIZE2 needs an even number of targets".to_string(),
-                    });
-                }
-                let pairs: Vec<(u32, u32)> = qubits.chunks(2).map(|p| (p[0], p[1])).collect();
-                circuit.noise2(Noise2::Depolarize2, arg.unwrap_or(0.0), &pairs);
+                circuit.noise2(Noise2::Depolarize2, probability()?, &pairs()?);
             }
             "DETECTOR" => {
                 circuit.detector(&recs);
             }
             "OBSERVABLE_INCLUDE" => {
-                let index = arg.ok_or_else(|| ParseCircuitError {
-                    line: lineno,
-                    message: "OBSERVABLE_INCLUDE needs an index".to_string(),
-                })? as usize;
-                circuit.observable(index, &recs);
+                let index =
+                    arg.ok_or_else(|| fail("OBSERVABLE_INCLUDE needs an index".to_string()))?;
+                if index.fract() != 0.0 || !(0.0..64.0).contains(&index) {
+                    return Err(fail(format!(
+                        "observable index {index} is not an integer in 0..64"
+                    )));
+                }
+                circuit.observable(index as usize, &recs);
             }
             other => {
                 return Err(ParseCircuitError {
@@ -356,6 +379,41 @@ mod tests {
     fn rejects_future_lookback() {
         let err = from_stim_text("R 0\nDETECTOR rec[0]").unwrap_err();
         assert!(err.message.contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_malformed_targets_and_arguments() {
+        // (input, offending line, message fragment)
+        let cases = [
+            ("CX 0 0", 1, "targets qubit 0 twice"),
+            ("R 0 1\nCZ 0 1 1 1", 2, "targets qubit 1 twice"),
+            ("DEPOLARIZE2(0.1) 1 1", 1, "targets qubit 1 twice"),
+            ("DEPOLARIZE2(0.1) 0 1 2", 1, "even number of targets"),
+            ("M(1.5) 0", 1, "probability 1.5"),
+            ("MX(inf) 0", 1, "probability inf"),
+            ("X_ERROR(2) 0", 1, "probability 2"),
+            ("DEPOLARIZE1(-0.1) 0", 1, "probability -0.1"),
+            ("Z_ERROR(nan) 0", 1, "probability NaN"),
+            ("OBSERVABLE_INCLUDE(-1)", 1, "observable index -1"),
+            (
+                "M 0\nOBSERVABLE_INCLUDE(64) rec[-1]",
+                2,
+                "observable index 64",
+            ),
+            (
+                "M 0\nOBSERVABLE_INCLUDE(1.5) rec[-1]",
+                2,
+                "observable index 1.5",
+            ),
+        ];
+        for (input, line, fragment) in cases {
+            let err = from_stim_text(input).expect_err(input);
+            assert_eq!(err.line, line, "{input:?}: {err}");
+            assert!(err.message.contains(fragment), "{input:?}: {err}");
+        }
+        // The bounds themselves are accepted.
+        let c = from_stim_text("M(1) 0\nX_ERROR(0) 0\nOBSERVABLE_INCLUDE(63) rec[-1]").unwrap();
+        assert_eq!(c.num_observables(), 64);
     }
 
     #[test]

@@ -449,3 +449,116 @@ fn exhaustive_single_error_correction() {
         );
     }
 }
+
+/// FNV-1a 64 over the little-endian bytes of `u64` words.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Hashes every field of a DEM that decoders and reweighting read: each
+/// mechanism's detectors, observables, probability bits and contribution
+/// list, then the interned sources in order.
+fn dem_fingerprint(dem: &caliqec_stab::DetectorErrorModel) -> u64 {
+    use caliqec_stab::{ErrorSource, Noise1};
+    let mut words = Vec::new();
+    for mech in &dem.mechanisms {
+        words.push(mech.detectors.len() as u64);
+        words.extend(mech.detectors.iter().map(|d| u64::from(d.0)));
+        words.push(mech.observables);
+        words.push(mech.probability.to_bits());
+        words.push(mech.sources.len() as u64);
+        for c in &mech.sources {
+            words.extend([u64::from(c.source), c.base.to_bits(), c.divisor.to_bits()]);
+        }
+    }
+    words.push(dem.sources.len() as u64);
+    for source in &dem.sources {
+        match *source {
+            ErrorSource::Noise1(kind, q) => {
+                let kind = [
+                    Noise1::Depolarize1,
+                    Noise1::XError,
+                    Noise1::YError,
+                    Noise1::ZError,
+                ]
+                .iter()
+                .position(|&k| k == kind)
+                .expect("every Noise1 kind is listed");
+                words.extend([1, kind as u64, u64::from(q)]);
+            }
+            ErrorSource::Noise2(_, a, b) => words.extend([2, u64::from(a), u64::from(b)]),
+            ErrorSource::MeasureFlip(q) => words.extend([3, u64::from(q)]),
+        }
+    }
+    fnv1a_words(words)
+}
+
+/// Golden DEMs: the full detector error model of three memory circuits is
+/// pinned by mechanism count, hyperedge count, source count and a hash of
+/// every mechanism (detectors, observables, probability bits, provenance)
+/// and every interned source. Any change to extraction that moves a single
+/// bit of the model fails here.
+#[test]
+fn golden_dem_fingerprints() {
+    use caliqec_code::heavy_hex_patch;
+    use caliqec_stab::extract_dem;
+    // (label, layout, rounds, basis, mechanisms, hyperedges, sources, fingerprint)
+    let goldens = [
+        (
+            "rotated d=5 Z",
+            rotated_patch(5, 5),
+            5,
+            MemoryBasis::Z,
+            1_583,
+            1_007,
+            215,
+            0x1e6a_2240_a65d_ff59u64,
+        ),
+        (
+            "rotated d=5 X",
+            rotated_patch(5, 5),
+            5,
+            MemoryBasis::X,
+            1_611,
+            1_009,
+            215,
+            0xf204_b7ac_ce83_d467,
+        ),
+        (
+            "heavy-hex 3x3 Z",
+            heavy_hex_patch(3, 3),
+            3,
+            MemoryBasis::Z,
+            202,
+            101,
+            139,
+            0xa9bc_3a6b_9169_e74d,
+        ),
+    ];
+    for (label, layout, rounds, basis, mechanisms, hyperedges, sources, fingerprint) in goldens {
+        let mem = memory_circuit(&layout, &NoiseModel::uniform(1e-3), rounds, basis);
+        let dem = extract_dem(&mem.circuit);
+        assert_eq!(
+            (
+                dem.mechanisms.len(),
+                dem.num_hyperedges(),
+                dem.sources.len()
+            ),
+            (mechanisms, hyperedges, sources),
+            "{label}: DEM shape drifted"
+        );
+        assert_eq!(
+            dem_fingerprint(&dem),
+            fingerprint,
+            "{label}: DEM fingerprint drifted (got {:#018x})",
+            dem_fingerprint(&dem)
+        );
+    }
+}
