@@ -371,7 +371,7 @@ fn bench_reweight(c: &mut Criterion) {
             let mut g = graph.clone();
             b.iter(|| {
                 g.reweight(&rates).expect("graph carries provenance");
-                g.weight_epoch()
+                g.edges()[0].weight
             });
         });
         group.bench_function("rebuild_from_dem", |b| {

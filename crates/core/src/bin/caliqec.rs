@@ -4,7 +4,7 @@
 //! caliqec characterize [--rows N] [--cols N] [--seed S]
 //! caliqec plan         [--rows N] [--cols N] [--distance D] [--delta-d K] [--p-tar P]
 //! caliqec simulate     [--rows N] [--cols N] [--distance D] [--hours H] [--no-enlarge]
-//!                      [--strict] [--faults SPEC] [--drift-aware] [--quiet]
+//!                      [--strict] [--faults SPEC] [--quiet]
 //!                      [--rare-event] [--boost-beta B] [--target-rse R]
 //!                      [--trace-csv FILE] [--metrics-out FILE] [--trace-out FILE]
 //!                      [--prom-out FILE]
@@ -14,12 +14,13 @@
 //!                      [--gap-us G] [--seed S] [--p P] [--cluster] [--strict]
 //!                      [--faults SPEC] [--health-out FILE] [--metrics-out FILE]
 //!                      [--prom-out FILE]
-//! caliqec stream-smoke [same flags; tiny-budget preset]
 //! caliqec help
 //! ```
 //!
 //! Every subcommand builds a synthetic device (the substitution for hardware
-//! access documented in DESIGN.md), so the tool runs self-contained.
+//! access documented in DESIGN.md), so the tool runs self-contained. Each
+//! subcommand accepts only the flags it reads (plus the global `--quiet`);
+//! any other flag is a usage error.
 //!
 //! Errors map to distinct exit codes so scripts can tell failure classes
 //! apart: 1 runtime, 2 usage, 3 validation, 4 I/O, 5 degraded-under-strict.
@@ -83,12 +84,87 @@ impl CliError {
     }
 }
 
+/// A subcommand: its name, the flags it reads, and its entry point.
+struct Command {
+    name: &'static str,
+    /// Boolean flags (`--name`).
+    switches: &'static [&'static str],
+    /// Flags that take a value (`--name VALUE`).
+    options: &'static [&'static str],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "characterize",
+        switches: &["probe"],
+        options: &["rows", "cols", "seed", "threads"],
+        run: cmd_characterize,
+    },
+    Command {
+        name: "plan",
+        switches: &[],
+        options: &["rows", "cols", "seed", "distance", "delta-d", "p-tar"],
+        run: cmd_plan,
+    },
+    Command {
+        name: "simulate",
+        switches: &["no-enlarge", "strict", "rare-event"],
+        options: &[
+            "rows",
+            "cols",
+            "seed",
+            "distance",
+            "delta-d",
+            "hours",
+            "threads",
+            "mc-shots",
+            "boost-beta",
+            "target-rse",
+            "faults",
+            "trace-csv",
+            "metrics-out",
+            "trace-out",
+            "prom-out",
+        ],
+        run: cmd_simulate,
+    },
+    Command {
+        name: "draw",
+        switches: &[],
+        options: &["distance", "lattice", "hole"],
+        run: cmd_draw,
+    },
+    Command {
+        name: "serve",
+        switches: &["cluster", "strict"],
+        options: &[
+            "tenants",
+            "distance",
+            "windows",
+            "rounds",
+            "workers",
+            "queue-bound",
+            "deadline-us",
+            "gap-us",
+            "seed",
+            "p",
+            "faults",
+            "health-out",
+            "metrics-out",
+            "prom-out",
+        ],
+        run: cmd_serve,
+    },
+];
+
 struct Args {
     flags: HashMap<String, String>,
     holes: Vec<(usize, usize)>,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// Parses `cmd`'s flags, rejecting any flag it does not read.
+fn parse_args(cmd: &Command, argv: &[String]) -> Result<Args, String> {
     let mut flags = HashMap::new();
     let mut holes = Vec::new();
     let mut it = argv.iter();
@@ -96,15 +172,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         let key = a
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument {a:?}"))?;
-        if key == "no-enlarge"
-            || key == "probe"
-            || key == "strict"
-            || key == "drift-aware"
-            || key == "rare-event"
-            || key == "quiet"
-        {
+        if key == "quiet" || cmd.switches.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        if !cmd.options.contains(&key) {
+            return Err(format!(
+                "`caliqec {}` does not take --{key} (try `caliqec help`)",
+                cmd.name
+            ));
         }
         let value = it
             .next()
@@ -270,7 +346,6 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         enlarge: !args.flags.contains_key("no-enlarge"),
         threads: args.usize_or("threads", 0).map_err(CliError::Usage)?,
         mc_shots: args.usize_or("mc-shots", 0).map_err(CliError::Usage)?,
-        drift_aware: args.flags.contains_key("drift-aware"),
         rare_event: args.flags.contains_key("rare-event"),
         boost_beta: args.f64_or("boost-beta", 4.0).map_err(CliError::Usage)?,
         target_rse: args.f64_or("target-rse", 0.1).map_err(CliError::Usage)?,
@@ -359,13 +434,6 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         eprintln!(
             "decoder degradation: {} faulted chunks, {} retries, {} shots on degraded rungs",
             report.faulted_chunks, report.retried_chunks, report.degraded_shots
-        );
-    }
-    if loud && config.drift_aware {
-        // Timing is machine-dependent; stderr keeps stdout reproducible.
-        eprintln!(
-            "drift-aware decoding: {:.3}s reweighting cached matching graphs",
-            report.reweight_seconds
         );
     }
     if loud && config.rare_event {
@@ -476,15 +544,12 @@ fn cmd_draw(args: &Args) -> Result<(), CliError> {
 /// nameable factory type regardless of its captured graph.
 type ServeFactory = Tiered<Box<dyn Fn() -> UnionFindDecoder + Send + Sync>>;
 
-/// `caliqec serve` / `caliqec stream-smoke`: run the streaming decode
-/// service against deterministic loopback tenants. `smoke` shrinks the
-/// defaults to a tiny budget suitable for CI.
-fn cmd_serve(args: &Args, smoke: bool) -> Result<(), CliError> {
+/// `caliqec serve`: run the streaming decode service against
+/// deterministic loopback tenants.
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 
-    let tenants = args
-        .usize_or("tenants", if smoke { 2 } else { 4 })
-        .map_err(CliError::Usage)?;
+    let tenants = args.usize_or("tenants", 4).map_err(CliError::Usage)?;
     if tenants == 0 {
         return Err(CliError::Validation("--tenants must be positive".into()));
     }
@@ -500,13 +565,9 @@ fn cmd_serve(args: &Args, smoke: bool) -> Result<(), CliError> {
                 Ok(d)
             }
         })?;
-    let windows = args
-        .u64_or("windows", if smoke { 8 } else { 64 })
-        .map_err(CliError::Usage)?;
+    let windows = args.u64_or("windows", 64).map_err(CliError::Usage)?;
     let rounds = args.usize_or("rounds", d).map_err(CliError::Usage)?;
-    let workers = args
-        .usize_or("workers", if smoke { 2 } else { 4 })
-        .map_err(CliError::Usage)?;
+    let workers = args.usize_or("workers", 4).map_err(CliError::Usage)?;
     if workers == 0 {
         return Err(CliError::Validation("--workers must be positive".into()));
     }
@@ -652,14 +713,10 @@ USAGE:
       Compile the calibration plan (Algorithm 1 + adaptive batching).
   caliqec simulate [--rows N] [--cols N] [--distance D] [--hours H] [--no-enlarge]
                    [--threads T] [--mc-shots S] [--strict] [--faults SPEC]
-                   [--drift-aware] [--rare-event] [--boost-beta B]
-                   [--target-rse R] [--quiet] [--trace-csv FILE]
-                   [--metrics-out FILE] [--trace-out FILE] [--prom-out FILE]
+                   [--rare-event] [--boost-beta B] [--target-rse R]
+                   [--quiet] [--trace-csv FILE] [--metrics-out FILE]
+                   [--trace-out FILE] [--prom-out FILE]
       Run the in-situ calibration runtime and print the LER trace.
-      --drift-aware decodes each measured point by incrementally
-      reweighting a cached matching graph to the drifted rates instead of
-      re-extracting the error model (bit-identical trace, cheaper setup;
-      reweight time is reported on stderr).
       --mc-shots S > 0 measures each trace point by Monte Carlo on the
       parallel LER engine; --threads T sets the worker count (default:
       the CALIQEC_THREADS environment variable, else all cores).
@@ -670,12 +727,10 @@ USAGE:
       95% CI half-width falls to --target-rse of the estimate (default
       0.1; <= 0 runs the full budget). --boost-beta 1 --target-rse 0
       reproduces the plain-MC trace byte for byte; estimator health
-      (shots, ESS, max CI half-width) is reported on stderr. It composes
-      with --drift-aware, which decodes the same boosted shots on the
-      reweighted graph.
+      (shots, ESS, max CI half-width) is reported on stderr.
       --faults SPEC (or the CALIQEC_FAULTS environment variable) injects
       decoder faults as kind@chunk[,kind@chunk...] with kinds panic,
-      stall, corrupt, badweights; the engine recovers them on its
+      stall, corrupt, badweights, cluster; the engine recovers them on its
       degradation ladder and the summary reports the fallout.
       --strict exits with code 5 if any measurement was degraded.
       --trace-csv FILE writes the full LER trace as CSV.
@@ -684,8 +739,7 @@ USAGE:
       --metrics-out FILE writes a JSON snapshot of engine counters,
       latency histograms (p50/p95/p99), and the event journal.
       --trace-out FILE writes a Chrome trace-event JSON of chunk/fault/
-      retry/reweight timelines; open it in ui.perfetto.dev or
-      chrome://tracing.
+      retry timelines; open it in ui.perfetto.dev or chrome://tracing.
       --prom-out FILE writes Prometheus text exposition format.
       --quiet silences stderr diagnostics and the metrics summary; the
       CALIQEC_LOG environment variable (quiet|info|debug) sets the same
@@ -711,9 +765,10 @@ USAGE:
       sink. --strict exits 5 when any window was shed, deferred,
       rejected, or wedged. The ingested = decoded + shed + deferred
       round partition is asserted on every run.
-  caliqec stream-smoke [same flags]
-      `serve` with a tiny-budget preset (2 tenants, 8 windows) for CI.
   caliqec help
+
+Every subcommand rejects flags it does not read (exit 2); --quiet is
+accepted everywhere.
 
 EXIT CODES:
   0 success   1 runtime error   2 usage error   3 invalid input
@@ -722,11 +777,19 @@ EXIT CODES:
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else {
+    let Some(name) = argv.first() else {
         eprint!("{HELP}");
         return ExitCode::from(2);
     };
-    let args = match parse_args(&argv[1..]) {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown command {name:?} (try `caliqec help`)");
+        return ExitCode::from(2);
+    };
+    let args = match parse_args(cmd, &argv[1..]) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -739,21 +802,7 @@ fn main() -> ExitCode {
     // Unrecoverable framework panics (e.g. the LER engine exhausting its
     // degradation ladder) become classified runtime errors instead of an
     // abort, so scripts always see one of the documented exit codes.
-    let dispatch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cmd.as_str() {
-        "characterize" => cmd_characterize(&args),
-        "plan" => cmd_plan(&args),
-        "simulate" => cmd_simulate(&args),
-        "draw" => cmd_draw(&args),
-        "serve" => cmd_serve(&args, false),
-        "stream-smoke" => cmd_serve(&args, true),
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?} (try `caliqec help`)"
-        ))),
-    }));
+    let dispatch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cmd.run)(&args)));
     let result = dispatch.unwrap_or_else(|payload| {
         let msg = payload
             .downcast_ref::<&str>()

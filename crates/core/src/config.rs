@@ -31,14 +31,6 @@ pub struct CaliqecConfig {
     /// LER with the parallel engine and reports it in
     /// [`crate::TracePoint::measured_ler`].
     pub mc_shots: usize,
-    /// Calibration-aware decoding: when set, Monte-Carlo trace points reuse
-    /// a per-layout reference matching graph and incrementally reweight it
-    /// to the instant's drifted rates (`MatchingGraph::reweight`) instead of
-    /// re-extracting a detector error model per point. Measured LERs are
-    /// bit-identical either way (the reweight is exact); only the decode
-    /// setup cost changes, reported in
-    /// [`crate::RuntimeReport::reweight_seconds`].
-    pub drift_aware: bool,
     /// Rare-event estimation: when set (and `mc_shots > 0`), trace points
     /// measure their LER with the importance-sampled engine
     /// (a boosted `RunSpec`) at [`CaliqecConfig::boost_beta`]
@@ -66,7 +58,6 @@ impl Default for CaliqecConfig {
             enlarge: true,
             threads: 0,
             mc_shots: 0,
-            drift_aware: false,
             rare_event: false,
             boost_beta: 4.0,
             target_rse: 0.1,

@@ -49,6 +49,4 @@ mod runtime;
 pub use caliqec_obs as obs;
 pub use config::CaliqecConfig;
 pub use pipeline::{compile, device_qubit_to_patch, CompiledBatch, CompiledPlan, Preparation};
-pub use runtime::{
-    run_runtime, run_runtime_observed, run_runtime_with_faults, RuntimeReport, TracePoint,
-};
+pub use runtime::{run_runtime, run_runtime_observed, RuntimeReport, TracePoint};

@@ -17,8 +17,8 @@ use caliqec_code::{
 };
 use caliqec_device::DeviceModel;
 use caliqec_match::{
-    graph_for_circuit, EpochSchedule, Epochs, FaultPlan, LerEngine, MatchingGraph, RunSpec,
-    SampleOptions, StopRule, UnionFindDecoder, Weighting,
+    graph_for_circuit, FaultPlan, LerEngine, RunSpec, SampleOptions, StopRule, UnionFindDecoder,
+    Weighting,
 };
 use caliqec_obs::ObsSink;
 use caliqec_sched::ler;
@@ -69,10 +69,6 @@ pub struct RuntimeReport {
     /// Total shots decoded on a degraded ladder rung (predecode disabled
     /// or reference decoder).
     pub degraded_shots: usize,
-    /// Total seconds spent reweighting cached matching graphs (and
-    /// rebuilding their weight-derived predecoder tables) across all
-    /// Monte-Carlo measurements. Zero unless `config.drift_aware` is set.
-    pub reweight_seconds: f64,
     /// Total shots decoded across rare-event (importance-sampled)
     /// trace-point measurements. Zero unless `config.rare_event` is set.
     pub rare_shots: usize,
@@ -118,39 +114,30 @@ pub fn run_runtime(
     horizon_hours: f64,
     steps: usize,
 ) -> RuntimeReport {
-    run_runtime_with_faults(device, plan, config, horizon_hours, steps, None)
-}
-
-/// [`run_runtime`] with an explicit decoder fault-injection plan armed on
-/// every Monte-Carlo measurement (chaos testing; see
-/// [`caliqec_match::FaultPlan`]). The engine recovers injected faults on
-/// its degradation ladder, so the trace stays bit-identical to the
-/// fault-free run; the report's `faulted_chunks` / `retried_chunks` /
-/// `degraded_shots` counters record what happened.
-pub fn run_runtime_with_faults(
-    device: &DeviceModel,
-    plan: Option<&CompiledPlan>,
-    config: &CaliqecConfig,
-    horizon_hours: f64,
-    steps: usize,
-    faults: Option<&FaultPlan>,
-) -> RuntimeReport {
     run_runtime_observed(
         device,
         plan,
         config,
         horizon_hours,
         steps,
-        faults,
+        None,
         &ObsSink::disabled(),
     )
 }
 
-/// [`run_runtime_with_faults`] with an observability sink attached to every
-/// Monte-Carlo measurement engine. The sink is passive: it never steers the
-/// engine, so the trace is bit-identical whether `obs` is enabled or
-/// disabled — only the sink's metrics, histograms, and journal differ.
-/// Each trace-point measurement registers as one engine run in the sink.
+/// [`run_runtime`] with an optional decoder fault-injection plan and an
+/// observability sink attached to every Monte-Carlo measurement engine.
+///
+/// `faults` arms the plan on every measurement (chaos testing; see
+/// [`caliqec_match::FaultPlan`]). The engine recovers injected faults on
+/// its degradation ladder, so the trace stays bit-identical to the
+/// fault-free run; the report's `faulted_chunks` / `retried_chunks` /
+/// `degraded_shots` counters record what happened.
+///
+/// The sink is passive: it never steers the engine, so the trace is
+/// bit-identical whether `obs` is enabled or disabled — only the sink's
+/// metrics, histograms, and journal differ. Each trace-point measurement
+/// registers as one engine run in the sink.
 #[allow(clippy::too_many_arguments)]
 pub fn run_runtime_observed(
     device: &DeviceModel,
@@ -176,7 +163,6 @@ pub fn run_runtime_observed(
         end: f64,
         gates: &'p [usize],
         isolation: &'p [DeformInstruction],
-        distance_loss: usize,
         counted: bool,
     }
     let mut windows: Vec<Window> = Vec::new();
@@ -191,7 +177,6 @@ pub fn run_runtime_observed(
                     end: cursor + batch.duration_hours,
                     gates: &batch.gates,
                     isolation: &batch.isolation,
-                    distance_loss: batch.distance_loss,
                     counted: false,
                 });
                 cursor += batch.duration_hours;
@@ -201,10 +186,6 @@ pub fn run_runtime_observed(
 
     // Cache the deformed layout per active window index to avoid rebuilding.
     let mut cached: Option<(usize, PatchLayout)> = None;
-    // Drift-aware decoding: one reference matching graph per layout window,
-    // incrementally reweighted to each trace point's rates. Keyed like the
-    // layout cache (`None` = pristine patch).
-    let mut ref_graph: Option<(Option<usize>, MatchingGraph)> = None;
     let pristine = DeformedPatch::new(config.lattice, d, d);
     let pristine_layout = pristine.layout().expect("pristine patch valid");
     let pristine_qubits = pristine_layout.num_physical_qubits();
@@ -235,7 +216,6 @@ pub fn run_runtime_observed(
                     cached = Some((wi, deformed_layout(config, &w.isolation.to_vec())));
                 }
                 let (_, layout) = cached.as_ref().expect("cache filled above");
-                let _ = w.distance_loss;
                 (
                     code_distance(layout).min(),
                     layout.num_physical_qubits(),
@@ -253,24 +233,10 @@ pub fn run_runtime_observed(
             / device.gates.len() as f64;
         let measured_ler = (config.mc_shots > 0).then(|| {
             let layout = cached.as_ref().map(|(_, l)| l).unwrap_or(&pristine_layout);
-            let run = if config.drift_aware {
-                measure_point_ler_drift_aware(
-                    layout,
-                    mean_p,
-                    config,
-                    k as u64,
-                    faults,
-                    obs,
-                    active,
-                    &mut ref_graph,
-                )
-            } else {
-                measure_point_ler(layout, mean_p, config, k as u64, faults, obs)
-            };
+            let run = measure_point_ler(layout, mean_p, config, k as u64, faults, obs);
             report.faulted_chunks += run.faulted_chunks;
             report.retried_chunks += run.retried_chunks;
             report.degraded_shots += run.degraded_shots;
-            report.reweight_seconds += run.reweight_seconds;
             if config.rare_event {
                 report.rare_shots += run.estimate.shots;
                 report.rare_ess += run.ess;
@@ -368,10 +334,10 @@ fn measure_point_ler(
         .expect("engine run failed")
 }
 
-/// The run spec of one measured trace point, shared by both measurement
-/// paths: plain Monte Carlo over `mc_shots`, or with `config.rare_event` an
-/// importance-sampled run at `config.boost_beta` that treats `mc_shots` as
-/// a ceiling and may stop early at `config.target_rse`.
+/// The run spec of one measured trace point: plain Monte Carlo over
+/// `mc_shots`, or with `config.rare_event` an importance-sampled run at
+/// `config.boost_beta` that treats `mc_shots` as a ceiling and may stop
+/// early at `config.target_rse`.
 fn point_spec(config: &CaliqecConfig) -> RunSpec {
     if !config.rare_event {
         return RunSpec::from(SampleOptions {
@@ -393,58 +359,6 @@ fn point_spec(config: &CaliqecConfig) -> RunSpec {
         },
         stop: StopRule::TargetRse(config.target_rse.max(0.0)),
     }
-}
-
-/// Calibration-aware variant of [`measure_point_ler`]: the matching graph
-/// is extracted once per layout window at the freshly-calibrated rate `p0`
-/// and incrementally reweighted to the instant's mean drifted rate via a
-/// single-epoch schedule, instead of re-extracting a detector error model
-/// at every trace point. Because the per-point noise is uniform, the
-/// reweighted graph is bit-identical to a freshly extracted one, so the
-/// measured trace matches [`measure_point_ler`] exactly; only the decode
-/// setup cost (reported as `reweight_seconds`) differs. The sampled
-/// circuit is still regenerated per point — physical noise must drift even
-/// when the decoder updates incrementally. The run spec is the same
-/// [`point_spec`], so `config.rare_event` importance-samples this path too.
-#[allow(clippy::too_many_arguments)]
-fn measure_point_ler_drift_aware(
-    layout: &PatchLayout,
-    mean_p: f64,
-    config: &CaliqecConfig,
-    point_index: u64,
-    faults: Option<&FaultPlan>,
-    obs: &ObsSink,
-    window: Option<usize>,
-    ref_graph: &mut Option<(Option<usize>, MatchingGraph)>,
-) -> caliqec_match::EngineRun {
-    let p = mean_p.clamp(1e-9, 0.3);
-    let rounds = config.distance.max(1);
-    let mem = memory_circuit(layout, &NoiseModel::uniform(p), rounds, MemoryBasis::Z);
-    if ref_graph.as_ref().map(|(k, _)| *k) != Some(window) {
-        let p_ref = config.p0.clamp(1e-9, 0.3);
-        let ref_mem = memory_circuit(layout, &NoiseModel::uniform(p_ref), rounds, MemoryBasis::Z);
-        *ref_graph = Some((window, graph_for_circuit(&ref_mem.circuit)));
-    }
-    let (_, graph) = ref_graph.as_ref().expect("cache filled above");
-    let mut engine = LerEngine::new(config.threads).with_obs(obs.clone());
-    if let Some(plan) = faults {
-        engine = engine.with_faults(plan.clone());
-    }
-    let mut schedule = EpochSchedule::new(1.0);
-    schedule.push(0.0, RateTable::uniform(p));
-    let source = Epochs {
-        graph,
-        schedule: &schedule,
-        factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-    };
-    engine
-        .try_run(
-            &CompiledCircuit::new(&mem.circuit),
-            &source,
-            &point_spec(config),
-            chunk_seed(0xCA11_0EC5, point_index),
-        )
-        .expect("engine run failed")
 }
 
 #[cfg(test)]
@@ -539,7 +453,15 @@ mod tests {
         assert_eq!(clean.degraded_shots, 0);
         assert!(!clean.degraded());
         let faults = FaultPlan::new().panic_at(0);
-        let chaos = run_runtime_with_faults(&device, Some(&plan), &config, 8.0, 4, Some(&faults));
+        let chaos = run_runtime_observed(
+            &device,
+            Some(&plan),
+            &config,
+            8.0,
+            4,
+            Some(&faults),
+            &ObsSink::disabled(),
+        );
         let ms_clean: Vec<_> = clean.trace.iter().map(|p| p.measured_ler).collect();
         let ms_chaos: Vec<_> = chaos.trace.iter().map(|p| p.measured_ler).collect();
         assert_eq!(ms_clean, ms_chaos, "ladder retry must preserve the trace");
@@ -548,27 +470,6 @@ mod tests {
         assert_eq!(chaos.faulted_chunks, chaos.retried_chunks);
         assert!(chaos.degraded_shots > 0);
         assert!(chaos.degraded());
-    }
-
-    #[test]
-    fn drift_aware_trace_is_bit_identical_to_plain() {
-        let (device, plan, mut config) = setup(true);
-        config.mc_shots = 256;
-        config.threads = 2;
-        let plain = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        assert_eq!(plain.reweight_seconds, 0.0);
-        config.drift_aware = true;
-        let aware = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        let ms_plain: Vec<_> = plain.trace.iter().map(|p| p.measured_ler).collect();
-        let ms_aware: Vec<_> = aware.trace.iter().map(|p| p.measured_ler).collect();
-        assert_eq!(
-            ms_plain, ms_aware,
-            "incremental reweighting must not change the measured trace"
-        );
-        assert!(
-            aware.reweight_seconds > 0.0,
-            "drift-aware runs must account their reweight time"
-        );
     }
 
     #[test]
@@ -603,20 +504,16 @@ mod tests {
         config.rare_event = true;
         config.boost_beta = 1.0;
         config.target_rse = 0.0;
-        for drift_aware in [false, true] {
-            config.drift_aware = drift_aware;
-            let rare = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-            let ms_rare: Vec<_> = rare.trace.iter().map(|p| p.measured_ler).collect();
-            assert_eq!(
-                ms_plain, ms_rare,
-                "drift_aware={drift_aware}: beta=1, target_rse=0 must reproduce \
-                 the plain trace bit for bit"
-            );
-            // Unit weights: the ESS of every measurement equals its shot count.
-            assert_eq!(rare.rare_ess, rare.rare_shots as f64);
-            assert!(rare.rare_shots > 0, "drift_aware={drift_aware}");
-            assert!(rare.rare_max_ci.is_finite());
-        }
+        let rare = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+        let ms_rare: Vec<_> = rare.trace.iter().map(|p| p.measured_ler).collect();
+        assert_eq!(
+            ms_plain, ms_rare,
+            "beta=1, target_rse=0 must reproduce the plain trace bit for bit"
+        );
+        // Unit weights: the ESS of every measurement equals its shot count.
+        assert_eq!(rare.rare_ess, rare.rare_shots as f64);
+        assert!(rare.rare_shots > 0);
+        assert!(rare.rare_max_ci.is_finite());
     }
 
     #[test]
@@ -626,28 +523,17 @@ mod tests {
         config.rare_event = true;
         config.boost_beta = 4.0;
         config.target_rse = 0.2;
-        let mut plain_graph = None;
-        for drift_aware in [false, true] {
-            config.drift_aware = drift_aware;
-            config.threads = 1;
-            let a = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-            config.threads = 2;
-            let b = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-            let ms_a: Vec<_> = a.trace.iter().map(|p| p.measured_ler).collect();
-            let ms_b: Vec<_> = b.trace.iter().map(|p| p.measured_ler).collect();
-            assert!(ms_a.iter().all(|m| m.is_some()));
-            assert_eq!(ms_a, ms_b, "rare trace must not depend on thread count");
-            assert_eq!((a.rare_shots, a.rare_ess), (b.rare_shots, b.rare_ess));
-            assert!(a.rare_ess > 0.0 && a.rare_ess <= a.rare_shots as f64);
-            assert!(a.rare_max_ci.is_finite());
-            // The reweighted graph equals a fresh one, so the drift-aware
-            // path must reproduce the plain-graph rare run exactly.
-            let summary = (ms_a, a.rare_shots, a.rare_ess);
-            match &plain_graph {
-                None => plain_graph = Some(summary),
-                Some(want) => assert_eq!(&summary, want, "drift-aware rare run drifted"),
-            }
-        }
+        config.threads = 1;
+        let a = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+        config.threads = 2;
+        let b = run_runtime(&device, Some(&plan), &config, 8.0, 4);
+        let ms_a: Vec<_> = a.trace.iter().map(|p| p.measured_ler).collect();
+        let ms_b: Vec<_> = b.trace.iter().map(|p| p.measured_ler).collect();
+        assert!(ms_a.iter().all(|m| m.is_some()));
+        assert_eq!(ms_a, ms_b, "rare trace must not depend on thread count");
+        assert_eq!((a.rare_shots, a.rare_ess), (b.rare_shots, b.rare_ess));
+        assert!(a.rare_ess > 0.0 && a.rare_ess <= a.rare_shots as f64);
+        assert!(a.rare_max_ci.is_finite());
     }
 
     #[test]

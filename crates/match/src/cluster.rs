@@ -49,7 +49,8 @@
 //! radius) instead of declining through the truncation guard, so two
 //! merged mechanisms certify whenever their gap clears the summed unit
 //! weights. The cost — a coarser flood and a bigger one-off Dijkstra — is
-//! charged once per (worker, weight epoch), not per shot.
+//! charged once per table build (a [`crate::Tiered`] adapter builds one
+//! prototype and its workers clone it), not per shot.
 //!
 //! When some cluster does *not* certify, no margin bounds its growth (a
 //! deep bulk single can grow a union-find region of radius `bnd ≫ radius`
@@ -161,8 +162,7 @@ impl ClusterTier {
 
     /// Builds a cluster tier for the same graph `pre` was built against.
     /// The tier needs wider tables than the predecoder's, so this runs its
-    /// own truncated-Dijkstra build — it is a convenience for the engine's
-    /// per-epoch path, not a cheap share.
+    /// own truncated-Dijkstra build — a convenience, not a cheap share.
     pub fn from_predecoder(pre: &Predecoder) -> ClusterTier {
         Self::new(&pre.tables().graph)
     }
@@ -182,12 +182,6 @@ impl ClusterTier {
             res_flag: Vec::new(),
             residual_union: Vec::new(),
         }
-    }
-
-    /// True when the shared tables were built against the current weight
-    /// epoch of `graph` (mirrors [`Predecoder::is_current_for`]).
-    pub fn is_current_for(&self, graph: &MatchingGraph) -> bool {
-        self.tables.graph.weight_epoch() == graph.weight_epoch()
     }
 
     /// Flood-decomposes `defects` into independent clusters, certifies and
@@ -541,6 +535,20 @@ mod tests {
         // ...but clones share them, so per-worker instances are cheap.
         let clone = tier.clone();
         assert!(Arc::ptr_eq(&tier.tables, &clone.tables));
+    }
+
+    #[test]
+    fn tiered_stacks_share_one_cluster_table_build() {
+        use crate::engine::DecoderFactory;
+        use crate::predecode::{ClusterGate, Tiered};
+        let (_, g) = memory_setup(3, 1e-3);
+        let tiered =
+            Tiered::new(&g, || UnionFindDecoder::new(g.clone())).with_cluster_gate(ClusterGate::On);
+        let a = tiered.stack().cluster.expect("gate on arms the tier");
+        let b = tiered.stack().cluster.expect("gate on arms the tier");
+        assert!(Arc::ptr_eq(&a.tables, &b.tables));
+        let off = Tiered::new(&g, || UnionFindDecoder::new(g.clone()));
+        assert!(off.stack().cluster.is_none());
     }
 
     #[test]

@@ -275,9 +275,9 @@ impl<G> fmt::Debug for Epochs<'_, G> {
 }
 
 /// One epoch's decode context for an [`Epochs`] run: the reweighted graph,
-/// the predecoder re-derived from it (predecoder tables are
-/// weight-dependent — see [`Predecoder::is_current_for`]), and the epoch
-/// factory. Its rung-0 stack carries the predecoder; the graph backs rung 2.
+/// a predecoder built over it (its tables derive from edge weights), and
+/// the epoch factory, which builds fresh decoders over the same graph. Its
+/// rung-0 stack carries the predecoder; the graph backs rung 2.
 #[derive(Debug)]
 pub struct EpochContext<'a, G> {
     graph: MatchingGraph,

@@ -61,10 +61,6 @@ pub struct MatchingGraph {
     /// re-extracting the DEM. `None` for [`MatchingGraph::from_edges`]
     /// graphs.
     provenance: Option<Provenance>,
-    /// Bumped by every [`MatchingGraph::reweight`]; weight-derived caches
-    /// (MWPM Dijkstra cache, predecoder tables) stamp the epoch they were
-    /// built against and are stale when it no longer matches.
-    weight_epoch: u64,
 }
 
 fn probability_to_weight(p: f64) -> f64 {
@@ -271,7 +267,6 @@ impl MatchingGraph {
             adj_offsets,
             adj_edges,
             provenance: Some(provenance),
-            weight_epoch: 0,
         }
     }
 
@@ -322,7 +317,6 @@ impl MatchingGraph {
             adj_offsets,
             adj_edges,
             provenance: None,
-            weight_epoch: 0,
         }
     }
 
@@ -455,19 +449,18 @@ impl MatchingGraph {
     /// `rates`, in place, on the existing CSR layout.
     ///
     /// Topology (edge list, endpoints, adjacency) and observable masks are
-    /// untouched, so [`MatchingGraph::validate`] stays cheap and decoders
-    /// keyed on structure need no rebuild. The computation replays the
-    /// extraction-time XOR folds from the retained provenance: sources
-    /// absent from `rates` keep their recorded base component, which makes
-    /// the [`RateTable::identity`] reweight bit-identical to the original
-    /// build, and a reweight equal to a fresh
+    /// untouched, so [`MatchingGraph::validate`] stays cheap. The
+    /// computation replays the extraction-time XOR folds from the retained
+    /// provenance: sources absent from `rates` keep their recorded base
+    /// component, which makes the [`RateTable::identity`] reweight
+    /// bit-identical to the original build, and a reweight equal to a fresh
     /// `MatchingGraph::from_dem(&dem.reweighted(rates))` bit-identical in
     /// probability and weight.
     ///
-    /// Bumps [`MatchingGraph::weight_epoch`]; weight-derived state (the MWPM
-    /// Dijkstra cache, the predecoder's potential and near tables) must be
-    /// invalidated — decoders wrapping a graph expose their own `reweight`
-    /// hooks that do so.
+    /// Decoders and predecoders own immutable graph copies and derive their
+    /// weight-dependent state at construction, so build them over the
+    /// reweighted graph — as the engine's [`crate::Epochs`] run source does
+    /// for every epoch.
     ///
     /// Errors with [`ValidationError::NoProvenance`] on graphs built by
     /// [`MatchingGraph::from_edges`], which carry no provenance.
@@ -505,7 +498,6 @@ impl MatchingGraph {
             e.probability = acc;
             e.weight = probability_to_weight(acc);
         }
-        self.weight_epoch += 1;
         Ok(())
     }
 
@@ -513,12 +505,6 @@ impl MatchingGraph {
     /// [`MatchingGraph::reweight`].
     pub fn has_provenance(&self) -> bool {
         self.provenance.is_some()
-    }
-
-    /// Monotone counter of in-place reweights. Weight-derived caches stamp
-    /// the epoch they were built against; a mismatch means they are stale.
-    pub fn weight_epoch(&self) -> u64 {
-        self.weight_epoch
     }
 
     /// Number of detector nodes.
@@ -693,13 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn identity_reweight_is_bit_identical_and_bumps_epoch() {
+    fn identity_reweight_is_bit_identical() {
         let g0 = MatchingGraph::from_dem(&extract_dem(&chain_circuit(0.01)));
         let mut g = g0.clone();
         assert!(g.has_provenance());
-        assert_eq!(g.weight_epoch(), 0);
         g.reweight(&RateTable::identity()).unwrap();
-        assert_eq!(g.weight_epoch(), 1);
         for (a, b) in g0.edges().iter().zip(g.edges()) {
             assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             assert_eq!(a.weight.to_bits(), b.weight.to_bits());

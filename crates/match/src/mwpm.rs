@@ -16,7 +16,6 @@
 
 use crate::decode::Decoder;
 use crate::graph::{MatchingGraph, NodeId};
-use caliqec_stab::RateTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -248,19 +247,6 @@ impl MwpmDecoder {
     /// How many sources currently hold a cached shortest-path tree.
     pub fn cached_sources(&self) -> usize {
         self.cache.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Applies a calibration update: reweights the wrapped graph in place
-    /// (see [`MatchingGraph::reweight`]) and drops every cached
-    /// shortest-path tree, which recorded distances under the old weights.
-    /// The CSR topology and all structural scratch survive untouched.
-    pub fn reweight(&mut self, rates: &RateTable) -> Result<(), crate::error::ValidationError> {
-        self.graph.reweight(rates)?;
-        for entry in &mut self.cache {
-            *entry = None;
-        }
-        self.cache_bytes = 0;
-        Ok(())
     }
 
     /// Approximate heap footprint of one cache entry.

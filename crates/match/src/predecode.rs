@@ -102,7 +102,7 @@ use crate::engine::{DecodeStack, DecoderFactory};
 use crate::graph::{MatchingGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Margin absorbing decoder float tolerances; all certification
 /// inequalities must clear this gap.
@@ -589,16 +589,6 @@ impl Predecoder {
         }
     }
 
-    /// True when the certification tables were built against the current
-    /// weight epoch of `graph`. Every table (potential π, boundary and
-    /// frustration distances, near tables, truncation radius) is derived
-    /// from edge weights, so a [`MatchingGraph::reweight`] makes this
-    /// predecoder stale; rebuild with [`Predecoder::new`] on the reweighted
-    /// graph.
-    pub fn is_current_for(&self, graph: &MatchingGraph) -> bool {
-        self.tables.graph.weight_epoch() == graph.weight_epoch()
-    }
-
     /// The shared certification tables, for the cluster tier to reuse
     /// (one table build serves both tiers).
     pub(crate) fn tables(&self) -> &Arc<Tables> {
@@ -815,6 +805,10 @@ pub struct Tiered<F> {
     /// shots too dense for the predecoder are flood-decomposed and decoded
     /// per cluster instead of monolithically, subject to the gate.
     cluster: ClusterGate,
+    /// The cluster tier every [`DecoderFactory::stack`] clones (its widened
+    /// tables are `Arc`-shared). Built on the first `stack` call, so
+    /// constructing an adapter never pays for the wide table build.
+    cluster_proto: OnceLock<ClusterTier>,
 }
 
 impl<F: DecoderFactory> Tiered<F> {
@@ -827,6 +821,7 @@ impl<F: DecoderFactory> Tiered<F> {
             predecoder: Some(Predecoder::new(graph)),
             fallback: Some(graph.clone()),
             cluster: ClusterGate::Off,
+            cluster_proto: OnceLock::new(),
         }
     }
 
@@ -851,6 +846,7 @@ impl<F: DecoderFactory> Tiered<F> {
             predecoder: None,
             fallback: None,
             cluster: ClusterGate::Off,
+            cluster_proto: OnceLock::new(),
         }
     }
 
@@ -889,7 +885,11 @@ impl<F: DecoderFactory> DecoderFactory for Tiered<F> {
                 .predecoder
                 .as_ref()
                 .filter(|_| self.cluster != ClusterGate::Off)
-                .map(ClusterTier::from_predecoder),
+                .map(|pre| {
+                    self.cluster_proto
+                        .get_or_init(|| ClusterTier::from_predecoder(pre))
+                        .clone()
+                }),
             gate: self.cluster,
             ..DecodeStack::new(self.factory.build())
         }

@@ -66,8 +66,8 @@ pub struct UnionFindDecoder {
     // `[growth, weight]` so the scan's slack computation costs one cache
     // line per edge instead of two; `rate_iter[ei]` packs this iteration's
     // accumulated growth rate (low 2 bits, values 0–2) with the iteration
-    // tag that rated it (high 30 bits). The weight half only changes on
-    // [`UnionFindDecoder::reweight`] (a calibration update); the growth
+    // tag that rated it (high 30 bits). The weight half is fixed at
+    // construction (the decoder owns an immutable graph copy); the growth
     // half is restored to 0 via `dirty_edges`.
     gw: Vec<[f64; 2]>,
     rate_iter: Vec<u32>,
@@ -157,22 +157,6 @@ impl UnionFindDecoder {
     /// The underlying matching graph.
     pub fn graph(&self) -> &MatchingGraph {
         &self.graph
-    }
-
-    /// Applies a calibration update: reweights the wrapped graph in place
-    /// (see [`MatchingGraph::reweight`]) and refreshes the weight half of
-    /// the interleaved `gw` growth state, which snapshots edge weights at
-    /// construction. Union-find structural scratch (`ends`, parents, dirty
-    /// lists) is weight-independent and survives untouched.
-    pub fn reweight(
-        &mut self,
-        rates: &caliqec_stab::RateTable,
-    ) -> Result<(), crate::error::ValidationError> {
-        self.graph.reweight(rates)?;
-        for (gw, e) in self.gw.iter_mut().zip(self.graph.edges()) {
-            gw[1] = e.weight;
-        }
-        Ok(())
     }
 
     fn find(&mut self, mut a: NodeId) -> NodeId {

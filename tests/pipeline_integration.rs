@@ -171,3 +171,59 @@ fn runtime_qubit_overhead_is_temporary_and_modest() {
         .count();
     assert!(quiet_points > 0, "patch never returns to baseline size");
 }
+
+/// FNV-1a 64 over the little-endian bytes of each value's `to_bits()`.
+fn fnv1a_f64_bits(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn runtime_trace_is_pinned_by_value() {
+    // The calibration runtime measures every trace point one way (extract
+    // the instant's DEM, decode with union-find); this pin fixes that path's
+    // Monte-Carlo trace bit for bit at two thread counts.
+    let mut rng = StdRng::seed_from_u64(33);
+    let device = DeviceModel::synthetic(
+        &DeviceConfig {
+            rows: 5,
+            cols: 5,
+            ..DeviceConfig::default()
+        },
+        &mut rng,
+    );
+    let mut config = CaliqecConfig {
+        distance: 5,
+        mc_shots: 4096,
+        ..CaliqecConfig::default()
+    };
+    let prep = Preparation::run(&device, &mut rng);
+    let plan = compile(&device, &prep, &config, &mut rng);
+    for threads in [1, 2] {
+        config.threads = threads;
+        let report = run_runtime(&device, Some(&plan), &config, 8.0, 8);
+        assert_eq!(report.calibrations, 62, "threads={threads}");
+        let lers: Vec<f64> = report
+            .trace
+            .iter()
+            .map(|p| p.measured_ler.expect("mc_shots > 0 measures every point"))
+            .collect();
+        let failures: Vec<f64> = lers.iter().map(|l| l * 4096.0).collect();
+        assert_eq!(
+            failures,
+            [5.0, 2.0, 4.0, 10.0, 17.0, 10.0, 26.0, 9.0],
+            "threads={threads}"
+        );
+        assert_eq!(
+            fnv1a_f64_bits(&lers),
+            0x3958_6fa4_2aa2_1bb4,
+            "threads={threads}"
+        );
+    }
+}

@@ -7,17 +7,15 @@
 //! - identity-rate-table reweighting leaves engine output bit-identical to
 //!   the golden fingerprints of `sparse_decode_validation.rs` — the
 //!   reweight machinery is exact, not merely approximately right;
-//! - decoder invalidation hooks: a warmed [`MwpmDecoder`] reweighted in
-//!   place must agree with a cold decoder on the drifted graph (its
-//!   Dijkstra cache is weight-dependent), and likewise the scratch-reusing
-//!   [`UnionFindDecoder`] (its growth/weight array caches edge weights);
-//! - [`Predecoder::is_current_for`] goes stale exactly when the graph's
-//!   weight epoch moves.
+//! - decoders built over a reweighted graph — how the [`Epochs`] run
+//!   source hands new rates to decoders — agree shot for shot with
+//!   decoders over a graph freshly extracted from the drifted circuit, for
+//!   both [`MwpmDecoder`] and [`UnionFindDecoder`].
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
     graph_for_circuit, Decoder, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
-    Predecoder, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
+    RunSpec, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{extract_dem, CompiledCircuit, FrameSampler, RateTable, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -89,49 +87,46 @@ proptest! {
         incremental.reweight(&rates).expect("graph carries provenance");
         let fresh = MatchingGraph::from_dem(&dem.reweighted(&rates));
         assert_weights_bit_identical(&incremental, &fresh, "proptest");
-        prop_assert_eq!(incremental.weight_epoch(), 1);
         prop_assert!(incremental.validate().is_ok());
     }
 
-    /// Reweighting a warmed decoder in place agrees with a cold decoder
-    /// built over the drifted graph — the MWPM Dijkstra cache and the
-    /// union-find growth/weight scratch are invalidated, not leaked.
+    /// Under uniform drift, reweighting a graph to the drifted rate gives
+    /// the weights of a graph freshly extracted from the drifted circuit,
+    /// and decoders built over either agree shot for shot on shots sampled
+    /// from that circuit (observable masks included). Two batches run
+    /// through each decoder, so the MWPM shortest-path cache and the
+    /// union-find scratch are exercised warm as well as cold.
     #[test]
-    fn warmed_decoders_agree_after_reweight(
+    fn decoders_on_reweighted_graph_match_fresh_extraction(
         p_milli in 1u32..20,
         drift_milli in 1u32..40,
         seed in 0u64..1_000,
     ) {
+        let p_drift = drift_milli as f64 * 1e-3;
         let mem = memory(3, p_milli as f64 * 1e-3, 3);
-        let graph = graph_for_circuit(&mem.circuit);
-        let rates = RateTable::uniform(drift_milli as f64 * 1e-3);
-        let mut drifted = graph.clone();
-        drifted.reweight(&rates).expect("graph carries provenance");
+        let mut reweighted = graph_for_circuit(&mem.circuit);
+        reweighted
+            .reweight(&RateTable::uniform(p_drift))
+            .expect("graph carries provenance");
+        let drifted = memory(3, p_drift, 3);
+        let fresh = graph_for_circuit(&drifted.circuit);
+        assert_weights_bit_identical(&reweighted, &fresh, "drifted circuit");
 
-        let mut mwpm = MwpmDecoder::new(graph.clone());
-        let mut uf = UnionFindDecoder::new(graph.clone());
-        let mut sampler = FrameSampler::new(&mem.circuit);
+        let mut mwpm = MwpmDecoder::new(reweighted.clone());
+        let mut uf = UnionFindDecoder::new(reweighted);
+        let mut fresh_mwpm = MwpmDecoder::new(fresh.clone());
+        let mut fresh_uf = UnionFindDecoder::new(fresh);
+        let mut sampler = FrameSampler::new(&drifted.circuit);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sparse = SparseBatch::new();
-        // Warm both decoders (fills the MWPM shortest-path-tree cache and
-        // dirties the union-find scratch) on one batch...
-        let ev = sampler.sample_batch(&mut rng);
-        sparse.extract(&ev);
-        for s in 0..BATCH {
-            mwpm.decode(sparse.defects(s));
-            uf.decode(sparse.defects(s));
-        }
-        // ...then reweight in place and check against cold oracles.
-        mwpm.reweight(&rates).expect("graph carries provenance");
-        uf.reweight(&rates).expect("graph carries provenance");
-        let mut cold_mwpm = MwpmDecoder::without_cache(drifted.clone());
-        let mut cold_uf = UnionFindDecoder::new(drifted.clone());
-        let ev = sampler.sample_batch(&mut rng);
-        sparse.extract(&ev);
-        for s in 0..BATCH {
-            let defects = sparse.defects(s);
-            prop_assert_eq!(mwpm.decode(defects), cold_mwpm.decode(defects));
-            prop_assert_eq!(uf.decode(defects), cold_uf.decode(defects));
+        for _ in 0..2 {
+            let ev = sampler.sample_batch(&mut rng);
+            sparse.extract(&ev);
+            for s in 0..BATCH {
+                let defects = sparse.defects(s);
+                prop_assert_eq!(mwpm.decode(defects), fresh_mwpm.decode(defects));
+                prop_assert_eq!(uf.decode(defects), fresh_uf.decode(defects));
+            }
         }
     }
 }
@@ -187,7 +182,6 @@ fn identity_reweight_preserves_engine_fingerprints() {
         graph
             .reweight(&RateTable::identity())
             .expect("graph carries provenance");
-        assert_eq!(graph.weight_epoch(), 1, "reweight must bump the epoch");
         let opts = SampleOptions {
             min_shots,
             ..Default::default()
@@ -236,22 +230,4 @@ fn identity_reweight_preserves_engine_fingerprints() {
             assert_eq!(epoch_run.epochs, 1);
         }
     }
-}
-
-/// The predecoder knows when its weight-derived tables went stale.
-#[test]
-fn predecoder_staleness_tracks_weight_epoch() {
-    let mem = memory(3, 2e-3, 3);
-    let mut graph = graph_for_circuit(&mem.circuit);
-    let pre = Predecoder::new(&graph);
-    assert!(pre.is_current_for(&graph));
-    graph
-        .reweight(&RateTable::uniform(4e-3))
-        .expect("graph carries provenance");
-    assert!(
-        !pre.is_current_for(&graph),
-        "reweighting must invalidate predecoder tables"
-    );
-    let rebuilt = Predecoder::new(&graph);
-    assert!(rebuilt.is_current_for(&graph));
 }
