@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the deformation instruction set: instruction
-//! application (layout rewrite + validation), distance computation, and
+//! application (layout rewrite + validation), a calibration window's whole
+//! journal (many isolations, then enlargement), distance computation, and
 //! memory-circuit generation on deformed layouts.
 
 use caliqec_code::{
@@ -45,6 +46,42 @@ fn bench_enlargement(c: &mut Criterion) {
     group.finish();
 }
 
+/// A calibration window's layout as the runtime realizes it at d = 11: `k`
+/// `DataQ_RM` isolations on distinct interior qubits, then growth right and
+/// bottom alternately until the distance is restored, at most 2·Δd = 8
+/// steps. Shows how the cost scales with the journal length `k`.
+fn bench_journal(c: &mut Criterion) {
+    let d = 11;
+    let holes: Vec<_> = (0..5)
+        .flat_map(|i| (0..5).map(move |j| data_coord(1 + 2 * i, 1 + 2 * j)))
+        .collect();
+    let mut group = c.benchmark_group("journal_d11");
+    group.sample_size(10);
+    for k in [4usize, 16, 25] {
+        group.bench_with_input(BenchmarkId::new("isolations", k), &k, |b, &k| {
+            b.iter(|| {
+                let mut patch = DeformedPatch::new(Lattice::Square, d, d);
+                for &qubit in &holes[..k] {
+                    let _ = patch.apply(DeformInstruction::DataQRm { qubit });
+                }
+                for i in 0..8 {
+                    if code_distance(&patch.layout().unwrap()).min() >= d {
+                        break;
+                    }
+                    let side = if i % 2 == 0 {
+                        Side::Right
+                    } else {
+                        Side::Bottom
+                    };
+                    let _ = patch.apply(DeformInstruction::PatchQAd { side });
+                }
+                patch.layout().unwrap()
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_distance(c: &mut Criterion) {
     let mut group = c.benchmark_group("code_distance");
     for d in [5usize, 11, 17, 25] {
@@ -78,6 +115,7 @@ criterion_group!(
     benches,
     bench_data_q_rm,
     bench_enlargement,
+    bench_journal,
     bench_distance,
     bench_memory_generation
 );

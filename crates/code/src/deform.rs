@@ -17,7 +17,9 @@
 //! Patch growth/shrink ([`DeformInstruction::PatchQAd`] / `PatchQRm`) is
 //! managed by [`DeformedPatch`], which journals interior instructions and
 //! replays them on the resized pristine patch; this matches the paper's usage
-//! (enlargement restores the distance lost to interior isolation).
+//! (enlargement restores the distance lost to interior isolation). Interior
+//! instructions rewrite the patch's kept layout instead of replaying the
+//! journal.
 
 use crate::heavyhex::{bridge_role, heavy_hex_patch, BridgeRole};
 use crate::layout::{
@@ -26,6 +28,7 @@ use crate::layout::{
 use crate::square::{rotated_patch, PITCH};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A patch boundary side.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -535,6 +538,13 @@ fn repair_gauge_commutation(layout: &mut PatchLayout) -> Result<(), DeformError>
 /// `PatchQAd` / `PatchQRm` resize the base (replaying the journal on the new
 /// pristine patch); all other instructions append to the journal.
 ///
+/// The patch keeps its realized layout (or the error realizing it gave)
+/// once something has asked for it. An interior instruction rewrites that
+/// layout once, so `k` isolations cost `k` rewrites rather than
+/// `k(k+1)/2`; resizing replays the journal, and reintegration drops the
+/// kept layout until it is next needed. Either way the kept layout equals a
+/// replay of [`DeformedPatch::journal`] onto [`DeformedPatch::pristine`].
+///
 /// # Examples
 ///
 /// ```
@@ -554,6 +564,9 @@ pub struct DeformedPatch {
     rows: usize,
     cols: usize,
     journal: Vec<DeformInstruction>,
+    /// The journal replayed onto the pristine base: realized on first use,
+    /// updated by `apply`, dropped by reintegration.
+    realized: OnceLock<Result<PatchLayout, DeformError>>,
 }
 
 impl DeformedPatch {
@@ -564,6 +577,7 @@ impl DeformedPatch {
             rows,
             cols,
             journal: Vec::new(),
+            realized: OnceLock::new(),
         }
     }
 
@@ -595,20 +609,16 @@ impl DeformedPatch {
         }
     }
 
-    /// Realizes the current deformed layout (pristine base + journal).
+    /// The current deformed layout (pristine base + journal).
     ///
     /// # Errors
     ///
     /// Fails when the journal is no longer applicable (e.g. after shrinking
     /// the patch onto a removed qubit).
     pub fn layout(&self) -> Result<PatchLayout, DeformError> {
-        let mut layout = self.pristine();
-        for instr in &self.journal {
-            apply_interior(&mut layout, self.lattice, *instr)?;
-        }
-        layout.validate()?;
-        check_gauge_commutation(&layout)?;
-        Ok(layout)
+        self.realized
+            .get_or_init(|| replay(self.pristine(), self.lattice, &self.journal))
+            .clone()
     }
 
     /// Applies one instruction, returning the resulting layout.
@@ -617,7 +627,11 @@ impl DeformedPatch {
     ///
     /// On failure the patch is left unchanged.
     pub fn apply(&mut self, instr: DeformInstruction) -> Result<PatchLayout, DeformError> {
-        let mut next = self.clone();
+        let mut next = DeformedPatch {
+            journal: self.journal.clone(),
+            realized: OnceLock::new(),
+            ..*self
+        };
         match instr {
             DeformInstruction::PatchQAd { side } => {
                 match side {
@@ -652,10 +666,28 @@ impl DeformedPatch {
                     }
                 }
             }
-            other => next.journal.push(other),
+            other => return self.apply_journaled(other),
         }
         let layout = next.layout()?;
         *self = next;
+        Ok(layout)
+    }
+
+    /// Appends an interior instruction. A kept layout is the journal's
+    /// replay, so rewriting it once gives the replay of the extended
+    /// journal; without one (not realized yet, or the journal no longer
+    /// realizes) the extended journal is replayed in full.
+    fn apply_journaled(&mut self, instr: DeformInstruction) -> Result<PatchLayout, DeformError> {
+        let layout = match self.realized.get() {
+            Some(Ok(kept)) => replay(kept.clone(), self.lattice, &[instr]),
+            _ => replay(
+                self.pristine(),
+                self.lattice,
+                &[&self.journal[..], &[instr]].concat(),
+            ),
+        }?;
+        self.journal.push(instr);
+        self.realized = OnceLock::from(Ok(layout.clone()));
         Ok(layout)
     }
 
@@ -668,12 +700,15 @@ impl DeformedPatch {
     /// Returns the reintegrated instruction, or `None` when the journal is
     /// empty.
     pub fn reintegrate_last(&mut self) -> Option<DeformInstruction> {
-        self.journal.pop()
+        let instr = self.journal.pop()?;
+        self.realized = OnceLock::new();
+        Some(instr)
     }
 
     /// Removes every journaled instruction (full reintegration).
     pub fn reintegrate_all(&mut self) {
         self.journal.clear();
+        self.realized = OnceLock::new();
     }
 
     fn shift_journal(&mut self, dr: i32, dc: i32) {
@@ -694,6 +729,20 @@ impl DeformedPatch {
             }
         }
     }
+}
+
+/// Applies `journal` to `layout` in order, then checks the result.
+fn replay(
+    mut layout: PatchLayout,
+    lattice: Lattice,
+    journal: &[DeformInstruction],
+) -> Result<PatchLayout, DeformError> {
+    for instr in journal {
+        apply_interior(&mut layout, lattice, *instr)?;
+    }
+    layout.validate()?;
+    check_gauge_commutation(&layout)?;
+    Ok(layout)
 }
 
 /// Applies an interior (non-resizing) instruction to a layout.

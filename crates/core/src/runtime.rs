@@ -17,8 +17,8 @@ use caliqec_code::{
 };
 use caliqec_device::DeviceModel;
 use caliqec_match::{
-    graph_for_circuit, FaultPlan, LerEngine, RunSpec, SampleOptions, StopRule, UnionFindDecoder,
-    Weighting,
+    graph_for_circuit, FaultPlan, LerEngine, MatchingGraph, RunSpec, SampleOptions, StopRule,
+    UnionFindDecoder, Weighting,
 };
 use caliqec_obs::ObsSink;
 use caliqec_sched::ler;
@@ -184,11 +184,16 @@ pub fn run_runtime_observed(
         }
     }
 
-    // Cache the deformed layout per active window index to avoid rebuilding.
-    let mut cached: Option<(usize, PatchLayout)> = None;
-    let pristine = DeformedPatch::new(config.lattice, d, d);
-    let pristine_layout = pristine.layout().expect("pristine patch valid");
-    let pristine_qubits = pristine_layout.num_physical_qubits();
+    // Each layout is realized once, with its distance, qubit count and
+    // matching graph: the pristine patch for the whole run (it recurs
+    // between windows), the active window's deformed patch until the active
+    // window changes.
+    let mut pristine = LayoutState::new(
+        DeformedPatch::new(config.lattice, d, d)
+            .layout()
+            .expect("pristine patch valid"),
+    );
+    let mut window: Option<(usize, LayoutState)> = None;
 
     let dt = horizon_hours / steps as f64;
     for k in 0..steps {
@@ -205,22 +210,18 @@ pub fn run_runtime_observed(
         }
         // Active window, if any.
         let active = windows.iter().position(|w| w.start <= t && t < w.end);
-        let (distance, qubits, calibrating) = match active {
+        let calibrating = active.map_or(0, |wi| windows[wi].gates.len());
+        let state = match active {
             None => {
-                cached = None;
-                (d, pristine_qubits, 0)
+                window = None;
+                &mut pristine
             }
             Some(wi) => {
-                let w = &windows[wi];
-                if cached.as_ref().map(|(i, _)| *i) != Some(wi) {
-                    cached = Some((wi, deformed_layout(config, &w.isolation.to_vec())));
+                if window.as_ref().map(|(i, _)| *i) != Some(wi) {
+                    let layout = deformed_layout(config, windows[wi].isolation);
+                    window = Some((wi, LayoutState::new(layout)));
                 }
-                let (_, layout) = cached.as_ref().expect("cache filled above");
-                (
-                    code_distance(layout).min(),
-                    layout.num_physical_qubits(),
-                    w.gates.len(),
-                )
+                &mut window.as_mut().expect("window filled above").1
             }
         };
         // Mean drifted error across gates.
@@ -232,8 +233,7 @@ pub fn run_runtime_observed(
             .sum::<f64>()
             / device.gates.len() as f64;
         let measured_ler = (config.mc_shots > 0).then(|| {
-            let layout = cached.as_ref().map(|(_, l)| l).unwrap_or(&pristine_layout);
-            let run = measure_point_ler(layout, mean_p, config, k as u64, faults, obs);
+            let run = measure_point_ler(state, mean_p, config, k as u64, faults, obs);
             report.faulted_chunks += run.faulted_chunks;
             report.retried_chunks += run.retried_chunks;
             report.degraded_shots += run.degraded_shots;
@@ -250,24 +250,48 @@ pub fn run_runtime_observed(
         let point = TracePoint {
             hours: t,
             mean_p,
-            distance,
-            physical_qubits: qubits,
-            ler: ler(distance, mean_p),
+            distance: state.distance,
+            physical_qubits: state.qubits,
+            ler: ler(state.distance, mean_p),
             measured_ler,
             calibrating,
         };
         if point.ler > ler_target {
             report.ler_exceedances += 1;
         }
-        report.max_physical_qubits = report.max_physical_qubits.max(qubits);
+        report.max_physical_qubits = report.max_physical_qubits.max(state.qubits);
         report.trace.push(point);
     }
     report
 }
 
+/// One realized patch layout and what every trace point on it reads.
+struct LayoutState {
+    layout: PatchLayout,
+    /// `code_distance(layout).min()`.
+    distance: usize,
+    /// `layout.num_physical_qubits()`.
+    qubits: usize,
+    /// The layout's matching graph: built by the first measured point on
+    /// the layout at that point's rate, then reweighted to each later
+    /// point's rate.
+    graph: Option<MatchingGraph>,
+}
+
+impl LayoutState {
+    fn new(layout: PatchLayout) -> LayoutState {
+        LayoutState {
+            distance: code_distance(&layout).min(),
+            qubits: layout.num_physical_qubits(),
+            layout,
+            graph: None,
+        }
+    }
+}
+
 /// Applies a batch's isolation to a fresh patch (plus enlargement when
 /// configured) and returns the resulting layout.
-fn deformed_layout(config: &CaliqecConfig, isolation: &Vec<DeformInstruction>) -> PatchLayout {
+fn deformed_layout(config: &CaliqecConfig, isolation: &[DeformInstruction]) -> PatchLayout {
     let mut patch = DeformedPatch::new(config.lattice, config.distance, config.distance);
     for instr in isolation {
         // Individual isolations may fail (e.g. the qubit fell on a logical
@@ -300,6 +324,14 @@ fn deformed_layout(config: &CaliqecConfig, isolation: &Vec<DeformInstruction>) -
 /// trace-point index alone, so the trace is reproducible and independent
 /// of `config.threads`.
 ///
+/// The memory circuit carries the sampled noise and is built per point.
+/// The layout's matching graph is built once, at the first measured point;
+/// later points reweight it to their rate. Uniform noise changes only
+/// component rates, never the graph's topology or which mechanism owns an
+/// edge's observable mask, so the reweighted graph equals a fresh
+/// extraction bit for bit (`tests/reweight_validation.rs` pins this).
+/// Decoders own clones, so none ever mutates the kept graph.
+///
 /// With `config.rare_event` set the measurement runs under importance
 /// sampling at `config.boost_beta` instead: `mc_shots` becomes the shot
 /// *ceiling* and the engine's CI stopping rule (at `config.target_rse`)
@@ -308,17 +340,29 @@ fn deformed_layout(config: &CaliqecConfig, isolation: &Vec<DeformInstruction>) -
 /// plan over the same seeds and therefore reproduces the plain trace bit
 /// for bit.
 fn measure_point_ler(
-    layout: &PatchLayout,
+    state: &mut LayoutState,
     mean_p: f64,
     config: &CaliqecConfig,
     point_index: u64,
     faults: Option<&FaultPlan>,
     obs: &ObsSink,
 ) -> caliqec_match::EngineRun {
-    let noise = NoiseModel::uniform(mean_p.clamp(1e-9, 0.3));
+    let p = mean_p.clamp(1e-9, 0.3);
     let rounds = config.distance.max(1);
-    let mem = memory_circuit(layout, &noise, rounds, MemoryBasis::Z);
-    let graph = graph_for_circuit(&mem.circuit);
+    let mem = memory_circuit(
+        &state.layout,
+        &NoiseModel::uniform(p),
+        rounds,
+        MemoryBasis::Z,
+    );
+    if let Some(graph) = &mut state.graph {
+        graph
+            .reweight(&RateTable::uniform(p))
+            .expect("extracted graphs carry provenance");
+    }
+    let graph = &*state
+        .graph
+        .get_or_insert_with(|| graph_for_circuit(&mem.circuit));
     let mut engine = LerEngine::new(config.threads).with_obs(obs.clone());
     if let Some(plan) = faults {
         engine = engine.with_faults(plan.clone());

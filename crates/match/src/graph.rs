@@ -9,6 +9,7 @@
 use crate::error::ValidationError;
 use caliqec_stab::{DetIdx, DetectorErrorModel, ErrorSource, RateTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a node in a [`MatchingGraph`]: a detector or the boundary.
 pub type NodeId = usize;
@@ -29,6 +30,11 @@ pub struct Edge {
 }
 
 /// A weighted matching graph with a single virtual boundary node.
+///
+/// Graphs built by [`MatchingGraph::from_dem`] keep the DEM provenance that
+/// [`MatchingGraph::reweight`] replays. It never changes after the build,
+/// so clones share one copy and a per-worker clone costs only the edges and
+/// adjacency.
 ///
 /// # Examples
 ///
@@ -59,8 +65,10 @@ pub struct MatchingGraph {
     /// Mechanism provenance retained by [`MatchingGraph::from_dem`] so edge
     /// probabilities can be recomputed from updated per-gate rates without
     /// re-extracting the DEM. `None` for [`MatchingGraph::from_edges`]
-    /// graphs.
-    provenance: Option<Provenance>,
+    /// graphs. Nothing mutates it after the build, so clones share one
+    /// copy: it is several times the size of the rest of the graph, and
+    /// every decoder factory clones the graph per worker.
+    provenance: Option<Arc<Provenance>>,
 }
 
 fn probability_to_weight(p: f64) -> f64 {
@@ -266,7 +274,7 @@ impl MatchingGraph {
             edges,
             adj_offsets,
             adj_edges,
-            provenance: Some(provenance),
+            provenance: Some(Arc::new(provenance)),
         }
     }
 
@@ -460,14 +468,14 @@ impl MatchingGraph {
     /// Decoders and predecoders own immutable graph copies and derive their
     /// weight-dependent state at construction, so build them over the
     /// reweighted graph — as the engine's [`crate::Epochs`] run source does
-    /// for every epoch.
+    /// for every epoch, and the calibration runtime for every trace point.
     ///
     /// Errors with [`ValidationError::NoProvenance`] on graphs built by
     /// [`MatchingGraph::from_edges`], which carry no provenance.
     pub fn reweight(&mut self, rates: &RateTable) -> Result<(), ValidationError> {
         let prov = self
             .provenance
-            .as_ref()
+            .as_deref()
             .ok_or(ValidationError::NoProvenance)?;
         // Resolve each interned source once.
         let resolved: Vec<Option<f64>> = prov.sources.iter().map(|s| rates.get(s)).collect();

@@ -38,10 +38,12 @@
 //! - Calibration-aware reweighting: graphs built from a DEM keep per-edge
 //!   provenance, so [`MatchingGraph::reweight`] recomputes probabilities and
 //!   weights in place from an updated [`caliqec_stab::RateTable`] without
-//!   re-extracting the DEM. New rates reach decoders one way: an [`Epochs`]
-//!   run source decodes a shot budget under an [`EpochSchedule`] of
-//!   drifting per-gate rates, building fresh decoders and a fresh
-//!   predecoder over a reweighted graph clone per epoch (DESIGN.md §10).
+//!   re-extracting the DEM. New rates reach decoders one way, as fresh
+//!   decoders over a reweighted graph: an [`Epochs`] run source decodes a
+//!   shot budget under an [`EpochSchedule`] of drifting per-gate rates,
+//!   building fresh decoders and a fresh predecoder over a reweighted graph
+//!   clone per epoch, and the calibration runtime reweights one kept graph
+//!   per layout to each trace point's rate (DESIGN.md §10).
 //!
 //! # Example
 //!

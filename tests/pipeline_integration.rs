@@ -186,8 +186,9 @@ fn fnv1a_f64_bits(values: &[f64]) -> u64 {
 
 #[test]
 fn runtime_trace_is_pinned_by_value() {
-    // The calibration runtime measures every trace point one way (extract
-    // the instant's DEM, decode with union-find); this pin fixes that path's
+    // The calibration runtime measures every trace point one way (the
+    // instant's memory circuit, its layout's matching graph brought to the
+    // instant's rate, union-find decode); this pin fixes that path's
     // Monte-Carlo trace bit for bit at two thread counts.
     let mut rng = StdRng::seed_from_u64(33);
     let device = DeviceModel::synthetic(

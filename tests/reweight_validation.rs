@@ -10,9 +10,17 @@
 //! - decoders built over a reweighted graph — how the [`Epochs`] run
 //!   source hands new rates to decoders — agree shot for shot with
 //!   decoders over a graph freshly extracted from the drifted circuit, for
-//!   both [`MwpmDecoder`] and [`UnionFindDecoder`].
+//!   both [`MwpmDecoder`] and [`UnionFindDecoder`];
+//! - under uniform noise a reweighted graph equals a fresh build down to
+//!   its observable masks, on every kind of layout the calibration runtime
+//!   decodes — the invariant that lets the runtime keep one graph per
+//!   layout.
 
-use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
+use caliqec::CaliqecConfig;
+use caliqec_code::{
+    code_distance, data_coord, memory_circuit, rotated_patch, DeformInstruction, DeformedPatch,
+    Lattice, MemoryBasis, NoiseModel, PatchLayout, Readout, Side, StabKind,
+};
 use caliqec_match::{
     graph_for_circuit, Decoder, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
     RunSpec, SampleOptions, Tiered, UnionFindDecoder,
@@ -56,6 +64,128 @@ fn assert_weights_bit_identical(got: &MatchingGraph, want: &MatchingGraph, ctx: 
             a.weight,
             b.weight
         );
+    }
+}
+
+/// A batch's layout the way the calibration runtime builds it: isolate on
+/// a fresh `d × d` patch (here every instruction must apply), then grow
+/// right and bottom alternately until the distance is restored, at most
+/// `2·Δd` steps.
+fn runtime_layout(lattice: Lattice, d: usize, isolation: &[DeformInstruction]) -> PatchLayout {
+    let mut patch = DeformedPatch::new(lattice, d, d);
+    for &instr in isolation {
+        patch.apply(instr).expect("test isolation applies");
+    }
+    for i in 0..2 * CaliqecConfig::default().delta_d {
+        if code_distance(&patch.layout().unwrap()).min() >= d {
+            break;
+        }
+        let side = if i % 2 == 0 {
+            Side::Right
+        } else {
+            Side::Bottom
+        };
+        let _ = patch.apply(DeformInstruction::PatchQAd { side });
+    }
+    patch.layout().unwrap()
+}
+
+/// The first weight-4 stabilizer of `kind` in a pristine `d × d` patch.
+fn interior_stabilizer(lattice: Lattice, d: usize, kind: StabKind) -> Readout {
+    let layout = DeformedPatch::new(lattice, d, d).layout().unwrap();
+    let stab = layout
+        .stabilizers
+        .into_iter()
+        .find(|s| s.weight() == 4 && s.kind == kind)
+        .expect("interior stabilizer");
+    stab.readout
+}
+
+/// The chain node at `index` of an interior heavy-hex X stabilizer's first
+/// gauge part: 0 is a data-attached (degree-3) node, 1 a vertical and 3 a
+/// horizontal degree-2 bridge.
+fn hex_bridge(d: usize, index: usize) -> caliqec_code::Coord {
+    match interior_stabilizer(Lattice::HeavyHex, d, StabKind::X) {
+        Readout::Chain { parts } => parts[0].chain[index],
+        Readout::Direct { .. } => unreachable!("heavy-hex stabilizers read out through chains"),
+    }
+}
+
+/// The calibration runtime keeps one matching graph per layout, built at
+/// the first trace point's rate and reweighted to every later point's
+/// uniform rate. That is exact only if the reweighted graph equals a fresh
+/// build in everything a decoder reads: endpoints, probability and weight
+/// bits, and observable masks. Checked on pristine and
+/// deformed-then-enlarged layouts of both lattices, from far below to far
+/// above threshold.
+#[test]
+fn uniform_reweight_equals_fresh_build_on_runtime_layouts() {
+    const D: usize = 5;
+    const P0: f64 = 1e-3;
+    let syndrome = interior_stabilizer(Lattice::Square, D, StabKind::Z).measured_qubits()[0];
+    let cases = [
+        ("rotated pristine", Lattice::Square, vec![]),
+        (
+            "rotated two DataQRm",
+            Lattice::Square,
+            vec![
+                DeformInstruction::DataQRm {
+                    qubit: data_coord(1, 1),
+                },
+                DeformInstruction::DataQRm {
+                    qubit: data_coord(3, 3),
+                },
+            ],
+        ),
+        (
+            "rotated SyndromeQRm",
+            Lattice::Square,
+            vec![DeformInstruction::SyndromeQRm { ancilla: syndrome }],
+        ),
+        ("heavy-hex pristine", Lattice::HeavyHex, vec![]),
+        (
+            "heavy-hex AncQRmDeg3",
+            Lattice::HeavyHex,
+            vec![DeformInstruction::AncQRmDeg3 {
+                ancilla: hex_bridge(D, 0),
+            }],
+        ),
+        (
+            "heavy-hex AncQRmHorDeg2",
+            Lattice::HeavyHex,
+            vec![DeformInstruction::AncQRmHorDeg2 {
+                ancilla: hex_bridge(D, 3),
+            }],
+        ),
+        (
+            "heavy-hex AncQRmVerDeg2",
+            Lattice::HeavyHex,
+            vec![DeformInstruction::AncQRmVerDeg2 {
+                ancilla: hex_bridge(D, 1),
+            }],
+        ),
+    ];
+    for (name, lattice, isolation) in cases {
+        let layout = runtime_layout(lattice, D, &isolation);
+        let pristine = DeformedPatch::new(lattice, D, D).layout().unwrap();
+        assert_eq!(layout == pristine, isolation.is_empty(), "{name}: deformed");
+        let build = |p: f64| {
+            let mem = memory_circuit(&layout, &NoiseModel::uniform(p), D, MemoryBasis::Z);
+            graph_for_circuit(&mem.circuit)
+        };
+        let base = build(P0);
+        for p in [1e-5, 1e-3, 5e-3, 3e-2, 0.3] {
+            let mut reweighted = base.clone();
+            reweighted
+                .reweight(&RateTable::uniform(p))
+                .expect("graph carries provenance");
+            let fresh = build(p);
+            let ctx = format!("{name} at p={p}");
+            assert_weights_bit_identical(&reweighted, &fresh, &ctx);
+            for (i, (a, b)) in reweighted.edges().iter().zip(fresh.edges()).enumerate() {
+                assert_eq!(a.observables, b.observables, "{ctx}: edge {i} mask");
+            }
+        }
     }
 }
 
