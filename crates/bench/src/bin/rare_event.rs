@@ -4,9 +4,9 @@
 //! **Operating point.** The measured quantity is the logical error
 //! probability of a *few-round* memory experiment (`--rounds`, default 2)
 //! — the per-calibration-comparison quantity the runtime resolves point by
-//! point — not the full d-round experiment of `BENCH_decode.json`. The
-//! choice is the method's validity domain, not convenience: a uniform rate
-//! tilt `p → β·p` caps its variance gain at `max_β β^k ·
+//! point — not the full d-round memory experiment. The choice is the
+//! method's validity domain, not convenience: a uniform rate tilt
+//! `p → β·p` caps its variance gain at `max_β β^k ·
 //! exp(−μ(β + 1/β − 2))` where k is the minimal fault weight of a logical
 //! error (≈ (d+1)/2) and μ the mean faults per shot (DESIGN.md §13). At
 //! rounds = d, μ ≈ 10 > k = 6 for d = 11 and *no* β beats plain MC by more

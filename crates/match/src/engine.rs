@@ -2098,15 +2098,18 @@ mod tests {
     /// The per-phase counters must partition the work, never double-count:
     /// on a single worker every timed phase is a disjoint slice of the
     /// wall-clock, so their sum is bounded by it — per chunk, hence also
-    /// for any sum of chunks.
+    /// for any sum of chunks. Each of `threads` workers lives inside the
+    /// run's wall-clock, so their summed phases are bounded by
+    /// `threads × wall`.
     #[test]
     fn phase_timers_never_exceed_wall_clock() {
         let c = rep_circuit(5, 0.05);
         let graph = graph_for_circuit(&c);
         // One batch = one chunk: the run-level check *is* the per-chunk
-        // check. Then a multi-chunk run checks the aggregate.
-        for min_shots in [64usize, 2_000] {
-            let run = LerEngine::new(1).estimate(
+        // check. Then multi-chunk runs check the aggregate, on one worker
+        // and on two.
+        for (threads, min_shots) in [(1usize, 64usize), (1, 2_000), (2, 20_000)] {
+            let run = LerEngine::new(threads).estimate(
                 &CompiledCircuit::new(&c),
                 &|| UnionFindDecoder::new(graph.clone()),
                 SampleOptions {
@@ -2115,14 +2118,15 @@ mod tests {
                 },
                 11,
             );
+            assert_eq!(run.threads, threads);
             let phases = run.sample_seconds
                 + run.extract_seconds
                 + run.predecode_seconds
                 + run.cluster_seconds
                 + run.decode_seconds;
             assert!(
-                phases <= run.wall_seconds + 1e-9,
-                "phase sum {phases} exceeds wall {} (min_shots={min_shots})",
+                phases <= run.threads as f64 * run.wall_seconds + 1e-9,
+                "phase sum {phases} exceeds {threads} × wall {} (min_shots={min_shots})",
                 run.wall_seconds
             );
         }
@@ -2356,52 +2360,80 @@ mod tests {
         assert_eq!(serial.chunks_included, run.chunks_included);
     }
 
-    /// At d=11, p=1e-3 the mean defect count sits below the gate threshold,
-    /// so `Auto` diverts every batch to the monolithic path — zero
-    /// decompositions — while producing the exact same estimate as the
-    /// forced-on tier (the tier is exact, so gating only moves time).
+    /// `Auto` gates each 64-shot batch on its mean defect count. At
+    /// d=11, p=1e-3 the mean sits below the threshold, so every batch is
+    /// diverted to the monolithic path — zero decompositions; at d=15 it
+    /// sits above, so every batch is decomposed. Either way the estimate
+    /// equals the forced-on tier's (the tier is exact, so gating only moves
+    /// time).
     #[test]
-    fn auto_gate_diverts_sparse_batches() {
-        let mem = caliqec_code::memory_circuit(
-            &caliqec_code::rotated_patch(11, 11),
-            &caliqec_code::NoiseModel::uniform(1e-3),
-            11,
-            caliqec_code::MemoryBasis::Z,
-        );
-        let c = mem.circuit;
-        let graph = graph_for_circuit(&c);
-        let compiled = CompiledCircuit::new(&c);
-        let opts = SampleOptions {
-            min_shots: 1_000,
-            ..Default::default()
-        };
-        let build = {
-            let graph = graph.clone();
-            move || UnionFindDecoder::new(graph.clone())
-        };
-        let auto = crate::predecode::Tiered::new(&graph, build.clone())
-            .with_cluster_gate(ClusterGate::Auto);
-        let on = crate::predecode::Tiered::new(&graph, build).with_cluster_gate(ClusterGate::On);
-        let gated = LerEngine::new(2).estimate(&compiled, &auto, opts, 5);
-        let forced = LerEngine::new(2).estimate(&compiled, &on, opts, 5);
-        assert!(gated.cluster_gate_off > 0, "gate never evaluated");
-        assert_eq!(
-            gated.cluster_gate_on, 0,
-            "d=11 density must stay below the gate"
-        );
-        assert_eq!(gated.clustered_shots, 0);
-        assert_eq!(gated.clusters_total, 0);
-        assert_eq!(forced.cluster_gate_on, gated.cluster_gate_off);
-        assert!(forced.clusters_total > 0);
-        assert_eq!(
-            gated.estimate, forced.estimate,
-            "gating must not change failures"
-        );
-        assert_eq!(
-            gated.tier0_shots + gated.predecoded_shots + gated.residual_shots,
-            gated.estimate.shots,
-            "gated-off batches keep the partition invariant"
-        );
+    fn auto_gate_diverts_sparse_batches_and_decomposes_dense_ones() {
+        for (d, min_shots, dense) in [(11usize, 1_000usize, false), (15, 256, true)] {
+            let mem = caliqec_code::memory_circuit(
+                &caliqec_code::rotated_patch(d, d),
+                &caliqec_code::NoiseModel::uniform(1e-3),
+                d,
+                caliqec_code::MemoryBasis::Z,
+            );
+            let c = mem.circuit;
+            let graph = graph_for_circuit(&c);
+            let compiled = CompiledCircuit::new(&c);
+            let opts = SampleOptions {
+                min_shots,
+                ..Default::default()
+            };
+            let build = {
+                let graph = graph.clone();
+                move || UnionFindDecoder::new(graph.clone())
+            };
+            let auto = crate::predecode::Tiered::new(&graph, build.clone())
+                .with_cluster_gate(ClusterGate::Auto);
+            let on =
+                crate::predecode::Tiered::new(&graph, build).with_cluster_gate(ClusterGate::On);
+            let gated = LerEngine::new(2).estimate(&compiled, &auto, opts, 5);
+            let forced = LerEngine::new(2).estimate(&compiled, &on, opts, 5);
+            if dense {
+                assert!(gated.cluster_gate_on > 0, "d={d}: gate never switched on");
+                assert_eq!(
+                    gated.cluster_gate_off, 0,
+                    "d={d} density must clear the gate on every batch"
+                );
+                assert!(
+                    gated.clusters_total > 0,
+                    "d={d}: no dense shot was decomposed"
+                );
+                assert_eq!(
+                    gated.cluster_size_histogram.iter().sum::<u64>(),
+                    gated.clusters_total,
+                    "d={d}: cluster-size histogram must cover every cluster"
+                );
+            } else {
+                assert!(gated.cluster_gate_off > 0, "d={d}: gate never evaluated");
+                assert_eq!(
+                    gated.cluster_gate_on, 0,
+                    "d={d} density must stay below the gate"
+                );
+                assert_eq!(gated.clustered_shots, 0);
+                assert_eq!(gated.clusters_total, 0);
+            }
+            assert_eq!(
+                forced.cluster_gate_on,
+                gated.cluster_gate_on + gated.cluster_gate_off
+            );
+            assert!(forced.clusters_total > 0);
+            assert_eq!(
+                gated.estimate, forced.estimate,
+                "d={d}: gating must not change failures"
+            );
+            assert_eq!(
+                gated.tier0_shots
+                    + gated.predecoded_shots
+                    + gated.clustered_shots
+                    + gated.residual_shots,
+                gated.estimate.shots,
+                "d={d}: gated batches keep the partition invariant"
+            );
+        }
     }
 
     #[test]

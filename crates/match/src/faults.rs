@@ -11,9 +11,8 @@
 //! no plan is armed the hot path pays a single `Option` check per chunk and
 //! nothing else. Plans come from the builder methods here or from the
 //! `CALIQEC_FAULTS` environment variable (see [`FaultPlan::from_env`]),
-//! which the `caliqec` CLI and the `chaos_smoke` bench binary honour —
-//! library constructors never read the environment, so tests cannot race
-//! on it.
+//! which the `caliqec` CLI honours — library constructors never read the
+//! environment, so tests cannot race on it.
 
 use crate::graph::{Edge, MatchingGraph};
 use std::fmt;

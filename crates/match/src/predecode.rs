@@ -778,9 +778,10 @@ pub enum ClusterGate {
 }
 
 /// Minimum mean defects per shot (over one 64-shot batch) for the `Auto`
-/// cluster gate to run the decomposition. Calibrated from BENCH_decode.json:
-/// d=11, p=1e-3 averages ≈20 defects/shot and loses wall time to the tier,
-/// while d=15 (≈40) and d=21 (≈95) win.
+/// cluster gate to run the decomposition. Calibrated on the d ∈ {11, 15, 21}
+/// engine runs measured at commit 19caef5: d=11, p=1e-3 averages ≈20
+/// defects/shot and loses wall time to the tier, while d=15 (≈40) and d=21
+/// (≈95) win.
 pub const CLUSTER_GATE_MIN_MEAN_DEFECTS: f64 = 28.0;
 
 /// [`DecoderFactory`] adapter enabling the two-tier fast path: workers get

@@ -14,11 +14,11 @@
 //! round and zero allocations — the same discipline as the
 //! [`SparseBatch`](crate::SparseBatch) extraction path downstream.
 //!
-//! [`RoundStream`] is the loopback source used by tests, the CLI
-//! `serve` smoke mode, and the bench load generator: it samples a circuit
-//! through the compiled Pauli-frame sampler and replays each 64-shot
-//! batch as a sequence of rounds, so a full service stack can be driven
-//! deterministically from a seed with no hardware in the loop.
+//! [`RoundStream`] is the loopback source used by tests and the CLI
+//! `serve` command: it samples a circuit through the compiled Pauli-frame
+//! sampler and replays each 64-shot batch as a sequence of rounds, so a
+//! full service stack can be driven deterministically from a seed with no
+//! hardware in the loop.
 
 use crate::circuit::Circuit;
 use crate::compiled::{CompiledCircuit, FrameState};

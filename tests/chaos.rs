@@ -153,18 +153,26 @@ fn faults_off_reports_zero_faulted_chunks() {
 #[test]
 fn recovery_is_thread_count_independent() {
     quiet_worker_panics();
-    let plan = FaultPlan::new().panic_at(0).corrupt_defects_at(2);
-    let one = run_with(plan.clone(), 1);
-    let many = run_with(plan, 4);
-    assert_eq!(
-        (one.estimate.shots, one.estimate.failures),
-        (many.estimate.shots, many.estimate.failures),
-        "ladder retries must not break thread-count determinism"
-    );
-    assert_eq!(one.faulted_chunks, 2);
-    assert_eq!(many.faulted_chunks, 2);
-    assert_eq!(one.faulted_chunks, one.retried_chunks);
-    assert_eq!(many.faulted_chunks, many.retried_chunks);
+    let clean = run_clean();
+    // The second plan injects every batch fault kind in one run, on
+    // consecutive chunks.
+    for (spec, faults) in [
+        ("panic@0,corrupt@2", 2),
+        ("panic@0,corrupt@1,stall@2,badweights@3,cluster@4", 5),
+    ] {
+        let plan = FaultPlan::parse(spec).expect("valid fault spec");
+        for threads in [1, 4] {
+            let run = run_with(plan.clone(), threads);
+            assert_eq!(
+                (run.estimate.shots, run.estimate.failures),
+                (clean.estimate.shots, clean.estimate.failures),
+                "{spec} at {threads} threads: ladder retries must not break \
+                 thread-count determinism"
+            );
+            assert_eq!(run.faulted_chunks, faults, "{spec} at {threads} threads");
+            assert_eq!(run.retried_chunks, faults, "{spec} at {threads} threads");
+        }
+    }
 }
 
 #[test]
