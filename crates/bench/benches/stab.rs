@@ -11,10 +11,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn memory(d: usize) -> caliqec_code::MemoryCircuit {
+fn memory(d: usize, p: f64) -> caliqec_code::MemoryCircuit {
     memory_circuit(
         &rotated_patch(d, d),
-        &NoiseModel::uniform(1e-3),
+        &NoiseModel::uniform(p),
         d,
         MemoryBasis::Z,
     )
@@ -23,7 +23,7 @@ fn memory(d: usize) -> caliqec_code::MemoryCircuit {
 fn bench_frame_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_sampler");
     for d in [3usize, 5, 7, 9] {
-        let mem = memory(d);
+        let mem = memory(d, 1e-3);
         group.throughput(Throughput::Elements(BATCH as u64));
         group.bench_with_input(BenchmarkId::new("memory_z", d), &mem, |b, mem| {
             let mut sampler = FrameSampler::new(&mem.circuit);
@@ -37,7 +37,7 @@ fn bench_frame_sampler(c: &mut Criterion) {
 fn bench_tableau_shot(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_shot");
     for d in [3usize, 5] {
-        let mem = memory(d);
+        let mem = memory(d, 1e-3);
         group.bench_with_input(BenchmarkId::new("memory_z", d), &mem, |b, mem| {
             let mut rng = StdRng::seed_from_u64(2);
             b.iter(|| noiseless_shot(&mem.circuit, &mut rng));
@@ -51,15 +51,19 @@ fn bench_tableau_shot(c: &mut Criterion) {
 /// paths draw from identical per-batch RNG streams and produce
 /// bit-identical events (`wide_lanes_are_bit_identical_to_narrow_batches`
 /// in caliqec-stab); only throughput differs. d = 15 is the dense-regime
-/// workload whose sample phase the engine batches this way.
+/// workload whose sample phase the engine batches this way. Each noise
+/// site stays quiet for a whole batch with probability (1 − p)^64, which
+/// decides how often the sampler's no-logarithm shortcut applies: 0.94 of
+/// site visits at p = 1e-3, 0.73 at p = 5e-3.
 fn bench_sample_simd(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample_simd");
     group.sample_size(20);
-    for d in [11usize, 15] {
-        let mem = memory(d);
+    for (d, p) in [(11usize, 1e-3), (11, 5e-3), (15, 1e-3), (15, 5e-3)] {
+        let mem = memory(d, p);
         let compiled = CompiledCircuit::new(&mem.circuit);
+        let id = |name| BenchmarkId::new(name, format!("{d}/p{p}"));
         group.throughput(Throughput::Elements((LANES * BATCH) as u64));
-        group.bench_with_input(BenchmarkId::new("narrow", d), &compiled, |b, compiled| {
+        group.bench_with_input(id("narrow"), &compiled, |b, compiled| {
             let mut state = FrameState::new(compiled);
             let mut events = BatchEvents::default();
             let mut batch = 0u64;
@@ -72,7 +76,7 @@ fn bench_sample_simd(c: &mut Criterion) {
                 events.detectors.len()
             });
         });
-        group.bench_with_input(BenchmarkId::new("wide", d), &compiled, |b, compiled| {
+        group.bench_with_input(id("wide"), &compiled, |b, compiled| {
             let mut state = WideFrameState::new(compiled);
             let mut events: [BatchEvents; LANES] = std::array::from_fn(|_| BatchEvents::default());
             let mut batch = 0u64;
@@ -93,7 +97,7 @@ fn bench_dem_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("dem_extraction");
     group.sample_size(10);
     for d in [3usize, 5, 7, 11, 15] {
-        let mem = memory(d);
+        let mem = memory(d, 1e-3);
         group.bench_with_input(BenchmarkId::new("memory_z", d), &mem, |b, mem| {
             b.iter(|| extract_dem(&mem.circuit));
         });

@@ -6,8 +6,9 @@
 //! `benchmark_group`, `bench_with_input`, `Bencher::iter`, `Throughput`,
 //! and the `criterion_group!`/`criterion_main!` macros — with a simple
 //! wall-clock measurement loop instead of criterion's statistical
-//! machinery. Output is one line per benchmark: the median ns/iter over
-//! `sample_size` samples, plus derived throughput when configured.
+//! machinery. Output is one line per benchmark: the median time per
+//! iteration over `sample_size` samples with their min, max and median
+//! absolute deviation, plus derived throughput when configured.
 
 #![warn(missing_docs)]
 
@@ -131,10 +132,10 @@ impl BenchmarkGroup<'_> {
     {
         let mut bencher = Bencher {
             sample_size: self.sample_size,
-            ns_per_iter: None,
+            summary: None,
         };
         f(&mut bencher, input);
-        self.report(&id, bencher.ns_per_iter);
+        self.report(&id, bencher.summary);
         self
     }
 
@@ -149,10 +150,11 @@ impl BenchmarkGroup<'_> {
     /// Ends the group. (Reporting happens per-benchmark.)
     pub fn finish(self) {}
 
-    fn report(&self, id: &BenchmarkId, ns_per_iter: Option<f64>) {
+    fn report(&self, id: &BenchmarkId, summary: Option<Summary>) {
         let label = id.render(&self.name);
-        match ns_per_iter {
-            Some(ns) => {
+        match summary {
+            Some(summary) => {
+                let ns = summary.median;
                 let rate = match self.throughput {
                     Some(Throughput::Elements(n)) => {
                         format!("  ({:.3e} elem/s)", n as f64 / (ns * 1e-9))
@@ -162,7 +164,13 @@ impl BenchmarkGroup<'_> {
                     }
                     None => String::new(),
                 };
-                println!("{label:<48} time: {} /iter{rate}", format_ns(ns));
+                println!(
+                    "{label:<48} time: {} /iter  (min {}, max {}, MAD {}){rate}",
+                    format_ns(ns),
+                    format_ns(summary.min),
+                    format_ns(summary.max),
+                    format_ns(summary.mad),
+                );
             }
             None => println!("{label:<48} (no measurement: Bencher::iter never called)"),
         }
@@ -205,17 +213,47 @@ impl IntoBenchmarkId for String {
     }
 }
 
+/// Median, extremes and spread of one benchmark's samples, in ns per
+/// iteration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Summary {
+    median: f64,
+    min: f64,
+    max: f64,
+    /// Median absolute deviation from `median`.
+    mad: f64,
+}
+
+impl Summary {
+    /// Summarises a non-empty sample set. For an even count both medians
+    /// take the upper of the two middle values.
+    fn of(mut samples: Vec<f64>) -> Summary {
+        let upper_median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let median = upper_median(&mut samples);
+        let mut deviations: Vec<f64> = samples.iter().map(|s| (s - median).abs()).collect();
+        Summary {
+            median,
+            min: samples[0],
+            max: samples[samples.len() - 1],
+            mad: upper_median(&mut deviations),
+        }
+    }
+}
+
 /// Runs and times the closure under benchmark.
 #[derive(Debug)]
 pub struct Bencher {
     sample_size: usize,
-    ns_per_iter: Option<f64>,
+    summary: Option<Summary>,
 }
 
 impl Bencher {
     /// Measures `f`: calibrates an iteration count so one sample takes
     /// a few milliseconds, collects `sample_size` samples, and records
-    /// the median time per iteration.
+    /// their median, min, max and median absolute deviation per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // Calibration: time single iterations until ~10ms total elapses
         // (at least one), to pick the per-sample iteration count.
@@ -228,7 +266,7 @@ impl Bencher {
         let per_iter = calibration_start.elapsed().as_secs_f64() / calibration_iters as f64;
         let iters_per_sample = ((0.005 / per_iter) as u64).clamp(1, 1_000_000);
 
-        let mut samples: Vec<f64> = (0..self.sample_size)
+        let samples: Vec<f64> = (0..self.sample_size)
             .map(|_| {
                 let start = Instant::now();
                 for _ in 0..iters_per_sample {
@@ -237,8 +275,7 @@ impl Bencher {
                 start.elapsed().as_secs_f64() * 1e9 / iters_per_sample as f64
             })
             .collect();
-        samples.sort_by(f64::total_cmp);
-        self.ns_per_iter = Some(samples[samples.len() / 2]);
+        self.summary = Some(Summary::of(samples));
     }
 }
 
@@ -282,6 +319,37 @@ mod tests {
     #[test]
     fn group_runs_and_measures() {
         benches();
+    }
+
+    #[test]
+    fn summary_reports_median_extremes_and_mad() {
+        // Sorted 1 3 4 5 9: median 4; deviations 3 1 0 1 5 sort to 0 1 1 3 5.
+        let odd = Summary::of(vec![5.0, 1.0, 3.0, 9.0, 4.0]);
+        assert_eq!(
+            odd,
+            Summary {
+                median: 4.0,
+                min: 1.0,
+                max: 9.0,
+                mad: 1.0
+            }
+        );
+        // Sorted 2 4 6 8: upper median 6; deviations 4 2 0 2 sort to 0 2 2 4.
+        let even = Summary::of(vec![8.0, 2.0, 6.0, 4.0]);
+        assert_eq!(
+            even,
+            Summary {
+                median: 6.0,
+                min: 2.0,
+                max: 8.0,
+                mad: 2.0
+            }
+        );
+        let one = Summary::of(vec![7.5]);
+        assert_eq!(
+            (one.median, one.min, one.max, one.mad),
+            (7.5, 7.5, 7.5, 0.0)
+        );
     }
 
     #[test]

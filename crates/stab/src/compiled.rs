@@ -1,7 +1,5 @@
 //! One-time compilation of a [`Circuit`] into a flat sampling program.
 //!
-//! [`FrameSampler`](crate::FrameSampler) historically re-walked the `Op`
-//! enum — with its heap-allocated target lists — on every 64-shot batch.
 //! [`CompiledCircuit`] flattens the circuit once into a dense array of
 //! `Copy` instructions (one per qubit/pair target, Pauli gates elided,
 //! detector/observable definitions pre-resolved into index tables), and
@@ -10,18 +8,26 @@
 //! threads, which is what the parallel LER engine in `caliqec-match`
 //! builds on.
 //!
+//! Every noise site carries the two constants its geometric skip needs,
+//! computed at compile time: `ln(1 - p)` and a *quiet threshold*, a bound
+//! below `(1 - p)^64` on the first uniform draw under which the site
+//! cannot fire in the batch. At p = 10⁻³ about 94% of site visits end
+//! after that one draw and compare, so the logarithm runs only where a
+//! fault can land.
+//!
 //! Every sampler is one kernel, generic over the lane count `L` (how many
 //! independent 64-shot batches advance in lockstep) and over a per-noise-
 //! site weight tally (a no-op for nominal sampling; likelihood-ratio
 //! accumulation on boosted programs). Each lane consumes its RNG in
-//! *exactly* the same order as the interpreting sampler, so for a fixed
-//! seed every instantiation produces identical [`BatchEvents`] — a
-//! property the differential tests rely on.
+//! *exactly* the same order as the interpreting sampler, which uses the
+//! plain skip without the threshold, so for a fixed seed every
+//! instantiation produces identical [`BatchEvents`] — a property the
+//! differential tests rely on.
 
 use crate::circuit::{Basis, Circuit, Gate1, Gate2, Noise1, Noise2, Op};
 use crate::dem::ErrorSource;
 use crate::error::{check_probability, check_qubit_index, CircuitError};
-use crate::frame::{bernoulli_mask_with, for_each_set_bit, BatchEvents, BATCH};
+use crate::frame::{bernoulli_mask_with, for_each_set_bit, skip_consts, BatchEvents, BATCH};
 use crate::pauli::Pauli;
 use crate::rates::RateTable;
 use crate::sim::two_qubit_pauli;
@@ -31,6 +37,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One flattened sampling instruction. Pauli gates compile to nothing;
 /// `S` and `SDag` act identically on frames and share one opcode.
+///
+/// Every noise site carries its rate with the two skip constants of
+/// [`skip_consts`]: `l1p = ln(1 - p)` and the `quiet` threshold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Instr {
     /// Hadamard: swap X and Z frames.
@@ -45,30 +54,60 @@ enum Instr {
     Swap(u32, u32),
     /// Reset: discard accumulated error.
     Reset(u32),
-    /// Measurement with optional classical flip noise. `l1p` caches
-    /// `ln(1 - flip)` for the geometric skip sampler (unused when
-    /// `flip` is 0 or 1).
+    /// Measurement with optional classical flip noise at rate `flip`
+    /// (the skip constants are unused when `flip` is 0 or 1).
     Meas {
         q: u32,
         basis: Basis,
         flip: f64,
         l1p: f64,
+        quiet: f32,
     },
-    /// X error with probability `p`; `l1p` caches `ln(1 - p)`.
-    NoiseX { q: u32, p: f64, l1p: f64 },
-    /// Y error with probability `p`; `l1p` caches `ln(1 - p)`.
-    NoiseY { q: u32, p: f64, l1p: f64 },
-    /// Z error with probability `p`; `l1p` caches `ln(1 - p)`.
-    NoiseZ { q: u32, p: f64, l1p: f64 },
-    /// Single-qubit depolarizing channel; `l1p` caches `ln(1 - p)`.
-    Dep1 { q: u32, p: f64, l1p: f64 },
-    /// Two-qubit depolarizing channel; `l1p` caches `ln(1 - p)`.
-    Dep2 { a: u32, b: u32, p: f64, l1p: f64 },
+    /// X error with probability `p`.
+    NoiseX {
+        q: u32,
+        p: f64,
+        l1p: f64,
+        quiet: f32,
+    },
+    /// Y error with probability `p`.
+    NoiseY {
+        q: u32,
+        p: f64,
+        l1p: f64,
+        quiet: f32,
+    },
+    /// Z error with probability `p`.
+    NoiseZ {
+        q: u32,
+        p: f64,
+        l1p: f64,
+        quiet: f32,
+    },
+    /// Single-qubit depolarizing channel.
+    Dep1 {
+        q: u32,
+        p: f64,
+        l1p: f64,
+        quiet: f32,
+    },
+    /// Two-qubit depolarizing channel.
+    Dep2 {
+        a: u32,
+        b: u32,
+        p: f64,
+        l1p: f64,
+        quiet: f32,
+    },
 }
 
-/// `ln(1 - p)`, precomputed once at compile time so the per-batch geometric
-/// skip sampler ([`bernoulli_mask_with`]) never re-derives it on the hot
-/// path. The value is only read for `0 < p < 1`.
+// The program is walked once per batch, so its size is sampling bandwidth
+// and resident memory. The `f32` quiet threshold fits in the padding the
+// `f64` fields leave; an `f64` threshold would grow `Instr` to 40 bytes.
+const _: () = assert!(std::mem::size_of::<Instr>() == 32);
+
+/// `ln(1 - p)`: the per-shot log-likelihood of a channel at rate `p`
+/// staying quiet, the building block of [`llr_terms`].
 #[inline]
 fn l1p(p: f64) -> f64 {
     (-p).ln_1p()
@@ -251,11 +290,13 @@ impl CompiledCircuit {
                     }
                 }
                 Op::Measure { basis, qubit, flip } => {
+                    let (l1p, quiet) = skip_consts(*flip);
                     instrs.push(Instr::Meas {
                         q: *qubit,
                         basis: *basis,
                         flip: *flip,
-                        l1p: l1p(*flip),
+                        l1p,
+                        quiet,
                     });
                 }
                 Op::Reset(_, qs) => {
@@ -264,39 +305,28 @@ impl CompiledCircuit {
                     }
                 }
                 Op::Noise1(kind, p, qs) => {
+                    let p = *p;
+                    let (l1p, quiet) = skip_consts(p);
                     for &q in qs {
                         instrs.push(match kind {
-                            Noise1::XError => Instr::NoiseX {
-                                q,
-                                p: *p,
-                                l1p: l1p(*p),
-                            },
-                            Noise1::YError => Instr::NoiseY {
-                                q,
-                                p: *p,
-                                l1p: l1p(*p),
-                            },
-                            Noise1::ZError => Instr::NoiseZ {
-                                q,
-                                p: *p,
-                                l1p: l1p(*p),
-                            },
-                            Noise1::Depolarize1 => Instr::Dep1 {
-                                q,
-                                p: *p,
-                                l1p: l1p(*p),
-                            },
+                            Noise1::XError => Instr::NoiseX { q, p, l1p, quiet },
+                            Noise1::YError => Instr::NoiseY { q, p, l1p, quiet },
+                            Noise1::ZError => Instr::NoiseZ { q, p, l1p, quiet },
+                            Noise1::Depolarize1 => Instr::Dep1 { q, p, l1p, quiet },
                         });
                     }
                 }
                 Op::Noise2(kind, p, pairs) => {
+                    let p = *p;
+                    let (l1p, quiet) = skip_consts(p);
                     for &(a, b) in pairs {
                         instrs.push(match kind {
                             Noise2::Depolarize2 => Instr::Dep2 {
                                 a,
                                 b,
-                                p: *p,
-                                l1p: l1p(*p),
+                                p,
+                                l1p,
+                                quiet,
                             },
                         });
                     }
@@ -358,55 +388,51 @@ impl CompiledCircuit {
         let mut delta = Vec::new();
         let mut base = 0.0f64;
         for instr in &mut out.instrs {
-            // One (nominal rate, mutable compiled rate, mutable ln(1-p))
-            // triple per noise site, in the exact program order the
-            // samplers walk — the `delta` table is indexed by that order.
+            // One (error source, compiled rate, skip constants) tuple per
+            // noise site, in the exact program order the samplers walk —
+            // the `delta` table is indexed by that order.
             let site = match instr {
                 Instr::Meas {
-                    q, flip, l1p: lp, ..
-                } => {
-                    let nominal = rates.get(&ErrorSource::MeasureFlip(*q)).unwrap_or(*flip);
-                    Some((nominal, flip, lp))
+                    q,
+                    flip,
+                    l1p,
+                    quiet,
+                    ..
+                } => Some((ErrorSource::MeasureFlip(*q), flip, l1p, quiet)),
+                Instr::NoiseX { q, p, l1p, quiet } => {
+                    Some((ErrorSource::Noise1(Noise1::XError, *q), p, l1p, quiet))
                 }
-                Instr::NoiseX { q, p, l1p: lp } => {
-                    let nominal = rates
-                        .get(&ErrorSource::Noise1(Noise1::XError, *q))
-                        .unwrap_or(*p);
-                    Some((nominal, p, lp))
+                Instr::NoiseY { q, p, l1p, quiet } => {
+                    Some((ErrorSource::Noise1(Noise1::YError, *q), p, l1p, quiet))
                 }
-                Instr::NoiseY { q, p, l1p: lp } => {
-                    let nominal = rates
-                        .get(&ErrorSource::Noise1(Noise1::YError, *q))
-                        .unwrap_or(*p);
-                    Some((nominal, p, lp))
+                Instr::NoiseZ { q, p, l1p, quiet } => {
+                    Some((ErrorSource::Noise1(Noise1::ZError, *q), p, l1p, quiet))
                 }
-                Instr::NoiseZ { q, p, l1p: lp } => {
-                    let nominal = rates
-                        .get(&ErrorSource::Noise1(Noise1::ZError, *q))
-                        .unwrap_or(*p);
-                    Some((nominal, p, lp))
+                Instr::Dep1 { q, p, l1p, quiet } => {
+                    Some((ErrorSource::Noise1(Noise1::Depolarize1, *q), p, l1p, quiet))
                 }
-                Instr::Dep1 { q, p, l1p: lp } => {
-                    let nominal = rates
-                        .get(&ErrorSource::Noise1(Noise1::Depolarize1, *q))
-                        .unwrap_or(*p);
-                    Some((nominal, p, lp))
-                }
-                Instr::Dep2 { a, b, p, l1p: lp } => {
-                    let nominal = rates
-                        .get(&ErrorSource::Noise2(Noise2::Depolarize2, *a, *b))
-                        .unwrap_or(*p);
-                    Some((nominal, p, lp))
-                }
+                Instr::Dep2 {
+                    a,
+                    b,
+                    p,
+                    l1p,
+                    quiet,
+                } => Some((
+                    ErrorSource::Noise2(Noise2::Depolarize2, *a, *b),
+                    p,
+                    l1p,
+                    quiet,
+                )),
                 _ => None,
             };
-            if let Some((nominal, rate, lp)) = site {
+            if let Some((source, rate, l1p, quiet)) = site {
+                let nominal = rates.get(&source).unwrap_or(*rate);
                 let boosted = boost_rate(nominal, beta);
                 let (d, keep) = llr_terms(nominal, boosted);
                 delta.push(d);
                 base += keep;
                 *rate = boosted;
-                *lp = l1p(boosted);
+                (*l1p, *quiet) = skip_consts(boosted);
             }
         }
         out.llr = Some(LlrTables { delta, base, beta });
@@ -586,10 +612,12 @@ impl CompiledCircuit {
     /// amortisation — one instruction-stream walk (decode, bounds checks,
     /// branch prediction) drives `LANES × 64` shots, and the per-qubit
     /// frame updates become fixed-size `[u64; LANES]` loops the compiler
-    /// turns into vector ops. Noise sites remain per-lane serial (each
-    /// lane's geometric skip depends on its own RNG stream), so the win
-    /// concentrates where dense-circuit sampling spends its time: the gate
-    /// conjugation sweep.
+    /// turns into vector ops. Noise sites remain per-lane serial, because
+    /// each lane's geometric skip reads its own RNG stream. At p = 10⁻³
+    /// most of those visits are one draw and one compare against the
+    /// site's quiet threshold, so the shared walk and gate sweep are a
+    /// sizeable share of the work; as p grows, the per-lane logarithms take
+    /// over and wide and narrow sampling converge.
     pub fn sample_batches_wide_into<R: Rng>(
         &self,
         state: &mut WideFrameState,
@@ -704,6 +732,7 @@ impl CompiledCircuit {
                     basis,
                     flip,
                     l1p,
+                    quiet,
                 } => {
                     let q = q as usize;
                     let mut flips = match basis {
@@ -713,7 +742,7 @@ impl CompiledCircuit {
                     tally.next_site();
                     if flip > 0.0 {
                         for l in 0..L {
-                            let fired = bernoulli_mask_with(flip, l1p, &mut rngs[l]);
+                            let fired = bernoulli_mask_with(flip, l1p, quiet, &mut rngs[l]);
                             flips[l] ^= fired;
                             tally.charge(l, fired);
                         }
@@ -730,40 +759,40 @@ impl CompiledCircuit {
                         conj[l] = rngs[l].random::<u64>();
                     }
                 }
-                Instr::NoiseX { q, p, l1p } => {
+                Instr::NoiseX { q, p, l1p, quiet } => {
                     let q = q as usize;
                     tally.next_site();
                     for l in 0..L {
-                        let fired = bernoulli_mask_with(p, l1p, &mut rngs[l]);
+                        let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                         x[q][l] ^= fired;
                         tally.charge(l, fired);
                     }
                 }
-                Instr::NoiseY { q, p, l1p } => {
+                Instr::NoiseY { q, p, l1p, quiet } => {
                     let q = q as usize;
                     tally.next_site();
                     for l in 0..L {
-                        let fired = bernoulli_mask_with(p, l1p, &mut rngs[l]);
+                        let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                         x[q][l] ^= fired;
                         z[q][l] ^= fired;
                         tally.charge(l, fired);
                     }
                 }
-                Instr::NoiseZ { q, p, l1p } => {
+                Instr::NoiseZ { q, p, l1p, quiet } => {
                     let q = q as usize;
                     tally.next_site();
                     for l in 0..L {
-                        let fired = bernoulli_mask_with(p, l1p, &mut rngs[l]);
+                        let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                         z[q][l] ^= fired;
                         tally.charge(l, fired);
                     }
                 }
-                Instr::Dep1 { q, p, l1p } => {
+                Instr::Dep1 { q, p, l1p, quiet } => {
                     let q = q as usize;
                     tally.next_site();
                     for l in 0..L {
                         let rng = &mut rngs[l];
-                        let fired = bernoulli_mask_with(p, l1p, rng);
+                        let fired = bernoulli_mask_with(p, l1p, quiet, rng);
                         // The Pauli-choice draws are conditionally uniform and
                         // unchanged by boosting, so only the fire bits weigh in.
                         for_each_set_bit(fired, |s| {
@@ -781,12 +810,18 @@ impl CompiledCircuit {
                         tally.charge(l, fired);
                     }
                 }
-                Instr::Dep2 { a, b, p, l1p } => {
+                Instr::Dep2 {
+                    a,
+                    b,
+                    p,
+                    l1p,
+                    quiet,
+                } => {
                     let (a, b) = (a as usize, b as usize);
                     tally.next_site();
                     for l in 0..L {
                         let rng = &mut rngs[l];
-                        let fired = bernoulli_mask_with(p, l1p, rng);
+                        let fired = bernoulli_mask_with(p, l1p, quiet, rng);
                         for_each_set_bit(fired, |s| {
                             let bit = 1u64 << s;
                             let (pa, pb) = two_qubit_pauli(rng.random_range(0..15));
@@ -1002,6 +1037,28 @@ mod tests {
         c
     }
 
+    /// Rates at the edges of the quiet threshold, spread over every kind of
+    /// noise site: 10⁻⁹ (nearly every draw quiet), 10⁻³ (the common case),
+    /// ½ (`(1 − p)^64` ≈ 5·10⁻²⁰, so only the clamped zero draw is quiet)
+    /// and 1 − 10⁻⁹ (threshold 0).
+    fn edge_rates() -> Circuit {
+        let mut c = Circuit::new(3);
+        c.reset(Basis::Z, &[0, 1, 2]);
+        c.noise1(Noise1::XError, 1e-9, &[0, 1, 2]);
+        c.noise1(Noise1::Depolarize1, 1e-3, &[0, 1, 2]);
+        c.noise2(Noise2::Depolarize2, 0.5, &[(0, 1)]);
+        c.noise1(Noise1::YError, 0.5, &[2]);
+        c.noise1(Noise1::ZError, 1.0 - 1e-9, &[1]);
+        c.g2(Gate2::Cx, 1, 2);
+        let m0 = c.measure(0, Basis::Z, 0.5);
+        let m1 = c.measure(1, Basis::Z, 1e-9);
+        let m2 = c.measure(2, Basis::X, 1e-3);
+        c.detector(&[m0, m1]);
+        c.detector(&[m2]);
+        c.observable(0, &[m1]);
+        c
+    }
+
     /// One weighted single-batch draw through the 1-lane instantiation.
     fn sample_weighted(
         prog: &CompiledCircuit,
@@ -1052,33 +1109,35 @@ mod tests {
 
     #[test]
     fn compiled_matches_interpreter_exactly() {
-        // The interpreter is the oracle for every kernel instantiation:
-        // 1 lane and LANES lanes, nominal and weighted. β = 1 never changes
-        // a rate, so the weighted program must replay the interpreter's RNG
-        // stream bit for bit with llr ≡ 0 — the identity the engine's
-        // weight ≡ 1 fast path rests on. kitchen_sink includes p up to 0.2
-        // and a flip=0 measurement, covering the rate-untouched special
-        // case at every instruction kind.
-        let c = kitchen_sink();
-        let plain = CompiledCircuit::new(&c);
-        let mut state = FrameState::new(&plain);
-        assert_replays_interpreter::<1>(&c, false, |[rng], [events], _| {
-            plain.sample_batch_into(&mut state, rng, events)
-        });
-        let mut wide = WideFrameState::new(&plain);
-        assert_replays_interpreter::<LANES>(&c, false, |rngs, events, _| {
-            plain.sample_batches_wide_into(&mut wide, rngs, events)
-        });
-        let unit = plain.boosted(1.0);
-        assert_eq!(unit.boost_beta(), 1.0);
-        let mut state = FrameState::new(&unit);
-        assert_replays_interpreter::<1>(&c, true, |rngs, events, llr| {
-            unit.sample_lanes_into(&mut state, rngs, events, llr)
-        });
-        let mut wide = WideFrameState::new(&unit);
-        assert_replays_interpreter::<LANES>(&c, true, |rngs, events, llr| {
-            unit.sample_lanes_into(&mut wide, rngs, events, llr)
-        });
+        // The interpreter, which skips without the quiet threshold, is the
+        // oracle for every kernel instantiation: 1 lane and LANES lanes,
+        // nominal and weighted. β = 1 never changes a rate, so the weighted
+        // program must replay the interpreter's RNG stream bit for bit with
+        // llr ≡ 0 — the identity the engine's weight ≡ 1 fast path rests
+        // on. kitchen_sink includes p up to 0.2 and a flip=0 measurement,
+        // covering the rate-untouched special case at every instruction
+        // kind; edge_rates puts every kind at the threshold's extremes.
+        for c in [kitchen_sink(), edge_rates()] {
+            let plain = CompiledCircuit::new(&c);
+            let mut state = FrameState::new(&plain);
+            assert_replays_interpreter::<1>(&c, false, |[rng], [events], _| {
+                plain.sample_batch_into(&mut state, rng, events)
+            });
+            let mut wide = WideFrameState::new(&plain);
+            assert_replays_interpreter::<LANES>(&c, false, |rngs, events, _| {
+                plain.sample_batches_wide_into(&mut wide, rngs, events)
+            });
+            let unit = plain.boosted(1.0);
+            assert_eq!(unit.boost_beta(), 1.0);
+            let mut state = FrameState::new(&unit);
+            assert_replays_interpreter::<1>(&c, true, |rngs, events, llr| {
+                unit.sample_lanes_into(&mut state, rngs, events, llr)
+            });
+            let mut wide = WideFrameState::new(&unit);
+            assert_replays_interpreter::<LANES>(&c, true, |rngs, events, llr| {
+                unit.sample_lanes_into(&mut wide, rngs, events, llr)
+            });
+        }
     }
 
     #[test]

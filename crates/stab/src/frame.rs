@@ -220,34 +220,97 @@ impl SparseBatch {
 /// Uses geometric skipping so the cost is proportional to the number of hits,
 /// which is what makes low-physical-error-rate sampling fast.
 ///
-/// Shared with the compiled sampler so both consume RNG draws identically.
+/// This is the plain skip: the interpreting sampler uses it, and it is the
+/// reference the compiled sampler's thresholded [`bernoulli_mask_with`] must
+/// match draw for draw.
 pub(crate) fn bernoulli_mask<R: Rng>(p: f64, rng: &mut R) -> u64 {
-    bernoulli_mask_with(p, (-p).ln_1p(), rng)
-}
-
-/// [`bernoulli_mask`] with `ln(1 - p)` supplied by the caller — the
-/// compiled sampler caches it per instruction at compile time, saving an
-/// `ln_1p` evaluation per noise site per batch. The arithmetic on the
-/// random draws is unchanged, so the sampled masks are bit-identical to
-/// the self-computing variant.
-pub(crate) fn bernoulli_mask_with<R: Rng>(p: f64, log1p: f64, rng: &mut R) -> u64 {
     if p <= 0.0 {
         return 0;
     }
     if p >= 1.0 {
         return u64::MAX;
     }
+    geometric_skip(uniform(rng), (-p).ln_1p(), rng)
+}
+
+/// [`bernoulli_mask`] with the two [`skip_consts`] of `p`, which the
+/// compiled sampler caches per instruction: `log1p = ln(1 - p)` and the
+/// quiet threshold `quiet`.
+///
+/// A first draw `u < quiet` returns the empty mask at once, skipping the
+/// logarithm. That is exact because `quiet` never exceeds
+/// `(1 - p)^64 · (1 - 10⁻⁶)`: every such `u` makes the plain skip's first
+/// gap `⌊ln u / ln(1 - p)⌋` at least 64, so it too returns 0 after that
+/// one draw. The mask and the number of draws consumed are therefore the
+/// same as [`bernoulli_mask`]'s for every RNG stream.
+#[inline]
+pub(crate) fn bernoulli_mask_with<R: Rng>(p: f64, log1p: f64, quiet: f32, rng: &mut R) -> u64 {
+    if p <= 0.0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return u64::MAX;
+    }
+    let u = uniform(rng);
+    if u < f64::from(quiet) {
+        return 0;
+    }
+    geometric_skip(u, log1p, rng)
+}
+
+/// Relative margin by which a quiet threshold stays below `(1 - p)^64`.
+/// It dwarfs the rounding of `ln` and of the divide (a few parts in 10¹⁶)
+/// and of the threshold's own squarings (under 2 parts in 10¹⁴), so the
+/// shortcut never answers for a draw the exact skip would let fire.
+const QUIET_MARGIN: f64 = 1e-6;
+
+/// The constants [`bernoulli_mask_with`] takes for a site at rate `p`:
+/// `ln(1 - p)` and the quiet threshold `(1 - p)^64 · (1 − QUIET_MARGIN)`
+/// rounded down to `f32`, which is 0 (no shortcut) unless `0 < p < 1`.
+pub(crate) fn skip_consts(p: f64) -> (f64, f32) {
+    let l1p = (-p).ln_1p();
+    if !(p > 0.0 && p < 1.0) {
+        return (l1p, 0.0);
+    }
+    // (1 - p)^64 as six squarings (64 = 2⁶): plain IEEE multiplies, so the
+    // threshold is the same on every target.
+    let mut pow = 1.0 - p;
+    for _ in 0..BATCH.trailing_zeros() {
+        pow *= pow;
+    }
+    let bound = pow * (1.0 - QUIET_MARGIN);
+    let near = bound as f32;
+    let quiet = if f64::from(near) > bound {
+        near.next_down()
+    } else {
+        near
+    };
+    (l1p, quiet)
+}
+
+/// One uniform draw in `(0, 1)`: the generator's `[0, 1)` value with 0
+/// clamped to `f64::MIN_POSITIVE`, so its logarithm stays finite.
+#[inline]
+fn uniform<R: Rng>(rng: &mut R) -> f64 {
+    rng.random::<f64>().max(f64::MIN_POSITIVE)
+}
+
+/// The geometric skip from an already drawn first uniform `u`: the gap
+/// before each success is `⌊ln u / ln(1 - p)⌋`, and each success draws
+/// the next `u`.
+fn geometric_skip<R: Rng>(mut u: f64, log1p: f64, rng: &mut R) -> u64 {
     let mut mask = 0u64;
-    // Skip-ahead sampling: the gap between successes is geometric.
     let mut pos = 0f64;
     loop {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         pos += (u.ln() / log1p).floor();
-        if pos >= BATCH as f64 {
+        // A NaN rate (which `Circuit::from_ops` does not reject) makes
+        // `pos` NaN: stop, so it never fires instead of looping forever.
+        if pos.is_nan() || pos >= BATCH as f64 {
             break;
         }
         mask |= 1u64 << (pos as u32);
         pos += 1.0;
+        u = uniform(rng);
     }
     mask
 }
@@ -313,6 +376,8 @@ impl FrameSampler {
 /// The original op-by-op Pauli-frame sampler, kept as the reference
 /// implementation: differential tests and the `engine` benchmark compare
 /// it against [`crate::CompiledCircuit`], whose RNG draw order it defines.
+/// It samples each noise site with the plain skip, without the compiled
+/// sampler's quiet threshold.
 #[derive(Debug)]
 pub struct InterpretingSampler<'c> {
     circuit: &'c Circuit,
@@ -506,6 +571,153 @@ mod tests {
             }
             let freq = ones as f64 / (trials as f64 * 64.0);
             assert!((freq - p).abs() < 0.02, "p={p}, freq={freq}");
+        }
+    }
+
+    #[test]
+    fn nan_rate_never_fires_and_both_samplers_return() {
+        // `from_ops` does not validate, so a NaN rate reaches the samplers;
+        // their skip loops must still end, and agree.
+        use crate::circuit::{MeasIdx, Noise1};
+        use crate::CircuitError;
+        let c = Circuit::from_ops(
+            1,
+            vec![
+                Op::Reset(Basis::Z, vec![0]),
+                Op::Noise1(Noise1::XError, f64::NAN, vec![0]),
+                Op::Measure {
+                    basis: Basis::Z,
+                    qubit: 0,
+                    flip: 0.0,
+                },
+                Op::Detector(vec![MeasIdx(0)]),
+            ],
+        );
+        assert!(matches!(
+            c.validate(),
+            Err(CircuitError::BadProbability { probability }) if probability.is_nan()
+        ));
+        let mut compiled = FrameSampler::new(&c);
+        let mut interp = InterpretingSampler::new(&c);
+        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for _ in 0..4 {
+            let want = interp.sample_batch(&mut a);
+            assert_eq!(want.detectors, vec![0]);
+            assert_eq!(compiled.sample_batch(&mut b).detectors, want.detectors);
+        }
+    }
+
+    /// Rates the quiet-threshold tests cover, from far below the threshold's
+    /// useful range to where it is 0.
+    const EDGE_PS: [f64; 8] = [1e-12, 1e-6, 1e-3, 5e-3, 0.03, 0.3, 0.5, 1.0 - 1e-9];
+
+    /// An RNG that hands out chosen words, then a fixed xoshiro stream, and
+    /// counts the words it has handed out.
+    #[derive(Clone)]
+    struct Scripted {
+        words: Vec<u64>,
+        tail: StdRng,
+        used: usize,
+    }
+
+    impl Scripted {
+        fn new(words: Vec<u64>, seed: u64) -> Scripted {
+            Scripted {
+                words,
+                tail: StdRng::seed_from_u64(seed),
+                used: 0,
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let w = match self.words.get(self.used) {
+                Some(&w) => w,
+                None => self.tail.next_u64(),
+            };
+            self.used += 1;
+            w
+        }
+    }
+
+    /// The word whose uniform draw is `k · 2⁻⁵³`, the generator's grid.
+    fn grid_word(k: u64) -> u64 {
+        k.min((1 << 53) - 1) << 11
+    }
+
+    /// The least grid index whose draw is at least `v`.
+    fn grid_ceil(v: f64) -> u64 {
+        (v * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Runs the reference skip and the thresholded skip on identical
+    /// scripted streams; both must return the same mask after the same
+    /// number of words. Returns the mask.
+    fn assert_skips_agree(p: f64, rng: &Scripted, at: &str) -> u64 {
+        let (l1p, quiet) = skip_consts(p);
+        let (mut reference, mut fast) = (rng.clone(), rng.clone());
+        let want = bernoulli_mask(p, &mut reference);
+        let got = bernoulli_mask_with(p, l1p, quiet, &mut fast);
+        assert_eq!(got, want, "p={p} {at}: mask");
+        assert_eq!(fast.used, reference.used, "p={p} {at}: words consumed");
+        want
+    }
+
+    #[test]
+    fn quiet_threshold_is_exact_at_its_edge() {
+        for p in EDGE_PS {
+            let (l1p, quiet) = skip_consts(p);
+            let q = f64::from(quiet);
+            let bound = (BATCH as f64 * l1p).exp();
+            // The threshold keeps its margin below (1 - p)^64, up to its
+            // own rounding.
+            assert!(
+                q <= bound * (1.0 - QUIET_MARGIN / 2.0),
+                "p={p}: threshold {q}"
+            );
+            assert_eq!(quiet > 0.0, p <= 0.5, "p={p}: threshold {q}");
+            if quiet > 0.0 {
+                // The largest f64 below the threshold, on or off the
+                // generator's grid, must already give a gap of 64; the gap
+                // only grows as u falls.
+                let below = q.next_down().max(f64::MIN_POSITIVE);
+                assert!((below.ln() / l1p).floor() >= BATCH as f64, "p={p}");
+            }
+            let at = grid_ceil(q);
+            let edges = [
+                ("just below q", at.saturating_sub(1)),
+                ("at q", at),
+                ("one grid step above q", at + 1),
+                ("(1-p)^64 (1 - 1e-7)", grid_ceil(bound * (1.0 - 1e-7))),
+                ("(1-p)^64 (1 + 1e-7)", grid_ceil(bound * (1.0 + 1e-7))),
+                ("0, clamped to MIN_POSITIVE", 0),
+                ("near 1", u64::MAX),
+            ];
+            // Each edge as the first draw, and as the draw after a hit: a
+            // word near 1 gives a gap of 0, so it fires shot 0.
+            for (seed, (name, k)) in edges.into_iter().enumerate() {
+                let first = Scripted::new(vec![grid_word(k)], seed as u64);
+                assert_skips_agree(p, &first, &format!("{name}, first draw"));
+                let second = Scripted::new(vec![u64::MAX, grid_word(k)], seed as u64);
+                let mask = assert_skips_agree(p, &second, &format!("{name}, after a hit"));
+                assert_eq!(mask & 1, 1, "p={p} {name}: the scripted hit did not fire");
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_threshold_matches_the_plain_skip_on_a_million_draws() {
+        for (i, p) in EDGE_PS.into_iter().enumerate() {
+            let (l1p, quiet) = skip_consts(p);
+            let mut reference = Scripted::new(Vec::new(), 0x5EED + i as u64);
+            let mut fast = reference.clone();
+            while reference.used < 1_000_000 {
+                let want = bernoulli_mask(p, &mut reference);
+                let got = bernoulli_mask_with(p, l1p, quiet, &mut fast);
+                assert_eq!(got, want, "p={p} after {} words", reference.used);
+                assert_eq!(fast.used, reference.used, "p={p}");
+            }
         }
     }
 
