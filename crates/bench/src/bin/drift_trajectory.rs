@@ -10,12 +10,12 @@
 //! the same base seed and chunk schedule — and differ only in decode
 //! weights:
 //!
-//! - **static**: the matching graph extracted at calibration time (`p0`
-//!   everywhere), never updated — an empty epoch schedule.
-//! - **drift-aware**: the same graph incrementally reweighted to the true
-//!   per-gate rates at the time point via `MatchingGraph::reweight`
-//!   (provenance-preserving, no DEM re-extraction), as a one-epoch
-//!   schedule.
+//! - **static**: `Tiered` union-find over the matching graph extracted at
+//!   calibration time (`p0` everywhere), never updated.
+//! - **drift-aware**: `Tiered` union-find over a clone of that graph
+//!   incrementally reweighted to the true per-gate rates at the time point
+//!   via `MatchingGraph::reweight` (provenance-preserving, no DEM
+//!   re-extraction); `reweight_seconds` times the clone and the reweight.
 //!
 //! Because the streams are paired, any LER gap is pure decode-prior
 //! quality. The acceptance bar is statistical, with σ = √(F_aware +
@@ -33,18 +33,18 @@
 //! when the bar fails.
 //!
 //! Flags: `--shots N` (per point per arm, default 200 000), `--threads N`,
-//! `--distance D` (default 5), `--out PATH`.
+//! `--distance D` (default 5, at least 2), `--out PATH`. A malformed flag
+//! exits 2.
 
 use caliqec_code::{
     drift_rate_table, memory_circuit, rotated_patch, MemoryBasis, NoiseModel, PatchLayout,
 };
 use caliqec_device::DriftModel;
-use caliqec_match::{
-    EpochSchedule, Epochs, LerEngine, MatchingGraph, RunSpec, SampleOptions, UnionFindDecoder,
-};
+use caliqec_match::{LerEngine, MatchingGraph, SampleOptions, Tiered, UnionFindDecoder};
 use caliqec_stab::{extract_dem, CompiledCircuit};
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
 const P0: f64 = 1.5e-3;
 const T_FAST_HOURS: f64 = 10.0;
@@ -79,6 +79,10 @@ fn main() -> ExitCode {
     let threads = caliqec_bench::threads_from_args();
     let distance = caliqec_bench::usize_from_args("distance", 5);
     let out = caliqec_bench::string_from_args("out", "results/drift_trajectory.json");
+    if distance < 2 {
+        eprintln!("error: --distance must be at least 2, got {distance}");
+        return ExitCode::from(2);
+    }
     let engine = LerEngine::new(threads);
     let opts = SampleOptions {
         min_shots: shots,
@@ -91,8 +95,6 @@ fn main() -> ExitCode {
     let base_mem = memory_circuit(&layout, &NoiseModel::uniform(P0), distance, MemoryBasis::Z);
     let dem = extract_dem(&base_mem.circuit);
     let base_graph = MatchingGraph::from_dem(&dem);
-    let factory = |g: &MatchingGraph| UnionFindDecoder::new(g.clone());
-    let static_schedule = EpochSchedule::new(1.0); // empty = frozen weights
 
     let mut points = String::new();
     let mut violations = 0usize;
@@ -102,21 +104,19 @@ fn main() -> ExitCode {
         let compiled = CompiledCircuit::new(&mem.circuit);
         let seed = SEED.wrapping_add(i as u64);
 
-        let run = |schedule: &EpochSchedule| {
-            let source = Epochs {
-                graph: &base_graph,
-                schedule,
-                factory: &factory,
-            };
-            engine
-                .try_run(&compiled, &source, &RunSpec::from(opts), seed)
-                .expect("epoch run failed")
+        let run = |graph: &MatchingGraph| {
+            let tiered = Tiered::new(graph, || UnionFindDecoder::new(graph.clone()));
+            engine.estimate(&compiled, &tiered, opts, seed)
         };
-        let static_run = run(&static_schedule);
+        let static_run = run(&base_graph);
 
-        let mut aware_schedule = EpochSchedule::new(1.0);
-        aware_schedule.push(0.0, drift_rate_table(&base_mem, &dem, &noise));
-        let aware_run = run(&aware_schedule);
+        let reweight_started = Instant::now();
+        let mut aware_graph = base_graph.clone();
+        aware_graph
+            .reweight(&drift_rate_table(&base_mem, &dem, &noise))
+            .expect("the calibration-time graph carries provenance");
+        let reweight_seconds = reweight_started.elapsed().as_secs_f64();
+        let aware_run = run(&aware_graph);
 
         assert_eq!(
             static_run.estimate.shots, aware_run.estimate.shots,
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
                 (true, false) => "",
                 (false, _) => "  FAIL",
             },
-            aware_run.reweight_seconds,
+            reweight_seconds,
         );
         if i > 0 {
             points.push_str(",\n");
@@ -162,7 +162,7 @@ fn main() -> ExitCode {
             static_run.estimate.per_shot(),
             aware_run.estimate.failures,
             aware_run.estimate.per_shot(),
-            aware_run.reweight_seconds,
+            reweight_seconds,
         )
         .expect("write to string");
     }

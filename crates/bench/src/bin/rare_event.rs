@@ -47,7 +47,7 @@ use caliqec_match::{
     graph_for_circuit, ClusterGate, EngineRun, LerEngine, RunSpec, SampleOptions, StopRule, Tiered,
     UnionFindDecoder, Weighting,
 };
-use caliqec_stab::{CompiledCircuit, RateTable};
+use caliqec_stab::CompiledCircuit;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -63,10 +63,7 @@ fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> Ru
             max_failures: 0,
             max_shots,
         },
-        weighting: Weighting::Boosted {
-            beta,
-            rates: RateTable::identity(),
-        },
+        weighting: Weighting::Boosted { beta },
         stop: StopRule::TargetRse(target_rse),
     }
 }

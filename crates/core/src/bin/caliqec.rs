@@ -730,7 +730,7 @@ USAGE:
       (shots, ESS, max CI half-width) is reported on stderr.
       --faults SPEC (or the CALIQEC_FAULTS environment variable) injects
       decoder faults as kind@chunk[,kind@chunk...] with kinds panic,
-      stall, corrupt, badweights, cluster; the engine recovers them on its
+      stall, corrupt, badweights; the engine recovers them on its
       degradation ladder and the summary reports the fallout.
       --strict exits with code 5 if any measurement was degraded.
       --trace-csv FILE writes the full LER trace as CSV.

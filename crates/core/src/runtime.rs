@@ -399,7 +399,6 @@ fn point_spec(config: &CaliqecConfig) -> RunSpec {
         },
         weighting: Weighting::Boosted {
             beta: config.boost_beta,
-            rates: RateTable::identity(),
         },
         stop: StopRule::TargetRse(config.target_rse.max(0.0)),
     }

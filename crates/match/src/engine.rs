@@ -2,8 +2,9 @@
 //!
 //! [`LerEngine::try_run`] is the one measured path: it runs a [`RunSpec`]
 //! (shot budget, weighting, stop rule) over a [`CompiledCircuit`], decoding
-//! with a [`RunSource`] — a [`DecoderFactory`], or an [`Epochs`] schedule
-//! of drifting calibrations. 64-shot batches, grouped into fixed-size
+//! with the stacks a [`DecoderFactory`] builds. New calibration rates reach
+//! a run as a factory over a graph reweighted to them
+//! ([`MatchingGraph::reweight`]). 64-shot batches, grouped into fixed-size
 //! chunks, go to worker threads. The determinism contract: **results
 //! depend only on `(spec, base_seed)` — never on the thread count or
 //! scheduling order.** Concretely:
@@ -40,9 +41,9 @@
 //! - Each chunk's sample+decode runs under `catch_unwind`. A chunk that
 //!   panics (or stalls, or trips graph validation) is quarantined and
 //!   re-run with the **same** per-batch seed schedule on the next
-//!   rung of a degradation ladder: rung 0 is the context's full
+//!   rung of a degradation ladder: rung 0 is the factory's full
 //!   [`DecodeStack`], rung 1 a freshly built bare decoder, rung 2 a
-//!   [`ReferenceUnionFind`] over the context's fallback graph. Because the
+//!   [`ReferenceUnionFind`] over the factory's fallback graph. Because the
 //!   sampled shots depend only on the chunk's batch seeds, a retry
 //!   re-decodes the *identical* syndrome stream.
 //! - A worker panic can no longer cascade: the shared mutex recovers from
@@ -66,7 +67,7 @@ use crate::predecode::{ClusterGate, Predecoder, CLUSTER_GATE_MIN_MEAN_DEFECTS};
 use crate::reference::ReferenceUnionFind;
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
 use caliqec_stab::{
-    chunk_seed, resolve_threads, BatchEvents, CompiledCircuit, FrameState, RateTable, SparseBatch,
+    chunk_seed, resolve_threads, BatchEvents, CompiledCircuit, FrameState, SparseBatch,
     WideFrameState, BATCH, LANES,
 };
 use rand::rngs::StdRng;
@@ -128,28 +129,6 @@ impl<D: Decoder, F: Fn() -> D + Sync> DecoderFactory for F {
     }
 }
 
-/// Builds decoders over a *given* graph, for [`Epochs`] runs where the
-/// engine owns one reweighted graph per calibration epoch.
-///
-/// Blanket-implemented for any `Fn(&MatchingGraph) -> D` closure that is
-/// `Sync`.
-pub trait GraphDecoderFactory: Sync {
-    /// The decoder type produced.
-    type Decoder: Decoder;
-
-    /// Builds one decoder over `graph` (already reweighted for the epoch it
-    /// will decode).
-    fn build_for(&self, graph: &MatchingGraph) -> Self::Decoder;
-}
-
-impl<D: Decoder, F: Fn(&MatchingGraph) -> D + Sync> GraphDecoderFactory for F {
-    type Decoder = D;
-
-    fn build_for(&self, graph: &MatchingGraph) -> D {
-        self(graph)
-    }
-}
-
 /// A decoder plus the front tiers that see each shot before it: the tier-1
 /// [`Predecoder`], the dense-regime [`ClusterTier`] and its density
 /// [`ClusterGate`]. [`DecoderFactory::stack`] builds one per worker; the
@@ -180,221 +159,6 @@ impl<D> DecodeStack<D> {
     }
 }
 
-/// One calibration epoch: the per-gate rates in force from `hours` onward
-/// (until the next epoch starts).
-#[derive(Clone, Debug)]
-pub struct CalibrationEpoch {
-    /// Simulated device time (hours) at which these rates take effect.
-    pub hours: f64,
-    /// Per-gate rates characterized at that time.
-    pub rates: RateTable,
-}
-
-/// A schedule of calibration epochs over a simulated run horizon.
-///
-/// An [`Epochs`] run spreads the shot budget uniformly over
-/// `[0, horizon_hours]` and decodes each chunk with the epoch active at the
-/// chunk's midpoint time — the epoch with the largest `hours` not exceeding
-/// it (the first epoch covers any earlier time). An empty schedule behaves
-/// as a single identity epoch: every chunk decodes with the base graph
-/// unchanged.
-#[derive(Clone, Debug)]
-pub struct EpochSchedule {
-    horizon_hours: f64,
-    epochs: Vec<CalibrationEpoch>,
-}
-
-impl EpochSchedule {
-    /// An empty schedule over `horizon_hours` of simulated time.
-    pub fn new(horizon_hours: f64) -> EpochSchedule {
-        EpochSchedule {
-            horizon_hours: horizon_hours.max(0.0),
-            epochs: Vec::new(),
-        }
-    }
-
-    /// Appends an epoch, keeping the list sorted by start time (stable:
-    /// among equal start times the later push wins the later slot).
-    pub fn push(&mut self, hours: f64, rates: RateTable) {
-        let at = self.epochs.partition_point(|e| e.hours <= hours);
-        self.epochs.insert(at, CalibrationEpoch { hours, rates });
-    }
-
-    /// The simulated run horizon in hours.
-    pub fn horizon_hours(&self) -> f64 {
-        self.horizon_hours
-    }
-
-    /// The epochs, sorted by start time.
-    pub fn epochs(&self) -> &[CalibrationEpoch] {
-        &self.epochs
-    }
-
-    /// Index (into [`EpochSchedule::epochs`]) of the epoch active at
-    /// simulated time `hours`: the last epoch starting at or before it,
-    /// clamped to the first. Returns 0 for an empty schedule.
-    pub fn active_at(&self, hours: f64) -> usize {
-        self.epochs
-            .partition_point(|e| e.hours <= hours)
-            .saturating_sub(1)
-    }
-}
-
-/// Calibration-aware run source: decode under an [`EpochSchedule`] of
-/// drifting per-gate rates.
-///
-/// Each epoch gets one graph — `graph` incrementally reweighted via
-/// [`MatchingGraph::reweight`] (identity rate tables skip the reweight, so
-/// a single-epoch identity schedule is bit-identical to a
-/// [`crate::Tiered`] factory over `graph`) — plus a fresh [`Predecoder`]
-/// over it, since the predecoder's tables are weight-derived. The sampled
-/// syndrome stream depends only on `(spec, base_seed)`, never on the
-/// schedule; only decode weights vary. Up-front reweight and table-build
-/// time is reported as [`EngineRun::reweight_seconds`].
-///
-/// ```ignore
-/// let source = Epochs { graph: &graph, schedule: &schedule,
-///     factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()) };
-/// engine.try_run(&compiled, &source, &RunSpec::from(opts), seed)?;
-/// ```
-pub struct Epochs<'a, G> {
-    /// The base graph every epoch reweights.
-    pub graph: &'a MatchingGraph,
-    /// The epochs and the horizon the shot budget spreads over.
-    pub schedule: &'a EpochSchedule,
-    /// Builds each epoch's decoder over its reweighted graph.
-    pub factory: &'a G,
-}
-
-impl<G> fmt::Debug for Epochs<'_, G> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Epochs")
-            .field("schedule", self.schedule)
-            .finish_non_exhaustive()
-    }
-}
-
-/// One epoch's decode context for an [`Epochs`] run: the reweighted graph,
-/// a predecoder built over it (its tables derive from edge weights), and
-/// the epoch factory, which builds fresh decoders over the same graph. Its
-/// rung-0 stack carries the predecoder; the graph backs rung 2.
-#[derive(Debug)]
-pub struct EpochContext<'a, G> {
-    graph: MatchingGraph,
-    predecoder: Predecoder,
-    factory: &'a G,
-}
-
-impl<G: GraphDecoderFactory> DecoderFactory for EpochContext<'_, G> {
-    type Decoder = G::Decoder;
-
-    fn build(&self) -> G::Decoder {
-        self.factory.build_for(&self.graph)
-    }
-
-    fn stack(&self) -> DecodeStack<G::Decoder> {
-        DecodeStack {
-            predecoder: Some(self.predecoder.clone()),
-            ..DecodeStack::new(self.build())
-        }
-    }
-
-    fn fallback_graph(&self) -> Option<&MatchingGraph> {
-        Some(&self.graph)
-    }
-}
-
-/// What [`LerEngine::try_run`] decodes with: the per-epoch decode contexts
-/// (each a [`DecoderFactory`]) and which one decodes each chunk.
-/// Implemented by every [`DecoderFactory`] (one context for the whole run)
-/// and by [`Epochs`] (one context per calibration epoch).
-pub trait RunSource: Sync {
-    /// One epoch's decode context.
-    type Context: DecoderFactory;
-    /// The run's contexts: borrowed from the source, or built for the run.
-    type Contexts<'s>: AsRef<[Self::Context]>
-    where
-        Self: 's;
-
-    /// Validates the source's inputs before any run state exists.
-    fn validate_inputs(&self) -> Result<(), EngineError>;
-
-    /// The decode contexts plus the seconds spent building them; each
-    /// build is journaled on `coord`.
-    fn contexts(&self, coord: &mut WorkerObs) -> Result<(Self::Contexts<'_>, f64), EngineError>;
-
-    /// Index of the context that decodes chunk `chunk` of `chunks`.
-    fn context_of(&self, _chunk: usize, _chunks: usize) -> usize {
-        0
-    }
-}
-
-impl<F: DecoderFactory> RunSource for F {
-    type Context = F;
-    type Contexts<'s>
-        = &'s [F]
-    where
-        F: 's;
-
-    fn validate_inputs(&self) -> Result<(), EngineError> {
-        Ok(self.validate()?)
-    }
-
-    fn contexts(&self, _coord: &mut WorkerObs) -> Result<(&[F], f64), EngineError> {
-        Ok((std::slice::from_ref(self), 0.0))
-    }
-}
-
-impl<'a, G: GraphDecoderFactory> RunSource for Epochs<'a, G> {
-    type Context = EpochContext<'a, G>;
-    type Contexts<'s>
-        = Vec<EpochContext<'a, G>>
-    where
-        Self: 's;
-
-    fn validate_inputs(&self) -> Result<(), EngineError> {
-        Ok(self.graph.validate()?)
-    }
-
-    /// One context per epoch (an empty schedule is one implicit identity
-    /// epoch), each a reweighted clone of the base graph — topology
-    /// untouched, weights recomputed from the epoch's rates.
-    fn contexts(
-        &self,
-        coord: &mut WorkerObs,
-    ) -> Result<(Vec<EpochContext<'a, G>>, f64), EngineError> {
-        let started = Instant::now();
-        let identity = RateTable::identity();
-        let rates: Vec<&RateTable> = match self.schedule.epochs() {
-            [] => vec![&identity],
-            epochs => epochs.iter().map(|e| &e.rates).collect(),
-        };
-        let mut contexts = Vec::with_capacity(rates.len());
-        for (epoch, rates) in rates.into_iter().enumerate() {
-            let t = coord.clock();
-            let mut graph = self.graph.clone();
-            if !rates.is_identity() {
-                graph.reweight(rates)?;
-                graph.validate()?;
-            }
-            contexts.push(EpochContext {
-                predecoder: Predecoder::new(&graph),
-                graph,
-                factory: self.factory,
-            });
-            record_reweight(coord, epoch as u32, t);
-        }
-        Ok((contexts, started.elapsed().as_secs_f64()))
-    }
-
-    /// The epoch active at the chunk's midpoint time
-    /// `horizon · (chunk + ½) / chunks`.
-    fn context_of(&self, chunk: usize, chunks: usize) -> usize {
-        let t = self.schedule.horizon_hours() * (chunk as f64 + 0.5) / chunks as f64;
-        self.schedule.active_at(t)
-    }
-}
-
 /// How a run's shots are weighted.
 #[derive(Clone, Debug, Default)]
 pub enum Weighting {
@@ -405,15 +169,11 @@ pub enum Weighting {
     /// (never below its nominal rate) while each shot carries its exact
     /// likelihood weight against the nominal rates, making
     /// [`EngineRun::ler`] an unbiased estimator of the nominal LER with far
-    /// more failing shots to average over. `rates` overrides compose with β
-    /// exactly like a calibration-epoch reweight
-    /// ([`CompiledCircuit::boosted_with_rates`]). `beta == 1` with identity
-    /// rates runs the plain sampler itself, bit for bit.
+    /// more failing shots to average over ([`CompiledCircuit::boosted`]).
+    /// `beta == 1` runs the plain sampler itself, bit for bit.
     Boosted {
         /// Rate boost factor β (finite, ≥ 1).
         beta: f64,
-        /// Nominal per-channel rates (identity = the circuit's own).
-        rates: RateTable,
     },
 }
 
@@ -466,7 +226,7 @@ impl RunSpec {
     /// target, and a budget failure cap the stop rule contradicts.
     fn validate(&self) -> Result<(), EngineError> {
         let bad = |detail: String| Err(EngineError::Options { detail });
-        if let Weighting::Boosted { beta, .. } = self.weighting {
+        if let Weighting::Boosted { beta } = self.weighting {
             if !beta.is_finite() || beta < 1.0 {
                 return bad(format!("boost_beta must be finite and >= 1 (got {beta})"));
             }
@@ -593,9 +353,9 @@ pub fn defect_hist_bucket(defects: usize) -> usize {
     }
 }
 
-/// Rungs of the decoder degradation ladder: the context's full decode
+/// Rungs of the decoder degradation ladder: the factory's full decode
 /// stack, a fresh bare decoder, and a [`ReferenceUnionFind`] over the
-/// context's fallback graph.
+/// factory's fallback graph.
 pub const LADDER_RUNGS: usize = 3;
 
 /// Per-window decode statistics accumulated by
@@ -1035,18 +795,6 @@ impl FaultTally {
     }
 }
 
-/// Records one epoch-context build (metrics + journal) on the coordinator
-/// handle. `started` is the [`WorkerObs::clock`] reading taken before the
-/// build; a disabled handle makes this a no-op.
-fn record_reweight(coord: &mut WorkerObs, epoch: u32, started: Option<Instant>) {
-    if let Some(t0) = started {
-        let nanos = t0.elapsed().as_nanos() as u64;
-        coord.add(Counter::EpochReweights, 1);
-        coord.record(Hist::EpochReweight, nanos);
-        coord.event(EventKind::EpochReweight { epoch, nanos });
-    }
-}
-
 /// Samples and decodes one chunk from its deterministic seed.
 ///
 /// The phases are timed separately and *partition* the chunk's wall time:
@@ -1182,13 +930,12 @@ fn run_chunk<D: Decoder>(
 /// and `BadWeights` validates a weight-poisoned copy of the fallback graph,
 /// surfacing the typed [`ValidationError`] a corrupted calibration feed
 /// would produce.
-fn attempt_chunk<C: DecoderFactory, D: Decoder>(
-    job: &Job<'_, C>,
+fn attempt_chunk<F: DecoderFactory, D: Decoder>(
+    job: &Job<'_, F>,
     stack: &mut DecodeStack<D>,
     scratch: &mut SampleScratch,
     chunk: usize,
     rung: usize,
-    fallback: Option<&MatchingGraph>,
     obs: &mut WorkerObs,
 ) -> Result<ChunkResult, ChunkFault> {
     let injected = job
@@ -1213,19 +960,12 @@ fn attempt_chunk<C: DecoderFactory, D: Decoder>(
             }
         }
         Some(FaultKind::BadWeights) => {
-            if let Err(e) = crate::faults::poison_weights(fallback).validate() {
+            if let Err(e) = crate::faults::poison_weights(job.factory.fallback_graph()).validate() {
                 return Err(ChunkFault::InvalidGraph(e));
             }
         }
         Some(FaultKind::Panic) => {
             isolate(|| panic!("injected decoder panic at chunk {chunk}"))?;
-        }
-        Some(FaultKind::ClusterPanic) => {
-            // A cluster-tier bug: the flood decomposition blows up before
-            // the first decoder call. The retry rung drops the tier
-            // entirely (rungs ≥ 1 are bare), so recovery decodes
-            // monolithically.
-            isolate(|| panic!("injected cluster-tier panic at chunk {chunk}"))?;
         }
         Some(FaultKind::CorruptDefects) => {
             // A corrupted syndrome stream: one defect id far past every
@@ -1309,12 +1049,6 @@ pub struct EngineRun {
     /// with exactly `i` defects; the tail is log-scaled per
     /// [`defect_hist_bucket`] (32–63, 64–127, 128–255, ≥256).
     pub defect_histogram: [u64; DEFECT_HIST_BUCKETS],
-    /// Seconds spent building per-epoch reweighted graphs and predecoder
-    /// tables before workers launched. Zero on single-graph runs, where no
-    /// reweighting happens.
-    pub reweight_seconds: f64,
-    /// Calibration epochs active during the run (1 on single-graph runs).
-    pub epochs: usize,
     /// Fault events observed across all chunk attempts (a chunk that
     /// faults on two rungs counts twice). Zero when no fault fired.
     pub faulted_chunks: usize,
@@ -1443,13 +1177,12 @@ fn lock_shared(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
 }
 
 /// Everything a run's workers share: the sampled program, the chunk
-/// schedule, the decode contexts and the chunk → context map, plus the
-/// work counter and the aggregation state.
-struct Job<'a, C> {
+/// schedule and the decoder factory, plus the work counter and the
+/// aggregation state.
+struct Job<'a, F> {
     compiled: &'a CompiledCircuit,
     plan: ChunkPlan,
-    contexts: &'a [C],
-    chunk_context: Vec<u32>,
+    factory: &'a F,
     faults: Option<&'a FaultPlan>,
     next: AtomicUsize,
     shared: Mutex<Shared>,
@@ -1550,35 +1283,35 @@ impl LerEngine {
             .expect("engine run failed")
     }
 
-    /// Runs `spec` over `compiled`, decoding with `source`. Deterministic
-    /// in `(spec, base_seed)` at any thread count.
+    /// Runs `spec` over `compiled`, decoding with the stacks `factory`
+    /// builds. Deterministic in `(spec, base_seed)` at any thread count.
     ///
-    /// Validates the circuit, the source and the spec up front, then runs
+    /// Validates the circuit, the factory and the spec up front, then runs
     /// the hardened chunk loop. Returns a typed [`EngineError`] for invalid
     /// inputs or a chunk that faulted on every rung of the degradation
     /// ladder; all recovered faults are reported in the returned
     /// [`EngineRun`] instead. A boosted [`Weighting`] samples a boosted
     /// copy of `compiled` with per-shot likelihood weights;
     /// [`EngineRun::ess`] and [`EngineRun::ci_halfwidth`] report estimator
-    /// health. β = 1 with identity rates samples `compiled` itself, so it
-    /// is bit-identical to a nominal run of the same budget.
-    pub fn try_run<S: RunSource>(
+    /// health. β = 1 samples `compiled` itself, so it is bit-identical to
+    /// a nominal run of the same budget.
+    pub fn try_run<F: DecoderFactory>(
         &self,
         compiled: &CompiledCircuit,
-        source: &S,
+        factory: &F,
         spec: &RunSpec,
         base_seed: u64,
     ) -> Result<EngineRun, EngineError> {
         compiled.validate()?;
-        source.validate_inputs()?;
+        factory.validate()?;
         spec.validate()?;
         let started = Instant::now();
         let plan = ChunkPlan::new(spec, base_seed);
         let boosted;
-        let (compiled, boost_beta) = match &spec.weighting {
-            Weighting::Boosted { beta, rates } if *beta != 1.0 || !rates.is_identity() => {
-                boosted = compiled.boosted_with_rates(*beta, rates);
-                (&boosted, *beta)
+        let (compiled, boost_beta) = match spec.weighting {
+            Weighting::Boosted { beta } if beta != 1.0 => {
+                boosted = compiled.boosted(beta);
+                (&boosted, beta)
             }
             _ => (compiled, 1.0),
         };
@@ -1586,12 +1319,9 @@ impl LerEngine {
         let run_id = self.obs.begin_run();
         let mut coord = self.obs.worker(run_id, Event::COORDINATOR);
         coord.add(Counter::RunsStarted, 1);
-        let (contexts, reweight_seconds) = source.contexts(&mut coord)?;
-        let contexts = contexts.as_ref();
         let threads = self.threads.min(plan.num_chunks).max(1);
         coord.set(Gauge::Workers, threads as u64);
         coord.set(Gauge::ChunksPlanned, plan.num_chunks as u64);
-        coord.set(Gauge::Epochs, contexts.len() as u64);
         coord.event(EventKind::RunStart {
             threads: threads as u32,
             chunks: plan.num_chunks as u32,
@@ -1601,10 +1331,7 @@ impl LerEngine {
         let job = Job {
             compiled,
             plan,
-            contexts,
-            chunk_context: (0..plan.num_chunks)
-                .map(|chunk| source.context_of(chunk, plan.num_chunks) as u32)
-                .collect(),
+            factory,
             faults: self.faults.as_ref(),
             next: AtomicUsize::new(0),
             shared: Mutex::new(Shared {
@@ -1629,15 +1356,7 @@ impl LerEngine {
             .shared
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let run = assemble_run(
-            sh,
-            &plan,
-            threads,
-            started,
-            reweight_seconds,
-            contexts.len(),
-            boost_beta,
-        )?;
+        let run = assemble_run(sh, &plan, threads, started, boost_beta)?;
         if boost_beta != 1.0 || plan.target_rse > 0.0 {
             // Weighted or CI-stopped runs publish estimator health; plain
             // runs record nothing new, keeping their metrics stream unchanged.
@@ -1656,8 +1375,6 @@ fn assemble_run(
     plan: &ChunkPlan,
     threads: usize,
     started: Instant,
-    reweight_seconds: f64,
-    epochs: usize,
     boost_beta: f64,
 ) -> Result<EngineRun, EngineError> {
     if let Some(fatal) = sh.fatal {
@@ -1722,8 +1439,6 @@ fn assemble_run(
         clusters_total: stats.clusters_total,
         cluster_size_histogram: stats.cluster_size_histogram,
         defect_histogram: stats.defect_histogram,
-        reweight_seconds,
-        epochs,
         faulted_chunks: faults.faults,
         retried_chunks: faults.retries,
         degraded_shots,
@@ -1814,16 +1529,15 @@ fn observe_chunk_finish(
 }
 
 /// The body of one worker thread: claim chunks, run each up the
-/// degradation ladder on its epoch's decode context, merge results.
+/// degradation ladder, merge results.
 ///
-/// Rung-0 stacks are built lazily per context (workers typically touch a
-/// contiguous band of chunks, hence few epochs) and quarantined on a
-/// rung-0 fault — dropped and rebuilt from the context on next use, since
+/// The rung-0 stack is built on the worker's first chunk and quarantined on
+/// a rung-0 fault — dropped and rebuilt from the factory on next use, since
 /// a panicking decoder may leave its scratch torn.
-fn worker_loop<C: DecoderFactory>(job: &Job<'_, C>, mut obs: WorkerObs) {
-    let mut stacks: Vec<Option<DecodeStack<C::Decoder>>> =
-        job.contexts.iter().map(|_| None).collect();
+fn worker_loop<F: DecoderFactory>(job: &Job<'_, F>, mut obs: WorkerObs) {
+    let mut stack: Option<DecodeStack<F::Decoder>> = None;
     let mut scratch = SampleScratch::new(job.compiled);
+    let fallback = job.factory.fallback_graph();
     loop {
         {
             let sh = lock_shared(&job.shared);
@@ -1835,13 +1549,10 @@ fn worker_loop<C: DecoderFactory>(job: &Job<'_, C>, mut obs: WorkerObs) {
         if chunk >= job.plan.num_chunks {
             break;
         }
-        let ctx = job.chunk_context[chunk] as usize;
-        let context = &job.contexts[ctx];
-        let fallback = context.fallback_graph();
         obs.begin_chunk(chunk as u32);
         obs.add(Counter::ChunksStarted, 1);
 
-        // Degradation ladder: rung 0 = the context's full stack; rung 1 =
+        // Degradation ladder: rung 0 = the factory's full stack; rung 1 =
         // fresh bare decoder; rung 2 = ReferenceUnionFind over the fallback
         // graph. Every rung re-runs the same chunk seed, so the retried
         // syndrome stream is identical; injected faults only fire at rung 0.
@@ -1852,33 +1563,17 @@ fn worker_loop<C: DecoderFactory>(job: &Job<'_, C>, mut obs: WorkerObs) {
             let attempt_started = obs.clock();
             let attempt = match rung {
                 0 => {
-                    let stack = stacks[ctx].get_or_insert_with(|| context.stack());
-                    attempt_chunk(job, stack, &mut scratch, chunk, rung, fallback, &mut obs)
+                    let stack = stack.get_or_insert_with(|| job.factory.stack());
+                    attempt_chunk(job, stack, &mut scratch, chunk, rung, &mut obs)
                 }
                 1 => {
-                    let mut bare = DecodeStack::new(context.build());
-                    attempt_chunk(
-                        job,
-                        &mut bare,
-                        &mut scratch,
-                        chunk,
-                        rung,
-                        fallback,
-                        &mut obs,
-                    )
+                    let mut bare = DecodeStack::new(job.factory.build());
+                    attempt_chunk(job, &mut bare, &mut scratch, chunk, rung, &mut obs)
                 }
                 _ => {
                     let graph = fallback.expect("the ladder reaches rung 2 only with a fallback");
                     let mut reference = DecodeStack::new(ReferenceUnionFind::new(graph.clone()));
-                    attempt_chunk(
-                        job,
-                        &mut reference,
-                        &mut scratch,
-                        chunk,
-                        rung,
-                        fallback,
-                        &mut obs,
-                    )
+                    attempt_chunk(job, &mut reference, &mut scratch, chunk, rung, &mut obs)
                 }
             };
             match attempt {
@@ -1890,7 +1585,7 @@ fn worker_loop<C: DecoderFactory>(job: &Job<'_, C>, mut obs: WorkerObs) {
                     observe_chunk_fault(&mut obs, &fault, rung);
                     tally.record(&fault);
                     if rung == 0 {
-                        stacks[ctx] = None;
+                        stack = None;
                     }
                     // Rung 2 without a fallback graph cannot be attempted;
                     // stop the ladder one rung early rather than count a
@@ -1973,7 +1668,7 @@ mod tests {
     use crate::unionfind::UnionFindDecoder;
     use caliqec_stab::{Basis, Circuit, Noise1};
 
-    /// An importance-sampled spec at identity rates.
+    /// An importance-sampled spec.
     fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
         RunSpec {
             budget: SampleOptions {
@@ -1981,23 +1676,8 @@ mod tests {
                 max_failures: 0,
                 max_shots,
             },
-            weighting: Weighting::Boosted {
-                beta,
-                rates: RateTable::identity(),
-            },
+            weighting: Weighting::Boosted { beta },
             stop: StopRule::TargetRse(target_rse),
-        }
-    }
-
-    /// An epoch source decoding with plain union-find.
-    fn uf_epochs<'a>(
-        graph: &'a MatchingGraph,
-        schedule: &'a EpochSchedule,
-    ) -> Epochs<'a, impl Fn(&MatchingGraph) -> UnionFindDecoder + Sync> {
-        Epochs {
-            graph,
-            schedule,
-            factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
         }
     }
 
@@ -2590,46 +2270,6 @@ mod tests {
         }
     }
 
-    /// Epoch runs record one reweight event per context and reconcile the
-    /// epoch gauge.
-    #[test]
-    fn epoch_run_records_reweight_events() {
-        let c = rep_circuit(5, 0.08);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let opts = SampleOptions {
-            min_shots: 2_000,
-            ..Default::default()
-        };
-        let mut schedule = EpochSchedule::new(10.0);
-        schedule.push(0.0, RateTable::identity());
-        schedule.push(5.0, RateTable::uniform(0.12));
-        let sink = ObsSink::enabled();
-        let run = LerEngine::new(2)
-            .with_obs(sink.clone())
-            .try_run(
-                &compiled,
-                &uf_epochs(&graph, &schedule),
-                &RunSpec::from(opts),
-                7,
-            )
-            .unwrap();
-        assert_eq!(run.epochs, 2);
-        let snap = sink.snapshot();
-        assert_eq!(snap.counter("epoch_reweights"), 2);
-        assert_eq!(snap.hist(Hist::EpochReweight).unwrap().count, 2);
-        let reweights = snap
-            .events
-            .iter()
-            .filter(|e| e.kind.tag() == "epoch_reweight")
-            .count();
-        assert_eq!(reweights, 2);
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|&(name, value)| name == "epochs" && value == 2));
-    }
-
     #[test]
     fn defect_hist_buckets_are_exact_then_logarithmic() {
         for d in 0..32 {
@@ -2644,120 +2284,5 @@ mod tests {
         assert_eq!(defect_hist_bucket(256), 35);
         assert_eq!(defect_hist_bucket(usize::MAX), 35);
         assert_eq!(DEFECT_HIST_BUCKETS, 36);
-    }
-
-    #[test]
-    fn epoch_schedule_resolves_active_epoch() {
-        let empty = EpochSchedule::new(10.0);
-        assert_eq!(empty.active_at(5.0), 0);
-
-        let mut sched = EpochSchedule::new(12.0);
-        sched.push(8.0, RateTable::uniform(0.02));
-        sched.push(0.0, RateTable::identity());
-        sched.push(4.0, RateTable::uniform(0.01));
-        assert_eq!(sched.epochs().len(), 3);
-        assert!(sched.epochs()[0].hours <= sched.epochs()[1].hours);
-        assert!(sched.epochs()[1].hours <= sched.epochs()[2].hours);
-        assert_eq!(sched.active_at(-1.0), 0); // clamped to first epoch
-        assert_eq!(sched.active_at(0.0), 0);
-        assert_eq!(sched.active_at(3.9), 0);
-        assert_eq!(sched.active_at(4.0), 1);
-        assert_eq!(sched.active_at(7.9), 1);
-        assert_eq!(sched.active_at(8.0), 2);
-        assert_eq!(sched.active_at(100.0), 2);
-    }
-
-    #[test]
-    fn identity_epoch_schedule_matches_tiered_run() {
-        let c = rep_circuit(5, 0.08);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let opts = SampleOptions {
-            min_shots: 5_000,
-            ..Default::default()
-        };
-        let factory = Tiered::new(&graph, {
-            let graph = graph.clone();
-            move || UnionFindDecoder::new(graph.clone())
-        });
-        let baseline = LerEngine::new(2).estimate(&compiled, &factory, opts, 42);
-
-        for schedule in [EpochSchedule::new(10.0), {
-            let mut s = EpochSchedule::new(10.0);
-            s.push(0.0, RateTable::identity());
-            s
-        }] {
-            let run = LerEngine::new(2)
-                .try_run(
-                    &compiled,
-                    &uf_epochs(&graph, &schedule),
-                    &RunSpec::from(opts),
-                    42,
-                )
-                .unwrap();
-            assert_eq!(run.estimate, baseline.estimate);
-            assert_eq!(run.tier0_shots, baseline.tier0_shots);
-            assert_eq!(run.predecoded_shots, baseline.predecoded_shots);
-            assert_eq!(run.residual_shots, baseline.residual_shots);
-            assert_eq!(run.defect_histogram, baseline.defect_histogram);
-            assert_eq!(run.epochs, 1);
-            assert!(run.reweight_seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn epoch_runs_are_deterministic_across_thread_counts() {
-        let c = rep_circuit(5, 0.08);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let opts = SampleOptions {
-            min_shots: 5_000,
-            ..Default::default()
-        };
-        let mut schedule = EpochSchedule::new(10.0);
-        schedule.push(0.0, RateTable::identity());
-        schedule.push(5.0, RateTable::uniform(0.12));
-        let source = uf_epochs(&graph, &schedule);
-        let run_at = |threads| {
-            LerEngine::new(threads)
-                .try_run(&compiled, &source, &RunSpec::from(opts), 7)
-                .unwrap()
-        };
-        let first = run_at(1);
-        assert_eq!(first.epochs, 2);
-        for threads in [2, 4] {
-            let run = run_at(threads);
-            assert_eq!(run.estimate, first.estimate, "threads={threads}");
-            assert_eq!(run.defect_histogram, first.defect_histogram);
-        }
-    }
-
-    #[test]
-    fn epoch_run_recovers_from_injected_faults() {
-        let c = rep_circuit(5, 0.08);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let opts = SampleOptions {
-            min_shots: 5_000,
-            ..Default::default()
-        };
-        let mut schedule = EpochSchedule::new(10.0);
-        schedule.push(0.0, RateTable::identity());
-        schedule.push(5.0, RateTable::uniform(0.12));
-        let source = uf_epochs(&graph, &schedule);
-        let clean = LerEngine::new(2)
-            .try_run(&compiled, &source, &RunSpec::from(opts), 7)
-            .unwrap();
-        assert_eq!(clean.faulted_chunks, 0);
-
-        let plan = FaultPlan::new().panic_at(0).corrupt_defects_at(2);
-        let faulty = LerEngine::new(2)
-            .with_faults(plan)
-            .try_run(&compiled, &source, &RunSpec::from(opts), 7)
-            .expect("epoch ladder must recover from injected faults");
-        assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
-        assert_eq!(faulty.faulted_chunks, 2);
-        assert_eq!(faulty.retried_chunks, 2);
-        assert!(faulty.degraded());
     }
 }

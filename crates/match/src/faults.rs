@@ -32,10 +32,6 @@ pub enum FaultKind {
     /// Present the worker with a graph whose edge weights are NaN/negative
     /// (simulates corrupted calibration data reaching the decoder).
     BadWeights,
-    /// Panic inside the dense-regime cluster tier before the first decoder
-    /// call (simulates a flood-decomposition bug). The retry rung carries
-    /// no cluster tier, so recovery decodes the same chunk monolithically.
-    ClusterPanic,
     /// Streaming only: a tenant stalls between rounds (simulates a slow
     /// control-system feed). The chunk index names the tenant; the stall
     /// delays that tenant's next round by the plan's stall sleep.
@@ -62,7 +58,6 @@ impl fmt::Display for FaultKind {
             FaultKind::Stall => "stall",
             FaultKind::CorruptDefects => "corrupt",
             FaultKind::BadWeights => "badweights",
-            FaultKind::ClusterPanic => "cluster",
             FaultKind::SlowTenant => "slowtenant",
             FaultKind::DelayedArrival => "delay",
             FaultKind::BurstArrival => "burst",
@@ -167,15 +162,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a cluster-tier panic at `chunk`.
-    pub fn cluster_panic_at(mut self, chunk: usize) -> FaultPlan {
-        self.injections.push(Injection {
-            chunk,
-            kind: FaultKind::ClusterPanic,
-        });
-        self
-    }
-
     /// Schedules a slow-tenant stall for streaming tenant `tenant`.
     pub fn slow_tenant_at(mut self, tenant: usize) -> FaultPlan {
         self.injections.push(Injection {
@@ -250,7 +236,7 @@ impl FaultPlan {
 
     /// Parses the `CALIQEC_FAULTS` syntax: a comma-separated list of
     /// `kind@chunk` entries, where `kind` is one of `panic`, `stall`,
-    /// `corrupt`, `badweights`, `cluster`, or a streaming kind
+    /// `corrupt`, `badweights`, or a streaming kind
     /// `slowtenant`, `delay`, `burst`, `wedge` — e.g. `"panic@2,corrupt@0"`.
     /// For streaming kinds the index names a tenant (`slowtenant`, `burst`)
     /// or a window (`delay`, `wedge`) rather than a chunk. Empty entries
@@ -274,7 +260,6 @@ impl FaultPlan {
                 "stall" => FaultKind::Stall,
                 "corrupt" => FaultKind::CorruptDefects,
                 "badweights" => FaultKind::BadWeights,
-                "cluster" => FaultKind::ClusterPanic,
                 "slowtenant" => FaultKind::SlowTenant,
                 "delay" => FaultKind::DelayedArrival,
                 "burst" => FaultKind::BurstArrival,
@@ -282,7 +267,7 @@ impl FaultPlan {
                 other => {
                     return Err(format!(
                         "unknown fault kind '{other}' (expected \
-                         panic|stall|corrupt|badweights|cluster|\
+                         panic|stall|corrupt|badweights|\
                          slowtenant|delay|burst|wedge)"
                     ))
                 }
@@ -385,14 +370,13 @@ mod tests {
 
     #[test]
     fn parse_round_trips_builder() {
-        let parsed =
-            FaultPlan::parse("panic@1, stall@2 ,corrupt@3,badweights@4,cluster@5,").unwrap();
+        let parsed = FaultPlan::parse("panic@1, stall@2 ,corrupt@3,badweights@4,wedge@5,").unwrap();
         let built = FaultPlan::new()
             .panic_at(1)
             .stall_at(2)
             .corrupt_defects_at(3)
             .bad_weights_at(4)
-            .cluster_panic_at(5);
+            .worker_wedge_at(5);
         assert_eq!(parsed, built);
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
@@ -417,7 +401,7 @@ mod tests {
     fn kinds_display_as_spec_names() {
         assert_eq!(FaultKind::Panic.to_string(), "panic");
         assert_eq!(FaultKind::BadWeights.to_string(), "badweights");
-        assert_eq!(FaultKind::ClusterPanic.to_string(), "cluster");
+        assert_eq!(FaultKind::CorruptDefects.to_string(), "corrupt");
         assert_eq!(FaultKind::SlowTenant.to_string(), "slowtenant");
         assert_eq!(FaultKind::DelayedArrival.to_string(), "delay");
         assert_eq!(FaultKind::BurstArrival.to_string(), "burst");
@@ -441,7 +425,6 @@ mod tests {
             FaultKind::Stall,
             FaultKind::CorruptDefects,
             FaultKind::BadWeights,
-            FaultKind::ClusterPanic,
         ] {
             assert!(!kind.is_streaming());
         }

@@ -467,8 +467,9 @@ impl MatchingGraph {
     ///
     /// Decoders and predecoders own immutable graph copies and derive their
     /// weight-dependent state at construction, so build them over the
-    /// reweighted graph — as the engine's [`crate::Epochs`] run source does
-    /// for every epoch, and the calibration runtime for every trace point.
+    /// reweighted graph: hand the engine an ordinary
+    /// [`crate::DecoderFactory`] over it, as the calibration runtime does
+    /// for every trace point.
     ///
     /// Errors with [`ValidationError::NoProvenance`] on graphs built by
     /// [`MatchingGraph::from_edges`], which carry no provenance.

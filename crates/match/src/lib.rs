@@ -27,7 +27,8 @@
 //! - [`LerEngine`]: the thread-parallel Monte-Carlo engine behind
 //!   `estimate_ler`. Its one run method, [`LerEngine::try_run`], executes a
 //!   [`RunSpec`] — shot budget, [`Weighting`] (nominal or boosted by
-//!   importance sampling) and [`StopRule`] — deterministically in
+//!   importance sampling) and [`StopRule`] — over any [`DecoderFactory`],
+//!   deterministically in
 //!   `(spec, base_seed)` regardless of thread count, with per-run
 //!   throughput counters in [`EngineRun`]. Hardened against decoder faults: inputs are validated
 //!   up front ([`MatchingGraph::validate`], typed
@@ -38,12 +39,9 @@
 //! - Calibration-aware reweighting: graphs built from a DEM keep per-edge
 //!   provenance, so [`MatchingGraph::reweight`] recomputes probabilities and
 //!   weights in place from an updated [`caliqec_stab::RateTable`] without
-//!   re-extracting the DEM. New rates reach decoders one way, as fresh
-//!   decoders over a reweighted graph: an [`Epochs`] run source decodes a
-//!   shot budget under an [`EpochSchedule`] of drifting per-gate rates,
-//!   building fresh decoders and a fresh predecoder over a reweighted graph
-//!   clone per epoch, and the calibration runtime reweights one kept graph
-//!   per layout to each trace point's rate (DESIGN.md §10).
+//!   re-extracting the DEM. New rates reach decoders one way: an ordinary
+//!   factory over a reweighted graph (the calibration runtime reweights one
+//!   kept graph per layout to each trace point's rate, DESIGN.md §10).
 //!
 //! # Example
 //!
@@ -91,9 +89,8 @@ pub use cluster::{
 };
 pub use decode::{estimate_ler, graph_for_circuit, Decoder, LerEstimate, SampleOptions};
 pub use engine::{
-    defect_hist_bucket, estimate_ler_seeded, CalibrationEpoch, DecodeStack, DecoderFactory,
-    EngineRun, EpochSchedule, Epochs, GraphDecoderFactory, LerEngine, RunSource, RunSpec, StopRule,
-    Weighting, DEFECT_HIST_BUCKETS, LADDER_RUNGS,
+    defect_hist_bucket, estimate_ler_seeded, DecodeStack, DecoderFactory, EngineRun, LerEngine,
+    RunSpec, StopRule, Weighting, DEFECT_HIST_BUCKETS, LADDER_RUNGS,
 };
 pub use error::{EngineError, ValidationError};
 pub use faults::{poison_weights, FaultKind, FaultPlan, Injection};

@@ -126,9 +126,6 @@ fn event_json(e: &Event) -> String {
         EventKind::RunStart { threads, chunks } => {
             let _ = write!(fields, ",\"threads\":{threads},\"chunks\":{chunks}");
         }
-        EventKind::EpochReweight { epoch, nanos } => {
-            let _ = write!(fields, ",\"epoch\":{epoch},\"nanos\":{nanos}");
-        }
         EventKind::ChunkStart { rung } => {
             let _ = write!(fields, ",\"rung\":{rung}");
         }
@@ -236,9 +233,9 @@ pub fn render_json(snap: &Snapshot) -> String {
 /// format), viewable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 ///
 /// Chunk attempts become `"X"` (complete) events — one slice per
-/// start/finish pair on the worker's track — faults and retries become
-/// `"i"` (instant) markers, and epoch reweights become slices on a
-/// dedicated coordinator track. `pid` is the engine run, `tid` the worker.
+/// start/finish pair on the worker's track — and run starts, faults and
+/// retries become `"i"` (instant) markers. `pid` is the engine run, `tid`
+/// the worker.
 pub fn render_chrome_trace(snap: &Snapshot) -> String {
     let mut items: Vec<String> = Vec::new();
     let us = |nanos: u64| nanos as f64 / 1e3;
@@ -251,15 +248,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                 items.push(format!(
                     "{{\"name\":\"run_start\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"threads\":{},\"chunks\":{}}}}}",
                     us(e.t_nanos), e.run, threads, chunks
-                ));
-            }
-            EventKind::EpochReweight { epoch, nanos } => {
-                items.push(format!(
-                    "{{\"name\":\"epoch_reweight\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":\"coordinator\",\"args\":{{\"epoch\":{}}}}}",
-                    us(e.t_nanos.saturating_sub(nanos)),
-                    us(nanos),
-                    e.run,
-                    epoch
                 ));
             }
             EventKind::ChunkStart { .. } => {

@@ -40,10 +40,7 @@ impl Event {
     /// recorded before/around the worker pool, ordered before all chunk
     /// events of the same run).
     pub fn is_coordinator(&self) -> bool {
-        matches!(
-            self.kind,
-            EventKind::RunStart { .. } | EventKind::EpochReweight { .. }
-        )
+        matches!(self.kind, EventKind::RunStart { .. })
     }
 }
 
@@ -58,13 +55,6 @@ pub enum EventKind {
         threads: u32,
         /// Chunks in the deterministic schedule.
         chunks: u32,
-    },
-    /// One epoch's reweighted graph + predecoder tables were built.
-    EpochReweight {
-        /// Epoch index in the schedule.
-        epoch: u32,
-        /// Build time.
-        nanos: u64,
     },
     /// A chunk attempt began on the given ladder rung.
     ChunkStart {
@@ -153,7 +143,6 @@ impl EventKind {
     pub fn tag(&self) -> &'static str {
         match self {
             EventKind::RunStart { .. } => "run_start",
-            EventKind::EpochReweight { .. } => "epoch_reweight",
             EventKind::ChunkStart { .. } => "chunk_start",
             EventKind::ChunkFinish { .. } => "chunk_finish",
             EventKind::Fault { .. } => "fault",

@@ -16,10 +16,10 @@
 //!   [`Snapshot`] merges shards after the fact and reads p50/p95/p99 off
 //!   the histograms.
 //! - **Journal** ([`journal`]): structured [`Event`]s (chunk start/finish
-//!   with tier outcomes and phase timings, fault/retry/rung transitions,
-//!   epoch reweights) buffered per worker and flushed as lock-free
-//!   segments at chunk boundaries, then merged in an order that depends
-//!   only on the deterministic chunk schedule.
+//!   with tier outcomes and phase timings, fault/retry/rung transitions)
+//!   buffered per worker and flushed as lock-free segments at chunk
+//!   boundaries, then merged in an order that depends only on the
+//!   deterministic chunk schedule.
 //! - **Exporters** ([`export`]): human summary table, JSON snapshot,
 //!   Chrome trace-event JSON (Perfetto-viewable worker/chunk flamegraphs),
 //!   and Prometheus text exposition via [`render_prometheus`].

@@ -86,8 +86,6 @@ pub enum Counter {
     FaultsGraph,
     /// Ladder retries launched in response to faults.
     Retries,
-    /// Per-epoch graph reweights performed before workers launched.
-    EpochReweights,
     /// Shots sampled under boosted (importance-sampled) rates, carrying
     /// per-shot likelihood weights.
     ShotsWeighted,
@@ -120,7 +118,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::RunsStarted,
         Counter::ChunksStarted,
         Counter::ChunksFinished,
@@ -133,7 +131,6 @@ impl Counter {
         Counter::FaultsStall,
         Counter::FaultsGraph,
         Counter::Retries,
-        Counter::EpochReweights,
         Counter::ShotsWeighted,
         Counter::ChunksRung0,
         Counter::ChunksRung1,
@@ -162,7 +159,6 @@ impl Counter {
             Counter::FaultsStall => "faults_stall",
             Counter::FaultsGraph => "faults_graph",
             Counter::Retries => "retries",
-            Counter::EpochReweights => "epoch_reweights",
             Counter::ShotsWeighted => "shots_weighted",
             Counter::ChunksRung0 => "chunks_rung0",
             Counter::ChunksRung1 => "chunks_rung1",
@@ -187,8 +183,6 @@ pub enum Gauge {
     Workers,
     /// Chunks in the deterministic schedule.
     ChunksPlanned,
-    /// Calibration epochs active during the run.
-    Epochs,
     /// Effective sample size of the latest rare-event run, rounded down
     /// (equal to the shot count on plain unweighted runs).
     Ess,
@@ -201,10 +195,9 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in export order.
-    pub const ALL: [Gauge; 6] = [
+    pub const ALL: [Gauge; 5] = [
         Gauge::Workers,
         Gauge::ChunksPlanned,
-        Gauge::Epochs,
         Gauge::Ess,
         Gauge::StreamTenants,
         Gauge::StreamQueuePeak,
@@ -215,7 +208,6 @@ impl Gauge {
         match self {
             Gauge::Workers => "workers",
             Gauge::ChunksPlanned => "chunks_planned",
-            Gauge::Epochs => "epochs",
             Gauge::Ess => "ess",
             Gauge::StreamTenants => "stream_tenants",
             Gauge::StreamQueuePeak => "stream_queue_peak",
@@ -246,8 +238,6 @@ pub enum Hist {
     /// Wall time of one whole chunk attempt (sample + extract + dispatch +
     /// decode).
     ChunkWall,
-    /// Time to build one epoch's reweighted graph + predecoder tables.
-    EpochReweight,
     /// Streaming round latency: enqueue at admission to disposition
     /// (decoded, shed, or deferred). Includes queueing delay, so this is
     /// the service-level p99 the deadline budget is judged against.
@@ -258,14 +248,13 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in export order.
-    pub const ALL: [Hist; 9] = [
+    pub const ALL: [Hist; 8] = [
         Hist::PredecodeShot,
         Hist::DecodeShotRung0,
         Hist::DecodeShotRung1,
         Hist::DecodeShotRung2,
         Hist::ClusterShot,
         Hist::ChunkWall,
-        Hist::EpochReweight,
         Hist::RoundLatency,
         Hist::WindowDecode,
     ];
@@ -279,7 +268,6 @@ impl Hist {
             Hist::DecodeShotRung2 => "decode_shot_rung2",
             Hist::ClusterShot => "cluster_shot",
             Hist::ChunkWall => "chunk_wall",
-            Hist::EpochReweight => "epoch_reweight",
             Hist::RoundLatency => "round_latency",
             Hist::WindowDecode => "window_decode",
         }
@@ -296,7 +284,7 @@ struct HistShard {
 }
 
 impl HistShard {
-    fn new() -> HistShard {
+    const fn new() -> HistShard {
         HistShard {
             buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
             count: AtomicU64::new(0),
@@ -328,17 +316,7 @@ impl Shard {
         Shard {
             counters: [const { AtomicU64::new(0) }; Counter::ALL.len()],
             gauges: [const { AtomicU64::new(0) }; Gauge::ALL.len()],
-            hists: [
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-                HistShard::new(),
-            ],
+            hists: [const { HistShard::new() }; Hist::ALL.len()],
         }
     }
 

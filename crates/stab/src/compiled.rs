@@ -25,11 +25,9 @@
 //! differential tests rely on.
 
 use crate::circuit::{Basis, Circuit, Gate1, Gate2, Noise1, Noise2, Op};
-use crate::dem::ErrorSource;
 use crate::error::{check_probability, check_qubit_index, CircuitError};
 use crate::frame::{bernoulli_mask_with, for_each_set_bit, skip_consts, BatchEvents, BATCH};
 use crate::pauli::Pauli;
-use crate::rates::RateTable;
 use crate::sim::two_qubit_pauli;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -247,7 +245,7 @@ pub struct CompiledCircuit {
     /// from multiple `Observable` ops with the same index are concatenated).
     obs_meas: Vec<u32>,
     /// Importance-sampling tables, present only on programs produced by
-    /// [`CompiledCircuit::boosted`] / [`CompiledCircuit::boosted_with_rates`].
+    /// [`CompiledCircuit::boosted`].
     llr: Option<LlrTables>,
 }
 
@@ -370,16 +368,6 @@ impl CompiledCircuit {
     ///
     /// Panics unless `beta` is finite and ≥ 1.
     pub fn boosted(&self, beta: f64) -> CompiledCircuit {
-        self.boosted_with_rates(beta, &RateTable::identity())
-    }
-
-    /// [`CompiledCircuit::boosted`] with calibration-epoch composition: each
-    /// noise site's *nominal* rate is looked up in `rates` by its
-    /// [`ErrorSource`] (falling back to the compiled rate when absent), then
-    /// boosted. The recorded likelihood ratios weight shots back to the
-    /// table's rates, so importance sampling composes with per-epoch
-    /// reweighting: an identity table reduces to [`CompiledCircuit::boosted`].
-    pub fn boosted_with_rates(&self, beta: f64, rates: &RateTable) -> CompiledCircuit {
         assert!(
             beta.is_finite() && beta >= 1.0,
             "boost beta must be finite and >= 1, got {beta}"
@@ -388,45 +376,25 @@ impl CompiledCircuit {
         let mut delta = Vec::new();
         let mut base = 0.0f64;
         for instr in &mut out.instrs {
-            // One (error source, compiled rate, skip constants) tuple per
-            // noise site, in the exact program order the samplers walk —
-            // the `delta` table is indexed by that order.
+            // One (rate, skip constants) triple per noise site, in the exact
+            // program order the samplers walk — the `delta` table is indexed
+            // by that order.
             let site = match instr {
                 Instr::Meas {
-                    q,
-                    flip,
+                    flip: p,
                     l1p,
                     quiet,
                     ..
-                } => Some((ErrorSource::MeasureFlip(*q), flip, l1p, quiet)),
-                Instr::NoiseX { q, p, l1p, quiet } => {
-                    Some((ErrorSource::Noise1(Noise1::XError, *q), p, l1p, quiet))
                 }
-                Instr::NoiseY { q, p, l1p, quiet } => {
-                    Some((ErrorSource::Noise1(Noise1::YError, *q), p, l1p, quiet))
-                }
-                Instr::NoiseZ { q, p, l1p, quiet } => {
-                    Some((ErrorSource::Noise1(Noise1::ZError, *q), p, l1p, quiet))
-                }
-                Instr::Dep1 { q, p, l1p, quiet } => {
-                    Some((ErrorSource::Noise1(Noise1::Depolarize1, *q), p, l1p, quiet))
-                }
-                Instr::Dep2 {
-                    a,
-                    b,
-                    p,
-                    l1p,
-                    quiet,
-                } => Some((
-                    ErrorSource::Noise2(Noise2::Depolarize2, *a, *b),
-                    p,
-                    l1p,
-                    quiet,
-                )),
+                | Instr::NoiseX { p, l1p, quiet, .. }
+                | Instr::NoiseY { p, l1p, quiet, .. }
+                | Instr::NoiseZ { p, l1p, quiet, .. }
+                | Instr::Dep1 { p, l1p, quiet, .. }
+                | Instr::Dep2 { p, l1p, quiet, .. } => Some((p, l1p, quiet)),
                 _ => None,
             };
-            if let Some((source, rate, l1p, quiet)) = site {
-                let nominal = rates.get(&source).unwrap_or(*rate);
+            if let Some((rate, l1p, quiet)) = site {
+                let nominal = *rate;
                 let boosted = boost_rate(nominal, beta);
                 let (d, keep) = llr_terms(nominal, boosted);
                 delta.push(d);
@@ -1332,62 +1300,6 @@ mod tests {
         assert!(
             (est - p).abs() < 0.15 * p,
             "weighted estimate {est} vs true {p}"
-        );
-    }
-
-    #[test]
-    fn rate_table_boosting_composes() {
-        // boosted_with_rates treats the RateTable as the nominal truth: at
-        // β=1 the program fires at the table's rates with llr ≡ 0 (an
-        // epoch reweight, no importance sampling); at β>1 the weighted
-        // estimator still recovers the table rate.
-        let mut c = Circuit::new(1);
-        c.reset(Basis::Z, &[0]);
-        c.noise1(Noise1::XError, 0.05, &[0]);
-        let m = c.measure(0, Basis::Z, 0.0);
-        c.observable(0, &[m]);
-        let compiled = CompiledCircuit::new(&c);
-        let mut table = RateTable::identity();
-        table.set(ErrorSource::Noise1(Noise1::XError, 0), 0.2);
-
-        let run = |prog: &CompiledCircuit, seed: u64| {
-            let mut state = FrameState::new(prog);
-            let mut ev = BatchEvents::default();
-            let mut llr = [0.0f64; BATCH];
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (mut raw, mut weighted, mut shots) = (0u64, 0.0f64, 0u64);
-            let mut llr_all_zero = true;
-            for _ in 0..2000 {
-                sample_weighted(prog, &mut state, &mut rng, &mut ev, &mut llr);
-                let flips = ev.observables[0];
-                raw += flips.count_ones() as u64;
-                for (s, lr) in llr.iter().enumerate() {
-                    llr_all_zero &= *lr == 0.0;
-                    if flips >> s & 1 == 1 {
-                        weighted += lr.exp();
-                    }
-                }
-                shots += BATCH as u64;
-            }
-            (
-                raw as f64 / shots as f64,
-                weighted / shots as f64,
-                llr_all_zero,
-            )
-        };
-
-        // β=1: pure reweight — fires at 0.2, no ratio terms.
-        let (raw, weighted, zero) = run(&compiled.boosted_with_rates(1.0, &table), 11);
-        assert!(zero, "β=1 reweight must leave llr exactly 0");
-        assert!((raw - 0.2).abs() < 0.01, "raw rate {raw} vs table 0.2");
-        assert!((weighted - 0.2).abs() < 0.01);
-
-        // β=2: fires at 0.4, weighted estimate recovers the table's 0.2.
-        let (raw, weighted, _) = run(&compiled.boosted_with_rates(2.0, &table), 12);
-        assert!((raw - 0.4).abs() < 0.01, "boosted raw rate {raw} vs 0.4");
-        assert!(
-            (weighted - 0.2).abs() < 0.015,
-            "weighted estimate {weighted} vs nominal 0.2"
         );
     }
 }

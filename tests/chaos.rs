@@ -95,10 +95,6 @@ fn every_injection_kind_recovers_bit_identically() {
             FaultKind::CorruptDefects,
         ),
         (FaultPlan::new().bad_weights_at(2), FaultKind::BadWeights),
-        (
-            FaultPlan::new().cluster_panic_at(1),
-            FaultKind::ClusterPanic,
-        ),
     ];
     for (plan, kind) in kinds {
         let chaos = run_with(plan, 2);
@@ -113,7 +109,7 @@ fn every_injection_kind_recovers_bit_identically() {
         assert!(chaos.degraded_shots > 0, "{kind}");
         assert_eq!(chaos.rung_chunks[1], 1, "{kind}: retry lands on rung 1");
         let (panics, stalls, graphs) = match kind {
-            FaultKind::Panic | FaultKind::CorruptDefects | FaultKind::ClusterPanic => (1, 0, 0),
+            FaultKind::Panic | FaultKind::CorruptDefects => (1, 0, 0),
             FaultKind::Stall => (0, 1, 0),
             FaultKind::BadWeights => (0, 0, 1),
             streaming => unreachable!("batch chaos suite injected {streaming}"),
@@ -158,7 +154,7 @@ fn recovery_is_thread_count_independent() {
     // consecutive chunks.
     for (spec, faults) in [
         ("panic@0,corrupt@2", 2),
-        ("panic@0,corrupt@1,stall@2,badweights@3,cluster@4", 5),
+        ("panic@0,corrupt@1,stall@2,badweights@3,panic@4", 5),
     ] {
         let plan = FaultPlan::parse(spec).expect("valid fault spec");
         for threads in [1, 4] {
@@ -275,10 +271,10 @@ fn journal_counts_reconcile_with_run_accounting() {
     assert_eq!(snap.counter("chunks_finished"), run.chunks_executed as u64);
 }
 
-/// A denser d = 7 workload with the cluster tier enabled, so an injected
-/// cluster-tier fault hits the machinery it claims to model (at 8e-3 a
-/// sizable fraction of shots carry more than
-/// `Predecoder::MAX_CERT_DEFECTS` defects and route through the tier).
+/// A denser d = 7 workload with the cluster tier enabled, so a chunk that
+/// faults on rung 0 is one the cluster tier decodes (at 8e-3 a sizable
+/// fraction of shots carry more than `Predecoder::MAX_CERT_DEFECTS`
+/// defects and route through the tier).
 fn cluster_workload() -> (
     CompiledCircuit,
     Tiered<impl Fn() -> UnionFindDecoder + Sync>,
@@ -312,16 +308,16 @@ fn faulted_cluster_decode_retries_down_the_ladder_bit_identically() {
 
     let (compiled, factory) = cluster_workload();
     let chaos = LerEngine::new(2)
-        .with_faults(FaultPlan::parse("cluster@0").expect("cluster kind parses"))
+        .with_faults(FaultPlan::parse("panic@0").expect("panic kind parses"))
         .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
-        .expect("a cluster-tier panic must be recovered on the ladder");
+        .expect("a panic on a cluster-armed stack must be recovered on the ladder");
     assert_eq!(
         (chaos.estimate.shots, chaos.estimate.failures),
         (clean.estimate.shots, clean.estimate.failures),
         "rung-1 monolithic retry must reproduce the clean estimate bit-identically"
     );
     assert_eq!(chaos.faulted_chunks, 1);
-    assert_eq!(chaos.panic_faults, 1, "cluster faults account as panics");
+    assert_eq!(chaos.panic_faults, 1, "the fault accounts as a panic");
     assert_eq!(
         chaos.rung_chunks[1], 1,
         "the retry drops the tier and decodes the chunk monolithically on rung 1"
@@ -387,10 +383,10 @@ fn no_fallback_ladder_ends_at_rung_one() {
 #[test]
 fn spec_grammar_round_trips_through_parse() {
     let plan =
-        FaultPlan::parse("panic@0,stall@3,corrupt@1,badweights@7,cluster@5").expect("valid spec");
+        FaultPlan::parse("panic@0,stall@3,corrupt@1,badweights@7,wedge@5").expect("valid spec");
     assert_eq!(plan.injections().len(), 5);
     assert_eq!(plan.injection(3), Some(FaultKind::Stall));
-    assert_eq!(plan.injection(5), Some(FaultKind::ClusterPanic));
+    assert_eq!(plan.injection(5), Some(FaultKind::WorkerWedge));
     assert_eq!(plan.injection(6), None);
     assert!(FaultPlan::parse("panic@").is_err());
     assert!(FaultPlan::parse("meltdown@1").is_err());

@@ -1,16 +1,15 @@
 //! Workspace-level proof that observability is passive: the engine's
 //! golden fingerprints — estimate, defect histogram, and per-tier shot
 //! counters — are bit-identical with the sink enabled or disabled, across
-//! decoders (tiered union-find, MWPM), thread counts (1/2/8), and both
-//! run sources (a single-graph factory and an `Epochs` schedule). The
-//! journal itself is deterministic across thread
-//! counts, and the Prometheus rendering passes a line-format sanity
-//! parser.
+//! decoders (tiered union-find, MWPM), thread counts (1/2/8), and graphs
+//! as built or reweighted to new rates. The journal itself is
+//! deterministic across thread counts, and the Prometheus rendering passes
+//! a line-format sanity parser.
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, EngineRun, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
-    RunSpec, SampleOptions, Tiered, UnionFindDecoder, DEFECT_HIST_BUCKETS,
+    graph_for_circuit, EngineRun, LerEngine, MatchingGraph, MwpmDecoder, SampleOptions, Tiered,
+    UnionFindDecoder, DEFECT_HIST_BUCKETS,
 };
 use caliqec_obs::{render_prometheus, ObsSink};
 use caliqec_stab::{CompiledCircuit, RateTable};
@@ -106,26 +105,25 @@ fn mwpm_fingerprints_identical_obs_on_off() {
     }
 }
 
+/// New rates reach a decoder as an ordinary factory over a reweighted
+/// graph; recording stays passive there too.
 #[test]
-fn epoch_entry_point_fingerprints_identical_obs_on_off() {
-    let (compiled, graph) = workload(3);
-    let mut schedule = EpochSchedule::new(1.0);
-    schedule.push(0.0, RateTable::uniform(3e-3));
-    schedule.push(0.5, RateTable::uniform(5e-3));
-    let source = Epochs {
-        graph: &graph,
-        schedule: &schedule,
-        factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-    };
+fn reweighted_graph_fingerprints_identical_obs_on_off() {
+    let (compiled, mut graph) = workload(3);
+    graph
+        .reweight(&RateTable::uniform(5e-3))
+        .expect("graph carries provenance");
+    let factory = Tiered::new(&graph, {
+        let graph = graph.clone();
+        move || UnionFindDecoder::new(graph.clone())
+    });
     let mut prints = Vec::new();
     for threads in [1usize, 2, 8] {
         for sink in [ObsSink::disabled(), ObsSink::enabled()] {
             let enabled = sink.is_enabled();
             let run = LerEngine::new(threads)
                 .with_obs(sink)
-                .try_run(&compiled, &source, &RunSpec::from(OPTS), SEED)
-                .unwrap();
-            assert_eq!(run.epochs, 2, "threads={threads} obs_enabled={enabled}");
+                .estimate(&compiled, &factory, OPTS, SEED);
             prints.push((threads, enabled, fingerprint(&run)));
         }
     }
@@ -133,7 +131,7 @@ fn epoch_entry_point_fingerprints_identical_obs_on_off() {
     for (threads, enabled, print) in &prints {
         assert_eq!(
             print, golden,
-            "threads={threads} obs_enabled={enabled}: epoch fingerprint drifted"
+            "threads={threads} obs_enabled={enabled}: reweighted fingerprint drifted"
         );
     }
 }

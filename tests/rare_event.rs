@@ -10,12 +10,12 @@ use caliqec_match::{
     graph_for_circuit, LerEngine, RunSpec, SampleOptions, StopRule, Tiered, UnionFindDecoder,
     Weighting,
 };
-use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1, RateTable};
+use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1};
 use proptest::prelude::*;
 
-/// An importance-sampled spec at boost `beta` and identity rates over
-/// `min_shots..=max_shots` (0 = `min_shots` is the budget), CI-stopped at
-/// `target_rse` (0 = never).
+/// An importance-sampled spec at boost `beta` over `min_shots..=max_shots`
+/// (0 = `min_shots` is the budget), CI-stopped at `target_rse` (0 =
+/// never).
 fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
     RunSpec {
         budget: SampleOptions {
@@ -23,10 +23,7 @@ fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> Ru
             max_failures: 0,
             max_shots,
         },
-        weighting: Weighting::Boosted {
-            beta,
-            rates: RateTable::identity(),
-        },
+        weighting: Weighting::Boosted { beta },
         stop: StopRule::TargetRse(target_rse),
     }
 }

@@ -7,23 +7,26 @@
 //! - identity-rate-table reweighting leaves engine output bit-identical to
 //!   the golden fingerprints of `sparse_decode_validation.rs` — the
 //!   reweight machinery is exact, not merely approximately right;
-//! - decoders built over a reweighted graph — how the [`Epochs`] run
-//!   source hands new rates to decoders — agree shot for shot with
-//!   decoders over a graph freshly extracted from the drifted circuit, for
-//!   both [`MwpmDecoder`] and [`UnionFindDecoder`];
+//! - decoders built over a reweighted graph — how new rates reach a
+//!   decoder — agree shot for shot with decoders over a graph freshly
+//!   extracted from the drifted circuit, for both [`MwpmDecoder`] and
+//!   [`UnionFindDecoder`];
 //! - under uniform noise a reweighted graph equals a fresh build down to
 //!   its observable masks, on every kind of layout the calibration runtime
 //!   decodes — the invariant that lets the runtime keep one graph per
-//!   layout.
+//!   layout;
+//! - `drift_trajectory`'s static and drift-aware arms are pinned by value
+//!   at peak drift.
 
 use caliqec::CaliqecConfig;
 use caliqec_code::{
-    code_distance, data_coord, memory_circuit, rotated_patch, DeformInstruction, DeformedPatch,
-    Lattice, MemoryBasis, NoiseModel, PatchLayout, Readout, Side, StabKind,
+    code_distance, data_coord, drift_rate_table, memory_circuit, rotated_patch, DeformInstruction,
+    DeformedPatch, Lattice, MemoryBasis, NoiseModel, PatchLayout, Readout, Side, StabKind,
 };
+use caliqec_device::DriftModel;
 use caliqec_match::{
-    graph_for_circuit, Decoder, EpochSchedule, Epochs, LerEngine, MatchingGraph, MwpmDecoder,
-    RunSpec, SampleOptions, Tiered, UnionFindDecoder,
+    graph_for_circuit, Decoder, LerEngine, MatchingGraph, MwpmDecoder, SampleOptions, Tiered,
+    UnionFindDecoder,
 };
 use caliqec_stab::{extract_dem, CompiledCircuit, FrameSampler, RateTable, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -342,22 +345,60 @@ fn identity_reweight_preserves_engine_fingerprints() {
                 uf_expect,
                 "identity-reweighted tiered UF d={d} threads={threads}"
             );
-            // The calibration-epoch entry point with an identity schedule
-            // is the same computation again.
-            let source = Epochs {
-                graph: &graph,
-                schedule: &EpochSchedule::new(1.0),
-                factory: &|g: &MatchingGraph| UnionFindDecoder::new(g.clone()),
-            };
-            let epoch_run = LerEngine::new(threads)
-                .try_run(&compiled, &source, &RunSpec::from(opts), seed)
-                .unwrap();
+        }
+    }
+}
+
+/// `drift_trajectory`'s peak point, decoded the two ways the experiment
+/// decodes it: `Tiered` union-find over the calibration-time graph (static)
+/// and over a clone reweighted to the drifted per-gate rates (aware). Both
+/// arms see the identical syndrome stream, so the failure gap is pure
+/// decode-prior quality; the counts are what the experiment prints at
+/// `--shots 20000`, at any thread count.
+#[test]
+fn drift_aware_arm_is_pinned_by_value() {
+    const D: usize = 5;
+    const P0: f64 = 1.5e-3;
+    const HOURS: f64 = 12.0;
+    let layout = rotated_patch(D, D);
+    // The experiment's heterogeneous drift: data qubits split by coordinate
+    // parity into a fast (10 h per decade) and a slow (40 h) population;
+    // ancillas and couplers stay at p0.
+    let mut noise = NoiseModel::uniform(P0);
+    for &q in &layout.data {
+        let t_drift_hours = if (q.r + q.c) % 4 == 0 { 10.0 } else { 40.0 };
+        let model = DriftModel {
+            p0: P0,
+            t_drift_hours,
+        };
+        noise.drift_qubit(q, model.p_at(HOURS).min(0.1));
+    }
+    let base_mem = memory_circuit(&layout, &NoiseModel::uniform(P0), D, MemoryBasis::Z);
+    let dem = extract_dem(&base_mem.circuit);
+    let calibrated = MatchingGraph::from_dem(&dem);
+    let mut aware = calibrated.clone();
+    aware
+        .reweight(&drift_rate_table(&base_mem, &dem, &noise))
+        .expect("graph carries provenance");
+    let drifted = memory_circuit(&layout, &noise, D, MemoryBasis::Z);
+    let compiled = CompiledCircuit::new(&drifted.circuit);
+    let opts = SampleOptions {
+        min_shots: 20_000,
+        ..Default::default()
+    };
+    let seed = 0xD81F_7A6E + 6;
+    for threads in [1usize, 2] {
+        for (arm, graph, expect) in [
+            ("static", &calibrated, (20_032, 738)),
+            ("aware", &aware, (20_032, 597)),
+        ] {
+            let tiered = Tiered::new(graph, || UnionFindDecoder::new(graph.clone()));
+            let run = LerEngine::new(threads).estimate(&compiled, &tiered, opts, seed);
             assert_eq!(
-                (epoch_run.estimate.shots, epoch_run.estimate.failures),
-                uf_expect,
-                "identity epoch run d={d} threads={threads}"
+                (run.estimate.shots, run.estimate.failures),
+                expect,
+                "{arm} arm threads={threads}"
             );
-            assert_eq!(epoch_run.epochs, 1);
         }
     }
 }

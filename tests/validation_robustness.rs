@@ -7,7 +7,7 @@ use caliqec_match::{
     graph_for_circuit, Edge, EngineError, LerEngine, MatchingGraph, MwpmDecoder,
     ReferenceUnionFind, RunSpec, SampleOptions, StopRule, Tiered, UnionFindDecoder, Weighting,
 };
-use caliqec_stab::{Basis, Circuit, CompiledCircuit, MeasIdx, Noise1, Op, RateTable};
+use caliqec_stab::{Basis, Circuit, CompiledCircuit, MeasIdx, Noise1, Op};
 use proptest::prelude::*;
 
 const MAX_DETECTORS: usize = 5;
@@ -134,7 +134,7 @@ proptest! {
         let compiled = CompiledCircuit::try_new(&circuit).unwrap();
         let factory = || UnionFindDecoder::new(graph.clone());
         let spec = RunSpec {
-            weighting: Weighting::Boosted { beta, rates: RateTable::identity() },
+            weighting: Weighting::Boosted { beta },
             stop: StopRule::TargetRse(rse),
             ..RunSpec::from(TINY)
         };
