@@ -39,8 +39,8 @@
 //! headline result). All runs are seeded and thread-count independent;
 //! wall times obviously are not.
 //!
-//! Flags: `--threads N`, `--out PATH`, `--rounds N`, `--target-rse F`,
-//! `--pilot-shots N`, `--plain-shots N`, `--max-shots N`.
+//! Flags: `--threads N`, `--out PATH`, `--rounds N` (at least 1),
+//! `--target-rse F`, `--pilot-shots N`, `--plain-shots N`, `--max-shots N`.
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
@@ -94,6 +94,10 @@ fn main() -> ExitCode {
     let plain_shots = caliqec_bench::usize_from_args("plain-shots", 100_000);
     let max_shots = caliqec_bench::usize_from_args("max-shots", 8_000_000);
     let rounds = caliqec_bench::usize_from_args("rounds", 2);
+    if rounds == 0 {
+        eprintln!("rare_event: error: --rounds must be at least 1");
+        return ExitCode::from(2);
+    }
     let p = 1e-3;
 
     let mut rows = String::new();

@@ -10,6 +10,10 @@ use rand::Rng;
 pub trait Decoder {
     /// Decodes `defects` (indices of fired detectors) to the bitmask of
     /// logical observables predicted to have flipped.
+    ///
+    /// The result must depend on `defects` alone, never on earlier calls:
+    /// the engine hands chunks to whichever worker is free and decodes a
+    /// window's shots in tier order, not shot order.
     fn decode(&mut self, defects: &[NodeId]) -> u64;
 }
 

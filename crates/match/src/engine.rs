@@ -576,7 +576,7 @@ impl<D: Decoder> DecodeStack<D> {
                 stats.cluster_gate_off += 1;
             }
         }
-        if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
+        let monolithic: &[u32] = if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
             // Dense shots: flood-decompose, peel certified clusters, decode
             // the residual union in one full-decoder call, XOR the masks.
             // Phase time is summed per shot (decomposition vs decoding), so
@@ -611,50 +611,22 @@ impl<D: Decoder> DecodeStack<D> {
                 }
                 masks[s] = mask;
             }
-            // The predecoder-declined candidates still decode monolithically
-            // (they are at most MAX_CERT_DEFECTS defects — not dense).
-            let mut shot_t = obs.clock();
-            for &s in uncertified.iter() {
-                let s = s as usize;
-                let d0 = Instant::now();
-                masks[s] = decoder.decode(sparse.defects(s));
-                stats.decode_seconds += d0.elapsed().as_secs_f64();
-                shot_t = obs.record_since(decode_hist, shot_t);
-            }
-            stats.residual_shots += uncertified.len();
+            &[]
         } else {
-            // Decode dense ∪ uncertified in ascending shot order (both lists
-            // are ascending — a two-pointer merge preserves the historic
-            // decode order exactly).
-            let mut shot_t = obs.clock();
-            let (mut i, mut j) = (0usize, 0usize);
-            loop {
-                let s = match (dense.get(i), uncertified.get(j)) {
-                    (Some(&a), Some(&b)) => {
-                        if a < b {
-                            i += 1;
-                            a
-                        } else {
-                            j += 1;
-                            b
-                        }
-                    }
-                    (Some(&a), None) => {
-                        i += 1;
-                        a
-                    }
-                    (None, Some(&b)) => {
-                        j += 1;
-                        b
-                    }
-                    (None, None) => break,
-                } as usize;
-                masks[s] = decoder.decode(sparse.defects(s));
-                shot_t = obs.record_since(decode_hist, shot_t);
-            }
-            stats.decode_seconds += (t3.elapsed()).as_secs_f64();
-            stats.residual_shots += dense.len() + uncertified.len();
+            dense
+        };
+        // The full decoder takes the dense shots the cluster tier did not,
+        // then the predecoder's declines. A decode depends on its defects
+        // alone (`Decoder::decode`), so the order changes no mask.
+        let t4 = Instant::now();
+        let mut shot_t = obs.clock();
+        for &s in monolithic.iter().chain(uncertified.iter()) {
+            let s = s as usize;
+            masks[s] = decoder.decode(sparse.defects(s));
+            shot_t = obs.record_since(decode_hist, shot_t);
         }
+        stats.decode_seconds += t4.elapsed().as_secs_f64();
+        stats.residual_shots += monolithic.len() + uncertified.len();
     }
 }
 

@@ -8,11 +8,37 @@
 
 use crate::error::ValidationError;
 use caliqec_stab::{DetIdx, DetectorErrorModel, ErrorSource, RateTable};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a node in a [`MatchingGraph`]: a detector or the boundary.
 pub type NodeId = usize;
+
+/// Min-heap entry `(distance, node)` for the Dijkstra runs over a
+/// [`MatchingGraph`]. Equal distances pop the lower node id first, so pop
+/// order is a function of the graph and the sources alone.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct HeapItem(pub(crate) f64, pub(crate) NodeId);
+
+impl Eq for HeapItem {}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapItem {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse order: BinaryHeap is a max-heap.
+        other
+            .0
+            .partial_cmp(&self.0)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.1.cmp(&self.1))
+    }
+}
 
 /// One weighted edge of the matching graph.
 #[derive(Clone, Debug, PartialEq)]

@@ -8,10 +8,10 @@
 //!   decomposed into graph edges).
 //! - [`UnionFindDecoder`]: the weighted union-find decoder
 //!   (Delfosse–Nickerson), near-linear time, the primary Monte-Carlo decoder.
-//! - [`MwpmDecoder`]: exact minimum-weight perfect matching for small defect
-//!   sets (bitmask DP) with a greedy fallback — the oracle decoder. Caches
-//!   per-source shortest-path trees and early-terminates Dijkstra runs;
-//!   [`MwpmDecoder::without_cache`] restores the historic behavior.
+//! - [`MwpmDecoder`]: exact minimum-weight perfect matching (early-stopping
+//!   Dijkstra plus a bitmask DP) for shots of at most
+//!   [`MwpmDecoder::MAX_DEFECTS`] defects, refusing larger ones — the
+//!   oracle decoder for small instances.
 //! - [`ReferenceUnionFind`]: the pre-optimization allocate-per-call
 //!   union-find decoder, kept as a bit-identical reference for benches and
 //!   cross-validation.

@@ -1,22 +1,21 @@
-//! Exact minimum-weight perfect matching decoder for small defect sets.
+//! Exact minimum-weight perfect matching for small defect sets: the test
+//! oracle for the union-find decoder and the small-instance (e.g. d = 3)
+//! decoder.
 //!
-//! All-pairs shortest paths between defects (and to the boundary) are found
-//! with Dijkstra on the matching graph; the optimal pairing — where every
-//! defect pairs with another defect or with the boundary — is solved exactly
-//! by bitmask dynamic programming for up to [`MwpmDecoder::max_exact_defects`]
-//! defects, and greedily beyond that. This decoder is the test oracle for the
-//! union-find decoder and the small-instance (e.g. d = 3) workhorse.
+//! Per defect, one Dijkstra on the matching graph finds the shortest paths
+//! to every other defect and to the boundary; the optimal pairing — where
+//! every defect pairs with another defect or with the boundary — is then
+//! solved exactly by bitmask dynamic programming over subsets, in O(2^k · k)
+//! time and O(2^k) memory. Up to [`MwpmDecoder::MAX_DEFECTS`] defects that is
+//! cheap; above it the decoder refuses the shot (it panics) instead of
+//! returning an approximate pairing under the MWPM name.
 //!
-//! The decode hot path reuses all working storage across calls: Dijkstra runs
-//! early-terminate once every current defect and the boundary are settled, and
-//! per-source results are kept in a grow-only, byte-bounded cache so repeated
-//! defects across shots skip the search entirely (distances from a fixed
-//! source never change). [`MwpmDecoder::without_cache`] restores the historic
-//! compute-everything-per-call behavior for benchmarking and cross-validation.
+//! The decode hot path reuses all working storage across calls: each
+//! Dijkstra run stops once every current defect and the boundary are
+//! settled, and resets its one shortest-path buffer in O(reached).
 
 use crate::decode::Decoder;
-use crate::graph::{MatchingGraph, NodeId};
-use std::cmp::Ordering;
+use crate::graph::{HeapItem, MatchingGraph, NodeId};
 use std::collections::BinaryHeap;
 
 /// Result of a Dijkstra run from one source.
@@ -44,32 +43,9 @@ impl SourcePaths {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-struct HeapItem(f64, NodeId);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: BinaryHeap is a max-heap.
-        other
-            .0
-            .partial_cmp(&self.0)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.1.cmp(&self.1))
-    }
-}
-
 /// Dijkstra from `source` into `sp`, resetting `sp` first via its touched
-/// list. When `pending` is finite it must equal the number of distinct nodes
-/// with `target_mark` set; the search stops as soon as all of them are
-/// settled. Pass `usize::MAX` to settle the whole graph.
+/// list. `pending` must equal the number of distinct nodes with
+/// `target_mark` set; the search stops as soon as all of them are settled.
 ///
 /// Early termination only decides *when the loop stops*: the pop order (and
 /// hence every settled node's `dist`/`obs`) is byte-identical to a full run,
@@ -123,17 +99,23 @@ fn run_dijkstra(
     heap.clear();
 }
 
-/// Reusable pairing-stage scratch (DP table, greedy candidates, result).
+/// Reusable pairing-stage scratch (DP table and result).
 #[derive(Clone, Debug, Default)]
 struct PairingScratch {
     best: Vec<f64>,
     choice: Vec<(usize, Option<usize>)>,
-    cands: Vec<(f64, u32, u32)>,
-    assigned: Vec<bool>,
     matched: Vec<Option<usize>>,
 }
 
-/// Exact MWPM decoder (with a greedy fallback for large defect sets).
+/// Exact minimum-weight perfect matching decoder for shots of at most
+/// [`MwpmDecoder::MAX_DEFECTS`] defects.
+///
+/// A larger shot is refused: [`Decoder::decode`] panics, naming the bound,
+/// just as every decoder panics on a defect id outside its graph. Under
+/// [`crate::LerEngine::try_run`] that panic is a chunk fault: a plain
+/// factory's run fails with [`crate::EngineError::ChunkFailed`] on rung 1,
+/// while a [`crate::Tiered`] factory's chunk falls to the rung-2 reference
+/// union-find and the run reports itself degraded.
 ///
 /// # Examples
 ///
@@ -153,18 +135,9 @@ struct PairingScratch {
 #[derive(Clone, Debug)]
 pub struct MwpmDecoder {
     graph: MatchingGraph,
-    max_exact: usize,
-    // Per-source shortest-path cache: slot `s` holds the last Dijkstra run
-    // from source `s`, reused whenever every current target is already
-    // settled in it. Grow-only and byte-bounded: once `cache_bytes` would
-    // exceed `cache_limit`, further sources fall back to `scratch_paths`.
-    cache_enabled: bool,
-    cache: Vec<Option<Box<SourcePaths>>>,
-    cache_bytes: usize,
-    cache_limit: usize,
     // Dijkstra scratch reused across calls.
     heap: BinaryHeap<HeapItem>,
-    scratch_paths: SourcePaths,
+    paths: SourcePaths,
     target_mark: Vec<bool>,
     target_nodes: Vec<NodeId>,
     // Flat k×k cost/observable matrices, rebuilt per decode (capacity kept).
@@ -176,54 +149,17 @@ pub struct MwpmDecoder {
 }
 
 impl MwpmDecoder {
-    /// Default cap on the number of defects solved exactly.
-    pub const DEFAULT_MAX_EXACT: usize = 16;
+    /// The most defects one shot may carry: the bitmask DP's tables hold
+    /// `2^MAX_DEFECTS` entries.
+    pub const MAX_DEFECTS: usize = 16;
 
-    /// Default byte budget for the per-source shortest-path cache.
-    pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
-
-    /// Creates a decoder with the default exact-solving cap.
+    /// Creates a decoder over `graph`.
     pub fn new(graph: MatchingGraph) -> MwpmDecoder {
-        Self::build(graph, Self::DEFAULT_MAX_EXACT, true)
-    }
-
-    /// Validating constructor: rejects a malformed graph with a typed
-    /// error instead of letting NaN weights corrupt the Dijkstra trees or
-    /// out-of-range endpoints panic mid-decode.
-    pub fn try_new(graph: MatchingGraph) -> Result<MwpmDecoder, crate::error::ValidationError> {
-        graph.validate()?;
-        Ok(MwpmDecoder::new(graph))
-    }
-
-    /// Creates a decoder solving exactly up to `max_exact` defects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_exact > 24` (the bitmask DP table would be too large).
-    pub fn with_max_exact(graph: MatchingGraph, max_exact: usize) -> MwpmDecoder {
-        assert!(max_exact <= 24, "exact matching capped at 24 defects");
-        Self::build(graph, max_exact, true)
-    }
-
-    /// Creates a decoder with the per-source cache and Dijkstra early
-    /// termination disabled: every decode recomputes full shortest-path
-    /// trees, matching the historic behavior. Reference path for benchmarks
-    /// and cross-validation.
-    pub fn without_cache(graph: MatchingGraph) -> MwpmDecoder {
-        Self::build(graph, Self::DEFAULT_MAX_EXACT, false)
-    }
-
-    fn build(graph: MatchingGraph, max_exact: usize, cache_enabled: bool) -> MwpmDecoder {
         let n = graph.num_nodes();
         MwpmDecoder {
             graph,
-            max_exact,
-            cache_enabled,
-            cache: (0..n).map(|_| None).collect(),
-            cache_bytes: 0,
-            cache_limit: Self::DEFAULT_CACHE_BYTES,
             heap: BinaryHeap::new(),
-            scratch_paths: SourcePaths::new(n),
+            paths: SourcePaths::new(n),
             target_mark: vec![false; n],
             target_nodes: Vec::new(),
             pair_cost: Vec::new(),
@@ -234,28 +170,17 @@ impl MwpmDecoder {
         }
     }
 
-    /// The number of defects up to which matching is solved exactly.
-    pub fn max_exact_defects(&self) -> usize {
-        self.max_exact
+    /// Validating constructor: rejects a malformed graph with a typed
+    /// error instead of letting NaN weights corrupt the Dijkstra trees or
+    /// out-of-range endpoints panic mid-decode.
+    pub fn try_new(graph: MatchingGraph) -> Result<MwpmDecoder, crate::error::ValidationError> {
+        graph.validate()?;
+        Ok(MwpmDecoder::new(graph))
     }
 
     /// The underlying matching graph.
     pub fn graph(&self) -> &MatchingGraph {
         &self.graph
-    }
-
-    /// How many sources currently hold a cached shortest-path tree.
-    pub fn cached_sources(&self) -> usize {
-        self.cache.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Approximate heap footprint of one cache entry.
-    fn entry_bytes(n: usize) -> usize {
-        std::mem::size_of::<SourcePaths>()
-            + n * (std::mem::size_of::<f64>()
-                + std::mem::size_of::<u64>()
-                + 1
-                + std::mem::size_of::<NodeId>())
     }
 
     /// Exact pairing by DP over subsets, into `s.matched`.
@@ -320,64 +245,23 @@ impl MwpmDecoder {
             }
         }
     }
-
-    /// Greedy pairing into `s.matched`: repeatedly commit the globally
-    /// cheapest available match (pair or boundary). Matrix layout as in
-    /// [`Self::exact_pairing`].
-    fn greedy_pairing(k: usize, pair_cost: &[f64], bnd_cost: &[f64], s: &mut PairingScratch) {
-        // A boundary candidate for defect i is encoded as (i, i); real pairs
-        // always have j > i. The (cost, i, j) sort therefore reproduces the
-        // historic stable-sort-by-cost order (insertion order was i
-        // ascending, boundary before pairs, j ascending).
-        s.cands.clear();
-        for i in 0..k {
-            s.cands.push((bnd_cost[i], i as u32, i as u32));
-            for j in (i + 1)..k {
-                s.cands.push((pair_cost[i * k + j], i as u32, j as u32));
-            }
-        }
-        s.cands.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        s.matched.clear();
-        s.matched.resize(k, None);
-        s.assigned.clear();
-        s.assigned.resize(k, false);
-        let mut remaining = k;
-        for idx in 0..s.cands.len() {
-            if remaining == 0 {
-                break;
-            }
-            let (_, i, j) = s.cands[idx];
-            let (i, j) = (i as usize, j as usize);
-            if s.assigned[i] {
-                continue;
-            }
-            if i == j {
-                s.assigned[i] = true;
-                s.matched[i] = None;
-                remaining -= 1;
-            } else if !s.assigned[j] {
-                s.assigned[i] = true;
-                s.assigned[j] = true;
-                s.matched[i] = Some(j);
-                s.matched[j] = Some(i);
-                remaining -= 2;
-            }
-        }
-    }
 }
 
 impl Decoder for MwpmDecoder {
+    /// # Panics
+    ///
+    /// Panics, naming the bound, when `defects` holds more than
+    /// [`MwpmDecoder::MAX_DEFECTS`] entries.
     fn decode(&mut self, defects: &[NodeId]) -> u64 {
         let k = defects.len();
+        assert!(
+            k <= Self::MAX_DEFECTS,
+            "MwpmDecoder is exact up to MAX_DEFECTS = {} defects and refuses a shot with {k}",
+            Self::MAX_DEFECTS
+        );
         if k == 0 {
             return 0;
         }
-        let n = self.graph.num_nodes();
         let boundary = self.graph.boundary();
 
         // Mark the target set (defects + boundary, deduplicated) so Dijkstra
@@ -394,11 +278,6 @@ impl Decoder for MwpmDecoder {
             self.target_mark[boundary] = true;
             self.target_nodes.push(boundary);
         }
-        let pending = if self.cache_enabled {
-            self.target_nodes.len()
-        } else {
-            usize::MAX // reference path: settle the whole graph
-        };
 
         self.pair_cost.clear();
         self.pair_cost.resize(k * k, 0.0);
@@ -409,60 +288,29 @@ impl Decoder for MwpmDecoder {
         self.bnd_obs.clear();
         self.bnd_obs.resize(k, 0);
 
-        for i in 0..k {
-            let src = defects[i];
-            let MwpmDecoder {
-                graph,
-                cache_enabled,
-                cache,
-                cache_bytes,
-                cache_limit,
-                heap,
-                scratch_paths,
-                target_mark,
-                target_nodes,
-                pair_cost,
-                pair_obs,
-                bnd_cost,
-                bnd_obs,
-                ..
-            } = self;
-            let sp: &SourcePaths = if *cache_enabled {
-                if cache[src].is_none() && *cache_bytes + Self::entry_bytes(n) <= *cache_limit {
-                    cache[src] = Some(Box::new(SourcePaths::new(n)));
-                    *cache_bytes += Self::entry_bytes(n);
-                }
-                if let Some(entry) = cache[src].as_mut() {
-                    let hit = target_nodes.iter().all(|&t| entry.settled[t]);
-                    if !hit {
-                        run_dijkstra(graph, heap, entry, src, target_mark, pending);
-                    }
-                    entry
-                } else {
-                    run_dijkstra(graph, heap, scratch_paths, src, target_mark, pending);
-                    scratch_paths
-                }
-            } else {
-                run_dijkstra(graph, heap, scratch_paths, src, target_mark, pending);
-                scratch_paths
-            };
-            for j in 0..k {
-                pair_cost[i * k + j] = sp.dist[defects[j]];
-                pair_obs[i * k + j] = sp.obs[defects[j]];
+        for (i, &src) in defects.iter().enumerate() {
+            let sp = &mut self.paths;
+            run_dijkstra(
+                &self.graph,
+                &mut self.heap,
+                sp,
+                src,
+                &self.target_mark,
+                self.target_nodes.len(),
+            );
+            for (j, &t) in defects.iter().enumerate() {
+                self.pair_cost[i * k + j] = sp.dist[t];
+                self.pair_obs[i * k + j] = sp.obs[t];
             }
-            bnd_cost[i] = sp.dist[boundary];
-            bnd_obs[i] = sp.obs[boundary];
+            self.bnd_cost[i] = sp.dist[boundary];
+            self.bnd_obs[i] = sp.obs[boundary];
         }
         for i in 0..self.target_nodes.len() {
             self.target_mark[self.target_nodes[i]] = false;
         }
         self.target_nodes.clear();
 
-        if k <= self.max_exact {
-            Self::exact_pairing(k, &self.pair_cost, &self.bnd_cost, &mut self.pairing);
-        } else {
-            Self::greedy_pairing(k, &self.pair_cost, &self.bnd_cost, &mut self.pairing);
-        }
+        Self::exact_pairing(k, &self.pair_cost, &self.bnd_cost, &mut self.pairing);
 
         let mut correction = 0u64;
         for (i, m) in self.pairing.matched.iter().enumerate() {
@@ -481,6 +329,7 @@ mod tests {
     use super::*;
     use crate::decode::Decoder;
     use caliqec_stab::{extract_dem, Basis, Circuit, Noise1};
+    use proptest::prelude::*;
 
     fn rep_chain(n: usize, p: f64) -> MatchingGraph {
         let data: Vec<u32> = (0..n as u32).collect();
@@ -501,6 +350,21 @@ mod tests {
         MatchingGraph::from_dem(&extract_dem(&c))
     }
 
+    /// Brute-force minimum total cost over every matching of `defects`
+    /// (each pairs with another member or with the boundary).
+    fn brute_force_min(defects: &[usize], k: usize, pair: &[f64], bnd: &[f64]) -> f64 {
+        let Some((&i, rest)) = defects.split_first() else {
+            return 0.0;
+        };
+        let mut best = bnd[i] + brute_force_min(rest, k, pair, bnd);
+        for (pos, &j) in rest.iter().enumerate() {
+            let mut others = rest.to_vec();
+            others.remove(pos);
+            best = best.min(pair[i * k + j] + brute_force_min(&others, k, pair, bnd));
+        }
+        best
+    }
+
     #[test]
     fn agrees_with_intuition_on_chain() {
         let mut dec = MwpmDecoder::new(rep_chain(5, 0.01));
@@ -508,6 +372,20 @@ mod tests {
         assert_eq!(dec.decode(&[0]), 1); // left boundary, observable flips
         assert_eq!(dec.decode(&[1, 2]), 0); // interior pair
         assert_eq!(dec.decode(&[3]), 0); // right boundary
+    }
+
+    #[test]
+    fn refuses_shots_beyond_max_defects() {
+        let mut dec = MwpmDecoder::new(rep_chain(18, 0.01)); // 17 detectors
+        let all: Vec<usize> = (0..17).collect();
+        // Sixteen neighbours pair up in the interior.
+        assert_eq!(dec.decode(&all[..MwpmDecoder::MAX_DEFECTS]), 0);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dec.decode(&all)))
+            .expect_err("17 defects exceed the exact bound");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("MAX_DEFECTS = 16"), "{msg}");
     }
 
     #[test]
@@ -527,9 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_beats_greedy_on_crafted_instance() {
-        // Greedy takes the (1,2) pair first (cost 1), forcing 0 and 3 to pay
-        // boundary costs 10 + 10. Exact takes (0,1) + (2,3) for 2 + 2.
+    fn exact_pairing_passes_up_the_cheapest_pair() {
+        // Committing to the cheapest pair (1,2) at cost 1 would leave 0 and
+        // 3 to pair at 9 (or drain at 10 + 10), a total of 10. Exact takes
+        // (0,1) + (2,3) for 2 + 2.
         #[rustfmt::skip]
         let pair = [
             0.0, 2.0, 9.0, 9.0,
@@ -541,45 +420,13 @@ mod tests {
         let mut s = PairingScratch::default();
         MwpmDecoder::exact_pairing(4, &pair, &bnd, &mut s);
         assert_eq!(s.matched, vec![Some(1), Some(0), Some(3), Some(2)]);
-        // Greedy grabs (1,2) first and is forced to pair (0,3) at cost 9,
-        // for a total of 10 versus the exact solution's 4.
-        MwpmDecoder::greedy_pairing(4, &pair, &bnd, &mut s);
-        assert_eq!(s.matched, vec![Some(3), Some(2), Some(1), Some(0)]);
     }
 
     #[test]
-    fn greedy_fallback_still_produces_full_matching() {
-        let g = rep_chain(9, 0.01);
-        let mut dec = MwpmDecoder::with_max_exact(g, 1);
-        // Forcing greedy on 2 defects still resolves them.
-        let obs = dec.decode(&[1, 2]);
-        assert_eq!(obs, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capped")]
-    fn max_exact_is_bounded() {
-        let g = rep_chain(3, 0.01);
-        let _ = MwpmDecoder::with_max_exact(g, 30);
-    }
-
-    #[test]
-    fn cached_decoder_matches_reference_on_chain() {
-        let syndromes: [&[usize]; 6] = [&[0], &[1, 2], &[3], &[0, 5], &[2, 3, 6], &[1, 2]];
-        let mut cached = MwpmDecoder::new(rep_chain(9, 0.01));
-        let mut reference = MwpmDecoder::without_cache(rep_chain(9, 0.01));
-        for s in syndromes {
-            assert_eq!(cached.decode(s), reference.decode(s));
-        }
-        assert!(cached.cached_sources() > 0);
-        assert_eq!(reference.cached_sources(), 0);
-    }
-
-    #[test]
-    fn cache_hit_after_early_stop_is_consistent() {
-        // First decode settles only a prefix of the graph from source 4;
-        // the second query from the same source needs farther targets and
-        // must trigger a re-run, not serve tentative values.
+    fn scratch_resets_after_an_early_stop() {
+        // The first decode settles only a prefix of the graph from source
+        // 4; the second query from the same source needs farther targets,
+        // and the reused decoder must answer it as a fresh one does.
         let mut dec = MwpmDecoder::new(rep_chain(9, 0.01));
         let a1 = dec.decode(&[4, 5]);
         let a2 = dec.decode(&[0, 4]);
@@ -587,5 +434,40 @@ mod tests {
         assert_eq!(fresh.decode(&[4, 5]), a1);
         let mut fresh2 = MwpmDecoder::new(rep_chain(9, 0.01));
         assert_eq!(fresh2.decode(&[0, 4]), a2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random symmetric pair and boundary costs, the pairing the DP
+        /// picks costs exactly the brute-force minimum over all matchings.
+        /// Integer costs keep every sum exact in f64.
+        #[test]
+        fn exact_pairing_is_optimal(
+            k in 1usize..=8,
+            raw_pair in prop::collection::vec(1u32..50, 64),
+            raw_bnd in prop::collection::vec(1u32..50, 8),
+        ) {
+            let mut pair = vec![0.0; k * k];
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    pair[i * k + j] = f64::from(raw_pair[i * 8 + j]);
+                    pair[j * k + i] = pair[i * k + j];
+                }
+            }
+            let bnd: Vec<f64> = raw_bnd[..k].iter().map(|&c| f64::from(c)).collect();
+            let mut s = PairingScratch::default();
+            MwpmDecoder::exact_pairing(k, &pair, &bnd, &mut s);
+            let mut cost = 0.0;
+            for (i, m) in s.matched.iter().enumerate() {
+                match *m {
+                    None => cost += bnd[i],
+                    Some(j) if j > i => cost += pair[i * k + j],
+                    Some(j) => prop_assert_eq!(s.matched[j], Some(i)),
+                }
+            }
+            let all: Vec<usize> = (0..k).collect();
+            prop_assert_eq!(cost, brute_force_min(&all, k, &pair, &bnd));
+        }
     }
 }

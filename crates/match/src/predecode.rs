@@ -99,7 +99,7 @@
 
 use crate::cluster::ClusterTier;
 use crate::engine::{DecodeStack, DecoderFactory};
-use crate::graph::{MatchingGraph, NodeId};
+use crate::graph::{HeapItem, MatchingGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
@@ -111,32 +111,125 @@ pub(crate) const EPS: f64 = 1e-9;
 /// Shots with more defects than this skip certification outright: the
 /// O(k²) cross-margin check would cost more than it saves, dense shots
 /// essentially never certify, and staying at or below
-/// [`crate::MwpmDecoder::DEFAULT_MAX_EXACT`] keeps every certified shot on
-/// the exact-DP matching path (the greedy fallback is never in play).
+/// [`crate::MwpmDecoder::MAX_DEFECTS`] keeps every certified shot inside
+/// the domain of the exact matcher the certification proof speaks for.
 pub(crate) const MAX_CERT_DEFECTS: usize = 12;
 
-/// Min-heap item for the table-building Dijkstra runs. Node-id tie-break
-/// keeps pop order (and therefore table construction) reproducible.
-#[derive(PartialEq)]
-struct HeapItem(f64, u32);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// One gauge of the certification tables, as `(drain, pot, frus)`:
+///
+/// - `drain`: shortest distances to the boundary (plain Dijkstra from the
+///   boundary) under the edge weights plus `crossing_penalty` on every
+///   observable-carrying edge — with a zero penalty, the exact boundary
+///   distances.
+/// - `pot`: the node potential rooted on that shortest-path tree,
+///   `π(child) = π(parent) ^ obs(edge)`. Any gauge makes the exactness
+///   argument go through (an edge is frustrated iff its mask differs from
+///   the gradient of π, and cycles avoiding frustrated edges have zero
+///   observable XOR), but the gauge decides *where* the frustrated edges
+///   sit, and the certification rate lives or dies by keeping them in a
+///   thin seam instead of scattered across the lattice. Rooting π on the
+///   boundary's shortest-path tree does exactly that: each node inherits
+///   the crossing parity of its shortest drain path, so frustration
+///   concentrates where drainage regions of opposite logical parity meet —
+///   far from most of the bulk. (A DFS-forest gauge, by contrast,
+///   frustrates non-tree edges all over, because its fundamental cycles
+///   cross the logical membrane haphazardly; that gauge cut measured
+///   certification rates by ~4×.)
+/// - `frus`: real-weight distance to the nearest endpoint of an edge
+///   frustrated under `pot`.
+fn gauge(graph: &MatchingGraph, crossing_penalty: f64) -> (Vec<f64>, Vec<u64>, Vec<f64>) {
+    let n = graph.num_nodes();
+    let boundary = graph.boundary();
+    let mut drain = vec![f64::INFINITY; n];
+    let mut par_node = vec![usize::MAX; n];
+    let mut par_edge = vec![u32::MAX; n];
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    let mut heap = BinaryHeap::new();
+    drain[boundary] = 0.0;
+    heap.push(HeapItem(0.0, boundary));
+    while let Some(HeapItem(d, u)) = heap.pop() {
+        if d > drain[u] {
+            continue;
+        }
+        order.push(u);
+        for &ei in graph.incident(u) {
+            let e = &graph.edges()[ei as usize];
+            let v = graph.other_endpoint(ei as usize, u);
+            let crossing = if e.observables != 0 {
+                crossing_penalty
+            } else {
+                0.0
+            };
+            let nd = d + e.weight + crossing;
+            if nd < drain[v] {
+                drain[v] = nd;
+                par_node[v] = u;
+                par_edge[v] = ei;
+                heap.push(HeapItem(nd, v));
+            }
+        }
     }
-}
 
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: BinaryHeap is a max-heap.
-        other
-            .0
-            .partial_cmp(&self.0)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.1.cmp(&self.1))
+    let mut pot = vec![0u64; n];
+    let mut seen = vec![false; n];
+    for &u in &order {
+        seen[u] = true;
+        if par_edge[u] != u32::MAX {
+            let e = &graph.edges()[par_edge[u] as usize];
+            pot[u] = pot[par_node[u]] ^ e.observables;
+        }
     }
+    // Components unreachable from the boundary (rare) get a DFS gauge;
+    // their defects can never certify as singles anyway.
+    let mut stack: Vec<NodeId> = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        stack.push(root);
+        while let Some(u) = stack.pop() {
+            for &ei in graph.incident(u) {
+                let e = &graph.edges()[ei as usize];
+                let v = graph.other_endpoint(ei as usize, u);
+                if !seen[v] {
+                    seen[v] = true;
+                    pot[v] = pot[u] ^ e.observables;
+                    stack.push(v);
+                }
+            }
+        }
+    }
+
+    // Multi-source Dijkstra from frustrated-edge endpoints (not relaxing
+    // through the boundary: cluster growth stops there).
+    let mut frus = vec![f64::INFINITY; n];
+    heap.clear();
+    for e in graph.edges() {
+        if pot[e.u] ^ pot[e.v] != e.observables {
+            for node in [e.u, e.v] {
+                if frus[node] > 0.0 {
+                    frus[node] = 0.0;
+                    heap.push(HeapItem(0.0, node));
+                }
+            }
+        }
+    }
+    while let Some(HeapItem(d, u)) = heap.pop() {
+        if d > frus[u] || u == boundary {
+            continue;
+        }
+        for &ei in graph.incident(u) {
+            let e = &graph.edges()[ei as usize];
+            let v = graph.other_endpoint(ei as usize, u);
+            let nd = d + e.weight;
+            if nd < frus[v] {
+                frus[v] = nd;
+                heap.push(HeapItem(nd, v));
+            }
+        }
+    }
+    (drain, pot, frus)
 }
 
 /// Immutable certification tables, built once per graph and shared across
@@ -197,110 +290,7 @@ impl Tables {
     fn build_inner(graph: &MatchingGraph, widen: bool) -> Tables {
         let n = graph.num_nodes();
         let boundary = graph.boundary();
-
-        // --- Exact boundary distances (plain Dijkstra from the boundary),
-        // recording the shortest-path tree (parent node + edge) and the
-        // finalization order for the gauge construction below.
-        let mut bnd = vec![f64::INFINITY; n];
-        let mut par_node = vec![u32::MAX; n];
-        let mut par_edge = vec![u32::MAX; n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        bnd[boundary] = 0.0;
-        heap.push(HeapItem(0.0, boundary as u32));
-        while let Some(HeapItem(d, u)) = heap.pop() {
-            let u = u as usize;
-            if d > bnd[u] {
-                continue;
-            }
-            order.push(u as u32);
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei as usize];
-                let v = graph.other_endpoint(ei as usize, u);
-                let nd = d + e.weight;
-                if nd < bnd[v] {
-                    bnd[v] = nd;
-                    par_node[v] = u as u32;
-                    par_edge[v] = ei;
-                    heap.push(HeapItem(nd, v as u32));
-                }
-            }
-        }
-
-        // --- Node potential π. Any gauge makes the exactness argument go
-        // through (an edge is frustrated iff its mask differs from the
-        // gradient of π, and cycles avoiding frustrated edges have zero
-        // observable XOR), but the gauge decides *where* the frustrated
-        // edges sit, and the certification rate lives or dies by keeping
-        // them in a thin seam instead of scattered across the lattice.
-        // Rooting π on the boundary's shortest-path tree does exactly
-        // that: each node inherits the crossing parity of its shortest
-        // drain path, so frustration concentrates where drainage regions
-        // of opposite logical parity meet — far from most of the bulk.
-        // (A DFS-forest gauge, by contrast, frustrates non-tree edges all
-        // over, because its fundamental cycles cross the logical membrane
-        // haphazardly; that gauge cut measured certification rates by ~4×.)
-        let mut pot = vec![0u64; n];
-        let mut seen = vec![false; n];
-        for &u in &order {
-            let u = u as usize;
-            seen[u] = true;
-            if par_edge[u] != u32::MAX {
-                let e = &graph.edges()[par_edge[u] as usize];
-                pot[u] = pot[par_node[u] as usize] ^ e.observables;
-            }
-        }
-        // Components unreachable from the boundary (rare) get a DFS gauge;
-        // their defects can never certify as singles anyway.
-        let mut stack: Vec<NodeId> = Vec::new();
-        for root in 0..n {
-            if seen[root] {
-                continue;
-            }
-            seen[root] = true;
-            stack.push(root);
-            while let Some(u) = stack.pop() {
-                for &ei in graph.incident(u) {
-                    let e = &graph.edges()[ei as usize];
-                    let v = graph.other_endpoint(ei as usize, u);
-                    if !seen[v] {
-                        seen[v] = true;
-                        pot[v] = pot[u] ^ e.observables;
-                        stack.push(v);
-                    }
-                }
-            }
-        }
-
-        // --- Multi-source Dijkstra from frustrated-edge endpoints (not
-        // relaxing through the boundary: cluster growth stops there).
-        let mut frus = vec![f64::INFINITY; n];
-        heap.clear();
-        for e in graph.edges() {
-            if pot[e.u] ^ pot[e.v] != e.observables {
-                for node in [e.u, e.v] {
-                    if frus[node] > 0.0 {
-                        frus[node] = 0.0;
-                        heap.push(HeapItem(0.0, node as u32));
-                    }
-                }
-            }
-        }
-        while let Some(HeapItem(d, u)) = heap.pop() {
-            let u = u as usize;
-            if d > frus[u] || u == boundary {
-                continue;
-            }
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei as usize];
-                let v = graph.other_endpoint(ei as usize, u);
-                let nd = d + e.weight;
-                if nd < frus[v] {
-                    frus[v] = nd;
-                    heap.push(HeapItem(nd, v as u32));
-                }
-            }
-        }
+        let (bnd, pot, frus) = gauge(graph, 0.0);
 
         // --- Second gauge (wide tables only). The watershed where
         // drainage basins of opposite crossing parity meet is exactly
@@ -321,90 +311,7 @@ impl Tables {
                 .filter(|w| w.is_finite())
                 .sum::<f64>()
                 + 1.0;
-            let mut bnd2 = vec![f64::INFINITY; n];
-            let mut par_node2 = vec![u32::MAX; n];
-            let mut par_edge2 = vec![u32::MAX; n];
-            let mut order2: Vec<u32> = Vec::with_capacity(n);
-            heap.clear();
-            bnd2[boundary] = 0.0;
-            heap.push(HeapItem(0.0, boundary as u32));
-            while let Some(HeapItem(d, u)) = heap.pop() {
-                let u = u as usize;
-                if d > bnd2[u] {
-                    continue;
-                }
-                order2.push(u as u32);
-                for &ei in graph.incident(u) {
-                    let e = &graph.edges()[ei as usize];
-                    let v = graph.other_endpoint(ei as usize, u);
-                    let crossing = if e.observables != 0 { penalty } else { 0.0 };
-                    let nd = d + e.weight + crossing;
-                    if nd < bnd2[v] {
-                        bnd2[v] = nd;
-                        par_node2[v] = u as u32;
-                        par_edge2[v] = ei;
-                        heap.push(HeapItem(nd, v as u32));
-                    }
-                }
-            }
-            let mut pot2 = vec![0u64; n];
-            let mut seen2 = vec![false; n];
-            for &u in &order2 {
-                let u = u as usize;
-                seen2[u] = true;
-                if par_edge2[u] != u32::MAX {
-                    let e = &graph.edges()[par_edge2[u] as usize];
-                    pot2[u] = pot2[par_node2[u] as usize] ^ e.observables;
-                }
-            }
-            let mut stack: Vec<NodeId> = Vec::new();
-            for root in 0..n {
-                if seen2[root] {
-                    continue;
-                }
-                seen2[root] = true;
-                stack.push(root);
-                while let Some(u) = stack.pop() {
-                    for &ei in graph.incident(u) {
-                        let e = &graph.edges()[ei as usize];
-                        let v = graph.other_endpoint(ei as usize, u);
-                        if !seen2[v] {
-                            seen2[v] = true;
-                            pot2[v] = pot2[u] ^ e.observables;
-                            stack.push(v);
-                        }
-                    }
-                }
-            }
-            // frus₂: real-weight distances to π₂-frustrated endpoints,
-            // again not relaxing through the boundary.
-            let mut frus2 = vec![f64::INFINITY; n];
-            heap.clear();
-            for e in graph.edges() {
-                if pot2[e.u] ^ pot2[e.v] != e.observables {
-                    for node in [e.u, e.v] {
-                        if frus2[node] > 0.0 {
-                            frus2[node] = 0.0;
-                            heap.push(HeapItem(0.0, node as u32));
-                        }
-                    }
-                }
-            }
-            while let Some(HeapItem(d, u)) = heap.pop() {
-                let u = u as usize;
-                if d > frus2[u] || u == boundary {
-                    continue;
-                }
-                for &ei in graph.incident(u) {
-                    let e = &graph.edges()[ei as usize];
-                    let v = graph.other_endpoint(ei as usize, u);
-                    let nd = d + e.weight;
-                    if nd < frus2[v] {
-                        frus2[v] = nd;
-                        heap.push(HeapItem(nd, v as u32));
-                    }
-                }
-            }
+            let (_, pot2, frus2) = gauge(graph, penalty);
             (pot2, frus2)
         } else {
             (Vec::new(), Vec::new())
@@ -448,14 +355,14 @@ impl Tables {
         let mut near_dist: Vec<f64> = Vec::new();
         let mut dist = vec![f64::INFINITY; n];
         let mut touched: Vec<u32> = Vec::new();
+        let mut heap = BinaryHeap::new();
         for src in 0..n {
             if src != boundary {
                 heap.clear();
                 dist[src] = 0.0;
                 touched.push(src as u32);
-                heap.push(HeapItem(0.0, src as u32));
+                heap.push(HeapItem(0.0, src));
                 while let Some(HeapItem(d, u)) = heap.pop() {
-                    let u = u as usize;
                     if d > dist[u] || u == boundary {
                         continue; // stale label, or boundary (absorbing)
                     }
@@ -468,7 +375,7 @@ impl Tables {
                                 touched.push(v as u32);
                             }
                             dist[v] = nd;
-                            heap.push(HeapItem(nd, v as u32));
+                            heap.push(HeapItem(nd, v));
                         }
                     }
                 }
@@ -792,9 +699,9 @@ pub const CLUSTER_GATE_MIN_MEAN_DEFECTS: f64 = 28.0;
 /// engine.estimate(&compiled, &tiered, opts, seed); // fast path on
 /// ```
 ///
-/// [`Tiered::without_predecode`] is the escape hatch (mirroring
-/// [`crate::MwpmDecoder::without_cache`]): the same adapter shape with
-/// certification disabled, for A/B comparison and cross-validation.
+/// [`Tiered::without_predecode`] is the escape hatch: the same adapter
+/// shape with certification disabled, for A/B comparison and
+/// cross-validation.
 #[derive(Clone, Debug)]
 pub struct Tiered<F> {
     factory: F,

@@ -1,5 +1,7 @@
 //! Property-based tests of the decoders: totality (every syndrome decodes),
-//! determinism, and exact-matching optimality versus the greedy fallback.
+//! determinism, and single-error correction. The exact matcher's
+//! optimality against brute force is a unit test in `mwpm.rs`, next to the
+//! private DP it checks.
 
 use caliqec_match::{graph_for_circuit, Decoder, MatchingGraph, MwpmDecoder, UnionFindDecoder};
 use caliqec_stab::{Basis, Circuit, Noise1};
@@ -69,23 +71,5 @@ proptest! {
         prop_assert_eq!(uf.decode(&defects), actual_obs, "UF mis-corrects X{}", qubit);
         let mut mwpm = MwpmDecoder::new(graph);
         prop_assert_eq!(mwpm.decode(&defects), actual_obs, "MWPM mis-corrects X{}", qubit);
-    }
-
-    /// Exact matching never predicts a more expensive pairing than greedy:
-    /// on chains their predictions coincide for sparse syndromes.
-    #[test]
-    fn exact_and_greedy_agree_on_sparse_chains(
-        n in 4usize..10,
-        a in 0usize..9,
-    ) {
-        let a = a.min(n - 1);
-        let graph = chain_graph(n);
-        let mut exact = MwpmDecoder::new(graph.clone());
-        let mut greedy = MwpmDecoder::with_max_exact(graph, 0);
-        // A 2-defect adjacent pair: unambiguous interior match.
-        if a + 1 < n {
-            let defects = vec![a, a + 1];
-            prop_assert_eq!(exact.decode(&defects), greedy.decode(&defects));
-        }
     }
 }

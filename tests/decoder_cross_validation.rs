@@ -56,7 +56,8 @@ proptest! {
     /// The engine with the fast path enabled reports the same logical
     /// estimate as with `Tiered::without_predecode`, for both decoder
     /// backends — the predecoder changes timings and tier counters, never
-    /// results.
+    /// results. The MWPM backend runs at d = 3 only: larger patches carry
+    /// shots beyond [`MwpmDecoder::MAX_DEFECTS`].
     #[test]
     fn tiered_engine_matches_plain_engine(
         d_idx in 0usize..3,
@@ -100,30 +101,31 @@ proptest! {
             on.tier0_shots + on.predecoded_shots + on.residual_shots,
             on.estimate.shots
         );
-
-        let mwpm_opts = SampleOptions {
-            min_shots: 1_000,
-            ..Default::default()
-        };
-        let on = LerEngine::new(2).estimate(
-            &compiled,
-            &Tiered::new(&graph, {
-                let graph = graph.clone();
-                move || MwpmDecoder::new(graph.clone())
-            }),
-            mwpm_opts,
-            seed,
-        );
-        let off = LerEngine::new(2).estimate(
-            &compiled,
-            &Tiered::without_predecode({
-                let graph = graph.clone();
-                move || MwpmDecoder::new(graph.clone())
-            }),
-            mwpm_opts,
-            seed,
-        );
-        prop_assert_eq!(on.estimate, off.estimate, "MWPM backend d={}", d);
+        if d == 3 {
+            let mwpm_opts = SampleOptions {
+                min_shots: 1_000,
+                ..Default::default()
+            };
+            let on = LerEngine::new(2).estimate(
+                &compiled,
+                &Tiered::new(&graph, {
+                    let graph = graph.clone();
+                    move || MwpmDecoder::new(graph.clone())
+                }),
+                mwpm_opts,
+                seed,
+            );
+            let off = LerEngine::new(2).estimate(
+                &compiled,
+                &Tiered::without_predecode({
+                    let graph = graph.clone();
+                    move || MwpmDecoder::new(graph.clone())
+                }),
+                mwpm_opts,
+                seed,
+            );
+            prop_assert_eq!(on.estimate, off.estimate, "MWPM backend d={}", d);
+        }
     }
 
     /// Dense-regime contract: flood-decomposing a dense shot into
@@ -135,7 +137,9 @@ proptest! {
     /// `union_find_matches_mwpm_on_most_syndromes`): exact matching admits
     /// degenerate equal-weight optima with different observable masks, so
     /// decomposed-MWPM and monolithic-MWPM may legitimately pick different
-    /// ones on a small fraction of shots.
+    /// ones on a small fraction of shots. It runs on the dense shots within
+    /// [`MwpmDecoder::MAX_DEFECTS`], of which d = 7 at p ≤ 6e-3 must supply
+    /// at least one.
     #[test]
     fn cluster_decomposed_decode_matches_monolithic_decoders(
         d_idx in 0usize..2,
@@ -157,6 +161,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sparse = SparseBatch::new();
         let mut dense_seen = 0usize;
+        let mut mwpm_compared = 0usize;
         let mut mwpm_agreed = 0usize;
         for _ in 0..4 {
             let ev = sampler.sample_batch(&mut rng);
@@ -181,6 +186,10 @@ proptest! {
                     out.mask ^ uf.decode(&residual)
                 };
                 prop_assert_eq!(uf_mask, uf.decode(&defects), "UF d={} {:?}", d, defects);
+                if defects.len() > MwpmDecoder::MAX_DEFECTS {
+                    continue;
+                }
+                mwpm_compared += 1;
                 let mwpm_mask = if residual.is_empty() {
                     out.mask
                 } else {
@@ -194,10 +203,17 @@ proptest! {
         // At these noise strengths the dense regime is the common case;
         // a run that never exercised it would be vacuous.
         prop_assert!(dense_seen > 0, "no dense shots at d={} p={}e-3", d, p_milli);
+        if d == 7 && p_milli <= 6 {
+            prop_assert!(
+                mwpm_compared > 0,
+                "no dense shot within the MWPM bound at d=7 p={}e-3",
+                p_milli
+            );
+        }
         prop_assert!(
-            mwpm_agreed * 10 >= dense_seen * 9,
+            mwpm_agreed * 10 >= mwpm_compared * 9,
             "decomposed MWPM agreed on only {}/{} dense shots (d={})",
-            mwpm_agreed, dense_seen, d
+            mwpm_agreed, mwpm_compared, d
         );
     }
 }
@@ -209,13 +225,15 @@ proptest! {
 /// the goldens, not as a silent statistical shift.
 #[test]
 fn golden_engine_fingerprints_cluster_on_off() {
-    // (d, p, min_shots, golden shots, golden failures)
-    const GOLDENS: [(usize, f64, usize, usize, usize); 3] = [
-        (7, 3e-3, 4_096, 4_096, 10),
-        (11, 1e-3, 2_048, 2_048, 0),
-        (15, 1e-3, 1_024, 1_024, 0),
+    // Cluster-on tier counters: (predecoded shots, clustered shots, clusters).
+    type Tiers = (usize, usize, u64);
+    // (d, p, min_shots, golden shots, golden failures, golden tier counters)
+    const GOLDENS: [(usize, f64, usize, usize, usize, Tiers); 3] = [
+        (7, 3e-3, 4_096, 4_096, 10, (109, 35, 6_922)),
+        (11, 1e-3, 2_048, 2_048, 0, (34, 289, 15_046)),
+        (15, 1e-3, 1_024, 1_024, 0, (0, 19, 19_998)),
     ];
-    for (d, p, min_shots, want_shots, want_failures) in GOLDENS {
+    for (d, p, min_shots, want_shots, want_failures, want_tiers) in GOLDENS {
         let mem = memory_circuit(
             &rotated_patch(d, d),
             &NoiseModel::uniform(p),
@@ -255,6 +273,11 @@ fn golden_engine_fingerprints_cluster_on_off() {
             (on.estimate.shots, on.estimate.failures),
             (want_shots, want_failures),
             "d={d}: golden fingerprint drifted"
+        );
+        assert_eq!(
+            (on.predecoded_shots, on.clustered_shots, on.clusters_total),
+            want_tiers,
+            "d={d}: tier counters drifted"
         );
         assert_eq!(
             on.tier0_shots + on.predecoded_shots + on.clustered_shots + on.residual_shots,

@@ -227,8 +227,8 @@ proptest! {
     /// the weights of a graph freshly extracted from the drifted circuit,
     /// and decoders built over either agree shot for shot on shots sampled
     /// from that circuit (observable masks included). Two batches run
-    /// through each decoder, so the MWPM shortest-path cache and the
-    /// union-find scratch are exercised warm as well as cold.
+    /// through each decoder, so the MWPM and union-find scratch are
+    /// exercised warm as well as cold.
     #[test]
     fn decoders_on_reweighted_graph_match_fresh_extraction(
         p_milli in 1u32..20,

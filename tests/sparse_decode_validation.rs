@@ -6,16 +6,18 @@
 //! - the scratch-reusing [`UnionFindDecoder`] versus the historic
 //!   allocate-per-call [`ReferenceUnionFind`], and versus fresh instances
 //!   (no state leaks across calls);
-//! - the cached, early-terminating [`MwpmDecoder`] versus
-//!   [`MwpmDecoder::without_cache`] and fresh instances;
+//! - the early-terminating [`MwpmDecoder`], reused across shots, versus
+//!   fresh instances;
 //! - golden engine fingerprints captured on the pre-optimization tree:
 //!   `LerEngine::estimate` must stay bit-identical for a fixed
-//!   `(options, base_seed)` at any thread count.
+//!   `(options, base_seed)` at any thread count;
+//! - a plain MWPM factory refusing, with a typed error, shots beyond the
+//!   exact matcher's defect bound.
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    estimate_ler_seeded, graph_for_circuit, Decoder, LerEngine, MwpmDecoder, ReferenceUnionFind,
-    SampleOptions, Tiered, UnionFindDecoder,
+    estimate_ler_seeded, graph_for_circuit, Decoder, EngineError, LerEngine, MwpmDecoder,
+    ReferenceUnionFind, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{CompiledCircuit, FrameSampler, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -99,17 +101,18 @@ proptest! {
         }
     }
 
-    /// The cached, early-terminating MWPM decoder matches the
-    /// compute-everything reference path and fresh instances.
+    /// One MWPM decoder reused across shots — its early-stopped Dijkstra
+    /// scratch is reset on every call — matches a fresh instance per shot.
+    /// A d = 3, 3-round circuit has 16 detectors, so every shot is within
+    /// the exact bound.
     #[test]
-    fn mwpm_cache_matches_reference(
+    fn mwpm_reused_decoder_matches_fresh(
         p_milli in 1u32..30,
         seed in 0u64..1_000,
     ) {
         let mem = memory(3, p_milli as f64 * 1e-3, 3);
         let graph = graph_for_circuit(&mem.circuit);
-        let mut cached = MwpmDecoder::new(graph.clone());
-        let mut uncached = MwpmDecoder::without_cache(graph.clone());
+        let mut reused = MwpmDecoder::new(graph.clone());
         let mut sampler = FrameSampler::new(&mem.circuit);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sparse = SparseBatch::new();
@@ -118,9 +121,10 @@ proptest! {
             sparse.extract(&ev);
             for s in 0..BATCH {
                 let defects = sparse.defects(s);
-                let got = cached.decode(defects);
-                prop_assert_eq!(got, uncached.decode(defects));
-                prop_assert_eq!(got, MwpmDecoder::new(graph.clone()).decode(defects));
+                prop_assert_eq!(
+                    reused.decode(defects),
+                    MwpmDecoder::new(graph.clone()).decode(defects)
+                );
             }
         }
     }
@@ -131,7 +135,9 @@ proptest! {
 /// lockstep sampler keys each 64-shot batch on its own `chunk_seed`);
 /// within a schedule the sparse pipeline, the tiered fast path, and the
 /// serial reference must reproduce them bit for bit at every thread
-/// count.
+/// count. MWPM runs only at d = 3, whose 16 detectors keep every shot
+/// within [`MwpmDecoder::MAX_DEFECTS`];
+/// `mwpm_refuses_shots_beyond_its_exact_bound` covers d = 5.
 #[test]
 fn engine_fingerprints_are_preserved() {
     struct Case {
@@ -159,7 +165,7 @@ fn engine_fingerprints_are_preserved() {
             min_shots: 10_000,
             seed: 0xBEEF,
             uf_expect: (10_048, 31),
-            mwpm_expect: Some((5_056, 11)),
+            mwpm_expect: None,
         },
         Case {
             d: 7,
@@ -269,4 +275,45 @@ fn engine_fingerprints_are_preserved() {
             );
         }
     }
+}
+
+/// At d = 5, p = 2e-3 some shots carry more defects than
+/// [`MwpmDecoder::MAX_DEFECTS`]. A plain MWPM factory refuses them: the
+/// chunk panics on rung 0 and again on rung 1's rebuilt decoder, and
+/// without a fallback graph the run ends in a typed error naming the bound.
+/// Under `Tiered`, rung 2's reference union-find decodes those chunks and
+/// the run reports itself degraded.
+#[test]
+fn mwpm_refuses_shots_beyond_its_exact_bound() {
+    let mem = memory(5, 2e-3, 5);
+    let compiled = CompiledCircuit::new(&mem.circuit);
+    let graph = graph_for_circuit(&mem.circuit);
+    let spec = RunSpec::from(SampleOptions {
+        min_shots: 5_000,
+        ..Default::default()
+    });
+    let result = LerEngine::new(2).try_run(
+        &compiled,
+        &|| MwpmDecoder::new(graph.clone()),
+        &spec,
+        0xBEEF,
+    );
+    match result {
+        Err(EngineError::ChunkFailed {
+            rung: 1, reason, ..
+        }) => assert!(reason.contains("MAX_DEFECTS = 16"), "{reason}"),
+        other => panic!("expected a rung-1 ChunkFailed, got {other:?}"),
+    }
+    let tiered = LerEngine::new(2)
+        .try_run(
+            &compiled,
+            &Tiered::new(&graph, {
+                let graph = graph.clone();
+                move || MwpmDecoder::new(graph.clone())
+            }),
+            &spec,
+            0xBEEF,
+        )
+        .expect("rung 2 decodes the refused chunks");
+    assert!(tiered.degraded() && tiered.rung_chunks[2] > 0);
 }
