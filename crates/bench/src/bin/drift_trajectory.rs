@@ -74,6 +74,7 @@ fn drifted_noise(layout: &PatchLayout, hours: f64) -> NoiseModel {
 }
 
 fn main() -> ExitCode {
+    caliqec_bench::accept_flags(&["shots", "threads", "distance", "out"]);
     caliqec_bench::quiet_by_default();
     let shots = caliqec_bench::usize_from_args("shots", 200_000);
     let threads = caliqec_bench::threads_from_args();

@@ -1,5 +1,6 @@
 //! Regenerates the paper's Figure 07 (see the experiments module docs).
 fn main() {
+    caliqec_bench::accept_flags(&[]);
     caliqec_bench::quiet_by_default();
     println!(
         "{}",

@@ -5,6 +5,7 @@
 //! worker count (default: `CALIQEC_THREADS`, else all cores); the results
 //! are identical at any thread count.
 fn main() {
+    caliqec_bench::accept_flags(&["threads"]);
     caliqec_bench::quiet_by_default();
     let params = caliqec_bench::experiments::fig10::Fig10Params {
         threads: caliqec_bench::threads_from_args(),

@@ -10,6 +10,7 @@ use caliqec_bench::experiments::*;
 use caliqec_bench::threads_from_args;
 
 fn main() {
+    caliqec_bench::accept_flags(&["threads"]);
     caliqec_bench::quiet_by_default();
     let threads = threads_from_args();
     let sep = "=".repeat(78);

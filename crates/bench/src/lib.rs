@@ -4,7 +4,8 @@
 //! [`experiments`]), plus Criterion micro-benchmarks over the substrates
 //! (`cargo bench`). Run an individual experiment with e.g.
 //! `cargo run --release -p caliqec-bench --bin fig10_ler_dynamics`, or all
-//! of them with `--bin reproduce_all`.
+//! of them with `--bin reproduce_all`. Each binary accepts only the flags
+//! it reads ([`accept_flags`]); any other argument exits 2.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -61,6 +62,34 @@ fn parse_usize(
 fn usage_error(msg: String) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+/// Checks that every argument in `args` is one of `flags`, spelled
+/// `--name VALUE` or `--name=VALUE`; an error names the first that is not.
+fn check_flags(mut args: impl Iterator<Item = String>, flags: &[&str]) -> Result<(), String> {
+    while let Some(a) = args.next() {
+        let Some(rest) = a.strip_prefix("--") else {
+            return Err(format!("unexpected argument {a:?}"));
+        };
+        let (name, inline) = rest
+            .split_once('=')
+            .map_or((rest, false), |(n, _)| (n, true));
+        if !flags.contains(&name) {
+            return Err(format!("this binary does not take --{name}"));
+        }
+        if !inline {
+            args.next();
+        }
+    }
+    Ok(())
+}
+
+/// Rejects any process argument that is not one of `flags`, the flags the
+/// calling binary reads: a usage error names it and the process exits 2.
+/// Every experiment binary calls this first, so a mistyped flag fails
+/// before any work instead of being ignored.
+pub fn accept_flags(flags: &[&str]) {
+    check_flags(std::env::args().skip(1), flags).unwrap_or_else(|e| usage_error(e));
 }
 
 /// Parses `--threads N` (or `--threads=N`) from the process arguments for
@@ -133,5 +162,28 @@ mod tests {
         }
         let err = flag_value(args(&["--out"]), "out").expect_err("missing value accepted");
         assert!(err.contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn only_the_flags_a_binary_reads_are_accepted() {
+        let drift = ["shots", "threads", "distance", "out"];
+        let ci = [
+            "--shots",
+            "20000",
+            "--threads=2",
+            "--out",
+            "--odd-name.json",
+        ];
+        assert_eq!(check_flags(args(&ci), &drift), Ok(()));
+        assert_eq!(check_flags(args(&[]), &[]), Ok(()));
+        for (list, flags, named) in [
+            (&["--shot", "2000"][..], &drift[..], "--shot"),
+            (&["--shots=5", "--bogus=1"][..], &drift[..], "--bogus"),
+            (&["--threads", "2"][..], &[][..], "--threads"),
+            (&["--threads", "2", "stray"][..], &["threads"][..], "stray"),
+        ] {
+            let err = check_flags(args(list), flags).expect_err("unread flag accepted");
+            assert!(err.contains(named), "{list:?}: {err}");
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! The experiment binaries' flag handling: a value the experiment cannot
-//! run with is a usage error (exit 2) that names the flag, raised before
-//! any work is done.
+//! The experiment binaries' flag handling: a flag the binary does not read,
+//! or a value the experiment cannot run with, is a usage error (exit 2)
+//! that names the flag, raised before any work is done.
 
 use std::process::Command;
 
@@ -25,21 +25,21 @@ fn drift_trajectory_rejects_a_distance_below_two() {
 }
 
 #[test]
-fn rare_event_rejects_zero_rounds() {
-    let out_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("rare_rejected.json");
+fn drift_trajectory_rejects_a_flag_it_does_not_read() {
+    let out_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("drift_typo.json");
     let _ = std::fs::remove_file(&out_path);
-    let out = Command::new(env!("CARGO_BIN_EXE_rare_event"))
-        .args(["--rounds", "0", "--max-shots", "2000"])
-        .args(["--pilot-shots", "640", "--plain-shots", "640"])
-        .args(["--threads", "1", "--out"])
+    // `--shot` is a typo of `--shots`: ignoring it would run the default
+    // 200 000 shots per point.
+    let out = Command::new(env!("CARGO_BIN_EXE_drift_trajectory"))
+        .args(["--shot", "64", "--threads", "1", "--out"])
         .arg(&out_path)
         .output()
-        .expect("rare_event binary runs");
-    assert_eq!(out.status.code(), Some(2), "--rounds 0 must exit 2");
+        .expect("drift_trajectory binary runs");
+    assert_eq!(out.status.code(), Some(2), "--shot must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("--rounds"),
-        "stderr must name --rounds, got {stderr:?}"
+        stderr.contains("--shot"),
+        "stderr must name --shot, got {stderr:?}"
     );
     assert!(!out_path.exists(), "no results file is written");
 }

@@ -5,7 +5,6 @@
 //! caliqec plan         [--rows N] [--cols N] [--distance D] [--delta-d K] [--p-tar P]
 //! caliqec simulate     [--rows N] [--cols N] [--distance D] [--hours H] [--no-enlarge]
 //!                      [--strict] [--faults SPEC] [--quiet]
-//!                      [--rare-event] [--boost-beta B] [--target-rse R]
 //!                      [--trace-csv FILE] [--metrics-out FILE] [--trace-out FILE]
 //!                      [--prom-out FILE]
 //! caliqec draw         [--distance D] [--lattice square|heavy-hex] [--hole R,C ...]
@@ -109,7 +108,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "simulate",
-        switches: &["no-enlarge", "strict", "rare-event"],
+        switches: &["no-enlarge", "strict"],
         options: &[
             "rows",
             "cols",
@@ -119,8 +118,6 @@ const COMMANDS: &[Command] = &[
             "hours",
             "threads",
             "mc-shots",
-            "boost-beta",
-            "target-rse",
             "faults",
             "trace-csv",
             "metrics-out",
@@ -346,31 +343,8 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         enlarge: !args.flags.contains_key("no-enlarge"),
         threads: args.usize_or("threads", 0).map_err(CliError::Usage)?,
         mc_shots: args.usize_or("mc-shots", 0).map_err(CliError::Usage)?,
-        rare_event: args.flags.contains_key("rare-event"),
-        boost_beta: args.f64_or("boost-beta", 4.0).map_err(CliError::Usage)?,
-        target_rse: args.f64_or("target-rse", 0.1).map_err(CliError::Usage)?,
         ..CaliqecConfig::default()
     };
-    if config.rare_event {
-        if config.mc_shots == 0 {
-            return Err(CliError::Usage(
-                "--rare-event measures trace points by importance sampling; \
-                 pass --mc-shots S > 0 as the shot budget"
-                    .to_string(),
-            ));
-        }
-        if !config.boost_beta.is_finite() || config.boost_beta < 1.0 {
-            return Err(CliError::Usage(format!(
-                "--boost-beta wants a finite factor >= 1, got {}",
-                config.boost_beta
-            )));
-        }
-        if !config.target_rse.is_finite() {
-            return Err(CliError::Usage(
-                "--target-rse wants a finite number (<= 0 disables CI stopping)".to_string(),
-            ));
-        }
-    }
     let hours = args.f64_or("hours", 24.0).map_err(CliError::Usage)?;
     if hours.is_nan() || hours <= 0.0 {
         return Err(CliError::Usage(format!(
@@ -434,14 +408,6 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         eprintln!(
             "decoder degradation: {} faulted chunks, {} retries, {} shots on degraded rungs",
             report.faulted_chunks, report.retried_chunks, report.degraded_shots
-        );
-    }
-    if loud && config.rare_event {
-        // Estimator health goes to stderr so the stdout trace of a β=1,
-        // target-rse 0 run stays byte-identical to the plain-MC run.
-        eprintln!(
-            "rare-event estimation: beta {}, {} shots decoded, ess {:.1}, max ci halfwidth {:.3e}",
-            config.boost_beta, report.rare_shots, report.rare_ess, report.rare_max_ci
         );
     }
     if let Some(path) = args.flags.get("trace-csv") {
@@ -713,21 +679,12 @@ USAGE:
       Compile the calibration plan (Algorithm 1 + adaptive batching).
   caliqec simulate [--rows N] [--cols N] [--distance D] [--hours H] [--no-enlarge]
                    [--threads T] [--mc-shots S] [--strict] [--faults SPEC]
-                   [--rare-event] [--boost-beta B] [--target-rse R]
                    [--quiet] [--trace-csv FILE] [--metrics-out FILE]
                    [--trace-out FILE] [--prom-out FILE]
       Run the in-situ calibration runtime and print the LER trace.
       --mc-shots S > 0 measures each trace point by Monte Carlo on the
       parallel LER engine; --threads T sets the worker count (default:
       the CALIQEC_THREADS environment variable, else all cores).
-      --rare-event measures each trace point by importance sampling:
-      fault channels fire at min(B*p, 1/2) (--boost-beta, default 4) and
-      every shot carries its exact likelihood ratio, so --mc-shots
-      becomes a shot ceiling and each measurement stops early once the
-      95% CI half-width falls to --target-rse of the estimate (default
-      0.1; <= 0 runs the full budget). --boost-beta 1 --target-rse 0
-      reproduces the plain-MC trace byte for byte; estimator health
-      (shots, ESS, max CI half-width) is reported on stderr.
       --faults SPEC (or the CALIQEC_FAULTS environment variable) injects
       decoder faults as kind@chunk[,kind@chunk...] with kinds panic,
       stall, corrupt, badweights; the engine recovers them on its

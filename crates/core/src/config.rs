@@ -31,19 +31,6 @@ pub struct CaliqecConfig {
     /// LER with the parallel engine and reports it in
     /// [`crate::TracePoint::measured_ler`].
     pub mc_shots: usize,
-    /// Rare-event estimation: when set (and `mc_shots > 0`), trace points
-    /// measure their LER with the importance-sampled engine
-    /// (a boosted `RunSpec`) at [`CaliqecConfig::boost_beta`]
-    /// instead of plain Monte Carlo. With `boost_beta == 1` and
-    /// `target_rse == 0` the run degenerates to plain MC bit for bit.
-    pub rare_event: bool,
-    /// Importance-sampling boost factor β for rare-event runs: every fault
-    /// channel samples at `min(β·p, ½)`. Ignored unless `rare_event`.
-    pub boost_beta: f64,
-    /// Target relative 95% CI half-width for rare-event runs (`≤ 0`
-    /// disables CI stopping and runs the full `mc_shots` budget). Ignored
-    /// unless `rare_event`.
-    pub target_rse: f64,
 }
 
 impl Default for CaliqecConfig {
@@ -58,9 +45,6 @@ impl Default for CaliqecConfig {
             enlarge: true,
             threads: 0,
             mc_shots: 0,
-            rare_event: false,
-            boost_beta: 4.0,
-            target_rse: 0.1,
         }
     }
 }

@@ -17,8 +17,7 @@ use caliqec_code::{
 };
 use caliqec_device::DeviceModel;
 use caliqec_match::{
-    graph_for_circuit, FaultPlan, LerEngine, MatchingGraph, RunSpec, SampleOptions, StopRule,
-    UnionFindDecoder, Weighting,
+    graph_for_circuit, FaultPlan, LerEngine, MatchingGraph, SampleOptions, UnionFindDecoder,
 };
 use caliqec_obs::ObsSink;
 use caliqec_sched::ler;
@@ -69,15 +68,6 @@ pub struct RuntimeReport {
     /// Total shots decoded on a degraded ladder rung (predecode disabled
     /// or reference decoder).
     pub degraded_shots: usize,
-    /// Total shots decoded across rare-event (importance-sampled)
-    /// trace-point measurements. Zero unless `config.rare_event` is set.
-    pub rare_shots: usize,
-    /// Total effective sample size across rare-event measurements
-    /// (`Σ ESS ≤ rare_shots`, with equality exactly when β = 1).
-    pub rare_ess: f64,
-    /// Largest 95% CI half-width observed over rare-event measurements
-    /// (finite whenever any rare measurement ran).
-    pub rare_max_ci: f64,
 }
 
 impl RuntimeReport {
@@ -237,15 +227,7 @@ pub fn run_runtime_observed(
             report.faulted_chunks += run.faulted_chunks;
             report.retried_chunks += run.retried_chunks;
             report.degraded_shots += run.degraded_shots;
-            if config.rare_event {
-                report.rare_shots += run.estimate.shots;
-                report.rare_ess += run.ess;
-                report.rare_max_ci = report.rare_max_ci.max(run.ci_halfwidth);
-            }
-            // Weighted LER: bit-identical to `estimate.per_shot()` on plain
-            // (unweighted) runs, so non-rare traces are unchanged byte for
-            // byte.
-            run.ler()
+            run.estimate.per_shot()
         });
         let point = TracePoint {
             hours: t,
@@ -331,14 +313,6 @@ fn deformed_layout(config: &CaliqecConfig, isolation: &[DeformInstruction]) -> P
 /// edge's observable mask, so the reweighted graph equals a fresh
 /// extraction bit for bit (`tests/reweight_validation.rs` pins this).
 /// Decoders own clones, so none ever mutates the kept graph.
-///
-/// With `config.rare_event` set the measurement runs under importance
-/// sampling at `config.boost_beta` instead: `mc_shots` becomes the shot
-/// *ceiling* and the engine's CI stopping rule (at `config.target_rse`)
-/// may end the run early at a deterministic chunk prefix. A rare run with
-/// `boost_beta == 1` and `target_rse <= 0` schedules the identical chunk
-/// plan over the same seeds and therefore reproduces the plain trace bit
-/// for bit.
 fn measure_point_ler(
     state: &mut LayoutState,
     mean_p: f64,
@@ -368,40 +342,15 @@ fn measure_point_ler(
         engine = engine.with_faults(plan.clone());
     }
     let factory = || UnionFindDecoder::new(graph.clone());
-    engine
-        .try_run(
-            &CompiledCircuit::new(&mem.circuit),
-            &factory,
-            &point_spec(config),
-            chunk_seed(0xCA11_0EC5, point_index),
-        )
-        .expect("engine run failed")
-}
-
-/// The run spec of one measured trace point: plain Monte Carlo over
-/// `mc_shots`, or with `config.rare_event` an importance-sampled run at
-/// `config.boost_beta` that treats `mc_shots` as a ceiling and may stop
-/// early at `config.target_rse`.
-fn point_spec(config: &CaliqecConfig) -> RunSpec {
-    if !config.rare_event {
-        return RunSpec::from(SampleOptions {
+    engine.estimate(
+        &CompiledCircuit::new(&mem.circuit),
+        &factory,
+        SampleOptions {
             min_shots: config.mc_shots,
             ..SampleOptions::default()
-        });
-    }
-    // A quarter of the budget must decode before the CI rule may fire, so a
-    // lucky early chunk can never stop a run on noise alone.
-    RunSpec {
-        budget: SampleOptions {
-            min_shots: (config.mc_shots / 4).max(256).min(config.mc_shots),
-            max_failures: 0,
-            max_shots: config.mc_shots,
         },
-        weighting: Weighting::Boosted {
-            beta: config.boost_beta,
-        },
-        stop: StopRule::TargetRse(config.target_rse.max(0.0)),
-    }
+        chunk_seed(0xCA11_0EC5, point_index),
+    )
 }
 
 #[cfg(test)]
@@ -534,49 +483,6 @@ mod tests {
         );
         assert!(snap.counter("chunks_finished") > 0);
         assert!(!snap.events.is_empty());
-    }
-
-    #[test]
-    fn degenerate_rare_trace_is_bit_identical_to_plain() {
-        let (device, plan, mut config) = setup(true);
-        config.mc_shots = 256;
-        config.threads = 2;
-        let plain = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        assert_eq!(plain.rare_shots, 0, "plain runs keep rare counters zero");
-        let ms_plain: Vec<_> = plain.trace.iter().map(|p| p.measured_ler).collect();
-        config.rare_event = true;
-        config.boost_beta = 1.0;
-        config.target_rse = 0.0;
-        let rare = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        let ms_rare: Vec<_> = rare.trace.iter().map(|p| p.measured_ler).collect();
-        assert_eq!(
-            ms_plain, ms_rare,
-            "beta=1, target_rse=0 must reproduce the plain trace bit for bit"
-        );
-        // Unit weights: the ESS of every measurement equals its shot count.
-        assert_eq!(rare.rare_ess, rare.rare_shots as f64);
-        assert!(rare.rare_shots > 0);
-        assert!(rare.rare_max_ci.is_finite());
-    }
-
-    #[test]
-    fn boosted_rare_trace_is_thread_count_independent_and_healthy() {
-        let (device, plan, mut config) = setup(true);
-        config.mc_shots = 2_048;
-        config.rare_event = true;
-        config.boost_beta = 4.0;
-        config.target_rse = 0.2;
-        config.threads = 1;
-        let a = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        config.threads = 2;
-        let b = run_runtime(&device, Some(&plan), &config, 8.0, 4);
-        let ms_a: Vec<_> = a.trace.iter().map(|p| p.measured_ler).collect();
-        let ms_b: Vec<_> = b.trace.iter().map(|p| p.measured_ler).collect();
-        assert!(ms_a.iter().all(|m| m.is_some()));
-        assert_eq!(ms_a, ms_b, "rare trace must not depend on thread count");
-        assert_eq!((a.rare_shots, a.rare_ess), (b.rare_shots, b.rare_ess));
-        assert!(a.rare_ess > 0.0 && a.rare_ess <= a.rare_shots as f64);
-        assert!(a.rare_max_ci.is_finite());
     }
 
     #[test]

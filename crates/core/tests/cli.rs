@@ -22,13 +22,20 @@ fn assert_usage_error(args: &[&str], names: &str) {
 }
 
 #[test]
-fn simulate_rejects_the_removed_drift_aware_flag() {
+fn simulate_rejects_removed_flags() {
     // Skipping a switch the subcommand does not know would silently take
     // `--mc-shots` as its value.
-    assert_usage_error(
-        &["simulate", "--drift-aware", "--mc-shots", "512"],
-        "--drift-aware",
-    );
+    for removed in [
+        &["--drift-aware"][..],
+        &["--rare-event"],
+        &["--boost-beta", "4"],
+        &["--target-rse", "0.1"],
+    ] {
+        let mut args = vec!["simulate"];
+        args.extend_from_slice(removed);
+        args.extend_from_slice(&["--mc-shots", "512"]);
+        assert_usage_error(&args, removed[0]);
+    }
 }
 
 #[test]

@@ -61,7 +61,7 @@ impl LerEstimate {
     }
 }
 
-/// Options controlling [`estimate_ler`] and [`crate::LerEngine::estimate`].
+/// Options controlling [`estimate_ler`] and [`crate::LerEngine::try_run`].
 ///
 /// # `max_failures` / `max_shots` interaction
 ///

@@ -1,29 +1,28 @@
 //! Thread-parallel Monte-Carlo logical-error-rate engine.
 //!
-//! [`LerEngine::try_run`] is the one measured path: it runs a [`RunSpec`]
-//! (shot budget, weighting, stop rule) over a [`CompiledCircuit`], decoding
-//! with the stacks a [`DecoderFactory`] builds. New calibration rates reach
-//! a run as a factory over a graph reweighted to them
-//! ([`MatchingGraph::reweight`]). 64-shot batches, grouped into fixed-size
-//! chunks, go to worker threads. The determinism contract: **results
-//! depend only on `(spec, base_seed)` — never on the thread count or
-//! scheduling order.** Concretely:
+//! [`LerEngine::try_run`] is the one measured path: it runs plain Monte
+//! Carlo over a [`CompiledCircuit`] for the shot budget of a
+//! [`SampleOptions`], decoding with the stacks a [`DecoderFactory`] builds.
+//! New calibration rates reach a run as a factory over a graph reweighted
+//! to them ([`MatchingGraph::reweight`]). 64-shot batches, grouped into
+//! fixed-size chunks, go to worker threads. The determinism contract:
+//! **results depend only on `(options, base_seed)` — never on the thread
+//! count or scheduling order.** Concretely:
 //!
 //! - The chunk size is a function of the shot budget alone, and every
 //!   64-shot batch `b` (numbered globally across the run) samples from its
 //!   own RNG seeded by [`chunk_seed`]`(base_seed, b)`. Per-*batch* seeding
 //!   makes batches independent streams, which lets a chunk sample
-//!   [`LANES`] of them in SIMD lockstep and its tail one at a time
-//!   ([`CompiledCircuit::sample_lanes_into`], which also fills the
-//!   per-shot weights of a boosted program) while each batch stays
-//!   bit-identical to a narrow `sample_batch_into` replay with the same
-//!   seed.
-//! - Early stopping ([`StopRule::Failures`], [`StopRule::TargetRse`]) is
-//!   resolved at chunk granularity: the run is cut at the *first* chunk
-//!   whose prefix `0..=k` meets the rule, and only chunks up to the cut
-//!   contribute to the estimate. Chunks that other workers had already
-//!   started are discarded, so a racing thread can waste work but never
-//!   change the answer.
+//!   [`LANES`] of them in SIMD lockstep
+//!   ([`CompiledCircuit::sample_batches_wide_into`]) and its tail one at a
+//!   time ([`CompiledCircuit::sample_batch_into`]) while each batch stays
+//!   bit-identical to a narrow replay with the same seed.
+//! - Early stopping (`max_failures`) is resolved at chunk granularity: the
+//!   run is cut at the *first* chunk whose prefix `0..=k` holds the
+//!   failure budget, and only chunks up to the cut contribute to the
+//!   estimate. Chunks that other workers had already started are
+//!   discarded, so a racing thread can waste work but never change the
+//!   answer.
 //! - [`estimate_ler_seeded`] runs the identical chunk schedule on the
 //!   calling thread; [`LerEngine::estimate`] at any thread count returns
 //!   the same [`LerEstimate`] bit-for-bit.
@@ -35,9 +34,8 @@
 //!
 //! The engine is hardened against decoder faults (see DESIGN.md §9):
 //!
-//! - Inputs are validated up front — a malformed circuit, matching graph,
-//!   or run spec returns a typed [`EngineError`] instead of panicking
-//!   inside a worker.
+//! - Inputs are validated up front — a malformed circuit or matching graph
+//!   returns a typed [`EngineError`] instead of panicking inside a worker.
 //! - Each chunk's sample+decode runs under `catch_unwind`. A chunk that
 //!   panics (or stalls, or trips graph validation) is quarantined and
 //!   re-run with the **same** per-batch seed schedule on the next
@@ -159,94 +157,6 @@ impl<D> DecodeStack<D> {
     }
 }
 
-/// How a run's shots are weighted.
-#[derive(Clone, Debug, Default)]
-pub enum Weighting {
-    /// Plain Monte Carlo at the circuit's own rates: every shot weighs 1.
-    #[default]
-    Nominal,
-    /// Importance sampling: every fault channel fires at `min(β · p, ½)`
-    /// (never below its nominal rate) while each shot carries its exact
-    /// likelihood weight against the nominal rates, making
-    /// [`EngineRun::ler`] an unbiased estimator of the nominal LER with far
-    /// more failing shots to average over ([`CompiledCircuit::boosted`]).
-    /// `beta == 1` runs the plain sampler itself, bit for bit.
-    Boosted {
-        /// Rate boost factor β (finite, ≥ 1).
-        beta: f64,
-    },
-}
-
-/// When a run stops. Every rule is resolved at chunk granularity over the
-/// deterministic chunk prefix, so the cut is thread-count independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum StopRule {
-    /// Run the whole shot budget.
-    #[default]
-    Shots,
-    /// Stop at the first chunk prefix holding this many failures
-    /// (0 = never).
-    Failures(usize),
-    /// Stop at the first chunk prefix, past the budget's `min_shots`, whose
-    /// 95% CI half-width is at most this fraction of the (weighted)
-    /// estimate. `0` never fires — the run consumes the full budget.
-    TargetRse(f64),
-}
-
-/// One engine measurement: the shot budget, the weighting and the stop
-/// rule. `RunSpec::from(options)` is the plain run the engine has always
-/// made from [`SampleOptions`] (its `max_failures` becomes
-/// [`StopRule::Failures`]).
-#[derive(Clone, Debug)]
-pub struct RunSpec {
-    /// Shot budget: `min_shots`/`max_shots` fix the chunk geometry. A
-    /// nonzero `max_failures` must agree with `stop`.
-    pub budget: SampleOptions,
-    /// Nominal or importance-sampled shots.
-    pub weighting: Weighting,
-    /// When the run may end before the budget's last shot.
-    pub stop: StopRule,
-}
-
-impl From<SampleOptions> for RunSpec {
-    fn from(budget: SampleOptions) -> RunSpec {
-        RunSpec {
-            budget,
-            weighting: Weighting::Nominal,
-            stop: match budget.max_failures {
-                0 => StopRule::Shots,
-                n => StopRule::Failures(n),
-            },
-        }
-    }
-}
-
-impl RunSpec {
-    /// Rejects a non-finite or sub-unit boost, a non-finite or negative RSE
-    /// target, and a budget failure cap the stop rule contradicts.
-    fn validate(&self) -> Result<(), EngineError> {
-        let bad = |detail: String| Err(EngineError::Options { detail });
-        if let Weighting::Boosted { beta } = self.weighting {
-            if !beta.is_finite() || beta < 1.0 {
-                return bad(format!("boost_beta must be finite and >= 1 (got {beta})"));
-            }
-        }
-        if let StopRule::TargetRse(rse) = self.stop {
-            if !rse.is_finite() || rse < 0.0 {
-                return bad(format!("target_rse must be finite and >= 0 (got {rse})"));
-            }
-        }
-        let cap = self.budget.max_failures;
-        if cap != 0 && self.stop != StopRule::Failures(cap) {
-            return bad(format!(
-                "budget.max_failures = {cap} contradicts stop rule {:?}",
-                self.stop
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The deterministic work schedule shared by the parallel engine and the
 /// serial reference path.
 #[derive(Clone, Copy, Debug)]
@@ -261,37 +171,26 @@ struct ChunkPlan {
     max_batches: usize,
     /// Failure budget (0 = run the full batch budget).
     max_failures: usize,
-    /// Relative-CI stopping target (0 disables).
-    target_rse: f64,
-    /// Batches that must complete before the CI rule may fire.
-    min_ci_batches: usize,
 }
 
 impl ChunkPlan {
-    fn new(spec: &RunSpec, base_seed: u64) -> ChunkPlan {
-        let min_batches = spec.budget.min_shots.div_ceil(BATCH).max(1);
-        let max_batches = if spec.budget.max_shots == 0 {
+    fn new(options: &SampleOptions, base_seed: u64) -> ChunkPlan {
+        let min_batches = options.min_shots.div_ceil(BATCH).max(1);
+        let max_batches = if options.max_shots == 0 {
             min_batches
         } else {
-            spec.budget.max_shots.div_ceil(BATCH).max(min_batches)
+            options.max_shots.div_ceil(BATCH).max(min_batches)
         };
         // Aim for ~64 chunks so early-stopping stays reasonably fine-grained
         // while per-chunk overhead amortizes; never let the chunk size depend
         // on the thread count, or determinism across thread counts breaks.
         let chunk_batches = max_batches.div_ceil(64).clamp(1, 64);
-        let (max_failures, target_rse) = match spec.stop {
-            StopRule::Shots => (0, 0.0),
-            StopRule::Failures(n) => (n, 0.0),
-            StopRule::TargetRse(rse) => (0, rse),
-        };
         ChunkPlan {
             base_seed,
             chunk_batches,
             num_chunks: max_batches.div_ceil(chunk_batches),
             max_batches,
-            max_failures,
-            target_rse,
-            min_ci_batches: min_batches,
+            max_failures: options.max_failures,
         }
     }
 
@@ -317,9 +216,6 @@ struct SampleScratch {
     wide: WideFrameState,
     events: [BatchEvents; LANES],
     sparse: SparseBatch,
-    /// Per-lane log-likelihood ratios for weighted (boosted) sampling;
-    /// untouched on plain runs.
-    llr: Box<[[f64; BATCH]; LANES]>,
 }
 
 impl SampleScratch {
@@ -329,7 +225,6 @@ impl SampleScratch {
             wide: WideFrameState::new(compiled),
             events: std::array::from_fn(|_| BatchEvents::default()),
             sparse: SparseBatch::new(),
-            llr: Box::new([[0.0; BATCH]; LANES]),
         }
     }
 }
@@ -637,20 +532,6 @@ struct ChunkResult {
     failures: usize,
     /// Ladder rung the chunk completed on.
     rung: usize,
-    /// Whether the chunk sampled under boosted rates with per-shot
-    /// likelihood weights. On plain chunks the weighted sums below are
-    /// filled from the integer counters (weight ≡ 1) — exactly, since
-    /// every count fits in f64 — so downstream ESS/CI accounting is
-    /// uniform across both kinds of run.
-    weighted: bool,
-    /// Σ wₛ over the chunk's shots (= shot count when unweighted).
-    sum_w: f64,
-    /// Σ wₛ² (= shot count when unweighted).
-    sum_w2: f64,
-    /// Σ wₛ over failing shots (= `failures` when unweighted).
-    sum_wf: f64,
-    /// Σ wₛ² over failing shots (= `failures` when unweighted).
-    sum_w2f: f64,
     /// Tier and gate accounting and the predecode/cluster/decode phase
     /// timers.
     stats: WindowStats,
@@ -797,21 +678,10 @@ fn run_chunk<D: Decoder>(
         1 => Hist::DecodeShotRung1,
         _ => Hist::DecodeShotRung2,
     };
-    // Boosted programs sample under importance weights: the sampler fills
-    // the per-lane LLR buffers, and every shot's weight is folded into the
-    // Σw/Σw² accumulators below. Retries re-run the same boosted program
-    // with the same seeds, so a degraded chunk reproduces identical
-    // weights.
-    let weighted = compiled.is_boosted();
     let mut result = ChunkResult {
         batches,
         failures: 0,
         rung,
-        weighted,
-        sum_w: 0.0,
-        sum_w2: 0.0,
-        sum_wf: 0.0,
-        sum_w2f: 0.0,
         stats: WindowStats::default(),
         sample_seconds: 0.0,
         extract_seconds: 0.0,
@@ -822,7 +692,6 @@ fn run_chunk<D: Decoder>(
         wide,
         events: lane_events,
         sparse,
-        llr,
     } = scratch;
     let seed = |b: usize| StdRng::seed_from_u64(chunk_seed(plan.base_seed, first_batch + b as u64));
     let mut b = 0usize;
@@ -835,54 +704,24 @@ fn run_chunk<D: Decoder>(
         let t0 = Instant::now();
         if lanes == LANES {
             let mut rngs: [StdRng; LANES] = std::array::from_fn(|l| seed(b + l));
-            compiled.sample_lanes_into(wide, &mut rngs, lane_events, llr);
+            compiled.sample_batches_wide_into(wide, &mut rngs, lane_events);
         } else {
-            compiled.sample_lanes_into(
-                state,
-                &mut [seed(b)],
-                std::array::from_mut(&mut lane_events[0]),
-                std::array::from_mut(&mut llr[0]),
-            );
+            compiled.sample_batch_into(state, &mut seed(b), &mut lane_events[0]);
         }
         result.sample_seconds += t0.elapsed().as_secs_f64();
         b += lanes;
-        for (l, events) in lane_events[..lanes].iter().enumerate() {
+        for events in &lane_events[..lanes] {
             let t1 = Instant::now();
             sparse.extract(events);
             result.extract_seconds += t1.elapsed().as_secs_f64();
             stack.decode_window_masks(sparse, obs, decode_hist, &mut result.stats, &mut masks);
             // Score the predicted masks against the sampled ground truth.
-            let mut failed = 0u64;
             for (s, &mask) in masks.iter().enumerate() {
                 if mask != sparse.observables(s) {
                     result.failures += 1;
-                    failed |= 1u64 << s;
-                }
-            }
-            if weighted {
-                // Loop-tail bookkeeping: charged to no phase timer, so the
-                // phase-sum ≤ wall-clock invariant survives the weighted path.
-                for (s, lr) in llr[l].iter().enumerate() {
-                    let w = lr.exp();
-                    result.sum_w += w;
-                    result.sum_w2 += w * w;
-                    if failed >> s & 1 == 1 {
-                        result.sum_wf += w;
-                        result.sum_w2f += w * w;
-                    }
                 }
             }
         }
-    }
-    if !weighted {
-        // Plain chunks carry unit weights; filling the sums from the integer
-        // counters keeps the CI/ESS arithmetic uniform and exact (u64 shot
-        // counts of this size round-trip through f64 losslessly).
-        let n = (batches * BATCH) as f64;
-        result.sum_w = n;
-        result.sum_w2 = n;
-        result.sum_wf = result.failures as f64;
-        result.sum_w2f = result.failures as f64;
     }
     // The tier-dispatch classification scan is syndrome accounting, so it
     // is charged to the extract phase, not to a decode phase.
@@ -1040,18 +879,6 @@ pub struct EngineRun {
     pub stall_faults: usize,
     /// Fault events that were graph-validation failures.
     pub graph_faults: usize,
-    /// Effective sample size of the included prefix, `(Σw)² / Σw²`. Equals
-    /// `estimate.shots` exactly on plain (unweighted) runs.
-    pub ess: f64,
-    /// 95% confidence-interval half-width on [`EngineRun::ler`] (normal
-    /// approximation over per-shot weighted failure indicators).
-    pub ci_halfwidth: f64,
-    /// Importance-sampling boost factor the run sampled under (1 for plain
-    /// Monte Carlo).
-    pub boost_beta: f64,
-    /// Likelihood-weighted failure mass over the included prefix. Equals
-    /// `estimate.failures` exactly on plain runs.
-    pub weighted_failures: f64,
     /// Batches the defect-density gate sent through the cluster
     /// decomposition (counted only while a cluster tier was armed).
     pub cluster_gate_on: usize,
@@ -1060,17 +887,6 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    /// The logical error rate estimate: likelihood-weighted failure mass
-    /// over shots. Bit-identical to `estimate.per_shot()` on plain runs
-    /// (the weighted sums are filled from the integer counters there); the
-    /// unbiased importance-sampling estimator on boosted runs.
-    pub fn ler(&self) -> f64 {
-        if self.estimate.shots == 0 {
-            return 0.0;
-        }
-        self.weighted_failures / self.estimate.shots as f64
-    }
-
     /// Decoded-shot throughput (shots per wall-clock second).
     pub fn shots_per_sec(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
@@ -1102,36 +918,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// Recomputes the stop-rule cut over the completed prefix.
+    /// Recomputes the failure-budget cut over the completed prefix.
     ///
     /// The cut is a pure function of the deterministic chunk prefix, so any
     /// thread count stops at the same place: the first chunk index where
-    /// the prefix holds `plan.max_failures` failures, or — for an RSE
-    /// target — spans at least `plan.min_ci_batches` batches with a nonzero
-    /// weighted estimate whose 95% CI half-width has fallen to
-    /// `plan.target_rse` of it. Plain chunks fill their weighted sums from
-    /// the integer counters, which makes the RSE rule the plain-MC
-    /// shots-to-target-CI stopping rule at β = 1.
+    /// the prefix holds `plan.max_failures` failures.
     fn recompute_cut(&mut self, plan: &ChunkPlan) {
-        let (mut failures, mut batches) = (0usize, 0usize);
-        let (mut sum_wf, mut sum_w2f) = (0.0f64, 0.0f64);
+        let mut failures = 0usize;
         for (k, res) in self.results.iter().enumerate() {
             let Some(r) = res else { return };
             failures += r.failures;
-            batches += r.batches;
-            sum_wf += r.sum_wf;
-            sum_w2f += r.sum_w2f;
-            let stop = if plan.max_failures > 0 {
-                failures >= plan.max_failures
-            } else {
-                let n = (batches * BATCH) as f64;
-                let p_hat = sum_wf / n;
-                let var = (sum_w2f / n - p_hat * p_hat).max(0.0) / n;
-                batches >= plan.min_ci_batches
-                    && p_hat > 0.0
-                    && 1.96 * var.sqrt() <= plan.target_rse * p_hat
-            };
-            if stop {
+            if failures >= plan.max_failures {
                 self.cut = Some(k);
                 return;
             }
@@ -1166,7 +963,7 @@ struct Job<'a, F> {
 /// # Examples
 ///
 /// ```
-/// use caliqec_match::{graph_for_circuit, LerEngine, RunSpec, SampleOptions, UnionFindDecoder};
+/// use caliqec_match::{graph_for_circuit, LerEngine, SampleOptions, UnionFindDecoder};
 /// use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1};
 ///
 /// let mut c = Circuit::new(1);
@@ -1178,9 +975,9 @@ struct Job<'a, F> {
 ///
 /// let compiled = CompiledCircuit::try_new(&c).unwrap();
 /// let graph = graph_for_circuit(&c);
-/// let spec = RunSpec::from(SampleOptions { min_shots: 640, ..Default::default() });
+/// let options = SampleOptions { min_shots: 640, ..Default::default() };
 /// let run = LerEngine::new(2)
-///     .try_run(&compiled, &|| UnionFindDecoder::new(graph.clone()), &spec, 7)
+///     .try_run(&compiled, &|| UnionFindDecoder::new(graph.clone()), options, 7)
 ///     .unwrap();
 /// // A single perfectly-heralded error is always corrected.
 /// assert_eq!(run.estimate.failures, 0);
@@ -1241,9 +1038,7 @@ impl LerEngine {
         self.threads
     }
 
-    /// A plain run of `options` over `factory`:
-    /// [`LerEngine::try_run`] with `RunSpec::from(options)`, panicking on
-    /// a typed [`EngineError`].
+    /// [`LerEngine::try_run`], panicking on a typed [`EngineError`].
     pub fn estimate<F: DecoderFactory>(
         &self,
         compiled: &CompiledCircuit,
@@ -1251,42 +1046,30 @@ impl LerEngine {
         options: SampleOptions,
         base_seed: u64,
     ) -> EngineRun {
-        self.try_run(compiled, factory, &RunSpec::from(options), base_seed)
+        self.try_run(compiled, factory, options, base_seed)
             .expect("engine run failed")
     }
 
-    /// Runs `spec` over `compiled`, decoding with the stacks `factory`
-    /// builds. Deterministic in `(spec, base_seed)` at any thread count.
+    /// Runs the shot budget of `options` over `compiled`, decoding with
+    /// the stacks `factory` builds. Deterministic in `(options,
+    /// base_seed)` at any thread count.
     ///
-    /// Validates the circuit, the factory and the spec up front, then runs
-    /// the hardened chunk loop. Returns a typed [`EngineError`] for invalid
+    /// Validates the circuit and the factory up front, then runs the
+    /// hardened chunk loop. Returns a typed [`EngineError`] for invalid
     /// inputs or a chunk that faulted on every rung of the degradation
     /// ladder; all recovered faults are reported in the returned
-    /// [`EngineRun`] instead. A boosted [`Weighting`] samples a boosted
-    /// copy of `compiled` with per-shot likelihood weights;
-    /// [`EngineRun::ess`] and [`EngineRun::ci_halfwidth`] report estimator
-    /// health. β = 1 samples `compiled` itself, so it is bit-identical to
-    /// a nominal run of the same budget.
+    /// [`EngineRun`] instead.
     pub fn try_run<F: DecoderFactory>(
         &self,
         compiled: &CompiledCircuit,
         factory: &F,
-        spec: &RunSpec,
+        options: SampleOptions,
         base_seed: u64,
     ) -> Result<EngineRun, EngineError> {
         compiled.validate()?;
         factory.validate()?;
-        spec.validate()?;
         let started = Instant::now();
-        let plan = ChunkPlan::new(spec, base_seed);
-        let boosted;
-        let (compiled, boost_beta) = match spec.weighting {
-            Weighting::Boosted { beta } if beta != 1.0 => {
-                boosted = compiled.boosted(beta);
-                (&boosted, beta)
-            }
-            _ => (compiled, 1.0),
-        };
+        let plan = ChunkPlan::new(&options, base_seed);
 
         let run_id = self.obs.begin_run();
         let mut coord = self.obs.worker(run_id, Event::COORDINATOR);
@@ -1328,26 +1111,18 @@ impl LerEngine {
             .shared
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let run = assemble_run(sh, &plan, threads, started, boost_beta)?;
-        if boost_beta != 1.0 || plan.target_rse > 0.0 {
-            // Weighted or CI-stopped runs publish estimator health; plain
-            // runs record nothing new, keeping their metrics stream unchanged.
-            coord.set(Gauge::Ess, run.ess as u64);
-            coord.flush();
-        }
-        Ok(run)
+        assemble_run(sh, &plan, threads, started)
     }
 }
 
 /// Folds the per-chunk results into the final [`EngineRun`]: counters and
-/// timers over every executed chunk, the estimate and estimator health
-/// over the deterministic prefix up to the cut.
+/// timers over every executed chunk, the estimate over the deterministic
+/// prefix up to the cut.
 fn assemble_run(
     sh: Shared,
     plan: &ChunkPlan,
     threads: usize,
     started: Instant,
-    boost_beta: f64,
 ) -> Result<EngineRun, EngineError> {
     if let Some(fatal) = sh.fatal {
         return Err(fatal);
@@ -1368,28 +1143,10 @@ fn assemble_run(
     }
     let included = sh.cut.map_or(plan.num_chunks, |k| k + 1);
     let mut estimate = LerEstimate::default();
-    let (mut sum_w, mut sum_w2, mut sum_wf, mut sum_w2f) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for r in sh.results[..included].iter().flatten() {
         estimate.shots += r.batches * BATCH;
         estimate.failures += r.failures;
-        sum_w += r.sum_w;
-        sum_w2 += r.sum_w2;
-        sum_wf += r.sum_wf;
-        sum_w2f += r.sum_w2f;
     }
-    let n = estimate.shots as f64;
-    // ESS ≤ n by Cauchy–Schwarz; the clamp only absorbs f64 rounding.
-    let ess = if sum_w2 > 0.0 {
-        (sum_w * sum_w / sum_w2).min(n)
-    } else {
-        0.0
-    };
-    let ci_halfwidth = if n > 0.0 {
-        let p_hat = sum_wf / n;
-        1.96 * ((sum_w2f / n - p_hat * p_hat).max(0.0) / n).sqrt()
-    } else {
-        0.0
-    };
     let faults = sh.faults;
     Ok(EngineRun {
         estimate,
@@ -1418,10 +1175,6 @@ fn assemble_run(
         panic_faults: faults.panics,
         stall_faults: faults.stalls,
         graph_faults: faults.graphs,
-        ess,
-        ci_halfwidth,
-        boost_beta,
-        weighted_failures: sum_wf,
         cluster_gate_on: stats.cluster_gate_on,
         cluster_gate_off: stats.cluster_gate_off,
     })
@@ -1462,9 +1215,6 @@ fn observe_chunk_finish(
     if result.rung > 0 {
         obs.add(Counter::ShotsDegraded, shots);
     }
-    if result.weighted {
-        obs.add(Counter::ShotsWeighted, shots);
-    }
     obs.event(EventKind::ChunkFinish {
         rung: result.rung as u8,
         shots: shots as u32,
@@ -1477,21 +1227,6 @@ fn observe_chunk_finish(
         predecode_nanos: (stats.predecode_seconds * 1e9) as u64,
         decode_nanos: (stats.decode_seconds * 1e9) as u64,
     });
-    // Both payloads are deterministic functions of the chunk's own shots,
-    // so the journal stays thread-count independent; plain runs emit
-    // neither event and keep their historic journal byte-for-byte.
-    if result.weighted {
-        let ess = if result.sum_w2 > 0.0 {
-            result.sum_w * result.sum_w / result.sum_w2
-        } else {
-            0.0
-        };
-        obs.event(EventKind::ChunkWeights {
-            sum_w: result.sum_w,
-            sum_wf: result.sum_wf,
-            ess,
-        });
-    }
     if stats.cluster_gate_on + stats.cluster_gate_off > 0 {
         obs.event(EventKind::ClusterGate {
             on: stats.cluster_gate_on as u32,
@@ -1578,7 +1313,7 @@ fn worker_loop<F: DecoderFactory>(job: &Job<'_, F>, mut obs: WorkerObs) {
         match outcome {
             Ok(result) => {
                 sh.results[chunk] = Some(result);
-                if sh.cut.is_none() && (job.plan.max_failures > 0 || job.plan.target_rse > 0.0) {
+                if sh.cut.is_none() && job.plan.max_failures > 0 {
                     sh.recompute_cut(&job.plan);
                 }
             }
@@ -1608,7 +1343,7 @@ pub fn estimate_ler_seeded<D: Decoder>(
     options: SampleOptions,
     base_seed: u64,
 ) -> LerEstimate {
-    let plan = ChunkPlan::new(&RunSpec::from(options), base_seed);
+    let plan = ChunkPlan::new(&options, base_seed);
     let mut stack = DecodeStack::new(decoder);
     let mut scratch = SampleScratch::new(compiled);
     let mut estimate = LerEstimate::default();
@@ -1639,19 +1374,6 @@ mod tests {
     use crate::predecode::Tiered;
     use crate::unionfind::UnionFindDecoder;
     use caliqec_stab::{Basis, Circuit, Noise1};
-
-    /// An importance-sampled spec.
-    fn boosted(beta: f64, target_rse: f64, min_shots: usize, max_shots: usize) -> RunSpec {
-        RunSpec {
-            budget: SampleOptions {
-                min_shots,
-                max_failures: 0,
-                max_shots,
-            },
-            weighting: Weighting::Boosted { beta },
-            stop: StopRule::TargetRse(target_rse),
-        }
-    }
 
     /// Distance-n repetition code, single round, X noise (mirrors the
     /// fixture in `decode.rs`).
@@ -1888,130 +1610,6 @@ mod tests {
         assert_eq!(again.clusters_total, run.clusters_total);
     }
 
-    /// β = 1 with identity rates is plain Monte Carlo, bit for bit: same
-    /// estimate, unit weights, ESS equal to the shot count, and the same
-    /// LER from both accessors.
-    #[test]
-    fn rare_beta_one_is_bit_identical_to_plain() {
-        let c = rep_circuit(5, 0.08);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let factory = || UnionFindDecoder::new(graph.clone());
-        let opts = SampleOptions {
-            min_shots: 5_000,
-            ..Default::default()
-        };
-        let plain = LerEngine::new(2).estimate(&compiled, &factory, opts, 42);
-        let rare = LerEngine::new(2)
-            .try_run(&compiled, &factory, &boosted(1.0, 0.0, 5_000, 0), 42)
-            .unwrap();
-        assert_eq!(rare.estimate, plain.estimate);
-        assert_eq!(rare.chunks_included, plain.chunks_included);
-        assert_eq!(rare.boost_beta, 1.0);
-        assert_eq!(rare.ess, rare.estimate.shots as f64);
-        assert_eq!(rare.weighted_failures, rare.estimate.failures as f64);
-        assert_eq!(rare.ler(), plain.estimate.per_shot());
-        assert_eq!(rare.ler(), plain.ler());
-    }
-
-    /// A boosted run is bit-identical at any thread count: the weighted
-    /// sums are per-chunk and folded in deterministic chunk order, and the
-    /// CI cut is a pure function of the chunk prefix.
-    #[test]
-    fn rare_runs_are_deterministic_across_thread_counts() {
-        let c = rep_circuit(5, 0.02);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let factory = || UnionFindDecoder::new(graph.clone());
-        let spec = boosted(4.0, 0.1, 2_000, 50_000);
-        let run_at = |threads| {
-            LerEngine::new(threads)
-                .try_run(&compiled, &factory, &spec, 7)
-                .unwrap()
-        };
-        let reference = run_at(1);
-        assert!(reference.ess > 0.0);
-        for threads in [2, 8] {
-            let run = run_at(threads);
-            assert_eq!(run.estimate, reference.estimate, "threads={threads}");
-            assert_eq!(run.chunks_included, reference.chunks_included);
-            assert_eq!(run.weighted_failures, reference.weighted_failures);
-            assert_eq!(run.ess, reference.ess);
-            assert_eq!(run.ci_halfwidth, reference.ci_halfwidth);
-        }
-    }
-
-    /// The importance-sampled estimator is unbiased: a boosted run's
-    /// weighted LER agrees with a plain run of the same budget to within
-    /// their combined confidence intervals, while observing far more raw
-    /// failures, and its ESS sits strictly inside (0, shots).
-    #[test]
-    fn rare_estimate_agrees_with_plain_within_ci() {
-        let c = rep_circuit(3, 0.05);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let factory = || UnionFindDecoder::new(graph.clone());
-        let plain = LerEngine::new(2).estimate(
-            &compiled,
-            &factory,
-            SampleOptions {
-                min_shots: 50_000,
-                ..Default::default()
-            },
-            99,
-        );
-        let rare = LerEngine::new(2)
-            .try_run(&compiled, &factory, &boosted(6.0, 0.0, 50_000, 0), 99)
-            .unwrap();
-        let p_plain = plain.ler();
-        assert!(p_plain > 0.0, "fixture must fail sometimes");
-        assert!(
-            rare.estimate.failures > plain.estimate.failures,
-            "boosting must surface more raw failures ({} vs {})",
-            rare.estimate.failures,
-            plain.estimate.failures
-        );
-        assert!(rare.ess > 0.0 && rare.ess < rare.estimate.shots as f64);
-        assert!(rare.ci_halfwidth.is_finite() && rare.ci_halfwidth > 0.0);
-        let tolerance = 5.0 * (rare.ci_halfwidth + plain.ci_halfwidth);
-        assert!(
-            (rare.ler() - p_plain).abs() <= tolerance,
-            "IS estimate {} vs plain {} outside 5x combined CI {}",
-            rare.ler(),
-            p_plain,
-            tolerance
-        );
-    }
-
-    /// With a generous shot ceiling and an easy CI target, the run stops at
-    /// a deterministic chunk prefix well short of the budget — the
-    /// rare-event analogue of the failure-budget early stop. β = 1 here, so
-    /// this is also the plain-MC shots-to-target-CI stopping rule.
-    #[test]
-    fn ci_stop_fires_before_the_full_budget() {
-        let c = rep_circuit(3, 0.2);
-        let compiled = CompiledCircuit::new(&c);
-        let graph = graph_for_circuit(&c);
-        let factory = || UnionFindDecoder::new(graph.clone());
-        let spec = boosted(1.0, 0.2, 1_000, 1_000_000);
-        let run = LerEngine::new(4)
-            .try_run(&compiled, &factory, &spec, 3)
-            .unwrap();
-        assert!(run.estimate.shots >= 1_000);
-        assert!(
-            run.estimate.shots < 1_000_000,
-            "CI stop never fired ({} shots)",
-            run.estimate.shots
-        );
-        let p = run.ler();
-        assert!(run.ci_halfwidth <= 0.2 * p + f64::EPSILON);
-        let serial = LerEngine::new(1)
-            .try_run(&compiled, &factory, &spec, 3)
-            .unwrap();
-        assert_eq!(serial.estimate, run.estimate);
-        assert_eq!(serial.chunks_included, run.chunks_included);
-    }
-
     /// `Auto` gates each 64-shot batch on its mean defect count. At
     /// d=11, p=1e-3 the mean sits below the threshold, so every batch is
     /// diverted to the monolithic path — zero decompositions; at d=15 it
@@ -2105,7 +1703,7 @@ mod tests {
                 LerEngine::new(1).try_run(
                     &compiled,
                     &|| UnionFindDecoder::new(graph.clone()),
-                    &RunSpec::from(SampleOptions::default()),
+                    SampleOptions::default(),
                     1,
                 )
             });
@@ -2131,7 +1729,7 @@ mod tests {
         let plan = FaultPlan::new().panic_at(0).corrupt_defects_at(2);
         let faulty = LerEngine::new(2)
             .with_faults(plan)
-            .try_run(&compiled, &factory, &RunSpec::from(opts), 42)
+            .try_run(&compiled, &factory, opts, 42)
             .expect("ladder must recover from injected faults");
         assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
         assert_eq!(faulty.faulted_chunks, 2);

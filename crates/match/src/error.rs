@@ -121,12 +121,6 @@ pub enum EngineError {
         /// Description of the final fault.
         reason: String,
     },
-    /// Malformed run options (e.g. a non-finite or sub-unit importance
-    /// boost factor) rejected before any sampling.
-    Options {
-        /// Description of the rejected option.
-        detail: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -142,7 +136,6 @@ impl fmt::Display for EngineError {
                 f,
                 "chunk {chunk} failed on every degradation rung (last rung {rung}): {reason}"
             ),
-            EngineError::Options { detail } => write!(f, "invalid run options: {detail}"),
         }
     }
 }
@@ -152,7 +145,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Circuit(e) => Some(e),
             EngineError::Graph(e) => Some(e),
-            EngineError::ChunkFailed { .. } | EngineError::Options { .. } => None,
+            EngineError::ChunkFailed { .. } => None,
         }
     }
 }

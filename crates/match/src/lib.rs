@@ -25,12 +25,11 @@
 //! - [`estimate_ler`]: end-to-end residual logical-error-rate estimation
 //!   using the batched Pauli-frame sampler.
 //! - [`LerEngine`]: the thread-parallel Monte-Carlo engine behind
-//!   `estimate_ler`. Its one run method, [`LerEngine::try_run`], executes a
-//!   [`RunSpec`] — shot budget, [`Weighting`] (nominal or boosted by
-//!   importance sampling) and [`StopRule`] — over any [`DecoderFactory`],
-//!   deterministically in
-//!   `(spec, base_seed)` regardless of thread count, with per-run
-//!   throughput counters in [`EngineRun`]. Hardened against decoder faults: inputs are validated
+//!   `estimate_ler`. Its one run method, [`LerEngine::try_run`], samples
+//!   plain Monte Carlo for the shot budget of a [`SampleOptions`] over any
+//!   [`DecoderFactory`], deterministically in `(options, base_seed)`
+//!   regardless of thread count, with per-run throughput counters in
+//!   [`EngineRun`]. Hardened against decoder faults: inputs are validated
 //!   up front ([`MatchingGraph::validate`], typed
 //!   [`ValidationError`]/[`EngineError`]), each chunk runs panic-isolated
 //!   with a deterministic same-seed retry on a degradation ladder, and
@@ -90,7 +89,7 @@ pub use cluster::{
 pub use decode::{estimate_ler, graph_for_circuit, Decoder, LerEstimate, SampleOptions};
 pub use engine::{
     defect_hist_bucket, estimate_ler_seeded, DecodeStack, DecoderFactory, EngineRun, LerEngine,
-    RunSpec, StopRule, Weighting, DEFECT_HIST_BUCKETS, LADDER_RUNGS,
+    DEFECT_HIST_BUCKETS, LADDER_RUNGS,
 };
 pub use error::{EngineError, ValidationError};
 pub use faults::{poison_weights, FaultKind, FaultPlan, Injection};

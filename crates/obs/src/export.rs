@@ -156,12 +156,6 @@ fn event_json(e: &Event) -> String {
         EventKind::Retry { rung } => {
             let _ = write!(fields, ",\"rung\":{rung}");
         }
-        EventKind::ChunkWeights { sum_w, sum_wf, ess } => {
-            let _ = write!(
-                fields,
-                ",\"sum_w\":{sum_w:.6},\"sum_wf\":{sum_wf:.6},\"ess\":{ess:.3}"
-            );
-        }
         EventKind::ClusterGate { on, off } => {
             let _ = write!(fields, ",\"on\":{on},\"off\":{off}");
         }
@@ -315,18 +309,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                     e.worker,
                     e.chunk,
                     rung
-                ));
-            }
-            EventKind::ChunkWeights { sum_w, sum_wf, ess } => {
-                items.push(format!(
-                    "{{\"name\":\"chunk_weights\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"chunk\":{},\"sum_w\":{:.6},\"sum_wf\":{:.6},\"ess\":{:.3}}}}}",
-                    us(e.t_nanos),
-                    e.run,
-                    e.worker,
-                    e.chunk,
-                    sum_w,
-                    sum_wf,
-                    ess
                 ));
             }
             EventKind::ClusterGate { on, off } => {

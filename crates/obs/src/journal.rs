@@ -96,18 +96,6 @@ pub enum EventKind {
         /// Rung the retry runs on.
         rung: u8,
     },
-    /// Per-chunk importance-weight aggregates from a rare-event (boosted)
-    /// run. All fields are deterministic functions of the chunk's own
-    /// shots — never of the global prefix — so the journal stays
-    /// thread-count independent.
-    ChunkWeights {
-        /// Sum of per-shot likelihood weights over the chunk.
-        sum_w: f64,
-        /// Sum of weights over the chunk's failing shots.
-        sum_wf: f64,
-        /// The chunk's effective sample size, `(Σw)² / Σw²`.
-        ess: f64,
-    },
     /// The cluster tier's defect-density gate tally for one chunk (only
     /// emitted when a cluster tier was armed for the chunk).
     ClusterGate {
@@ -147,7 +135,6 @@ impl EventKind {
             EventKind::ChunkFinish { .. } => "chunk_finish",
             EventKind::Fault { .. } => "fault",
             EventKind::Retry { .. } => "retry",
-            EventKind::ChunkWeights { .. } => "chunk_weights",
             EventKind::ClusterGate { .. } => "cluster_gate",
             EventKind::Shed { .. } => "shed",
             EventKind::Wedge { .. } => "wedge",

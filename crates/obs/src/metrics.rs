@@ -86,9 +86,6 @@ pub enum Counter {
     FaultsGraph,
     /// Ladder retries launched in response to faults.
     Retries,
-    /// Shots sampled under boosted (importance-sampled) rates, carrying
-    /// per-shot likelihood weights.
-    ShotsWeighted,
     /// Chunks that finished on the pristine rung 0.
     ChunksRung0,
     /// Chunks that finished on rung 1 (fresh decoder, no predecode).
@@ -118,7 +115,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 22] = [
         Counter::RunsStarted,
         Counter::ChunksStarted,
         Counter::ChunksFinished,
@@ -131,7 +128,6 @@ impl Counter {
         Counter::FaultsStall,
         Counter::FaultsGraph,
         Counter::Retries,
-        Counter::ShotsWeighted,
         Counter::ChunksRung0,
         Counter::ChunksRung1,
         Counter::ChunksRung2,
@@ -159,7 +155,6 @@ impl Counter {
             Counter::FaultsStall => "faults_stall",
             Counter::FaultsGraph => "faults_graph",
             Counter::Retries => "retries",
-            Counter::ShotsWeighted => "shots_weighted",
             Counter::ChunksRung0 => "chunks_rung0",
             Counter::ChunksRung1 => "chunks_rung1",
             Counter::ChunksRung2 => "chunks_rung2",
@@ -183,9 +178,6 @@ pub enum Gauge {
     Workers,
     /// Chunks in the deterministic schedule.
     ChunksPlanned,
-    /// Effective sample size of the latest rare-event run, rounded down
-    /// (equal to the shot count on plain unweighted runs).
-    Ess,
     /// Tenant patches registered with the streaming service.
     StreamTenants,
     /// High-water mark of any single tenant's ingress queue depth, in
@@ -195,10 +187,9 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in export order.
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::Workers,
         Gauge::ChunksPlanned,
-        Gauge::Ess,
         Gauge::StreamTenants,
         Gauge::StreamQueuePeak,
     ];
@@ -208,7 +199,6 @@ impl Gauge {
         match self {
             Gauge::Workers => "workers",
             Gauge::ChunksPlanned => "chunks_planned",
-            Gauge::Ess => "ess",
             Gauge::StreamTenants => "stream_tenants",
             Gauge::StreamQueuePeak => "stream_queue_peak",
         }

@@ -16,11 +16,9 @@
 //! fault can land.
 //!
 //! Every sampler is one kernel, generic over the lane count `L` (how many
-//! independent 64-shot batches advance in lockstep) and over a per-noise-
-//! site weight tally (a no-op for nominal sampling; likelihood-ratio
-//! accumulation on boosted programs). Each lane consumes its RNG in
-//! *exactly* the same order as the interpreting sampler, which uses the
-//! plain skip without the threshold, so for a fixed seed every
+//! independent 64-shot batches advance in lockstep). Each lane consumes
+//! its RNG in *exactly* the same order as the interpreting sampler, which
+//! uses the plain skip without the threshold, so for a fixed seed every
 //! instantiation produces identical [`BatchEvents`] — a property the
 //! differential tests rely on.
 
@@ -104,106 +102,6 @@ enum Instr {
 // `f64` fields leave; an `f64` threshold would grow `Instr` to 40 bytes.
 const _: () = assert!(std::mem::size_of::<Instr>() == 32);
 
-/// `ln(1 - p)`: the per-shot log-likelihood of a channel at rate `p`
-/// staying quiet, the building block of [`llr_terms`].
-#[inline]
-fn l1p(p: f64) -> f64 {
-    (-p).ln_1p()
-}
-
-/// The boosted fire rate of one channel: `min(β·p, ½)`, never below the
-/// nominal rate (a channel already at or past ½ keeps its nominal rate —
-/// down-boosting deterministic or near-deterministic channels would trade
-/// rare-event variance for common-event variance).
-#[inline]
-fn boost_rate(p: f64, beta: f64) -> f64 {
-    let b = (beta * p).min(0.5);
-    if b > p {
-        b
-    } else {
-        p
-    }
-}
-
-/// Log-likelihood-ratio terms of one channel boosted from nominal rate `p`
-/// to sampled rate `b`: `(delta, keep)` with `keep = ln((1−p)/(1−b))` (the
-/// per-shot constant charged whether or not the channel fires) and
-/// `delta = ln(p/b) − keep` (the correction added when it does fire). An
-/// un-boosted channel contributes exactly zero to both, so β = 1 yields an
-/// identically-zero log-weight.
-#[inline]
-fn llr_terms(p: f64, b: f64) -> (f64, f64) {
-    if p == b {
-        return (0.0, 0.0);
-    }
-    let keep = l1p(p) - l1p(b);
-    (p.ln() - b.ln() - keep, keep)
-}
-
-/// Per-noise-site importance-sampling tables carried by a boosted
-/// [`CompiledCircuit`]: one `delta` entry per noise site (every noise
-/// instruction and every measurement, in program order) plus the per-shot
-/// constant `base = Σ keep` — see [`llr_terms`]. Weighted sampling
-/// accumulates `llr[shot] = base + Σ_{fired sites} delta[site]`, the exact
-/// log of `P_nominal(shot) / P_boosted(shot)` (conditional Pauli-choice
-/// draws are unchanged by boosting, so only fire bits contribute).
-#[derive(Clone, Debug)]
-struct LlrTables {
-    delta: Vec<f64>,
-    base: f64,
-    beta: f64,
-}
-
-/// Per-noise-site weight accounting threaded through the sampling kernel.
-/// The kernel calls [`Tally::next_site`] once per noise site, in program
-/// order (every noise instruction and every measurement), then
-/// [`Tally::charge`] with each lane's fire word at that site.
-trait Tally {
-    /// Advances to the next noise site.
-    fn next_site(&mut self);
-    /// Charges the current site to every shot of `lane` set in `fired`.
-    fn charge(&mut self, lane: usize, fired: u64);
-}
-
-/// Nominal sampling: no weights. Zero-sized, so it compiles away.
-struct Unweighted;
-
-impl Tally for Unweighted {
-    #[inline(always)]
-    fn next_site(&mut self) {}
-
-    #[inline(always)]
-    fn charge(&mut self, _lane: usize, _fired: u64) {}
-}
-
-/// Likelihood-ratio accumulation on a boosted program: every shot that
-/// fires at a site gains that site's `delta` in its lane's `llr` row.
-struct Weighted<'a, const L: usize> {
-    delta: &'a [f64],
-    /// Index of the next noise site.
-    site: usize,
-    /// `delta` of the current site.
-    d: f64,
-    llr: &'a mut [[f64; BATCH]; L],
-}
-
-impl<const L: usize> Tally for Weighted<'_, L> {
-    #[inline]
-    fn next_site(&mut self) {
-        self.d = self.delta[self.site];
-        self.site += 1;
-    }
-
-    #[inline]
-    fn charge(&mut self, lane: usize, fired: u64) {
-        let d = self.d;
-        if d != 0.0 {
-            let row = &mut self.llr[lane];
-            for_each_set_bit(fired, |s| row[s as usize] += d);
-        }
-    }
-}
-
 /// A [`Circuit`] compiled for repeated batch sampling.
 ///
 /// Immutable after construction and shareable by `&` across threads; pair
@@ -244,9 +142,6 @@ pub struct CompiledCircuit {
     /// Measurement-record indices XORed into each observable (contributions
     /// from multiple `Observable` ops with the same index are concatenated).
     obs_meas: Vec<u32>,
-    /// Importance-sampling tables, present only on programs produced by
-    /// [`CompiledCircuit::boosted`].
-    llr: Option<LlrTables>,
 }
 
 impl CompiledCircuit {
@@ -354,70 +249,7 @@ impl CompiledCircuit {
             det_meas,
             obs_offsets,
             obs_meas,
-            llr: None,
         }
-    }
-
-    /// Recompiles this program with every noise channel's fire rate boosted
-    /// to `min(β · p, ½)` (never below nominal — see module notes on
-    /// down-boosting), carrying the per-channel log-likelihood-ratio tables
-    /// [`Self::sample_lanes_into`] needs to weight each shot back to the
-    /// nominal rates. β = 1 leaves every rate untouched and every ratio term
-    /// exactly zero, so the boosted program samples bit-identically to the
-    /// original with log-weight ≡ 0.
-    ///
-    /// Panics unless `beta` is finite and ≥ 1.
-    pub fn boosted(&self, beta: f64) -> CompiledCircuit {
-        assert!(
-            beta.is_finite() && beta >= 1.0,
-            "boost beta must be finite and >= 1, got {beta}"
-        );
-        let mut out = self.clone();
-        let mut delta = Vec::new();
-        let mut base = 0.0f64;
-        for instr in &mut out.instrs {
-            // One (rate, skip constants) triple per noise site, in the exact
-            // program order the samplers walk — the `delta` table is indexed
-            // by that order.
-            let site = match instr {
-                Instr::Meas {
-                    flip: p,
-                    l1p,
-                    quiet,
-                    ..
-                }
-                | Instr::NoiseX { p, l1p, quiet, .. }
-                | Instr::NoiseY { p, l1p, quiet, .. }
-                | Instr::NoiseZ { p, l1p, quiet, .. }
-                | Instr::Dep1 { p, l1p, quiet, .. }
-                | Instr::Dep2 { p, l1p, quiet, .. } => Some((p, l1p, quiet)),
-                _ => None,
-            };
-            if let Some((rate, l1p, quiet)) = site {
-                let nominal = *rate;
-                let boosted = boost_rate(nominal, beta);
-                let (d, keep) = llr_terms(nominal, boosted);
-                delta.push(d);
-                base += keep;
-                *rate = boosted;
-                (*l1p, *quiet) = skip_consts(boosted);
-            }
-        }
-        out.llr = Some(LlrTables { delta, base, beta });
-        out
-    }
-
-    /// The boost factor this program was compiled with (1.0 for plain,
-    /// un-boosted programs).
-    pub fn boost_beta(&self) -> f64 {
-        self.llr.as_ref().map_or(1.0, |t| t.beta)
-    }
-
-    /// Whether this program carries importance-sampling tables (i.e. came
-    /// from [`CompiledCircuit::boosted`]), so that
-    /// [`Self::sample_lanes_into`] fills per-shot weights.
-    pub fn is_boosted(&self) -> bool {
-        self.llr.is_some()
     }
 
     /// Number of qubits.
@@ -559,7 +391,6 @@ impl CompiledCircuit {
             state,
             std::array::from_mut(rng),
             std::array::from_mut(events),
-            &mut Unweighted,
         );
     }
 
@@ -592,42 +423,7 @@ impl CompiledCircuit {
         rngs: &mut [R; LANES],
         events: &mut [BatchEvents; LANES],
     ) {
-        self.sample_frames(state, rngs, events, &mut Unweighted);
-    }
-
-    /// Samples `L` independent [`BATCH`]-shot batches in lockstep, lane `l`
-    /// drawing from `rngs[l]` — the events are bit-identical to
-    /// [`Self::sample_batch_into`] replays with those RNGs. On a boosted
-    /// program (see [`CompiledCircuit::boosted`]) it also fills `llr[l][s]`
-    /// with the log-likelihood ratio of lane `l`'s shot `s` against the
-    /// nominal rates (`exp(llr[l][s])` is the shot's importance weight); the
-    /// ratio accumulation consumes no RNG draws, so a β = 1 program yields
-    /// `llr ≡ 0`. On a plain program `llr` is left untouched.
-    pub fn sample_lanes_into<const L: usize, R: Rng>(
-        &self,
-        frames: &mut Frames<L>,
-        rngs: &mut [R; L],
-        events: &mut [BatchEvents; L],
-        llr: &mut [[f64; BATCH]; L],
-    ) {
-        let Some(tables) = &self.llr else {
-            return self.sample_frames(frames, rngs, events, &mut Unweighted);
-        };
-        for lane in llr.iter_mut() {
-            lane.fill(tables.base);
-        }
-        let mut tally = Weighted {
-            delta: &tables.delta,
-            site: 0,
-            d: 0.0,
-            llr,
-        };
-        self.sample_frames(frames, rngs, events, &mut tally);
-        debug_assert_eq!(
-            tally.site,
-            tables.delta.len(),
-            "noise-site walk out of sync"
-        );
+        self.sample_frames(state, rngs, events);
     }
 
     /// The sampling kernel behind every public sampler: one walk over the
@@ -635,19 +431,17 @@ impl CompiledCircuit {
     /// consuming `rngs[l]` in exactly the interpreting sampler's draw
     /// order. Gate conjugation runs on whole `[u64; L]` rows; noise sites
     /// stay per-lane serial, because each lane's geometric skip depends on
-    /// its own RNG stream. `tally` sees every noise site's per-lane fire
-    /// words and draws nothing, so it cannot perturb the events.
+    /// its own RNG stream.
     ///
     /// Lanes are visited by index rather than through `rngs.iter_mut()`:
     /// the indexed form lets the optimiser keep each lane's RNG state in
     /// registers for the whole walk, which the iterator form did not
     /// (about 5% slower single-batch sampling on x86-64).
-    fn sample_frames<const L: usize, R: Rng, T: Tally>(
+    fn sample_frames<const L: usize, R: Rng>(
         &self,
         frames: &mut Frames<L>,
         rngs: &mut [R; L],
         events: &mut [BatchEvents; L],
-        tally: &mut T,
     ) {
         debug_assert_eq!(frames.x.len(), self.num_qubits, "state/circuit mismatch");
         frames.x.fill([0; L]);
@@ -707,12 +501,9 @@ impl CompiledCircuit {
                         Basis::Z => x[q],
                         Basis::X => z[q],
                     };
-                    tally.next_site();
                     if flip > 0.0 {
                         for l in 0..L {
-                            let fired = bernoulli_mask_with(flip, l1p, quiet, &mut rngs[l]);
-                            flips[l] ^= fired;
-                            tally.charge(l, fired);
+                            flips[l] ^= bernoulli_mask_with(flip, l1p, quiet, &mut rngs[l]);
                         }
                     }
                     meas[meas_cursor] = flips;
@@ -729,40 +520,29 @@ impl CompiledCircuit {
                 }
                 Instr::NoiseX { q, p, l1p, quiet } => {
                     let q = q as usize;
-                    tally.next_site();
                     for l in 0..L {
-                        let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
-                        x[q][l] ^= fired;
-                        tally.charge(l, fired);
+                        x[q][l] ^= bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                     }
                 }
                 Instr::NoiseY { q, p, l1p, quiet } => {
                     let q = q as usize;
-                    tally.next_site();
                     for l in 0..L {
                         let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                         x[q][l] ^= fired;
                         z[q][l] ^= fired;
-                        tally.charge(l, fired);
                     }
                 }
                 Instr::NoiseZ { q, p, l1p, quiet } => {
                     let q = q as usize;
-                    tally.next_site();
                     for l in 0..L {
-                        let fired = bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
-                        z[q][l] ^= fired;
-                        tally.charge(l, fired);
+                        z[q][l] ^= bernoulli_mask_with(p, l1p, quiet, &mut rngs[l]);
                     }
                 }
                 Instr::Dep1 { q, p, l1p, quiet } => {
                     let q = q as usize;
-                    tally.next_site();
                     for l in 0..L {
                         let rng = &mut rngs[l];
                         let fired = bernoulli_mask_with(p, l1p, quiet, rng);
-                        // The Pauli-choice draws are conditionally uniform and
-                        // unchanged by boosting, so only the fire bits weigh in.
                         for_each_set_bit(fired, |s| {
                             let bit = 1u64 << s;
                             match Pauli::NON_IDENTITY[rng.random_range(0..3)] {
@@ -775,7 +555,6 @@ impl CompiledCircuit {
                                 Pauli::I => unreachable!(),
                             }
                         });
-                        tally.charge(l, fired);
                     }
                 }
                 Instr::Dep2 {
@@ -786,7 +565,6 @@ impl CompiledCircuit {
                     quiet,
                 } => {
                     let (a, b) = (a as usize, b as usize);
-                    tally.next_site();
                     for l in 0..L {
                         let rng = &mut rngs[l];
                         let fired = bernoulli_mask_with(p, l1p, quiet, rng);
@@ -802,7 +580,6 @@ impl CompiledCircuit {
                                 }
                             }
                         });
-                        tally.charge(l, fired);
                     }
                 }
             }
@@ -1027,49 +804,26 @@ mod tests {
         c
     }
 
-    /// One weighted single-batch draw through the 1-lane instantiation.
-    fn sample_weighted(
-        prog: &CompiledCircuit,
-        state: &mut FrameState,
-        rng: &mut StdRng,
-        events: &mut BatchEvents,
-        llr: &mut [f64; BATCH],
-    ) {
-        prog.sample_lanes_into(
-            state,
-            std::array::from_mut(rng),
-            std::array::from_mut(events),
-            std::array::from_mut(llr),
-        );
-    }
-
     /// Replays four consecutive `L`-lane `sample` calls per seed against one
     /// [`InterpretingSampler`] per lane, each lane's RNG seeded as its
-    /// interpreter's. Every lane's events must match the interpreter's;
-    /// with `unit_weights`, every log-likelihood ratio must be exactly 0.
+    /// interpreter's. Every lane's events must match the interpreter's.
     fn assert_replays_interpreter<const L: usize>(
         c: &Circuit,
-        unit_weights: bool,
-        mut sample: impl FnMut(&mut [StdRng; L], &mut [BatchEvents; L], &mut [[f64; BATCH]; L]),
+        mut sample: impl FnMut(&mut [StdRng; L], &mut [BatchEvents; L]),
     ) {
         let mut events: [BatchEvents; L] = std::array::from_fn(|_| BatchEvents::default());
-        let mut llr = [[f64::NAN; BATCH]; L];
         for seed in 0..20 {
             let lane_rng = |l: usize| StdRng::seed_from_u64(chunk_seed(seed, l as u64));
             let mut rngs: [StdRng; L] = std::array::from_fn(lane_rng);
             let mut oracles: [(InterpretingSampler, StdRng); L] =
                 std::array::from_fn(|l| (InterpretingSampler::new(c), lane_rng(l)));
             for batch in 0..4 {
-                llr.fill([f64::NAN; BATCH]);
-                sample(&mut rngs, &mut events, &mut llr);
+                sample(&mut rngs, &mut events);
                 for (l, (interp, rng)) in oracles.iter_mut().enumerate() {
                     let want = interp.sample_batch(rng);
                     let at = format!("L={L} seed {seed} lane {l} batch {batch}");
                     assert_eq!(want.detectors, events[l].detectors, "{at}");
                     assert_eq!(want.observables, events[l].observables, "{at}");
-                    if unit_weights {
-                        assert!(llr[l].iter().all(|&v| v == 0.0), "{at}: llr not 0");
-                    }
                 }
             }
         }
@@ -1078,32 +832,19 @@ mod tests {
     #[test]
     fn compiled_matches_interpreter_exactly() {
         // The interpreter, which skips without the quiet threshold, is the
-        // oracle for every kernel instantiation: 1 lane and LANES lanes,
-        // nominal and weighted. β = 1 never changes a rate, so the weighted
-        // program must replay the interpreter's RNG stream bit for bit with
-        // llr ≡ 0 — the identity the engine's weight ≡ 1 fast path rests
-        // on. kitchen_sink includes p up to 0.2 and a flip=0 measurement,
-        // covering the rate-untouched special case at every instruction
-        // kind; edge_rates puts every kind at the threshold's extremes.
+        // oracle for both kernel instantiations: 1 lane and LANES lanes.
+        // kitchen_sink includes p up to 0.2 and a flip=0 measurement,
+        // covering every instruction kind; edge_rates puts every kind at
+        // the threshold's extremes.
         for c in [kitchen_sink(), edge_rates()] {
-            let plain = CompiledCircuit::new(&c);
-            let mut state = FrameState::new(&plain);
-            assert_replays_interpreter::<1>(&c, false, |[rng], [events], _| {
-                plain.sample_batch_into(&mut state, rng, events)
+            let compiled = CompiledCircuit::new(&c);
+            let mut state = FrameState::new(&compiled);
+            assert_replays_interpreter::<1>(&c, |[rng], [events]| {
+                compiled.sample_batch_into(&mut state, rng, events)
             });
-            let mut wide = WideFrameState::new(&plain);
-            assert_replays_interpreter::<LANES>(&c, false, |rngs, events, _| {
-                plain.sample_batches_wide_into(&mut wide, rngs, events)
-            });
-            let unit = plain.boosted(1.0);
-            assert_eq!(unit.boost_beta(), 1.0);
-            let mut state = FrameState::new(&unit);
-            assert_replays_interpreter::<1>(&c, true, |rngs, events, llr| {
-                unit.sample_lanes_into(&mut state, rngs, events, llr)
-            });
-            let mut wide = WideFrameState::new(&unit);
-            assert_replays_interpreter::<LANES>(&c, true, |rngs, events, llr| {
-                unit.sample_lanes_into(&mut wide, rngs, events, llr)
+            let mut wide = WideFrameState::new(&compiled);
+            assert_replays_interpreter::<LANES>(&c, |rngs, events| {
+                compiled.sample_batches_wide_into(&mut wide, rngs, events)
             });
         }
     }
@@ -1221,85 +962,5 @@ mod tests {
             compiled.validate(),
             Err(crate::CircuitError::RecordOutOfRange { record: 5, .. })
         ));
-    }
-
-    #[test]
-    fn wide_weighted_matches_narrow_weighted() {
-        // Same lockstep contract as the unweighted wide sampler, extended to
-        // the ratio accumulators: lane l's events AND llr must equal a
-        // narrow weighted replay with rngs[l]. β > 1 has no interpreter
-        // oracle, so the two weighted instantiations check each other.
-        let c = kitchen_sink();
-        let boosted = CompiledCircuit::new(&c).boosted(2.5);
-        let mut wide = WideFrameState::new(&boosted);
-        let mut narrow = FrameState::new(&boosted);
-        let mut narrow_ev = BatchEvents::default();
-        let mut narrow_llr = [0.0f64; BATCH];
-        for seed in 0..6 {
-            let mut wide_rngs: [StdRng; LANES] =
-                std::array::from_fn(|l| StdRng::seed_from_u64(chunk_seed(seed, l as u64)));
-            let mut narrow_rngs: [StdRng; LANES] =
-                std::array::from_fn(|l| StdRng::seed_from_u64(chunk_seed(seed, l as u64)));
-            let mut wide_events: [BatchEvents; LANES] = Default::default();
-            let mut wide_llr = [[0.0f64; BATCH]; LANES];
-            for batch in 0..3 {
-                boosted.sample_lanes_into(
-                    &mut wide,
-                    &mut wide_rngs,
-                    &mut wide_events,
-                    &mut wide_llr,
-                );
-                for (l, rng) in narrow_rngs.iter_mut().enumerate() {
-                    sample_weighted(&boosted, &mut narrow, rng, &mut narrow_ev, &mut narrow_llr);
-                    assert_eq!(
-                        narrow_ev.detectors, wide_events[l].detectors,
-                        "seed {seed} lane {l} batch {batch} detectors"
-                    );
-                    assert_eq!(
-                        narrow_ev.observables, wide_events[l].observables,
-                        "seed {seed} lane {l} batch {batch} observables"
-                    );
-                    assert_eq!(
-                        narrow_llr, wide_llr[l],
-                        "seed {seed} lane {l} batch {batch} llr"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn importance_weights_are_unbiased() {
-        // One qubit, one X channel at p, observable = its measurement: the
-        // raw flip probability is exactly p. Sampling at β·p and averaging
-        // w·flip must recover p — the estimator the engine builds on.
-        let p = 0.02;
-        let mut c = Circuit::new(1);
-        c.reset(Basis::Z, &[0]);
-        c.noise1(Noise1::XError, p, &[0]);
-        let m = c.measure(0, Basis::Z, 0.0);
-        c.observable(0, &[m]);
-        let boosted = CompiledCircuit::new(&c).boosted(8.0);
-        assert!(boosted.is_boosted());
-        let mut state = FrameState::new(&boosted);
-        let mut ev = BatchEvents::default();
-        let mut llr = [0.0f64; BATCH];
-        let mut rng = StdRng::seed_from_u64(0xD1CE);
-        let (mut sum_wf, mut shots) = (0.0f64, 0u64);
-        for _ in 0..4000 {
-            sample_weighted(&boosted, &mut state, &mut rng, &mut ev, &mut llr);
-            let flips = ev.observables[0];
-            for (s, lr) in llr.iter().enumerate() {
-                if flips >> s & 1 == 1 {
-                    sum_wf += lr.exp();
-                }
-            }
-            shots += BATCH as u64;
-        }
-        let est = sum_wf / shots as f64;
-        assert!(
-            (est - p).abs() < 0.15 * p,
-            "weighted estimate {est} vs true {p}"
-        );
     }
 }

@@ -6,7 +6,7 @@
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
     graph_for_circuit, ClusterGate, Decoder, EngineError, EngineRun, FaultKind, FaultPlan,
-    LerEngine, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
+    LerEngine, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{EventKind, ObsSink, Snapshot};
 use caliqec_stab::CompiledCircuit;
@@ -68,7 +68,7 @@ fn run_with(plan: FaultPlan, threads: usize) -> EngineRun {
     let (compiled, factory) = workload();
     LerEngine::new(threads)
         .with_faults(plan)
-        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
+        .try_run(&compiled, &factory, OPTS, SEED)
         .expect("engine must recover injected faults on the ladder")
 }
 
@@ -78,7 +78,7 @@ fn run_observed(plan: FaultPlan, threads: usize) -> (EngineRun, Snapshot) {
     let run = LerEngine::new(threads)
         .with_faults(plan)
         .with_obs(sink.clone())
-        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
+        .try_run(&compiled, &factory, OPTS, SEED)
         .expect("engine must recover injected faults on the ladder");
     (run, sink.snapshot())
 }
@@ -137,7 +137,7 @@ fn faults_off_reports_zero_faulted_chunks() {
     let (compiled, factory) = workload();
     let empty = LerEngine::new(2)
         .with_faults(FaultPlan::new())
-        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
+        .try_run(&compiled, &factory, OPTS, SEED)
         .expect("empty plan cannot fault");
     assert_eq!(empty.faulted_chunks, 0);
     assert_eq!(
@@ -309,7 +309,7 @@ fn faulted_cluster_decode_retries_down_the_ladder_bit_identically() {
     let (compiled, factory) = cluster_workload();
     let chaos = LerEngine::new(2)
         .with_faults(FaultPlan::parse("panic@0").expect("panic kind parses"))
-        .try_run(&compiled, &factory, &RunSpec::from(OPTS), SEED)
+        .try_run(&compiled, &factory, OPTS, SEED)
         .expect("a panic on a cluster-armed stack must be recovered on the ladder");
     assert_eq!(
         (chaos.estimate.shots, chaos.estimate.failures),
@@ -349,10 +349,9 @@ impl Decoder for Doomed {
 fn no_fallback_ladder_ends_at_rung_one() {
     quiet_worker_panics();
     let (compiled, _) = workload();
-    let spec = RunSpec::from(OPTS);
     // Without a fallback graph, rung 1 is the last rung: the first chunk
     // that faults there fails the run with a typed error.
-    let result = LerEngine::new(2).try_run(&compiled, &|| Doomed, &spec, SEED);
+    let result = LerEngine::new(2).try_run(&compiled, &|| Doomed, OPTS, SEED);
     assert!(
         matches!(result, Err(EngineError::ChunkFailed { rung: 1, .. })),
         "expected a rung-1 ChunkFailed, got {result:?}"
@@ -368,7 +367,7 @@ fn no_fallback_ladder_ends_at_rung_one() {
     let graph = graph_for_circuit(&mem.circuit);
     let factory = Tiered::without_predecode(|| Doomed).with_fallback_graph(&graph);
     let run = LerEngine::new(2)
-        .try_run(&compiled, &factory, &spec, SEED)
+        .try_run(&compiled, &factory, OPTS, SEED)
         .expect("rung 2 must recover");
     let clean = run_clean();
     assert_eq!(

@@ -1,8 +1,8 @@
 //! Workspace-level determinism tests of the parallel Monte-Carlo LER
 //! engine: the same base seed produces a bit-identical [`LerEstimate`] at
 //! any thread count (with and without early stopping), the serial
-//! `estimate_ler` wrapper agrees with the engine, every factory and
-//! weighting `try_run` accepts reproduces the pinned golden fingerprint,
+//! `estimate_ler` wrapper agrees with the engine, every factory `try_run`
+//! accepts reproduces the pinned golden fingerprint,
 //! and a property test cross-checks the engine against the serial
 //! reference on random repetition-code circuits.
 //!
@@ -11,7 +11,7 @@
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, MemoryCircuit, NoiseModel};
 use caliqec_match::{
     estimate_ler, estimate_ler_seeded, graph_for_circuit, DecoderFactory, EngineError, EngineRun,
-    LerEngine, RunSpec, SampleOptions, Tiered, UnionFindDecoder, Weighting,
+    LerEngine, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{Basis, Circuit, CompiledCircuit, Noise1};
 use proptest::prelude::*;
@@ -130,10 +130,9 @@ fn estimate_ler_wrapper_matches_engine() {
     }
 }
 
-/// Every factory (plain union-find, `Tiered`) under every weighting
-/// (nominal, boosted at β = 1) reproduces the pinned d=5, p=2e-3, seed
-/// 0xBEEF fingerprint of `sparse_decode_validation.rs` at 1, 2 and 8
-/// threads.
+/// Every factory (plain union-find, `Tiered`) reproduces the pinned d=5,
+/// p=2e-3, seed 0xBEEF fingerprint of `sparse_decode_validation.rs` at 1,
+/// 2 and 8 threads.
 #[test]
 fn try_run_matrix_reproduces_the_golden_fingerprint() {
     const GOLDEN: (usize, usize) = (10_048, 31);
@@ -142,38 +141,29 @@ fn try_run_matrix_reproduces_the_golden_fingerprint() {
     let graph = graph_for_circuit(&mem.circuit);
     let plain = || UnionFindDecoder::new(graph.clone());
     let tiered = Tiered::new(&graph, plain);
-    let nominal = RunSpec::from(SampleOptions {
-        min_shots: 10_000,
-        ..Default::default()
-    });
-    let boosted = RunSpec {
-        weighting: Weighting::Boosted { beta: 1.0 },
-        ..nominal.clone()
-    };
     fn run<F: DecoderFactory>(
         compiled: &CompiledCircuit,
         factory: &F,
-        spec: &RunSpec,
         threads: usize,
     ) -> Result<EngineRun, EngineError> {
-        LerEngine::new(threads).try_run(compiled, factory, spec, 0xBEEF)
+        let options = SampleOptions {
+            min_shots: 10_000,
+            ..Default::default()
+        };
+        LerEngine::new(threads).try_run(compiled, factory, options, 0xBEEF)
     }
-    for (weighting, spec) in [("nominal", &nominal), ("boosted", &boosted)] {
-        for threads in [1usize, 2, 8] {
-            let runs = [
-                ("uf", run(&compiled, &plain, spec, threads)),
-                ("tiered", run(&compiled, &tiered, spec, threads)),
-            ];
-            for (factory, result) in runs {
-                let run = result.unwrap_or_else(|e| panic!("{factory}/{weighting}: {e}"));
-                assert_eq!(
-                    (run.estimate.shots, run.estimate.failures),
-                    GOLDEN,
-                    "{factory} {weighting} threads={threads}"
-                );
-                assert_eq!(run.boost_beta, 1.0);
-                assert_eq!(run.ess, run.estimate.shots as f64, "unit weights");
-            }
+    for threads in [1usize, 2, 8] {
+        let runs = [
+            ("uf", run(&compiled, &plain, threads)),
+            ("tiered", run(&compiled, &tiered, threads)),
+        ];
+        for (factory, result) in runs {
+            let run = result.unwrap_or_else(|e| panic!("{factory}: {e}"));
+            assert_eq!(
+                (run.estimate.shots, run.estimate.failures),
+                GOLDEN,
+                "{factory} threads={threads}"
+            );
         }
     }
 }

@@ -17,7 +17,7 @@
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
     estimate_ler_seeded, graph_for_circuit, Decoder, EngineError, LerEngine, MwpmDecoder,
-    ReferenceUnionFind, RunSpec, SampleOptions, Tiered, UnionFindDecoder,
+    ReferenceUnionFind, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{CompiledCircuit, FrameSampler, SparseBatch, BATCH};
 use proptest::prelude::*;
@@ -288,14 +288,14 @@ fn mwpm_refuses_shots_beyond_its_exact_bound() {
     let mem = memory(5, 2e-3, 5);
     let compiled = CompiledCircuit::new(&mem.circuit);
     let graph = graph_for_circuit(&mem.circuit);
-    let spec = RunSpec::from(SampleOptions {
+    let options = SampleOptions {
         min_shots: 5_000,
         ..Default::default()
-    });
+    };
     let result = LerEngine::new(2).try_run(
         &compiled,
         &|| MwpmDecoder::new(graph.clone()),
-        &spec,
+        options,
         0xBEEF,
     );
     match result {
@@ -311,7 +311,7 @@ fn mwpm_refuses_shots_beyond_its_exact_bound() {
                 let graph = graph.clone();
                 move || MwpmDecoder::new(graph.clone())
             }),
-            &spec,
+            options,
             0xBEEF,
         )
         .expect("rung 2 decodes the refused chunks");

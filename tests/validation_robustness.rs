@@ -5,7 +5,7 @@
 
 use caliqec_match::{
     graph_for_circuit, Edge, EngineError, LerEngine, MatchingGraph, MwpmDecoder,
-    ReferenceUnionFind, RunSpec, SampleOptions, StopRule, Tiered, UnionFindDecoder, Weighting,
+    ReferenceUnionFind, SampleOptions, Tiered, UnionFindDecoder,
 };
 use caliqec_stab::{Basis, Circuit, CompiledCircuit, MeasIdx, Noise1, Op};
 use proptest::prelude::*;
@@ -114,44 +114,12 @@ proptest! {
                     LerEngine::new(1).try_run(
                         &compiled,
                         &|| UnionFindDecoder::new(graph.clone()),
-                        &RunSpec::from(TINY),
+                        TINY,
                         7,
                     )
                 });
             prop_assert!(matches!(result, Err(EngineError::Circuit(_))));
         }
-    }
-
-    /// Run specs with a non-finite or sub-unit boost, a non-finite or
-    /// negative RSE target, or a failure cap the stop rule contradicts are
-    /// rejected with a typed `EngineError::Options` before any sampling.
-    #[test]
-    fn malformed_run_specs_yield_typed_errors(
-        beta in prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(0.5), Just(-1.0), Just(2.0)],
-        rse in prop_oneof![Just(f64::NAN), Just(-0.1), Just(f64::INFINITY), Just(0.1)],
-    ) {
-        let (circuit, graph) = valid_workload();
-        let compiled = CompiledCircuit::try_new(&circuit).unwrap();
-        let factory = || UnionFindDecoder::new(graph.clone());
-        let spec = RunSpec {
-            weighting: Weighting::Boosted { beta },
-            stop: StopRule::TargetRse(rse),
-            ..RunSpec::from(TINY)
-        };
-        let result = LerEngine::new(1).try_run(&compiled, &factory, &spec, 5);
-        let valid = beta.is_finite() && beta >= 1.0 && rse.is_finite() && rse >= 0.0;
-        prop_assert_eq!(result.is_ok(), valid);
-        let typed = matches!(result, Err(EngineError::Options { .. }));
-        prop_assert_eq!(typed, !valid);
-        let contradictory = RunSpec {
-            budget: SampleOptions { max_failures: 3, ..TINY },
-            ..RunSpec::from(TINY)
-        };
-        let rejected = matches!(
-            LerEngine::new(1).try_run(&compiled, &factory, &contradictory, 5),
-            Err(EngineError::Options { .. })
-        );
-        prop_assert!(rejected);
     }
 
     /// A factory carrying a malformed graph is rejected up front by
@@ -174,7 +142,7 @@ proptest! {
             let result = LerEngine::new(1).try_run(
                 &CompiledCircuit::new(&circuit),
                 &factory,
-                &RunSpec::from(TINY),
+                TINY,
                 3,
             );
             prop_assert!(matches!(result, Err(EngineError::Graph(_))));
