@@ -11,8 +11,7 @@
 //! caliqec serve        [--tenants N] [--distance D] [--windows W] [--rounds R]
 //!                      [--workers T] [--queue-bound Q] [--deadline-us U]
 //!                      [--gap-us G] [--seed S] [--p P] [--cluster] [--strict]
-//!                      [--faults SPEC] [--health-out FILE] [--metrics-out FILE]
-//!                      [--prom-out FILE]
+//!                      [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
 //! caliqec help
 //! ```
 //!
@@ -146,7 +145,6 @@ const COMMANDS: &[Command] = &[
             "gap-us",
             "seed",
             "p",
-            "faults",
             "health-out",
             "metrics-out",
             "prom-out",
@@ -306,29 +304,16 @@ fn cmd_plan(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Resolves the decoder fault-injection plan for `simulate`: the
-/// `--faults SPEC` flag wins over the `CALIQEC_FAULTS` environment
-/// variable; both use the `kind@chunk,...` grammar of
-/// [`FaultPlan::parse`].
-fn fault_plan_from(args: &Args) -> Result<Option<FaultPlan>, CliError> {
-    if let Some(spec) = args.flags.get("faults") {
-        let plan = FaultPlan::parse(spec)
-            .map_err(|e| CliError::Usage(format!("--faults {spec:?}: {e}")))?;
-        return Ok(Some(plan));
-    }
-    FaultPlan::from_env().map_err(|e| CliError::Usage(format!("CALIQEC_FAULTS: {e}")))
-}
-
-/// Silences the default panic hook for the engine's and the streaming
-/// service's named worker threads while faults are armed, so injected
-/// (caught and retried) panics don't spray backtraces over the trace
-/// output. Panics on any other thread still print normally.
+/// Silences the default panic hook for the engine's named worker threads
+/// while faults are armed, so injected (caught and retried) panics don't
+/// spray backtraces over the trace output. Panics on any other thread
+/// still print normally.
 fn quiet_worker_panics() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let worker = std::thread::current()
             .name()
-            .is_some_and(|n| n.starts_with("caliqec-ler-") || n.starts_with("caliqec-stream-"));
+            .is_some_and(|n| n.starts_with("caliqec-ler-"));
         if !worker {
             default_hook(info);
         }
@@ -352,7 +337,13 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         )));
     }
     let strict = args.flags.contains_key("strict");
-    let faults = fault_plan_from(args)?;
+    let faults = args
+        .flags
+        .get("faults")
+        .map(|spec| {
+            FaultPlan::parse(spec).map_err(|e| CliError::Usage(format!("--faults {spec:?}: {e}")))
+        })
+        .transpose()?;
     if faults.is_some() && config.mc_shots == 0 {
         return Err(CliError::Usage(
             "fault injection needs Monte-Carlo sampling; pass --mc-shots S > 0".to_string(),
@@ -553,10 +544,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         )));
     }
     let strict = args.flags.contains_key("strict");
-    let faults = fault_plan_from(args)?;
-    if faults.is_some() {
-        quiet_worker_panics();
-    }
     let want_obs = ["health-out", "metrics-out", "prom-out"]
         .iter()
         .any(|k| args.flags.contains_key(*k));
@@ -597,8 +584,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         workers,
         queue_bound,
         deadline: (deadline_us > 0).then(|| std::time::Duration::from_micros(deadline_us)),
-        faults,
-        ..StreamConfig::default()
     };
     let opts = LoopbackOptions {
         windows_per_tenant: windows,
@@ -685,10 +670,10 @@ USAGE:
       --mc-shots S > 0 measures each trace point by Monte Carlo on the
       parallel LER engine; --threads T sets the worker count (default:
       the CALIQEC_THREADS environment variable, else all cores).
-      --faults SPEC (or the CALIQEC_FAULTS environment variable) injects
-      decoder faults as kind@chunk[,kind@chunk...] with kinds panic,
-      stall, corrupt, badweights; the engine recovers them on its
-      degradation ladder and the summary reports the fallout.
+      --faults SPEC makes the decode of chosen engine chunks panic, as
+      kind@chunk[,kind@chunk...] with kinds panic (a decoder bug) and
+      corrupt (an out-of-range defect id); the engine recovers them on
+      its degradation ladder and the summary reports the fallout.
       --strict exits with code 5 if any measurement was degraded.
       --trace-csv FILE writes the full LER trace as CSV.
       Observability (needs --mc-shots; recording is passive, the trace is
@@ -705,7 +690,7 @@ USAGE:
       Render a (deformed) patch as ASCII art.
   caliqec serve [--tenants N] [--distance D] [--windows W] [--rounds R]
                 [--workers T] [--queue-bound Q] [--deadline-us U] [--gap-us G]
-                [--seed S] [--p P] [--cluster] [--strict] [--faults SPEC]
+                [--seed S] [--p P] [--cluster] [--strict]
                 [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
                 [--quiet]
       Run the streaming decode service against deterministic loopback
@@ -714,14 +699,12 @@ USAGE:
       decodes the reassembled windows. --queue-bound Q bounds each
       tenant's ingress queue (full queues reject windows — backpressure);
       --deadline-us U arms the three-rung shed ladder (0 disables it);
-      --gap-us G paces the open-loop arrival schedule. --faults SPEC (or
-      CALIQEC_FAULTS) adds streaming injections slowtenant@T, delay@W,
-      burst@T, wedge@W on top of the batch kinds. --health-out writes the
-      ServiceHealth JSON snapshot (per-tenant round accounting + latency
-      quantiles); --metrics-out / --prom-out export the observability
-      sink. --strict exits 5 when any window was shed, deferred,
-      rejected, or wedged. The ingested = decoded + shed + deferred
-      round partition is asserted on every run.
+      --gap-us G paces the open-loop arrival schedule. --health-out writes
+      the ServiceHealth JSON snapshot (per-tenant round accounting +
+      latency quantiles); --metrics-out / --prom-out export the
+      observability sink. --strict exits 5 when any window was shed,
+      deferred, rejected, or wedged. The ingested = decoded + shed +
+      deferred round partition is asserted on every run.
   caliqec help
 
 Every subcommand rejects flags it does not read (exit 2); --quiet is

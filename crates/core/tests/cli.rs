@@ -79,3 +79,83 @@ fn tiny_simulate_succeeds() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("calibrations"));
 }
+
+#[test]
+fn serve_takes_no_fault_plan() {
+    // The streaming service has no injection point: a plan it would
+    // silently ignore is refused instead.
+    assert_usage_error(
+        &[
+            "serve",
+            "--tenants",
+            "2",
+            "--windows",
+            "8",
+            "--faults",
+            "panic@0",
+        ],
+        "--faults",
+    );
+}
+
+#[test]
+fn simulate_refuses_fault_kinds_it_cannot_inject() {
+    for spec in ["wedge@0", "stall@1", "badweights@2"] {
+        let kind = spec.split('@').next().unwrap();
+        assert_usage_error(
+            &[
+                "simulate",
+                "--distance",
+                "3",
+                "--mc-shots",
+                "64",
+                "--faults",
+                spec,
+            ],
+            kind,
+        );
+    }
+}
+
+/// The engine recovers injected decoder panics on its degradation ladder
+/// without changing a bit of the trace; only `--strict` objects.
+#[test]
+fn injected_faults_leave_simulate_stdout_unchanged() {
+    let base = [
+        "simulate",
+        "--rows",
+        "3",
+        "--cols",
+        "3",
+        "--distance",
+        "3",
+        "--hours",
+        "2",
+        "--mc-shots",
+        "256",
+        "--threads",
+        "2",
+    ];
+    let clean = caliqec(&base);
+    assert_eq!(clean.status.code(), Some(0));
+    let faults = [&base[..], &["--faults", "panic@0,corrupt@2"]].concat();
+    let chaos = caliqec(&faults);
+    assert_eq!(
+        chaos.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&chaos.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&chaos.stdout),
+        String::from_utf8_lossy(&clean.stdout),
+        "recovered faults must not change the trace"
+    );
+    assert!(String::from_utf8_lossy(&chaos.stderr).contains("faulted chunks"));
+    let strict = caliqec(&[&faults[..], &["--strict"]].concat());
+    assert_eq!(
+        strict.status.code(),
+        Some(5),
+        "--strict refuses a degraded run"
+    );
+}

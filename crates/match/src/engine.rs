@@ -37,24 +37,23 @@
 //! - Inputs are validated up front — a malformed circuit or matching graph
 //!   returns a typed [`EngineError`] instead of panicking inside a worker.
 //! - Each chunk's sample+decode runs under `catch_unwind`. A chunk that
-//!   panics (or stalls, or trips graph validation) is quarantined and
-//!   re-run with the **same** per-batch seed schedule on the next
-//!   rung of a degradation ladder: rung 0 is the factory's full
-//!   [`DecodeStack`], rung 1 a freshly built bare decoder, rung 2 a
-//!   [`ReferenceUnionFind`] over the factory's fallback graph. Because the
-//!   sampled shots depend only on the chunk's batch seeds, a retry
-//!   re-decodes the *identical* syndrome stream.
+//!   panics is quarantined and re-run with the **same** per-batch seed
+//!   schedule on the next rung of a degradation ladder: rung 0 is the
+//!   factory's full [`DecodeStack`], rung 1 a freshly built bare decoder,
+//!   rung 2 a [`ReferenceUnionFind`] over the factory's fallback graph.
+//!   Because the sampled shots depend only on the chunk's batch seeds, a
+//!   retry re-decodes the *identical* syndrome stream.
 //! - A worker panic can no longer cascade: the shared mutex recovers from
 //!   poisoning via `PoisonError::into_inner`, and a chunk that faults on
 //!   every rung surfaces as one typed [`EngineError::ChunkFailed`].
 //! - Every fault is accounted in [`EngineRun`] (`faulted_chunks`,
-//!   `retried_chunks`, `degraded_shots`, per-rung and per-kind counters);
-//!   when no fault fires the results are bit-identical to the unhardened
-//!   engine and all fault counters are zero.
+//!   `retried_chunks`, `degraded_shots`, per-rung counters); when no fault
+//!   fires the results are bit-identical to the unhardened engine and all
+//!   fault counters are zero.
 //!
-//! The [`crate::faults`] module can inject faults at chosen chunk indices
-//! to exercise this machinery deterministically; injection only ever fires
-//! on a chunk's first (rung-0) attempt.
+//! A [`FaultPlan`] makes the decode of chosen chunks panic to exercise
+//! this machinery deterministically; injection only ever fires on a
+//! chunk's first (rung-0) attempt.
 
 use crate::cluster::{cluster_hist_bucket, ClusterTier, CLUSTER_HIST_BUCKETS};
 use crate::decode::{Decoder, LerEstimate, SampleOptions};
@@ -74,7 +73,7 @@ use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Builds per-worker decoder stacks for parallel estimation.
 ///
@@ -540,55 +539,15 @@ struct ChunkResult {
     extract_seconds: f64,
 }
 
-/// Why one decode attempt did not produce a result. Shared by the batch
-/// engine's chunk ladder and the streaming service's window retries.
+/// Why one decode attempt did not produce a result: the message of the
+/// panic `catch_unwind` caught. Shared by the batch engine's chunk ladder
+/// and the streaming service's window retries.
 #[derive(Clone, Debug)]
-pub(crate) enum ChunkFault {
-    /// The decode panicked (caught by `catch_unwind`).
-    Panicked(String),
-    /// The attempt overran its stall deadline.
-    Stalled {
-        /// How long the attempt took.
-        elapsed: Duration,
-        /// The deadline it overran.
-        deadline: Duration,
-    },
-    /// The graph presented to the attempt failed validation.
-    InvalidGraph(ValidationError),
-}
+pub(crate) struct ChunkFault(String);
 
 impl fmt::Display for ChunkFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChunkFault::Panicked(msg) => write!(f, "panicked: {msg}"),
-            ChunkFault::Stalled { elapsed, deadline } => write!(
-                f,
-                "stalled: {:.1} ms exceeded the {:.1} ms deadline",
-                elapsed.as_secs_f64() * 1e3,
-                deadline.as_secs_f64() * 1e3
-            ),
-            ChunkFault::InvalidGraph(e) => write!(f, "invalid graph: {e}"),
-        }
-    }
-}
-
-impl ChunkFault {
-    /// Stable tag used in journal [`EventKind::Fault`] events.
-    fn tag(&self) -> &'static str {
-        match self {
-            ChunkFault::Panicked(_) => "panic",
-            ChunkFault::Stalled { .. } => "stall",
-            ChunkFault::InvalidGraph(_) => "invalid_graph",
-        }
-    }
-
-    /// The obs counter accounting this fault kind.
-    fn counter(&self) -> Counter {
-        match self {
-            ChunkFault::Panicked(_) => Counter::FaultsPanic,
-            ChunkFault::Stalled { .. } => Counter::FaultsStall,
-            ChunkFault::InvalidGraph(_) => Counter::FaultsGraph,
-        }
+        write!(f, "panicked: {}", self.0)
     }
 }
 
@@ -603,18 +562,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `work` panic-isolated: a caught panic becomes
-/// [`ChunkFault::Panicked`] carrying its message.
+/// Runs `work` panic-isolated: a caught panic becomes a [`ChunkFault`]
+/// carrying its message.
 pub(crate) fn isolate<T>(work: impl FnOnce() -> T) -> Result<T, ChunkFault> {
     std::panic::catch_unwind(AssertUnwindSafe(work))
-        .map_err(|payload| ChunkFault::Panicked(panic_message(payload)))
+        .map_err(|payload| ChunkFault(panic_message(payload)))
 }
 
 /// Records the journal entry and counter for one faulted attempt on `rung`.
-pub(crate) fn observe_chunk_fault(obs: &mut WorkerObs, fault: &ChunkFault, rung: usize) {
-    obs.add(fault.counter(), 1);
+pub(crate) fn observe_chunk_fault(obs: &mut WorkerObs, rung: usize) {
+    obs.add(Counter::FaultsPanic, 1);
     obs.event(EventKind::Fault {
-        kind: fault.tag(),
+        kind: "panic",
         rung: rung as u8,
     });
 }
@@ -624,27 +583,12 @@ pub(crate) fn observe_chunk_fault(obs: &mut WorkerObs, fault: &ChunkFault, rung:
 struct FaultTally {
     faults: usize,
     retries: usize,
-    panics: usize,
-    stalls: usize,
-    graphs: usize,
 }
 
 impl FaultTally {
-    fn record(&mut self, fault: &ChunkFault) {
-        self.faults += 1;
-        match fault {
-            ChunkFault::Panicked(_) => self.panics += 1,
-            ChunkFault::Stalled { .. } => self.stalls += 1,
-            ChunkFault::InvalidGraph(_) => self.graphs += 1,
-        }
-    }
-
     fn add(&mut self, other: &FaultTally) {
         self.faults += other.faults;
         self.retries += other.retries;
-        self.panics += other.panics;
-        self.stalls += other.stalls;
-        self.graphs += other.graphs;
     }
 }
 
@@ -732,15 +676,10 @@ fn run_chunk<D: Decoder>(
 /// Runs one panic-isolated attempt at a chunk on `rung`, injecting the
 /// scheduled fault first (injections only reach rung-0 attempts).
 ///
-/// Injections model real failure classes: `Panic` is a decoder bug,
-/// `CorruptDefects` hands the decoder an out-of-range node id as corrupted
-/// syndrome extraction would (the resulting index panic is caught like any
-/// other), `Stall` sleeps past the stall deadline and is treated as timed
-/// out **only on the injected attempt** — legitimate slow chunks are never
-/// deadline-checked, so a loaded machine cannot trigger spurious retries —
-/// and `BadWeights` validates a weight-poisoned copy of the fallback graph,
-/// surfacing the typed [`ValidationError`] a corrupted calibration feed
-/// would produce.
+/// Both injections end in a panic inside the isolated attempt, as the
+/// failures they model would: `Panic` is a decoder bug, `CorruptDefects`
+/// hands the decoder an out-of-range node id as corrupted syndrome
+/// extraction would.
 fn attempt_chunk<F: DecoderFactory, D: Decoder>(
     job: &Job<'_, F>,
     stack: &mut DecodeStack<D>,
@@ -752,42 +691,19 @@ fn attempt_chunk<F: DecoderFactory, D: Decoder>(
     let injected = job
         .faults
         .filter(|_| rung == 0)
-        .and_then(|p| p.injection(chunk))
-        .filter(|k| !k.is_streaming());
-    match injected {
-        None => {}
-        Some(FaultKind::Stall) => {
-            let plan = job
-                .faults
-                .expect("stall injection comes from an armed plan");
-            let started = Instant::now();
-            std::thread::sleep(plan.stall_sleep());
-            let elapsed = started.elapsed();
-            if elapsed >= plan.stall_deadline() {
-                return Err(ChunkFault::Stalled {
-                    elapsed,
-                    deadline: plan.stall_deadline(),
-                });
-            }
-        }
-        Some(FaultKind::BadWeights) => {
-            if let Err(e) = crate::faults::poison_weights(job.factory.fallback_graph()).validate() {
-                return Err(ChunkFault::InvalidGraph(e));
-            }
-        }
-        Some(FaultKind::Panic) => {
-            isolate(|| panic!("injected decoder panic at chunk {chunk}"))?;
-        }
-        Some(FaultKind::CorruptDefects) => {
+        .and_then(|p| p.injection(chunk));
+    isolate(|| {
+        match injected {
+            None => {}
+            Some(FaultKind::Panic) => panic!("injected decoder panic at chunk {chunk}"),
             // A corrupted syndrome stream: one defect id far past every
             // node the decoder knows.
-            isolate(|| stack.decoder.decode(&[usize::MAX / 2]))?;
+            Some(FaultKind::CorruptDefects) => {
+                stack.decoder.decode(&[usize::MAX / 2]);
+            }
         }
-        // Streaming injections are the StreamingDecoder's business and are
-        // filtered out above.
-        Some(kind) => unreachable!("streaming fault {kind} reached the batch engine"),
-    }
-    isolate(|| run_chunk(job.compiled, &job.plan, chunk, stack, scratch, obs, rung))
+        run_chunk(job.compiled, &job.plan, chunk, stack, scratch, obs, rung)
+    })
 }
 
 /// Result of one [`LerEngine::try_run`]: the estimate plus
@@ -873,12 +789,6 @@ pub struct EngineRun {
     /// Chunks completed per ladder rung (`rung_chunks[0]` is the pristine
     /// fast path; entries sum to `chunks_executed`).
     pub rung_chunks: [usize; LADDER_RUNGS],
-    /// Fault events that were caught panics.
-    pub panic_faults: usize,
-    /// Fault events that were stall-deadline overruns.
-    pub stall_faults: usize,
-    /// Fault events that were graph-validation failures.
-    pub graph_faults: usize,
     /// Batches the defect-density gate sent through the cluster
     /// decomposition (counted only while a cluster tier was armed).
     pub cluster_gate_on: usize,
@@ -994,7 +904,7 @@ pub struct LerEngine {
 impl LerEngine {
     /// Creates an engine with `threads` workers (0 = auto: honours the
     /// `CALIQEC_THREADS` environment variable, else all available cores).
-    /// No fault plan is armed; [`LerEngine::with_faults`] injects one.
+    /// No fault plan is armed; [`LerEngine::with_faults`] arms one.
     /// Observability is disabled; [`LerEngine::with_obs`] attaches a sink.
     pub fn new(threads: usize) -> LerEngine {
         LerEngine {
@@ -1004,9 +914,7 @@ impl LerEngine {
         }
     }
 
-    /// Arms a fault-injection plan (empty plans disarm). Library
-    /// constructors never read the environment; binaries that honour
-    /// `CALIQEC_FAULTS` combine this with [`FaultPlan::from_env`].
+    /// Arms a fault-injection plan (empty plans disarm).
     pub fn with_faults(mut self, plan: FaultPlan) -> LerEngine {
         self.faults = if plan.is_empty() { None } else { Some(plan) };
         self
@@ -1026,11 +934,6 @@ impl LerEngine {
     /// [`LerEngine::with_obs`] replaced it).
     pub fn obs(&self) -> &ObsSink {
         &self.obs
-    }
-
-    /// The armed fault plan, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// The resolved worker count.
@@ -1172,9 +1075,6 @@ fn assemble_run(
         retried_chunks: faults.retries,
         degraded_shots,
         rung_chunks,
-        panic_faults: faults.panics,
-        stall_faults: faults.stalls,
-        graph_faults: faults.graphs,
         cluster_gate_on: stats.cluster_gate_on,
         cluster_gate_off: stats.cluster_gate_off,
     })
@@ -1289,8 +1189,8 @@ fn worker_loop<F: DecoderFactory>(job: &Job<'_, F>, mut obs: WorkerObs) {
                     break Ok(result);
                 }
                 Err(fault) => {
-                    observe_chunk_fault(&mut obs, &fault, rung);
-                    tally.record(&fault);
+                    observe_chunk_fault(&mut obs, rung);
+                    tally.faults += 1;
                     if rung == 0 {
                         stack = None;
                     }
@@ -1734,7 +1634,6 @@ mod tests {
         assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
         assert_eq!(faulty.faulted_chunks, 2);
         assert_eq!(faulty.retried_chunks, 2);
-        assert_eq!(faulty.panic_faults, 2);
         assert!(faulty.degraded());
         assert_eq!(faulty.rung_chunks[1], 2);
         assert!(faulty.degraded_shots > 0);

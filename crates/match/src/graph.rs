@@ -367,8 +367,8 @@ impl MatchingGraph {
     ///   single defect is matchable.
     ///
     /// [`MatchingGraph::from_dem`] only produces valid graphs; graphs from
-    /// [`MatchingGraph::from_edges`] or mutated by fault injection may not
-    /// be, and the hardened engine validates before launching workers.
+    /// [`MatchingGraph::from_edges`] may not be, and the hardened engine
+    /// validates before launching workers.
     pub fn validate(&self) -> Result<(), ValidationError> {
         let num_nodes = self.num_nodes();
         for (i, e) in self.edges.iter().enumerate() {

@@ -33,8 +33,8 @@
 //!   up front ([`MatchingGraph::validate`], typed
 //!   [`ValidationError`]/[`EngineError`]), each chunk runs panic-isolated
 //!   with a deterministic same-seed retry on a degradation ladder, and
-//!   [`FaultPlan`] can inject faults (panics, stalls, corrupted defects,
-//!   poisoned weights) at chosen chunks to prove it all works.
+//!   [`FaultPlan`] can make chosen chunks' decodes panic (outright or on a
+//!   corrupted defect list) to prove it all works.
 //! - Calibration-aware reweighting: graphs built from a DEM keep per-edge
 //!   provenance, so [`MatchingGraph::reweight`] recomputes probabilities and
 //!   weights in place from an updated [`caliqec_stab::RateTable`] without
@@ -92,7 +92,7 @@ pub use engine::{
     DEFECT_HIST_BUCKETS, LADDER_RUNGS,
 };
 pub use error::{EngineError, ValidationError};
-pub use faults::{poison_weights, FaultKind, FaultPlan, Injection};
+pub use faults::{FaultKind, FaultPlan};
 pub use graph::{Edge, MatchingGraph, NodeId};
 pub use mwpm::MwpmDecoder;
 pub use predecode::{ClusterGate, Predecoder, Tiered, CLUSTER_GATE_MIN_MEAN_DEFECTS};

@@ -44,9 +44,9 @@ impl Event {
     }
 }
 
-/// Event payloads. Fault kinds are static strings (`"panic"`, `"stall"`,
-/// `"invalid_graph"`) so the journal stays allocation-free and this crate
-/// stays a leaf dependency.
+/// Event payloads. Fault kinds are static strings (today always
+/// `"panic"`) so the journal stays allocation-free and this crate stays a
+/// leaf dependency.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
     /// An engine run began.
@@ -84,9 +84,10 @@ pub enum EventKind {
         /// Full-decoder time.
         decode_nanos: u64,
     },
-    /// A chunk attempt failed.
+    /// A chunk attempt (or a streaming window's decode) failed.
     Fault {
-        /// `"panic"`, `"stall"`, or `"invalid_graph"`.
+        /// Always `"panic"`: every fault is a panic caught by the
+        /// engine's `catch_unwind`.
         kind: &'static str,
         /// Rung the failed attempt ran on.
         rung: u8,

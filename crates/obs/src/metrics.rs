@@ -80,10 +80,6 @@ pub enum Counter {
     ShotsDegraded,
     /// Chunk attempts that ended in a caught panic.
     FaultsPanic,
-    /// Chunk attempts that overran their stall deadline.
-    FaultsStall,
-    /// Chunk attempts rejected by graph validation.
-    FaultsGraph,
     /// Ladder retries launched in response to faults.
     Retries,
     /// Chunks that finished on the pristine rung 0.
@@ -107,7 +103,7 @@ pub enum Counter {
     /// Rounds refused at admission by backpressure (ingress queue at its
     /// configured bound). Rejected rounds are *not* counted as ingested.
     RoundsRejected,
-    /// Same-seed deterministic window retries after a worker fault or wedge.
+    /// Same-window retries after a streaming decode panic.
     StreamRetries,
     /// Wedged-worker detections by the streaming watchdog.
     WorkerWedges,
@@ -115,7 +111,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 20] = [
         Counter::RunsStarted,
         Counter::ChunksStarted,
         Counter::ChunksFinished,
@@ -125,8 +121,6 @@ impl Counter {
         Counter::ShotsCluster,
         Counter::ShotsDegraded,
         Counter::FaultsPanic,
-        Counter::FaultsStall,
-        Counter::FaultsGraph,
         Counter::Retries,
         Counter::ChunksRung0,
         Counter::ChunksRung1,
@@ -152,8 +146,6 @@ impl Counter {
             Counter::ShotsCluster => "shots_cluster",
             Counter::ShotsDegraded => "shots_degraded",
             Counter::FaultsPanic => "faults_panic",
-            Counter::FaultsStall => "faults_stall",
-            Counter::FaultsGraph => "faults_graph",
             Counter::Retries => "retries",
             Counter::ChunksRung0 => "chunks_rung0",
             Counter::ChunksRung1 => "chunks_rung1",
