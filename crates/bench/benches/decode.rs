@@ -6,8 +6,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, ClusterTier, Decoder, MatchingGraph, MwpmDecoder, Predecoder,
-    ReferenceUnionFind, UnionFindDecoder, MAX_CLUSTER_DEFECTS,
+    graph_for_circuit, ClusterTier, Decoder, MatchingGraph, MwpmDecoder, ReferenceUnionFind,
+    UnionFindDecoder, MAX_CLUSTER_DEFECTS,
 };
 use caliqec_stab::{extract_dem, BatchEvents, FrameSampler, RateTable, SparseBatch, BATCH};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -199,58 +199,6 @@ fn bench_decode_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two-tier fast path vs the plain decoder on the same batches: shots
-/// the predecoder certifies never reach the union-find machinery. d = 7 is
-/// the sparse regime where certification fires on a meaningful fraction of
-/// shots; at d ≥ 11 circuit noise the typical shot is too dense to certify
-/// and the two curves converge (the dispatch overhead is the difference).
-fn bench_two_tier(c: &mut Criterion) {
-    let (graph, evs) = setup_batches(7, 16);
-    let mut group = c.benchmark_group("two_tier_d7");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(BATCH as u64));
-    group.bench_function("predecode_off", |b| {
-        let mut dec = UnionFindDecoder::new(graph.clone());
-        let mut sparse = SparseBatch::new();
-        let mut i = 0;
-        b.iter(|| {
-            let ev = &evs[i % evs.len()];
-            i += 1;
-            sparse.extract(ev);
-            let mut failures = 0usize;
-            for s in 0..BATCH {
-                if dec.decode(sparse.defects(s)) != sparse.observables(s) {
-                    failures += 1;
-                }
-            }
-            failures
-        });
-    });
-    group.bench_function("predecode_on", |b| {
-        let mut pre = Predecoder::new(&graph);
-        let mut dec = UnionFindDecoder::new(graph.clone());
-        let mut sparse = SparseBatch::new();
-        let mut i = 0;
-        b.iter(|| {
-            let ev = &evs[i % evs.len()];
-            i += 1;
-            sparse.extract(ev);
-            let mut failures = 0usize;
-            for s in 0..BATCH {
-                let defects = sparse.defects(s);
-                let mask = pre
-                    .predecode(defects)
-                    .unwrap_or_else(|| dec.decode(defects));
-                if mask != sparse.observables(s) {
-                    failures += 1;
-                }
-            }
-            failures
-        });
-    });
-    group.finish();
-}
-
 /// The dense-regime cluster tier at the d = 15 wall: monolithic union-find
 /// over whole dense shots (`cluster_off`) vs flood-decomposition with
 /// certified peeling plus one union-find call on the residual union
@@ -365,7 +313,6 @@ criterion_group!(
     bench_mwpm,
     bench_extraction,
     bench_decode_pipeline,
-    bench_two_tier,
     bench_dense_cluster,
     bench_reweight
 );

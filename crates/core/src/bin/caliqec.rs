@@ -544,10 +544,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         )));
     }
     let strict = args.flags.contains_key("strict");
-    let want_obs = ["health-out", "metrics-out", "prom-out"]
-        .iter()
-        .any(|k| args.flags.contains_key(*k));
-    let sink = ObsSink::new(want_obs);
+    // Always enabled: the printed latency quantiles read its histograms.
+    let sink = ObsSink::enabled();
 
     // One loopback tenant per logical patch: same code, per-tenant seed.
     let mem = memory_circuit(
@@ -633,14 +631,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if let Some(path) = args.flags.get("health-out") {
         write_text(path, &h.to_json())?;
     }
-    if sink.is_enabled() {
-        let snap = sink.snapshot();
-        if let Some(path) = args.flags.get("metrics-out") {
-            write_text(path, &render_json(&snap))?;
-        }
-        if let Some(path) = args.flags.get("prom-out") {
-            write_text(path, &render_prometheus(&snap))?;
-        }
+    if let Some(path) = args.flags.get("metrics-out") {
+        write_text(path, &render_json(&sink.snapshot()))?;
+    }
+    if let Some(path) = args.flags.get("prom-out") {
+        write_text(path, &render_prometheus(&sink.snapshot()))?;
     }
     let degraded = h.windows_shed + h.windows_deferred + h.wedges > 0
         || h.tenants.iter().any(|t| t.rounds_rejected > 0);

@@ -98,6 +98,35 @@ fn serve_takes_no_fault_plan() {
     );
 }
 
+/// The printed round latency is a measurement on every run, not only when
+/// an export flag happens to enable the observability sink.
+#[test]
+fn serve_prints_a_measured_latency_without_exports() {
+    let out = caliqec(&[
+        "serve",
+        "--tenants",
+        "2",
+        "--windows",
+        "8",
+        "--workers",
+        "2",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let p50: f64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("round latency us: p50 "))
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no round latency line in {stdout:?}"));
+    assert!(p50 > 0.0, "p50 {p50} is a placeholder, not a measurement");
+}
+
 #[test]
 fn simulate_refuses_fault_kinds_it_cannot_inject() {
     for spec in ["wedge@0", "stall@1", "badweights@2"] {

@@ -1,7 +1,7 @@
 //! Dense-regime decode tier: flood decomposition plus per-cluster
-//! certification for shots the sparse predecoder cannot touch.
+//! certification for shots too dense for the shot-level certifier.
 //!
-//! The tier-1 predecoder ([`crate::Predecoder`]) is all-or-nothing *per
+//! The shot-level predecoder ([`crate::Predecoder`]) is all-or-nothing *per
 //! shot*: one uncertifiable defect declines the whole syndrome, so at
 //! d = 15 / p = 1e-3 — where every shot carries ~35 defects from ~17
 //! independent error mechanisms — it never fires and the full decoder pays
@@ -138,6 +138,8 @@ pub struct ClusterTier {
     members: Vec<u32>,
     /// CSR offsets into `members`, one entry per cluster plus a tail.
     cluster_off: Vec<u32>,
+    /// Per-cluster fill cursor into `members` while grouping.
+    cursor: Vec<u32>,
     /// Sizes of all flood clusters of the current shot, cluster order.
     sizes: Vec<u32>,
     /// Defect node ids of uncertified clusters, concatenated cluster-major.
@@ -176,6 +178,7 @@ impl ClusterTier {
             parent: Vec::new(),
             members: Vec::new(),
             cluster_off: Vec::new(),
+            cursor: Vec::new(),
             sizes: Vec::new(),
             residual: Vec::new(),
             residual_ends: Vec::new(),
@@ -261,14 +264,13 @@ impl ClusterTier {
         }
         self.cluster_off.push(acc);
         self.members.resize(k, 0);
-        {
-            let mut cursor: Vec<u32> = self.cluster_off[..clusters].to_vec();
-            for i in 0..k as u32 {
-                let root = self.find(i);
-                let c = self.sizes.binary_search(&root).expect("root is recorded");
-                self.members[cursor[c] as usize] = i;
-                cursor[c] += 1;
-            }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.cluster_off[..clusters]);
+        for i in 0..k as u32 {
+            let root = self.find(i);
+            let c = self.sizes.binary_search(&root).expect("root is recorded");
+            self.members[self.cursor[c] as usize] = i;
+            self.cursor[c] += 1;
         }
         // Replace the temporary root map with the real cluster sizes.
         for c in 0..clusters {

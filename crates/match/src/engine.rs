@@ -94,10 +94,10 @@ pub trait DecoderFactory: Sync {
     fn build(&self) -> Self::Decoder;
 
     /// Builds one rung-0 decoder stack: the decoder plus whatever front
-    /// tiers the factory arms (one stack per worker; stacks share their
+    /// tier the factory arms (one stack per worker; stacks share their
     /// tables). The default is a bare stack — plain factories decode every
     /// nonempty shot in full. Wrap a factory in [`crate::Tiered`] for the
-    /// predecoder and cluster tiers.
+    /// cluster tier and the rung-2 fallback graph.
     fn stack(&self) -> DecodeStack<Self::Decoder> {
         DecodeStack::new(self.build())
     }
@@ -126,32 +126,33 @@ impl<D: Decoder, F: Fn() -> D + Sync> DecoderFactory for F {
     }
 }
 
-/// A decoder plus the front tiers that see each shot before it: the tier-1
-/// [`Predecoder`], the dense-regime [`ClusterTier`] and its density
-/// [`ClusterGate`]. [`DecoderFactory::stack`] builds one per worker; the
-/// batch engine and the streaming service decode every window through it.
+/// A decoder plus the one front tier that may see a shot before it: the
+/// dense-regime [`ClusterTier`] under its density [`ClusterGate`].
+/// [`DecoderFactory::stack`] builds one per worker; the batch engine and
+/// the streaming service decode every window through it.
+///
+/// Rung 0 dispatches each shot to one of three places: tier 0 (an empty
+/// syndrome, identity mask), the cluster tier (more than
+/// [`Predecoder::MAX_CERT_DEFECTS`] defects, with a tier armed and its gate
+/// on), or the full decoder (everything else).
 #[derive(Debug)]
 pub struct DecodeStack<D> {
-    /// The full decoder every uncertified shot reaches.
+    /// The full decoder every nonempty shot reaches unless the cluster
+    /// tier resolves it.
     pub decoder: D,
-    /// Certifier for provably-local sparse shots, if armed.
-    pub predecoder: Option<Predecoder>,
     /// Flood decomposition for dense shots, if armed.
     pub cluster: Option<ClusterTier>,
     /// When the cluster tier runs (meaningful only with `cluster` armed).
     pub gate: ClusterGate,
-    pub(crate) scratch: WindowScratch,
 }
 
 impl<D> DecodeStack<D> {
-    /// A bare stack: `decoder` alone, no front tiers.
+    /// A bare stack: `decoder` alone, no front tier.
     pub fn new(decoder: D) -> DecodeStack<D> {
         DecodeStack {
             decoder,
-            predecoder: None,
             cluster: None,
             gate: ClusterGate::Off,
-            scratch: WindowScratch::default(),
         }
     }
 }
@@ -263,10 +264,6 @@ pub const LADDER_RUNGS: usize = 3;
 pub(crate) struct WindowStats {
     /// Shots with an empty defect list (identity correction, no decoder).
     pub(crate) tier0_shots: usize,
-    /// Shots certified by the tier-1 predecoder.
-    pub(crate) predecoded_shots: usize,
-    /// Defects on those certified shots.
-    pub(crate) predecoded_defects: usize,
     /// Shots that reached a full-decoder call.
     pub(crate) residual_shots: usize,
     /// Dense shots fully resolved by the cluster tier.
@@ -287,8 +284,6 @@ pub(crate) struct WindowStats {
     /// Time inside the tier-dispatch classification scan (the batch engine
     /// charges this to its extract phase).
     pub(crate) classify_seconds: f64,
-    /// Predecoder certification time.
-    pub(crate) predecode_seconds: f64,
     /// Flood-decomposition time.
     pub(crate) cluster_seconds: f64,
     /// Full-decoder time.
@@ -299,8 +294,6 @@ impl Default for WindowStats {
     fn default() -> WindowStats {
         WindowStats {
             tier0_shots: 0,
-            predecoded_shots: 0,
-            predecoded_defects: 0,
             residual_shots: 0,
             clustered_shots: 0,
             clustered_defects: 0,
@@ -310,7 +303,6 @@ impl Default for WindowStats {
             cluster_gate_on: 0,
             cluster_gate_off: 0,
             classify_seconds: 0.0,
-            predecode_seconds: 0.0,
             cluster_seconds: 0.0,
             decode_seconds: 0.0,
         }
@@ -321,8 +313,6 @@ impl WindowStats {
     /// Adds `other` into `self`, field by field.
     fn add(&mut self, other: &WindowStats) {
         self.tier0_shots += other.tier0_shots;
-        self.predecoded_shots += other.predecoded_shots;
-        self.predecoded_defects += other.predecoded_defects;
         self.residual_shots += other.residual_shots;
         self.clustered_shots += other.clustered_shots;
         self.clustered_defects += other.clustered_defects;
@@ -340,50 +330,35 @@ impl WindowStats {
         self.cluster_gate_on += other.cluster_gate_on;
         self.cluster_gate_off += other.cluster_gate_off;
         self.classify_seconds += other.classify_seconds;
-        self.predecode_seconds += other.predecode_seconds;
         self.cluster_seconds += other.cluster_seconds;
         self.decode_seconds += other.decode_seconds;
     }
 }
 
-/// Reusable shot-classification scratch for
-/// [`DecodeStack::decode_window_masks`]: tier-dispatch index lists whose
-/// capacity persists across windows.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WindowScratch {
-    /// Shots past the certification bound, straight to the full decoder.
-    dense: Vec<u32>,
-    /// Predecoder candidates.
-    cand: Vec<u32>,
-    /// Candidates the predecoder declined.
-    uncertified: Vec<u32>,
-}
-
 impl<D: Decoder> DecodeStack<D> {
     /// Decodes one extracted 64-shot window into per-shot predicted
-    /// observable masks — the tier-dispatch core shared by the batch engine
+    /// observable masks — the rung-0 dispatch shared by the batch engine
     /// ([`LerEngine`]) and the streaming service
     /// ([`crate::StreamingDecoder`]).
     ///
     /// `masks[s]` receives the stack's predicted observable mask for shot
-    /// `s`: `0` for an empty syndrome, the certified mask for a predecoded
-    /// shot, the peel-XOR-residual mask on the cluster path, and the full
-    /// decoder's mask otherwise. Callers that know the ground truth (the
-    /// batch engine, which sampled the observables alongside the detectors)
-    /// XOR against it to count failures; callers that don't (a streaming
-    /// service fed detector events only) forward the masks as corrections.
-    /// The mask of every shot is a deterministic function of `(window
-    /// contents, stack configuration)` — nothing here depends on wall clock
-    /// or thread interleaving.
+    /// `s`: `0` for an empty syndrome, the peel-XOR-residual mask on the
+    /// cluster path, and the full decoder's mask otherwise. Callers that
+    /// know the ground truth (the batch engine, which sampled the
+    /// observables alongside the detectors) XOR against it to count
+    /// failures; callers that don't (a streaming service fed detector
+    /// events only) forward the masks as corrections. The mask of every
+    /// shot is a deterministic function of `(window contents, stack
+    /// configuration)` — nothing here depends on wall clock or thread
+    /// interleaving.
     ///
     /// Tier accounting accumulates into `stats` (additive across windows),
     /// including the density gate's verdict when a cluster tier is armed.
-    /// The `Auto` gate
-    /// compares the window's mean defect count against
+    /// The `Auto` gate compares the window's mean defect count against
     /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`]. When `obs` is enabled, per-shot
-    /// predecode/decode latencies land in its histograms (`decode_hist`
-    /// selects the rung-specific decode histogram); a disabled handle costs
-    /// one branch per shot and reads no clock.
+    /// decode latencies land in its histograms (`decode_hist` selects the
+    /// rung-specific decode histogram); a disabled handle costs one branch
+    /// per shot and reads no clock.
     pub(crate) fn decode_window_masks(
         &mut self,
         sparse: &SparseBatch,
@@ -394,24 +369,13 @@ impl<D: Decoder> DecodeStack<D> {
     ) {
         let DecodeStack {
             decoder,
-            predecoder,
             cluster,
             gate,
-            scratch:
-                WindowScratch {
-                    dense,
-                    cand,
-                    uncertified,
-                },
         } = self;
-        let has_pre = predecoder.is_some();
-        // Tier dispatch: tier 0 (empty defect list — identity correction) is
-        // resolved here; shots past the certification bound go straight to
-        // `dense` (at d ≥ 15 this is nearly every shot, and the predecoder
-        // phase used to pay for all of them).
+        // Tier 0 (empty defect list — identity correction) is resolved
+        // here, together with the defect histogram and the window's defect
+        // total the `Auto` gate reads.
         let t1 = Instant::now();
-        dense.clear();
-        cand.clear();
         let mut window_defects = 0usize;
         for (s, mask) in masks.iter_mut().enumerate() {
             let defects = sparse.defect_count(s);
@@ -420,41 +384,15 @@ impl<D: Decoder> DecodeStack<D> {
             if defects == 0 {
                 stats.tier0_shots += 1;
                 *mask = 0;
-            } else if has_pre && defects <= Predecoder::MAX_CERT_DEFECTS {
-                cand.push(s as u32);
-            } else {
-                dense.push(s as u32);
             }
         }
-        let t2 = Instant::now();
-        stats.classify_seconds += (t2 - t1).as_secs_f64();
-        uncertified.clear();
-        if let Some(pre) = predecoder {
-            // Dense configs leave `cand` empty for almost every window;
-            // skipping the pass entirely avoids paying the per-shot timer
-            // setup just to report a tier that never fired.
-            if !cand.is_empty() {
-                let mut shot_t = obs.clock();
-                for &s in cand.iter() {
-                    let s = s as usize;
-                    if let Some(mask) = pre.predecode(sparse.defects(s)) {
-                        stats.predecoded_shots += 1;
-                        stats.predecoded_defects += sparse.defect_count(s);
-                        masks[s] = mask;
-                    } else {
-                        uncertified.push(s as u32);
-                    }
-                    shot_t = obs.record_since(Hist::PredecodeShot, shot_t);
-                }
-            }
-        }
-        let t3 = Instant::now();
-        stats.predecode_seconds += (t3 - t2).as_secs_f64();
+        stats.classify_seconds += t1.elapsed().as_secs_f64();
         // Defect-density gate: below the threshold, the flood decomposition
         // costs more than the monolithic decodes it replaces, so `Auto`
-        // diverts sparse windows to the merge path. Both paths decode every
-        // shot exactly, so gating never changes a mask — only where the time
-        // goes.
+        // diverts sparse windows to the full decoder. The two paths are
+        // different decoders — a partially peeled shot can get a different
+        // mask than its monolithic decode — so the gate can change a mask
+        // and a failure count, not only where the time goes.
         let cluster_ran = cluster.is_some()
             && match gate {
                 ClusterGate::On => true,
@@ -470,16 +408,22 @@ impl<D: Decoder> DecodeStack<D> {
                 stats.cluster_gate_off += 1;
             }
         }
-        let monolithic: &[u32] = if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
+        // Shots past this bound took the cluster path below.
+        let mut monolithic_bound = usize::MAX;
+        if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
+            monolithic_bound = Predecoder::MAX_CERT_DEFECTS;
             // Dense shots: flood-decompose, peel certified clusters, decode
             // the residual union in one full-decoder call, XOR the masks.
             // Phase time is summed per shot (decomposition vs decoding), so
             // loop-tail bookkeeping is charged to neither and the timers
             // stay below wall clock.
-            for &s in dense.iter() {
-                let s = s as usize;
+            for (s, mask) in masks.iter_mut().enumerate() {
+                let defects = sparse.defects(s);
+                if defects.len() <= monolithic_bound {
+                    continue;
+                }
                 let c0 = Instant::now();
-                let out = clu.decompose(sparse.defects(s));
+                let out = clu.decompose(defects);
                 let c1 = Instant::now();
                 stats.cluster_seconds += (c1 - c0).as_secs_f64();
                 stats.clusters_total += out.clusters as u64;
@@ -487,7 +431,7 @@ impl<D: Decoder> DecodeStack<D> {
                     stats.cluster_size_histogram[cluster_hist_bucket(size as usize)] += 1;
                 }
                 stats.clustered_defects += out.peeled_defects as usize;
-                let mut mask = out.mask;
+                *mask = out.mask;
                 if out.fully_peeled() {
                     stats.clustered_shots += 1;
                     if obs.enabled() {
@@ -496,31 +440,28 @@ impl<D: Decoder> DecodeStack<D> {
                 } else {
                     stats.residual_shots += 1;
                     let d0 = Instant::now();
-                    mask ^= decoder.decode(clu.residual_defects());
+                    *mask ^= decoder.decode(clu.residual_defects());
                     let d1 = Instant::now();
                     stats.decode_seconds += (d1 - d0).as_secs_f64();
                     if obs.enabled() {
                         obs.record(decode_hist, (d1 - d0).as_nanos() as u64);
                     }
                 }
-                masks[s] = mask;
             }
-            &[]
-        } else {
-            dense
-        };
-        // The full decoder takes the dense shots the cluster tier did not,
-        // then the predecoder's declines. A decode depends on its defects
-        // alone (`Decoder::decode`), so the order changes no mask.
-        let t4 = Instant::now();
+        }
+        // The full decoder takes every other nonempty shot.
+        let t2 = Instant::now();
         let mut shot_t = obs.clock();
-        for &s in monolithic.iter().chain(uncertified.iter()) {
-            let s = s as usize;
-            masks[s] = decoder.decode(sparse.defects(s));
+        for (s, mask) in masks.iter_mut().enumerate() {
+            let defects = sparse.defects(s);
+            if defects.is_empty() || defects.len() > monolithic_bound {
+                continue;
+            }
+            *mask = decoder.decode(defects);
+            stats.residual_shots += 1;
             shot_t = obs.record_since(decode_hist, shot_t);
         }
-        stats.decode_seconds += t4.elapsed().as_secs_f64();
-        stats.residual_shots += monolithic.len() + uncertified.len();
+        stats.decode_seconds += t2.elapsed().as_secs_f64();
     }
 }
 
@@ -531,8 +472,7 @@ struct ChunkResult {
     failures: usize,
     /// Ladder rung the chunk completed on.
     rung: usize,
-    /// Tier and gate accounting and the predecode/cluster/decode phase
-    /// timers.
+    /// Tier and gate accounting and the cluster/decode phase timers.
     stats: WindowStats,
     sample_seconds: f64,
     /// Sparse extraction plus the tier-dispatch classification scan.
@@ -598,14 +538,14 @@ impl FaultTally {
 /// frame sampling, word-sparse syndrome extraction plus tier-dispatch
 /// bookkeeping (defect counting, the histogram, and tier-0 skips are
 /// syndrome accounting, so they are charged to `extract_seconds`, not to a
-/// decode phase), predecoder certification, cluster decomposition, and
-/// full decoding of the residual shots — so `sample + extract + predecode
-/// + cluster + decode <= wall` holds per worker.
+/// decode phase), cluster decomposition, and full decoding of the residual
+/// shots — so `sample + extract + cluster + decode <= wall` holds per
+/// worker.
 ///
-/// Tier dispatch preserves the failure count bit for bit: tier-0 skips
-/// reproduce `decode(&[]) == 0`, a [`Predecoder`] only certifies shots
-/// whose local correction provably equals the full decoder's, and the
-/// residual shots reach the decoder in ascending shot order.
+/// Without a cluster tier, tier dispatch preserves the bare decoder's
+/// failure count bit for bit: tier-0 skips reproduce `decode(&[]) == 0`,
+/// and every other shot reaches the decoder. An armed cluster tier is a
+/// decoder variant (see [`ClusterTier`]).
 fn run_chunk<D: Decoder>(
     compiled: &CompiledCircuit,
     plan: &ChunkPlan,
@@ -730,10 +670,8 @@ pub struct EngineRun {
     /// tier-dispatch bookkeeping (defect counting, the histogram, tier-0
     /// skips), summed across workers.
     pub extract_seconds: f64,
-    /// CPU seconds spent in predecoder certification proper, summed across
-    /// workers. Split out of `decode_seconds` so the full-decoder cost
-    /// stays comparable with and without the fast path; dispatch
-    /// bookkeeping is charged to `extract_seconds`.
+    /// Always 0: no decode stack runs a predecoder. Kept for the
+    /// benchmark harness, which still reads it.
     pub predecode_seconds: f64,
     /// CPU seconds spent flood-decomposing dense shots into independent
     /// clusters and peeling the certified ones (the dense-regime cluster
@@ -748,13 +686,12 @@ pub struct EngineRun {
     ///
     /// Like the timing counters, the per-tier shot counters and the
     /// histogram cover *all executed* chunks; without early stopping they
-    /// partition `estimate.shots` exactly: `tier0_shots + predecoded_shots
-    /// + clustered_shots + residual_shots == shots`.
+    /// partition `estimate.shots` exactly: `tier0_shots + clustered_shots +
+    /// residual_shots == shots`.
     pub tier0_shots: usize,
-    /// Shots fully resolved by the tier-1 predecoder (tier 1).
+    /// Always 0: no decode stack runs a predecoder. Kept for the
+    /// benchmark harness, which still reads it.
     pub predecoded_shots: usize,
-    /// Total defects across predecoded shots.
-    pub predecoded_defects: usize,
     /// Shots decoded by the full decoder (tier 2). A dense shot whose
     /// decomposition left at least one uncertified cluster counts here (it
     /// made decoder calls), even though its certified clusters peeled.
@@ -1059,12 +996,11 @@ fn assemble_run(
         wall_seconds: started.elapsed().as_secs_f64(),
         sample_seconds,
         extract_seconds,
-        predecode_seconds: stats.predecode_seconds,
+        predecode_seconds: 0.0,
         cluster_seconds: stats.cluster_seconds,
         decode_seconds: stats.decode_seconds,
         tier0_shots: stats.tier0_shots,
-        predecoded_shots: stats.predecoded_shots,
-        predecoded_defects: stats.predecoded_defects,
+        predecoded_shots: 0,
         residual_shots: stats.residual_shots,
         clustered_shots: stats.clustered_shots,
         clustered_defects: stats.clustered_defects,
@@ -1096,7 +1032,6 @@ fn observe_chunk_finish(
     let _ = obs.record_since(Hist::ChunkWall, attempt_started);
     obs.add(Counter::ChunksFinished, 1);
     obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
-    obs.add(Counter::ShotsTier1, stats.predecoded_shots as u64);
     obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
     if stats.clustered_shots > 0 {
         obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
@@ -1120,11 +1055,9 @@ fn observe_chunk_finish(
         shots: shots as u32,
         failures: result.failures as u32,
         tier0: stats.tier0_shots as u32,
-        tier1: stats.predecoded_shots as u32,
         tier2: stats.residual_shots as u32,
         sample_nanos: (result.sample_seconds * 1e9) as u64,
         extract_nanos: (result.extract_seconds * 1e9) as u64,
-        predecode_nanos: (stats.predecode_seconds * 1e9) as u64,
         decode_nanos: (stats.decode_seconds * 1e9) as u64,
     });
     if stats.cluster_gate_on + stats.cluster_gate_off > 0 {
@@ -1407,13 +1340,10 @@ mod tests {
     }
 
     /// Without early stopping the tier counters partition the shot count
-    /// and the defect histogram covers every shot — with and without a
-    /// predecoder attached.
+    /// and the defect histogram covers every shot — for a plain factory and
+    /// a `Tiered` one, which decode the same shots the same way.
     #[test]
     fn tier_counters_partition_shots() {
-        // A real surface-code patch: the rep-chain toy graphs are so small
-        // that every node sits next to the frustrated seam and the
-        // predecoder (correctly) never certifies anything there.
         let mem = caliqec_code::memory_circuit(
             &caliqec_code::rotated_patch(3, 3),
             &caliqec_code::NoiseModel::uniform(5e-3),
@@ -1438,10 +1368,10 @@ mod tests {
         });
         let tiered =
             LerEngine::new(2).estimate(&CompiledCircuit::new(&c), &tiered_factory, opts, 5);
-        assert_eq!(tiered.estimate, plain.estimate, "fast path changed results");
+        assert_eq!(tiered.estimate, plain.estimate, "Tiered changed results");
         for run in [&plain, &tiered] {
             assert_eq!(
-                run.tier0_shots + run.predecoded_shots + run.clustered_shots + run.residual_shots,
+                run.tier0_shots + run.clustered_shots + run.residual_shots,
                 run.estimate.shots,
                 "tier counters must partition the shots"
             );
@@ -1451,11 +1381,12 @@ mod tests {
             );
             assert_eq!(run.defect_histogram[0], run.tier0_shots as u64);
         }
-        assert_eq!(plain.predecoded_shots, 0);
         assert_eq!(plain.clustered_shots, 0, "cluster tier is opt-in");
         assert_eq!(tiered.clustered_shots, 0, "cluster tier is opt-in");
-        assert!(tiered.predecoded_shots > 0, "predecoder never fired");
-        assert!(tiered.predecoded_defects >= tiered.predecoded_shots);
+        for run in [&plain, &tiered] {
+            assert_eq!(run.predecoded_shots, 0, "no stack runs a predecoder");
+        }
+        assert_eq!(tiered.residual_shots, plain.residual_shots);
     }
 
     /// With the cluster tier armed, the partition invariant extends to the
@@ -1488,7 +1419,7 @@ mod tests {
         .with_cluster_gate(ClusterGate::On);
         let run = LerEngine::new(2).estimate(&compiled, &factory, opts, 5);
         assert_eq!(
-            run.tier0_shots + run.predecoded_shots + run.clustered_shots + run.residual_shots,
+            run.tier0_shots + run.clustered_shots + run.residual_shots,
             run.estimate.shots,
             "cluster partition invariant"
         );
@@ -1513,9 +1444,10 @@ mod tests {
     /// `Auto` gates each 64-shot batch on its mean defect count. At
     /// d=11, p=1e-3 the mean sits below the threshold, so every batch is
     /// diverted to the monolithic path — zero decompositions; at d=15 it
-    /// sits above, so every batch is decomposed. Either way the estimate
-    /// equals the forced-on tier's (the tier is exact, so gating only moves
-    /// time).
+    /// sits above, so every batch is decomposed. On these seeds the
+    /// estimate equals the forced-on tier's; gating is not exact in
+    /// general (`golden_engine_fingerprints_cluster_on_off` pins a seed
+    /// where it changes a failure count).
     #[test]
     fn auto_gate_diverts_sparse_batches_and_decomposes_dense_ones() {
         for (d, min_shots, dense) in [(11usize, 1_000usize, false), (15, 256, true)] {
@@ -1573,13 +1505,10 @@ mod tests {
             assert!(forced.clusters_total > 0);
             assert_eq!(
                 gated.estimate, forced.estimate,
-                "d={d}: gating must not change failures"
+                "d={d}: gated and forced-on estimates differ on this seed"
             );
             assert_eq!(
-                gated.tier0_shots
-                    + gated.predecoded_shots
-                    + gated.clustered_shots
-                    + gated.residual_shots,
+                gated.tier0_shots + gated.clustered_shots + gated.residual_shots,
                 gated.estimate.shots,
                 "d={d}: gated batches keep the partition invariant"
             );
@@ -1671,15 +1600,10 @@ mod tests {
             observed.chunks_executed as u64
         );
         assert_eq!(snap.counter("shots_tier0"), observed.tier0_shots as u64);
-        assert_eq!(
-            snap.counter("shots_tier1"),
-            observed.predecoded_shots as u64
-        );
         assert_eq!(snap.counter("shots_tier2"), observed.residual_shots as u64);
         assert_eq!(snap.counter("faults_panic"), 0);
         let decode_hist = snap.decode_shot_hist();
         assert_eq!(decode_hist.count, observed.residual_shots as u64);
-        assert!(snap.hist(Hist::PredecodeShot).unwrap().count > 0);
 
         // Journal: a RunStart, then one ChunkStart+ChunkFinish pair per
         // chunk, in chunk order.

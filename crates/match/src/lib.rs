@@ -15,13 +15,15 @@
 //! - [`ReferenceUnionFind`]: the pre-optimization allocate-per-call
 //!   union-find decoder, kept as a bit-identical reference for benches and
 //!   cross-validation.
-//! - [`Predecoder`] / [`Tiered`]: the two-tier fast path — a conservative
-//!   certifier that resolves provably-locally-matchable shots without
-//!   invoking a full decoder, and the [`DecoderFactory`] adapter that
-//!   threads it through the engine ([`Tiered::without_predecode`] is the
-//!   escape hatch). A factory's [`DecodeStack`] (decoder, predecoder,
-//!   cluster tier, gate) is what the engine and the streaming service
-//!   decode every window through.
+//! - [`Tiered`]: the [`DecoderFactory`] adapter that keeps a factory's
+//!   matching graph (validation, rung-2 fallback) and arms the dense-regime
+//!   [`ClusterTier`] under a [`ClusterGate`]. A factory's [`DecodeStack`]
+//!   (decoder, cluster tier, gate) is what the engine and the streaming
+//!   service decode every window through.
+//! - [`Predecoder`]: a conservative certifier that resolves
+//!   provably-locally-matchable shots without a full decoder. No decode
+//!   stack runs it (it cost more than it saved); it stays a standalone,
+//!   proptested certifier.
 //! - [`estimate_ler`]: end-to-end residual logical-error-rate estimation
 //!   using the batched Pauli-frame sampler.
 //! - [`LerEngine`]: the thread-parallel Monte-Carlo engine behind

@@ -1,4 +1,14 @@
-//! Tier-1 predecoder: provably-exact local matching for sparse syndromes.
+//! Shot-level predecoder: provably-exact local matching for sparse
+//! syndromes, plus the engine's [`Tiered`] factory adapter and the cluster
+//! tier's [`ClusterGate`].
+//!
+//! No decode stack runs the predecoder. Measured through the engine on a
+//! 2-core host, certification cost 0.21 µs per shot at d = 5 and 0.47 µs
+//! at d = 7 but saved only 0.04–0.2 µs of union-find, so rung 0 sends
+//! every nonempty shot it does not cluster straight to the full decoder.
+//! [`Predecoder`] stays a standalone certifier: the benchmark harness
+//! replays it layer by layer, and its margin checks are the ones the
+//! cluster tier applies per cluster.
 //!
 //! At the physical error rates that matter for calibration sweeps, the
 //! typical shot carries a handful of defects, most of which are an isolated
@@ -666,12 +676,14 @@ impl Predecoder {
 /// The tier's flood decomposition has a fixed per-shot cost that only pays
 /// off when shots are dense enough for certified clusters to peel real
 /// decoder work away (at d=11, p=1e-3 the decomposition costs more wall
-/// time than the full-decoder calls it saves; at d≥15 it wins). `Auto`
-/// makes the call per 64-shot batch from the batch's mean defect count —
-/// a deterministic function of the sampled syndrome stream, so gating
-/// never perturbs the engine's thread-count-independence, and since the
-/// tier is exact (certified clusters peel provably-identical corrections)
-/// the gate never changes a failure count either.
+/// time than the full-decoder calls it saves). `Auto` makes the call per
+/// 64-shot batch from the batch's mean defect count — a deterministic
+/// function of the sampled syndrome stream, so gating never perturbs the
+/// engine's thread-count-independence. It can change a failure count: a
+/// shot whose clusters only partly certify decodes as the tier's variant
+/// (peel, then decode the residual) on one side of the gate and
+/// monolithically on the other, and the two can disagree (see
+/// [`crate::ClusterTier`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ClusterGate {
     /// No cluster tier: dense shots decode monolithically.
@@ -687,31 +699,33 @@ pub enum ClusterGate {
 /// Minimum mean defects per shot (over one 64-shot batch) for the `Auto`
 /// cluster gate to run the decomposition. Calibrated on the d ∈ {11, 15, 21}
 /// engine runs measured at commit 19caef5: d=11, p=1e-3 averages ≈20
-/// defects/shot and loses wall time to the tier, while d=15 (≈40) and d=21
-/// (≈95) win.
+/// defects/shot and loses wall time to the tier; d=15 (≈40) and d=21 (≈95)
+/// clear the threshold. The tier does not win at d=15: re-measured at
+/// 9836c5a on a 2-core host, `Auto` read 46.4–54.6k shots/s against
+/// `Off`'s 44.1–55.5k (5–6 engine runs each), which is neutral.
 pub const CLUSTER_GATE_MIN_MEAN_DEFECTS: f64 = 28.0;
 
-/// [`DecoderFactory`] adapter enabling the two-tier fast path: workers get
-/// a shared-table [`Predecoder`] in front of the wrapped factory's decoder.
+/// [`DecoderFactory`] adapter for the engine's decode stack: it keeps the
+/// decoders' matching graph (validated up front and used as the rung-2
+/// degradation fallback) and can arm the dense-regime cluster tier.
 ///
 /// ```ignore
-/// let tiered = Tiered::new(&graph, || UnionFindDecoder::new(graph.clone()));
-/// engine.estimate(&compiled, &tiered, opts, seed); // fast path on
+/// let tiered = Tiered::new(&graph, || UnionFindDecoder::new(graph.clone()))
+///     .with_cluster_gate(ClusterGate::Auto);
+/// engine.estimate(&compiled, &tiered, opts, seed);
 /// ```
 ///
-/// [`Tiered::without_predecode`] is the escape hatch: the same adapter
-/// shape with certification disabled, for A/B comparison and
-/// cross-validation.
+/// Its stacks run no [`Predecoder`] (the module docs say why).
 #[derive(Clone, Debug)]
 pub struct Tiered<F> {
     factory: F,
-    predecoder: Option<Predecoder>,
     /// The decoders' matching graph, kept for engine-side validation and
     /// as the rung-2 degradation fallback.
-    fallback: Option<MatchingGraph>,
+    fallback: MatchingGraph,
     /// Opt-in dense-regime cluster tier (see [`crate::ClusterTier`]):
-    /// shots too dense for the predecoder are flood-decomposed and decoded
-    /// per cluster instead of monolithically, subject to the gate.
+    /// shots with more than [`Predecoder::MAX_CERT_DEFECTS`] defects are
+    /// flood-decomposed and decoded per cluster instead of monolithically,
+    /// subject to the gate.
     cluster: ClusterGate,
     /// The cluster tier every [`DecoderFactory::stack`] clones (its widened
     /// tables are `Arc`-shared). Built on the first `stack` call, so
@@ -720,22 +734,21 @@ pub struct Tiered<F> {
 }
 
 impl<F: DecoderFactory> Tiered<F> {
-    /// Wraps `factory` with a predecoder built for `graph` (which must be
-    /// the graph the factory's decoders use). The graph is retained as the
-    /// engine's rung-2 degradation fallback.
+    /// Wraps `factory`, whose decoders must use `graph`. The graph is
+    /// retained for validation and as the engine's rung-2 degradation
+    /// fallback; nothing is built from it until a cluster tier is armed.
     pub fn new(graph: &MatchingGraph, factory: F) -> Tiered<F> {
         Tiered {
             factory,
-            predecoder: Some(Predecoder::new(graph)),
-            fallback: Some(graph.clone()),
+            fallback: graph.clone(),
             cluster: ClusterGate::Off,
             cluster_proto: OnceLock::new(),
         }
     }
 
     /// Validating form of [`Tiered::new`]: rejects a malformed `graph`
-    /// with a typed error *before* the predecoder's Dijkstra table build
-    /// ever walks it (NaN weights would poison the distance tables).
+    /// with a typed error at construction instead of at
+    /// [`crate::LerEngine::try_run`].
     pub fn try_new(
         graph: &MatchingGraph,
         factory: F,
@@ -744,35 +757,12 @@ impl<F: DecoderFactory> Tiered<F> {
         Ok(Tiered::new(graph, factory))
     }
 
-    /// Wraps `factory` with the fast path disabled: every nonempty shot
-    /// goes to the full decoder. No graph is retained; chain
-    /// [`Tiered::with_fallback_graph`] to keep rung 2 of the engine's
-    /// degradation ladder available.
-    pub fn without_predecode(factory: F) -> Tiered<F> {
-        Tiered {
-            factory,
-            predecoder: None,
-            fallback: None,
-            cluster: ClusterGate::Off,
-            cluster_proto: OnceLock::new(),
-        }
-    }
-
-    /// Retains `graph` for engine-side validation and the rung-2
-    /// degradation fallback without enabling the predecoder.
-    pub fn with_fallback_graph(mut self, graph: &MatchingGraph) -> Tiered<F> {
-        self.fallback = Some(graph.clone());
-        self
-    }
-
     /// Arms the dense-regime cluster tier (rung 0 only) under `gate`:
     /// shots with more defects than [`Predecoder::MAX_CERT_DEFECTS`] are
     /// flood-decomposed into independent clusters, certified clusters are
     /// peeled locally, and only the uncertified remainder reaches the full
     /// decoder. `On` decomposes every batch; `Auto` skips batches below
-    /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`], journaling the decision. The tier
-    /// shares the predecoder's certification tables, so this is a no-op on
-    /// a [`Tiered::without_predecode`] adapter.
+    /// [`CLUSTER_GATE_MIN_MEAN_DEFECTS`], journaling the decision.
     pub fn with_cluster_gate(mut self, gate: ClusterGate) -> Tiered<F> {
         self.cluster = gate;
         self
@@ -787,33 +777,25 @@ impl<F: DecoderFactory> DecoderFactory for Tiered<F> {
     }
 
     fn stack(&self) -> DecodeStack<F::Decoder> {
+        let cluster = (self.cluster != ClusterGate::Off).then(|| {
+            self.cluster_proto
+                .get_or_init(|| ClusterTier::new(&self.fallback))
+                .clone()
+        });
         DecodeStack {
-            predecoder: self.predecoder.clone(),
-            cluster: self
-                .predecoder
-                .as_ref()
-                .filter(|_| self.cluster != ClusterGate::Off)
-                .map(|pre| {
-                    self.cluster_proto
-                        .get_or_init(|| ClusterTier::from_predecoder(pre))
-                        .clone()
-                }),
+            cluster,
             gate: self.cluster,
             ..DecodeStack::new(self.factory.build())
         }
     }
 
     fn validate(&self) -> Result<(), crate::error::ValidationError> {
-        if let Some(graph) = &self.fallback {
-            graph.validate()?;
-        }
+        self.fallback.validate()?;
         self.factory.validate()
     }
 
     fn fallback_graph(&self) -> Option<&MatchingGraph> {
-        self.fallback
-            .as_ref()
-            .or_else(|| self.factory.fallback_graph())
+        Some(&self.fallback)
     }
 }
 
@@ -911,20 +893,5 @@ mod tests {
         let pre = Predecoder::new(&g);
         let clone = pre.clone();
         assert!(Arc::ptr_eq(&pre.tables, &clone.tables));
-    }
-
-    #[test]
-    fn without_predecode_provides_no_predecoder() {
-        let g = memory_graph(3, 1e-3);
-        let tiered = Tiered::new(&g, {
-            let g = g.clone();
-            move || UnionFindDecoder::new(g.clone())
-        });
-        assert!(tiered.stack().predecoder.is_some());
-        let plain = Tiered::without_predecode({
-            let g = g.clone();
-            move || UnionFindDecoder::new(g.clone())
-        });
-        assert!(plain.stack().predecoder.is_none());
     }
 }

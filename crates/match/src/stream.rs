@@ -20,7 +20,7 @@
 //!   [`DecoderFactory::stack`].
 //! - **Deadlines** drive a three-rung shed ladder, judged by queue age at
 //!   dequeue: in-deadline windows decode in full (rung 0); windows older
-//!   than the deadline take the predecode/cluster-peel fast path (rung 1,
+//!   than the deadline take the tier-0/cluster-peel fast path (rung 1,
 //!   counted degraded); windows older than twice the deadline are *declared
 //!   deferred* (rung 2) — no decode, honest accounting, mirroring the batch
 //!   engine's degradation-ladder semantics. `deadline: None` disables
@@ -139,9 +139,10 @@ pub enum PushOutcome {
 pub enum Disposition {
     /// Full decode within deadline (shed rung 0).
     Decoded,
-    /// Deadline missed: predecode/cluster-peel fast path only (shed rung
-    /// 1). Masks are best-effort — uncertified shots keep an identity
-    /// mask — and the window counts as degraded.
+    /// Deadline missed: tier-0/cluster-peel fast path only (shed rung 1).
+    /// Masks are best-effort — a shot keeps only the masks of the clusters
+    /// its tenant's cluster tier certifies, or an identity mask without
+    /// one — and the window counts as degraded.
     FastPath,
     /// Deadline missed by 2x (or the decode kept panicking): declared
     /// deferred (shed rung 2). No decode result is kept; masks are
@@ -620,7 +621,7 @@ impl<F: DecoderFactory + Send + Sync + 'static> StreamingDecoder<F> {
             .tenants
             .iter()
             .map(|t| {
-                let mut rs = lock(&t.results).clone();
+                let mut rs = std::mem::take(&mut *lock(&t.results));
                 rs.sort_by_key(|r| r.window);
                 rs
             })
@@ -743,13 +744,7 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
                     Ok(_) => {
                         obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
                         obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
-                        obs.add(Counter::ShotsTier1, stats.predecoded_shots as u64);
-                        obs.add(
-                            Counter::ShotsTier2,
-                            (BATCH as u64).saturating_sub(
-                                (stats.tier0_shots + stats.predecoded_shots) as u64,
-                            ),
-                        );
+                        obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
                         if stats.clustered_shots > 0 {
                             obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
                         }
@@ -815,8 +810,8 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
     });
 }
 
-/// The rung-1 fast path: tier 0 and predecode-certified shots resolve
-/// exactly; cluster-peelable structure resolves locally; anything left
+/// The rung-1 fast path: tier 0 resolves exactly; where the tenant arms a
+/// cluster tier, cluster-peelable structure resolves locally; anything left
 /// keeps an identity mask. Deterministic, bounded work, honest degradation
 /// — the masks are best-effort, never presented as a full decode.
 fn fast_path_masks<D: Decoder>(
@@ -828,10 +823,6 @@ fn fast_path_masks<D: Decoder>(
         let defects = sparse.defects(s);
         if defects.is_empty() {
             *mask = 0;
-            continue;
-        }
-        if let Some(m) = stack.predecoder.as_mut().and_then(|p| p.predecode(defects)) {
-            *mask = m;
             continue;
         }
         *mask = match stack.cluster.as_mut() {

@@ -134,16 +134,14 @@ fn event_json(e: &Event) -> String {
             shots,
             failures,
             tier0,
-            tier1,
             tier2,
             sample_nanos,
             extract_nanos,
-            predecode_nanos,
             decode_nanos,
         } => {
             let _ = write!(
                 fields,
-                ",\"rung\":{rung},\"shots\":{shots},\"failures\":{failures},\"tier0\":{tier0},\"tier1\":{tier1},\"tier2\":{tier2},\"sample_nanos\":{sample_nanos},\"extract_nanos\":{extract_nanos},\"predecode_nanos\":{predecode_nanos},\"decode_nanos\":{decode_nanos}"
+                ",\"rung\":{rung},\"shots\":{shots},\"failures\":{failures},\"tier0\":{tier0},\"tier2\":{tier2},\"sample_nanos\":{sample_nanos},\"extract_nanos\":{extract_nanos},\"decode_nanos\":{decode_nanos}"
             );
         }
         EventKind::Fault { kind, rung } => {
@@ -252,7 +250,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                 shots,
                 failures,
                 tier0,
-                tier1,
                 tier2,
                 ..
             } => {
@@ -262,7 +259,7 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                     .map(|i| open.remove(i).1)
                     .unwrap_or(e.t_nanos);
                 items.push(format!(
-                    "{{\"name\":\"chunk {} (rung {})\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"shots\":{},\"failures\":{},\"tier0\":{},\"tier1\":{},\"tier2\":{}}}}}",
+                    "{{\"name\":\"chunk {} (rung {})\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"shots\":{},\"failures\":{},\"tier0\":{},\"tier2\":{}}}}}",
                     e.chunk,
                     rung,
                     us(start),
@@ -272,7 +269,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                     shots,
                     failures,
                     tier0,
-                    tier1,
                     tier2
                 ));
             }
@@ -438,12 +434,10 @@ mod tests {
             rung: 1,
             shots: 64,
             failures: 1,
-            tier0: 10,
-            tier1: 20,
+            tier0: 30,
             tier2: 34,
             sample_nanos: 100,
             extract_nanos: 200,
-            predecode_nanos: 300,
             decode_nanos: 400,
         });
         w.add(Counter::ShotsTier2, 34);

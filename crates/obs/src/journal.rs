@@ -71,16 +71,12 @@ pub enum EventKind {
         failures: u32,
         /// Tier-0 (empty-syndrome) shots.
         tier0: u32,
-        /// Tier-1 (predecoded) shots.
-        tier1: u32,
         /// Tier-2 (full-decode) shots.
         tier2: u32,
         /// Frame-sampling time.
         sample_nanos: u64,
         /// Sparse-extraction + tier-dispatch bookkeeping time.
         extract_nanos: u64,
-        /// Predecoder certification time.
-        predecode_nanos: u64,
         /// Full-decoder time.
         decode_nanos: u64,
     },
@@ -106,7 +102,7 @@ pub enum EventKind {
         off: u32,
     },
     /// A streaming window missed its deadline and was moved down the shed
-    /// ladder (1 = predecode/cluster fast path, 2 = declared deferred).
+    /// ladder (1 = tier-0/cluster-peel fast path, 2 = declared deferred).
     Shed {
         /// Tenant patch the window belongs to.
         patch: u32,

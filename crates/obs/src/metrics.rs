@@ -69,8 +69,6 @@ pub enum Counter {
     ChunksFinished,
     /// Shots with an empty defect list (tier 0: decoding skipped).
     ShotsTier0,
-    /// Shots resolved by the tier-1 predecoder.
-    ShotsTier1,
     /// Shots decoded by the full decoder (tier 2).
     ShotsTier2,
     /// Dense shots fully resolved by the cluster tier (every flood cluster
@@ -84,7 +82,7 @@ pub enum Counter {
     Retries,
     /// Chunks that finished on the pristine rung 0.
     ChunksRung0,
-    /// Chunks that finished on rung 1 (fresh decoder, no predecode).
+    /// Chunks that finished on rung 1 (fresh bare decoder).
     ChunksRung1,
     /// Chunks that finished on rung 2 (reference decoder on the fallback
     /// graph).
@@ -94,7 +92,7 @@ pub enum Counter {
     /// Rounds decoded at full fidelity by the streaming service (rung 0 of
     /// the shed ladder).
     RoundsDecoded,
-    /// Rounds shed to the predecode/cluster-only fast path (rung 1 of the
+    /// Rounds shed to the tier-0/cluster-peel fast path (rung 1 of the
     /// shed ladder) after missing their deadline.
     RoundsShed,
     /// Rounds declared deferred (rung 2 of the shed ladder): no correction
@@ -111,12 +109,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::RunsStarted,
         Counter::ChunksStarted,
         Counter::ChunksFinished,
         Counter::ShotsTier0,
-        Counter::ShotsTier1,
         Counter::ShotsTier2,
         Counter::ShotsCluster,
         Counter::ShotsDegraded,
@@ -141,7 +138,6 @@ impl Counter {
             Counter::ChunksStarted => "chunks_started",
             Counter::ChunksFinished => "chunks_finished",
             Counter::ShotsTier0 => "shots_tier0",
-            Counter::ShotsTier1 => "shots_tier1",
             Counter::ShotsTier2 => "shots_tier2",
             Counter::ShotsCluster => "shots_cluster",
             Counter::ShotsDegraded => "shots_degraded",
@@ -203,13 +199,9 @@ impl Gauge {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Per-shot latency of a tier-1 predecoder certification attempt
-    /// (successful or not — failed candidates continue to the full
-    /// decoder).
-    PredecodeShot,
     /// Per-shot full-decode latency on the pristine rung 0.
     DecodeShotRung0,
-    /// Per-shot full-decode latency on rung 1 (no predecode, fresh decoder).
+    /// Per-shot full-decode latency on rung 1 (fresh bare decoder).
     DecodeShotRung1,
     /// Per-shot full-decode latency on rung 2 (reference decoder).
     DecodeShotRung2,
@@ -230,8 +222,7 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in export order.
-    pub const ALL: [Hist; 8] = [
-        Hist::PredecodeShot,
+    pub const ALL: [Hist; 7] = [
         Hist::DecodeShotRung0,
         Hist::DecodeShotRung1,
         Hist::DecodeShotRung2,
@@ -244,7 +235,6 @@ impl Hist {
     /// Stable snake-case name used by every exporter.
     pub fn name(self) -> &'static str {
         match self {
-            Hist::PredecodeShot => "predecode_shot",
             Hist::DecodeShotRung0 => "decode_shot_rung0",
             Hist::DecodeShotRung1 => "decode_shot_rung1",
             Hist::DecodeShotRung2 => "decode_shot_rung2",

@@ -395,11 +395,9 @@ mod tests {
                                     shots: 64,
                                     failures: 0,
                                     tier0: 0,
-                                    tier1: 0,
                                     tier2: 64,
                                     sample_nanos: 0,
                                     extract_nanos: 0,
-                                    predecode_nanos: 0,
                                     decode_nanos: 0,
                                 });
                                 obs.flush();

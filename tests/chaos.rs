@@ -6,8 +6,8 @@
 
 use caliqec_code::{memory_circuit, rotated_patch, MemoryBasis, NoiseModel};
 use caliqec_match::{
-    graph_for_circuit, ClusterGate, DecodeStack, Decoder, DecoderFactory, Edge, EngineError,
-    EngineRun, FaultKind, FaultPlan, LerEngine, MatchingGraph, Predecoder, SampleOptions, Tiered,
+    graph_for_circuit, ClusterGate, ClusterTier, DecodeStack, Decoder, DecoderFactory, Edge,
+    EngineError, EngineRun, FaultKind, FaultPlan, LerEngine, MatchingGraph, SampleOptions, Tiered,
     UnionFindDecoder,
 };
 use caliqec_obs::{EventKind, ObsSink, Snapshot};
@@ -253,22 +253,29 @@ fn journal_counts_reconcile_with_run_accounting() {
     assert_eq!(snap.counter("chunks_finished"), run.chunks_executed as u64);
 }
 
-/// A denser d = 7 workload with the cluster tier enabled, so a chunk that
-/// faults on rung 0 is one the cluster tier decodes (at 8e-3 a sizable
-/// fraction of shots carry more than `Predecoder::MAX_CERT_DEFECTS`
-/// defects and route through the tier).
-fn cluster_workload() -> (
-    CompiledCircuit,
-    Tiered<impl Fn() -> UnionFindDecoder + Sync>,
-) {
+/// A denser d = 7 memory workload: at 8e-3 a sizable fraction of shots
+/// carry more than `Predecoder::MAX_CERT_DEFECTS` defects (every 64-shot
+/// chunk of [`OPTS`] holds some), the shots an armed cluster tier takes.
+fn dense_memory() -> (CompiledCircuit, MatchingGraph) {
     let mem = memory_circuit(
         &rotated_patch(7, 7),
         &NoiseModel::uniform(8e-3),
         7,
         MemoryBasis::Z,
     );
-    let compiled = CompiledCircuit::new(&mem.circuit);
-    let graph = graph_for_circuit(&mem.circuit);
+    (
+        CompiledCircuit::new(&mem.circuit),
+        graph_for_circuit(&mem.circuit),
+    )
+}
+
+/// [`dense_memory`] with the cluster tier enabled, so a chunk that faults
+/// on rung 0 is one the cluster tier decodes.
+fn cluster_workload() -> (
+    CompiledCircuit,
+    Tiered<impl Fn() -> UnionFindDecoder + Sync>,
+) {
+    let (compiled, graph) = dense_memory();
     let factory = Tiered::new(&graph, {
         let graph = graph.clone();
         move || UnionFindDecoder::new(graph.clone())
@@ -346,7 +353,7 @@ fn no_fallback_ladder_ends_at_rung_one() {
         MemoryBasis::Z,
     );
     let graph = graph_for_circuit(&mem.circuit);
-    let factory = Tiered::without_predecode(|| Doomed).with_fallback_graph(&graph);
+    let factory = Tiered::new(&graph, || Doomed);
     let run = LerEngine::new(2)
         .try_run(&compiled, &factory, OPTS, SEED)
         .expect("rung 2 must recover");
@@ -375,13 +382,14 @@ fn one_detector_graph() -> MatchingGraph {
     )
 }
 
-/// A factory whose rung-0 stack arms a predecoder built for the wrong
-/// (one-detector) graph in front of a correct union-find: the first sparse
-/// shot with a defect past that graph panics inside the predecoder, in the
-/// middle of the chunk's decode. Its bare decoder is sound.
+/// A factory whose rung-0 stack arms a cluster tier built for the wrong
+/// (one-detector) graph, gate on, in front of a correct union-find: the
+/// first dense shot with a defect past that graph panics inside the
+/// cluster tier, in the middle of the chunk's decode. Its bare decoder is
+/// sound.
 struct MisfitFront {
     graph: MatchingGraph,
-    predecoder: Predecoder,
+    cluster: ClusterTier,
 }
 
 impl DecoderFactory for MisfitFront {
@@ -392,26 +400,29 @@ impl DecoderFactory for MisfitFront {
     }
 
     fn stack(&self) -> DecodeStack<UnionFindDecoder> {
-        let mut stack = DecodeStack::new(self.build());
-        stack.predecoder = Some(self.predecoder.clone());
-        stack
+        DecodeStack {
+            cluster: Some(self.cluster.clone()),
+            gate: ClusterGate::On,
+            ..DecodeStack::new(self.build())
+        }
     }
 }
 
 #[test]
 fn front_tier_panic_inside_a_chunk_recovers_on_rung_one() {
     quiet_worker_panics();
-    let clean = run_clean();
-    let mem = memory_circuit(
-        &rotated_patch(3, 3),
-        &NoiseModel::uniform(3e-3),
-        3,
-        MemoryBasis::Z,
+    let (compiled, graph) = dense_memory();
+    // Rung 1 decodes with the bare union-find, so the reference is the
+    // plain union-find run of the same workload.
+    let clean = LerEngine::new(2).estimate(
+        &compiled,
+        &|| UnionFindDecoder::new(graph.clone()),
+        OPTS,
+        SEED,
     );
-    let compiled = CompiledCircuit::new(&mem.circuit);
     let factory = MisfitFront {
-        graph: graph_for_circuit(&mem.circuit),
-        predecoder: Predecoder::new(&one_detector_graph()),
+        cluster: ClusterTier::new(&one_detector_graph()),
+        graph,
     };
     for threads in [1, 2] {
         let run = LerEngine::new(threads)

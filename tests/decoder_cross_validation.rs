@@ -12,6 +12,8 @@ use caliqec_stab::{CompiledCircuit, FrameSampler, SparseBatch, BATCH};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -53,9 +55,9 @@ proptest! {
         }
     }
 
-    /// The engine with the fast path enabled reports the same logical
-    /// estimate as with `Tiered::without_predecode`, for both decoder
-    /// backends — the predecoder changes timings and tier counters, never
+    /// A `Tiered` factory reports the same logical estimate as the plain
+    /// closure factory it wraps, for both decoder backends — without a
+    /// cluster tier, tier dispatch changes timings and tier counters, never
     /// results. The MWPM backend runs at d = 3 only: larger patches carry
     /// shots beyond [`MwpmDecoder::MAX_DEFECTS`].
     #[test]
@@ -88,19 +90,13 @@ proptest! {
         );
         let off = LerEngine::new(2).estimate(
             &compiled,
-            &Tiered::without_predecode({
-                let graph = graph.clone();
-                move || UnionFindDecoder::new(graph.clone())
-            }),
+            &|| UnionFindDecoder::new(graph.clone()),
             uf_opts,
             seed,
         );
         prop_assert_eq!(on.estimate, off.estimate, "UF backend d={}", d);
-        prop_assert_eq!(off.predecoded_shots, 0);
-        prop_assert_eq!(
-            on.tier0_shots + on.predecoded_shots + on.residual_shots,
-            on.estimate.shots
-        );
+        prop_assert_eq!(on.predecoded_shots, 0);
+        prop_assert_eq!(on.tier0_shots + on.residual_shots, on.estimate.shots);
         if d == 3 {
             let mwpm_opts = SampleOptions {
                 min_shots: 1_000,
@@ -117,10 +113,7 @@ proptest! {
             );
             let off = LerEngine::new(2).estimate(
                 &compiled,
-                &Tiered::without_predecode({
-                    let graph = graph.clone();
-                    move || MwpmDecoder::new(graph.clone())
-                }),
+                &|| MwpmDecoder::new(graph.clone()),
                 mwpm_opts,
                 seed,
             );
@@ -218,19 +211,77 @@ proptest! {
     }
 }
 
+/// A union-find decoder that counts its calls in a shared atomic.
+struct CountingDecoder {
+    inner: UnionFindDecoder,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Decoder for CountingDecoder {
+    fn decode(&mut self, defects: &[usize]) -> u64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.decode(defects)
+    }
+}
+
+/// Rung 0 of a `Tiered` union-find stack without a cluster tier calls the
+/// decoder once for every nonempty shot: no front tier resolves a shot on
+/// its own, and the estimate is the plain factory's.
+#[test]
+fn tiered_union_find_decodes_every_nonempty_shot() {
+    let mem = memory_circuit(
+        &rotated_patch(7, 7),
+        &NoiseModel::uniform(1e-3),
+        7,
+        MemoryBasis::Z,
+    );
+    let compiled = CompiledCircuit::new(&mem.circuit);
+    let graph = graph_for_circuit(&mem.circuit);
+    let opts = SampleOptions {
+        min_shots: 4_096,
+        ..Default::default()
+    };
+    for threads in [1, 2] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let tiered = Tiered::new(&graph, {
+            let (graph, calls) = (graph.clone(), Arc::clone(&calls));
+            move || CountingDecoder {
+                inner: UnionFindDecoder::new(graph.clone()),
+                calls: Arc::clone(&calls),
+            }
+        });
+        let run = LerEngine::new(threads).estimate(&compiled, &tiered, opts, 0x7E57);
+        let plain = LerEngine::new(threads).estimate(
+            &compiled,
+            &|| UnionFindDecoder::new(graph.clone()),
+            opts,
+            0x7E57,
+        );
+        assert_eq!(run.estimate.shots, 4_096);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            run.estimate.shots - run.tier0_shots,
+            "threads={threads}: some nonempty shot skipped the decoder"
+        );
+        assert_eq!(run.predecoded_shots, 0, "threads={threads}");
+        assert_eq!(run.estimate, plain.estimate, "threads={threads}");
+    }
+}
+
 /// Golden fingerprints: the engine's `(shots, failures)` at a pinned seed
-/// must be bit-identical with the cluster tier on and off, and must match
-/// the recorded values — any drift in the sampler's RNG schedule, the tier
-/// dispatch, or the decomposition itself shows up here as a diff against
-/// the goldens, not as a silent statistical shift.
+/// must match the recorded values with the cluster tier on and off (on
+/// these seeds the two agree; `cluster_gate_can_change_a_failure_count`
+/// pins one where they do not) — any drift in the sampler's RNG schedule,
+/// the tier dispatch, or the decomposition itself shows up here as a diff
+/// against the goldens, not as a silent statistical shift.
 #[test]
 fn golden_engine_fingerprints_cluster_on_off() {
     // Cluster-on tier counters: (predecoded shots, clustered shots, clusters).
     type Tiers = (usize, usize, u64);
     // (d, p, min_shots, golden shots, golden failures, golden tier counters)
     const GOLDENS: [(usize, f64, usize, usize, usize, Tiers); 3] = [
-        (7, 3e-3, 4_096, 4_096, 10, (109, 35, 6_922)),
-        (11, 1e-3, 2_048, 2_048, 0, (34, 289, 15_046)),
+        (7, 3e-3, 4_096, 4_096, 10, (0, 35, 6_922)),
+        (11, 1e-3, 2_048, 2_048, 0, (0, 289, 15_046)),
         (15, 1e-3, 1_024, 1_024, 0, (0, 19, 19_998)),
     ];
     for (d, p, min_shots, want_shots, want_failures, want_tiers) in GOLDENS {
@@ -286,6 +337,45 @@ fn golden_engine_fingerprints_cluster_on_off() {
         );
         if d >= 11 {
             assert!(on.clustered_shots > 0, "d={d}: cluster tier never peeled");
+        }
+    }
+}
+
+/// The cluster tier is a decoder variant, so its gate can change a failure
+/// count: at d = 9, p = 4e-3 every batch clears the `Auto` threshold, and
+/// on this seed a partially peeled shot decodes differently from its
+/// monolithic decode. Pinned by value at 1 and 2 threads.
+#[test]
+fn cluster_gate_can_change_a_failure_count() {
+    let mem = memory_circuit(
+        &rotated_patch(9, 9),
+        &NoiseModel::uniform(4e-3),
+        9,
+        MemoryBasis::Z,
+    );
+    let compiled = CompiledCircuit::new(&mem.circuit);
+    let graph = graph_for_circuit(&mem.circuit);
+    let opts = SampleOptions {
+        min_shots: 2_048,
+        ..Default::default()
+    };
+    for (gate, want_failures) in [
+        (ClusterGate::Off, 13),
+        (ClusterGate::On, 14),
+        (ClusterGate::Auto, 14),
+    ] {
+        let factory = Tiered::new(&graph, {
+            let graph = graph.clone();
+            move || UnionFindDecoder::new(graph.clone())
+        })
+        .with_cluster_gate(gate);
+        for threads in [1, 2] {
+            let run = LerEngine::new(threads).estimate(&compiled, &factory, opts, 26);
+            assert_eq!(
+                (run.estimate.shots, run.estimate.failures),
+                (2_048, want_failures),
+                "{gate:?} threads={threads}"
+            );
         }
     }
 }

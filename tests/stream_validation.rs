@@ -7,9 +7,9 @@
 //! the round partition exact.
 
 use caliqec_match::{
-    graph_for_circuit, loopback_serve, DecodeStack, Decoder, DecoderFactory, Disposition, Edge,
-    LoopbackOptions, MatchingGraph, Predecoder, PushOutcome, StreamConfig, StreamingDecoder,
-    TenantSpec, Tiered, UnionFindDecoder,
+    graph_for_circuit, loopback_serve, ClusterGate, ClusterTier, DecodeStack, Decoder,
+    DecoderFactory, Disposition, Edge, LoopbackOptions, MatchingGraph, Predecoder, PushOutcome,
+    StreamConfig, StreamingDecoder, TenantSpec, Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{EventKind, ObsSink};
 use caliqec_stab::{Basis, Circuit, Noise1, BATCH};
@@ -508,11 +508,12 @@ impl Decoder for Nap {
     }
 }
 
-/// A factory whose stack arms a predecoder built for a one-detector graph
-/// in front of a [`Nap`] decoder: a sparse shot firing any detector past
-/// the first indexes past the predecoder's tables and panics.
+/// A factory whose stack arms a cluster tier built for a one-detector
+/// graph, under the `Auto` gate, in front of a [`Nap`] decoder: a shot the
+/// tier decomposes that fires any detector past the first indexes past the
+/// tier's tables and panics.
 struct MisfitFront {
-    predecoder: Predecoder,
+    cluster: ClusterTier,
     nap: Duration,
 }
 
@@ -524,9 +525,11 @@ impl DecoderFactory for MisfitFront {
     }
 
     fn stack(&self) -> DecodeStack<Nap> {
-        let mut stack = DecodeStack::new(self.build());
-        stack.predecoder = Some(self.predecoder.clone());
-        stack
+        DecodeStack {
+            cluster: Some(self.cluster.clone()),
+            gate: ClusterGate::Auto,
+            ..DecodeStack::new(self.build())
+        }
     }
 }
 
@@ -549,7 +552,7 @@ fn fast_path_panic_is_quarantined_and_deferred() {
     );
     let tenant = TenantSpec {
         factory: MisfitFront {
-            predecoder: Predecoder::new(&one_detector),
+            cluster: ClusterTier::new(&one_detector),
             nap: Duration::from_millis(300),
         },
         detectors: 16,
@@ -561,15 +564,16 @@ fn fast_path_panic_is_quarantined_and_deferred() {
         deadline: Some(Duration::from_millis(200)),
     };
     let service = StreamingDecoder::start(vec![tenant], config, sink.clone()).unwrap();
-    // Window 0's shot 0 fires more detectors than the predecoder ever
-    // certifies, so it goes straight to the decoder, which holds the only
-    // worker for 300 ms.
+    // Window 0's shot 0 fires more detectors than the cluster tier's
+    // bound, but the window's mean stays far under the `Auto` gate's
+    // threshold, so the shot goes straight to the decoder, which holds the
+    // only worker for 300 ms.
     let mut dense = [0u64; 16];
     dense[..=Predecoder::MAX_CERT_DEFECTS].fill(1);
     service.push_round(0, &dense).unwrap();
     // The windows behind it fire detector 5 and dequeue ~300 ms old: past
     // the deadline but inside twice it, so they take the fast path, whose
-    // predecoder panics on them.
+    // cluster tier decomposes them and panics.
     let mut sparse = [0u64; 16];
     sparse[5] = 1;
     for _ in 0..4 {

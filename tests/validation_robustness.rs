@@ -124,7 +124,7 @@ proptest! {
 
     /// A factory carrying a malformed graph is rejected up front by
     /// `try_run` (typed `EngineError::Graph`), and `Tiered::try_new`
-    /// refuses to build predecode tables over it.
+    /// refuses it at construction.
     #[test]
     fn poisoned_factories_are_rejected(
         num_detectors in 1usize..MAX_DETECTORS,
@@ -138,7 +138,7 @@ proptest! {
                 move || UnionFindDecoder::new(graph.clone())
             };
             prop_assert!(Tiered::try_new(&bad, make.clone()).is_err());
-            let factory = Tiered::new(&graph, make).with_fallback_graph(&bad);
+            let factory = Tiered::new(&bad, make);
             let result = LerEngine::new(1).try_run(
                 &CompiledCircuit::new(&circuit),
                 &factory,
