@@ -205,8 +205,13 @@ fn bench_decode_pipeline(c: &mut Criterion) {
 /// (`cluster_on`), plus the decomposition cost alone (`decompose_only`).
 /// Shots are the p = 1e-3 circuit-noise stream restricted to the dense
 /// regime (> MAX_CLUSTER_DEFECTS defects), i.e. exactly the shots the
-/// engine routes through the tier.
+/// engine routes through the tier. They are sampled once, before any
+/// timing, and there are enough of them (4 096 distinct shots, a few
+/// megabytes with their balls and neighbour lists) that the iterations do
+/// not replay a cache-resident working set and under-report the tier's
+/// memory cost.
 fn bench_dense_cluster(c: &mut Criterion) {
+    const DENSE_SHOTS: usize = 4_096;
     let mem = memory_circuit(
         &rotated_patch(15, 15),
         &NoiseModel::uniform(1e-3),
@@ -218,13 +223,13 @@ fn bench_dense_cluster(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(15);
     let mut sparse = SparseBatch::new();
     let mut dense: Vec<Vec<usize>> = Vec::new();
-    while dense.len() < 128 {
+    while dense.len() < DENSE_SHOTS {
         let ev = sampler.sample_batch(&mut rng);
         sparse.extract(&ev);
         for s in 0..BATCH {
             if sparse.defect_count(s) > MAX_CLUSTER_DEFECTS {
                 dense.push(sparse.defects(s).to_vec());
-                if dense.len() >= 128 {
+                if dense.len() >= DENSE_SHOTS {
                     break;
                 }
             }

@@ -3,29 +3,29 @@
 //!
 //! The shot-level predecoder ([`crate::Predecoder`]) is all-or-nothing *per
 //! shot*: one uncertifiable defect declines the whole syndrome, so at
-//! d = 15 / p = 1e-3 — where every shot carries ~35 defects from ~17
-//! independent error mechanisms — it never fires and the full decoder pays
-//! for every mechanism of every shot. [`ClusterTier`] moves the
-//! certification boundary from the shot to the *cluster*: the defect set is
-//! flood-decomposed into connected components of the truncated near-table
-//! adjacency (two defects join iff their exact boundary-avoiding distance
-//! is at most the table radius), each component is certified independently
-//! with the predecoder's own three-pass margin check, certified components
-//! are peeled locally (their masks are potential gradients, XORed into the
-//! shot mask), and only the union of uncertified clusters is handed — in a
-//! single call — to the full decoder.
+//! d = 15 / p = 1e-3 — where the mean shot carries ~59 defects — it never
+//! fires and the full decoder pays for every mechanism of every shot.
+//! [`ClusterTier`] moves the certification boundary from the shot to the
+//! *cluster*: the defect set is flood-decomposed into connected components
+//! of the truncated-ball adjacency (defects `u < v` join iff `v` lies in
+//! `u`'s ball, i.e. their exact boundary-avoiding distance by `u`'s own
+//! Dijkstra is at most the table radius), each component is certified
+//! independently with the predecoder's own three-pass margin check,
+//! certified components are peeled locally (their masks are potential
+//! gradients, XORed into the shot mask), and only the union of uncertified
+//! clusters is handed — in a single call — to the full decoder.
 //!
 //! # Separation argument
 //!
 //! Why may a certified cluster be peeled while other defects remain? The
 //! predecoder's cross-margin check (pass 3) certifies a defect pair in
 //! different units when their distance exceeds the sum of unit weights —
-//! and treats *absence from the truncated near table* as proof of distance
-//! greater than the table radius. Flood decomposition makes that proof
-//! structural: defects in different flood clusters are, by construction,
-//! farther apart than the radius. The tier additionally caps every
-//! certified unit weight at `(radius − EPS) / 2`, so for any two defects
-//! `x`, `y` in different *certified* clusters,
+//! and treats *absence from the lower endpoint's truncated ball* as proof
+//! of distance greater than the table radius. Flood decomposition makes
+//! that proof structural: defects in different flood clusters are, by
+//! construction, farther apart than the radius. The tier additionally caps
+//! every certified unit weight at `(radius − EPS) / 2`, so for any two
+//! defects `x`, `y` in different *certified* clusters,
 //! `d(x, y) > radius ≥ W_x + W_y + EPS` — exactly the inequality pass 3
 //! needs. Certified clusters therefore satisfy, jointly, every condition of
 //! the predecoder's exactness theorem (unit margins, flatness, cross
@@ -52,6 +52,16 @@
 //! charged once per table build (a [`crate::Tiered`] adapter builds one
 //! prototype and its workers clone it), not per shot.
 //!
+//! The tables are laid out for what `decompose` reads (see `Tables`): one
+//! packed record per node, only the upper half (`v > u`) of each ball, and
+//! per-node internal-neighbour lists that carry each adjacent pair's ball
+//! distance. Every lookup has its lower endpoint first because defect and
+//! cluster lists ascend, so the flood scans one upper-half ball per defect
+//! with no search for where the tail starts, certification's pass 1 never
+//! reads a graph edge, and its pass 2 needs no ball lookup for adjacent
+//! pairs. At d = 15 the tables take about 1.6 MB; the full balls they
+//! replaced took 2.1 MB on their own.
+//!
 //! When some cluster does *not* certify, no margin bounds its growth (a
 //! deep bulk single can grow a union-find region of radius `bnd ≫ radius`
 //! before draining), so peeling next to it is no longer provably identical
@@ -67,13 +77,15 @@
 //! # Scratch discipline
 //!
 //! Like the predecoder and the union-find decoder, all per-shot scratch
-//! (node→defect slots, per-cluster defect flags) is restored via the defect
-//! list itself after every call: a [`ClusterTier`] is reusable with zero
+//! lives in the tier and is reused: the node→slot array is restored via
+//! the defect list after the flood and via each cluster's members after
+//! its certification, and the defect- and cluster-indexed arrays are
+//! cleared and refilled per shot. A [`ClusterTier`] is reusable with zero
 //! steady-state allocation, and clones share the widened certification
 //! tables via `Arc` (one wide table build serves every clone).
 
 use crate::graph::{MatchingGraph, NodeId};
-use crate::predecode::{Predecoder, Tables, EPS, MAX_CERT_DEFECTS};
+use crate::predecode::{certify, Predecoder, Tables, EPS, MAX_CERT_DEFECTS};
 use std::sync::Arc;
 
 /// Clusters larger than this skip certification outright (the O(k²)
@@ -125,29 +137,23 @@ impl ClusterOutcome {
 #[derive(Clone, Debug)]
 pub struct ClusterTier {
     tables: Arc<Tables>,
-    /// node → index into the current defect list (`u32::MAX` = clean);
-    /// restored via the defect list after every call.
+    /// node → index into the list being worked on (`u32::MAX` = clean): the
+    /// shot's defect list during the flood, one cluster's member list
+    /// during its certification. Restored after each use.
     slot: Vec<u32>,
-    /// Per-cluster defect flags for certification; restored after each
-    /// cluster's certify pass.
-    is_defect: Vec<bool>,
     /// Union-find parents over defect indices (rebuilt per shot).
     parent: Vec<u32>,
-    /// Defect indices grouped by cluster, clusters in order of smallest
-    /// member index, members ascending.
-    members: Vec<u32>,
+    /// Defect index → flood cluster id (current shot).
+    cluster_of: Vec<u32>,
+    /// Defect node ids grouped by cluster, clusters in order of smallest
+    /// member, members ascending.
+    members: Vec<NodeId>,
     /// CSR offsets into `members`, one entry per cluster plus a tail.
     cluster_off: Vec<u32>,
-    /// Per-cluster fill cursor into `members` while grouping.
-    cursor: Vec<u32>,
     /// Sizes of all flood clusters of the current shot, cluster order.
     sizes: Vec<u32>,
-    /// Defect node ids of uncertified clusters, concatenated cluster-major.
-    residual: Vec<NodeId>,
-    /// End offsets into `residual`, one per uncertified cluster.
-    residual_ends: Vec<u32>,
-    /// Defect index → belongs to an uncertified cluster (current shot).
-    res_flag: Vec<bool>,
+    /// Per cluster: certified and peeled (current shot).
+    peeled: Vec<bool>,
     /// Sorted-ascending union of all residual defects, ready for a single
     /// full-decoder call.
     residual_union: Vec<NodeId>,
@@ -159,7 +165,19 @@ impl ClusterTier {
     /// edge, not the median). Clones share the tables via `Arc`; per-worker
     /// instances should clone a prototype rather than rebuild.
     pub fn new(graph: &MatchingGraph) -> ClusterTier {
-        Self::from_tables(Arc::new(Tables::build_wide(graph)))
+        let tables = Arc::new(Tables::build_wide(graph));
+        let n = tables.graph.num_nodes();
+        ClusterTier {
+            tables,
+            slot: vec![u32::MAX; n],
+            parent: Vec::new(),
+            cluster_of: Vec::new(),
+            members: Vec::new(),
+            cluster_off: Vec::new(),
+            sizes: Vec::new(),
+            peeled: Vec::new(),
+            residual_union: Vec::new(),
+        }
     }
 
     /// Builds a cluster tier for the same graph `pre` was built against.
@@ -167,24 +185,6 @@ impl ClusterTier {
     /// own truncated-Dijkstra build — a convenience, not a cheap share.
     pub fn from_predecoder(pre: &Predecoder) -> ClusterTier {
         Self::new(&pre.tables().graph)
-    }
-
-    fn from_tables(tables: Arc<Tables>) -> ClusterTier {
-        let n = tables.graph.num_nodes();
-        ClusterTier {
-            tables,
-            slot: vec![u32::MAX; n],
-            is_defect: vec![false; n],
-            parent: Vec::new(),
-            members: Vec::new(),
-            cluster_off: Vec::new(),
-            cursor: Vec::new(),
-            sizes: Vec::new(),
-            residual: Vec::new(),
-            residual_ends: Vec::new(),
-            res_flag: Vec::new(),
-            residual_union: Vec::new(),
-        }
     }
 
     /// Flood-decomposes `defects` into independent clusters, certifies and
@@ -197,135 +197,126 @@ impl ClusterTier {
     /// by [`caliqec_stab::SparseBatch::defects`].
     pub fn decompose(&mut self, defects: &[NodeId]) -> ClusterOutcome {
         debug_assert!(defects.windows(2).all(|w| w[0] < w[1]));
-        self.members.clear();
-        self.cluster_off.clear();
-        self.sizes.clear();
-        self.residual.clear();
-        self.residual_ends.clear();
-        self.residual_union.clear();
+        let ClusterTier {
+            tables,
+            slot,
+            parent,
+            cluster_of,
+            members,
+            cluster_off,
+            sizes,
+            peeled,
+            residual_union,
+        } = self;
+        let t: &Tables = tables;
+        members.clear();
+        cluster_off.clear();
+        sizes.clear();
+        peeled.clear();
+        residual_union.clear();
         let k = defects.len();
         if k == 0 {
             return ClusterOutcome::default();
         }
 
-        // --- Flood decomposition: defect i and j join iff one lies in the
-        // other's truncated ball (distance ≤ radius). Ball membership is
-        // symmetric and ball lists ascend, so scanning only the tail of
-        // each ball (nodes above the defect itself) finds every edge once;
-        // the node→slot array the scan probes is a few kilobytes and stays
-        // cache-resident across the whole dense chunk.
-        self.parent.clear();
-        self.parent.extend(0..k as u32);
+        // --- Flood decomposition: defects u < v join iff v lies in u's
+        // truncated ball (distance ≤ radius by u's own Dijkstra). The
+        // tables keep only each ball's upper half, so every scan finds each
+        // joining pair exactly once; the node→slot array it probes is a few
+        // kilobytes and stays cache-resident across the whole dense chunk.
+        parent.clear();
+        parent.extend(0..k as u32);
         for (i, &u) in defects.iter().enumerate() {
-            self.slot[u] = i as u32;
+            slot[u] = i as u32;
         }
-        let tables = Arc::clone(&self.tables);
         for (i, &u) in defects.iter().enumerate() {
-            let ball = tables.ball(u);
-            let tail = ball.partition_point(|&v| (v as usize) <= u);
-            for &v in &ball[tail..] {
-                let j = self.slot[v as usize];
+            for &v in t.up_ball(u) {
+                let j = slot[v as usize];
                 if j != u32::MAX {
-                    self.union(i as u32, j);
+                    union(parent, i as u32, j);
                 }
             }
         }
         for &u in defects {
-            self.slot[u] = u32::MAX;
+            slot[u] = u32::MAX;
         }
 
-        // --- Group members by root, clusters ordered by smallest member
-        // index (roots are minimal members thanks to union-by-min), members
-        // ascending. Two counting passes over the parent array.
-        let mut outcome = ClusterOutcome::default();
+        // --- Group members by root in one pass. Union by minimum makes
+        // every root its cluster's smallest member, and roots precede their
+        // members, so numbering roots as they appear orders clusters by
+        // smallest member; filling in defect order keeps members ascending.
+        cluster_of.clear();
         for i in 0..k as u32 {
-            if self.find(i) == i {
-                // Root seen in ascending order: assign the next cluster id
-                // by reusing `sizes` as a root → cluster map via push order.
-                self.cluster_off.push(0);
-                self.sizes.push(i); // temporarily: cluster id → root index
-            }
+            let root = find(parent, i);
+            let c = if root == i {
+                sizes.push(0);
+                sizes.len() as u32 - 1
+            } else {
+                cluster_of[root as usize]
+            };
+            cluster_of.push(c);
+            sizes[c as usize] += 1;
         }
-        let clusters = self.sizes.len();
-        // Count members per cluster into cluster_off (roots ascend, and
-        // sizes[] currently maps cluster id → root, so binary search works).
-        for i in 0..k as u32 {
-            let root = self.find(i);
-            let c = self.sizes.binary_search(&root).expect("root is recorded");
-            self.cluster_off[c] += 1;
-        }
-        // Prefix-sum into CSR offsets, then fill members in ascending index
-        // order (stable within each cluster).
+        let clusters = sizes.len();
+        // `cluster_off[c + 1]` starts as cluster c's first member slot and
+        // serves as its fill cursor, ending as its end offset.
+        cluster_off.push(0);
         let mut acc = 0u32;
-        for off in self.cluster_off.iter_mut() {
-            let count = *off;
-            *off = acc;
-            acc += count;
+        for &size in sizes.iter() {
+            cluster_off.push(acc);
+            acc += size;
         }
-        self.cluster_off.push(acc);
-        self.members.resize(k, 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.cluster_off[..clusters]);
-        for i in 0..k as u32 {
-            let root = self.find(i);
-            let c = self.sizes.binary_search(&root).expect("root is recorded");
-            self.members[self.cursor[c] as usize] = i;
-            self.cursor[c] += 1;
-        }
-        // Replace the temporary root map with the real cluster sizes.
-        for c in 0..clusters {
-            self.sizes[c] = self.cluster_off[c + 1] - self.cluster_off[c];
+        members.resize(k, 0);
+        for (&u, &c) in defects.iter().zip(cluster_of.iter()) {
+            let cursor = &mut cluster_off[c as usize + 1];
+            members[*cursor as usize] = u;
+            *cursor += 1;
         }
 
-        // --- Certify-and-peel, cluster by cluster.
-        outcome.clusters = clusters as u32;
-        self.res_flag.clear();
-        self.res_flag.resize(k, false);
-        let mut scratch = [0usize; MAX_CLUSTER_DEFECTS];
+        // --- Certify-and-peel, cluster by cluster. Inter-cluster cross
+        // margins are discharged by flood separation (distance > radius)
+        // only while both unit weights fit under half the radius; heavier
+        // units must decline. With the widened tables this cap clears
+        // every internal edge weight (see the module docs).
+        let w_cap = (t.radius - EPS) / 2.0;
+        let mut outcome = ClusterOutcome {
+            clusters: clusters as u32,
+            ..ClusterOutcome::default()
+        };
         for c in 0..clusters {
-            let lo = self.cluster_off[c] as usize;
-            let hi = self.cluster_off[c + 1] as usize;
-            let size = hi - lo;
-            let certified = if size <= MAX_CLUSTER_DEFECTS {
-                for (s, &m) in scratch.iter_mut().zip(&self.members[lo..hi]) {
-                    *s = defects[m as usize];
+            let cluster = &members[cluster_off[c] as usize..cluster_off[c + 1] as usize];
+            let certified = if cluster.len() <= MAX_CLUSTER_DEFECTS {
+                for (i, &u) in cluster.iter().enumerate() {
+                    slot[u] = i as u32;
                 }
-                let cluster = &scratch[..size];
+                let mask = certify(t, slot, cluster, w_cap);
                 for &u in cluster {
-                    self.is_defect[u] = true;
-                }
-                let mask = certify_cluster(&self.tables, &self.is_defect, cluster);
-                for &u in cluster {
-                    self.is_defect[u] = false;
+                    slot[u] = u32::MAX;
                 }
                 mask
             } else {
                 None
             };
+            peeled.push(certified.is_some());
             match certified {
                 Some(mask) => {
                     outcome.mask ^= mask;
                     outcome.peeled_clusters += 1;
-                    outcome.peeled_defects += size as u32;
+                    outcome.peeled_defects += cluster.len() as u32;
                 }
-                None => {
-                    for &m in &self.members[lo..hi] {
-                        self.residual.push(defects[m as usize]);
-                        self.res_flag[m as usize] = true;
-                    }
-                    self.residual_ends.push(self.residual.len() as u32);
-                    outcome.residual_defects += size as u32;
-                }
+                None => outcome.residual_defects += cluster.len() as u32,
             }
         }
         // Sorted union of the residual clusters for the engine's single
         // full-decoder call (defect order = ascending node id, the same
         // order `SparseBatch::defects` produces).
-        for (i, &u) in defects.iter().enumerate() {
-            if self.res_flag[i] {
-                self.residual_union.push(u);
-            }
-        }
+        residual_union.extend(
+            defects
+                .iter()
+                .zip(cluster_of.iter())
+                .filter(|&(_, &c)| !peeled[c as usize])
+                .map(|(&u, _)| u),
+        );
         outcome
     }
 
@@ -345,12 +336,11 @@ impl ClusterTier {
     /// decodes [`ClusterTier::residual_defects`] in one call instead.
     /// Cluster order matches the flood order (smallest member first).
     pub fn residual_clusters(&self) -> impl Iterator<Item = &[NodeId]> {
-        let mut start = 0usize;
-        self.residual_ends.iter().map(move |&end| {
-            let slice = &self.residual[start..end as usize];
-            start = end as usize;
-            slice
-        })
+        self.cluster_off
+            .windows(2)
+            .zip(&self.peeled)
+            .filter(|&(_, &peeled)| !peeled)
+            .map(|(off, _)| &self.members[off[0] as usize..off[1] as usize])
     }
 
     /// Sizes of *all* flood clusters (peeled and residual) of the last
@@ -359,139 +349,26 @@ impl ClusterTier {
     pub fn cluster_sizes(&self) -> &[u32] {
         &self.sizes
     }
-
-    fn find(&mut self, mut i: u32) -> u32 {
-        while self.parent[i as usize] != i {
-            let gp = self.parent[self.parent[i as usize] as usize];
-            self.parent[i as usize] = gp;
-            i = gp;
-        }
-        i
-    }
-
-    /// Union by minimum root index: keeps roots deterministic and makes
-    /// every root the smallest member of its cluster.
-    fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi as usize] = lo;
-        }
-    }
 }
 
-/// Per-cluster certification: the predecoder's three-pass margin check
-/// restricted to one flood cluster, with the inter-cluster unit-weight cap
-/// from the module docs. `is_defect` must mark exactly the members of
-/// `cluster` (sorted ascending, `len ≤ MAX_CLUSTER_DEFECTS`).
-///
-/// Returns the cluster's certified observable mask, or `None` when any
-/// margin fails — never a wrong mask.
-fn certify_cluster(t: &Tables, is_defect: &[bool], cluster: &[NodeId]) -> Option<u64> {
-    let g = &t.graph;
-    let boundary = g.boundary();
-    let k = cluster.len();
-    // Inter-cluster cross margins are discharged by flood separation
-    // (distance > radius) only while both unit weights fit under half the
-    // radius; heavier units must decline. With the widened tables this cap
-    // clears every internal edge weight (see the module docs).
-    let w_cap = (t.radius - EPS) / 2.0;
-    let mut mask = 0u64;
-    let mut unit_w = [0.0f64; MAX_CLUSTER_DEFECTS];
-    let mut partner = [usize::MAX; MAX_CLUSTER_DEFECTS];
-
-    // Pass 1: unique defect neighbour via the CSR adjacency. Only members
-    // of this cluster are marked, so a (necessarily heavier-than-radius)
-    // direct edge into another cluster does not propose a pairing — its
-    // members are margin-checked as singles/pairs of their own clusters.
-    for (i, &u) in cluster.iter().enumerate() {
-        let mut nbr = usize::MAX;
-        for &ei in g.incident(u) {
-            let v = g.other_endpoint(ei as usize, u);
-            if v == u || v == boundary || !is_defect[v] {
-                continue;
-            }
-            if nbr != usize::MAX && nbr != v {
-                return None; // two distinct defect neighbours
-            }
-            nbr = v;
-        }
-        if nbr != usize::MAX {
-            let j = cluster
-                .binary_search(&nbr)
-                .expect("neighbour is in cluster");
-            partner[i] = j;
-        }
+fn find(parent: &mut [u32], mut i: u32) -> u32 {
+    while parent[i as usize] != i {
+        let gp = parent[parent[i as usize] as usize];
+        parent[i as usize] = gp;
+        i = gp;
     }
+    i
+}
 
-    // Pass 2: per-unit weights, margins, and masks (see
-    // `Predecoder::certify` for the per-branch reasoning; the additions
-    // are the `w_cap` clamp on every accepted unit weight and the
-    // two-gauge flatness check — a unit flat under either potential
-    // contributes that gauge's gradient, see `Tables::single_mask` /
-    // `Tables::pair_mask`).
-    for (i, &u) in cluster.iter().enumerate() {
-        let j = partner[i];
-        if j == usize::MAX {
-            let w = t.bnd[u];
-            if !w.is_finite() || w <= EPS || w > w_cap {
-                return None;
-            }
-            mask ^= t.single_mask(u, w)?;
-            unit_w[i] = w;
-        } else {
-            debug_assert_eq!(partner[j], i, "adjacency pairing is mutual");
-            if i < j {
-                let v = cluster[j];
-                let w = t.near(u, v)?;
-                if !w.is_finite() || w <= EPS || w > w_cap {
-                    return None;
-                }
-                let bsum = t.bnd[u] + t.bnd[v];
-                if w + EPS < bsum {
-                    mask ^= t.pair_mask(u, v, w)?;
-                    unit_w[i] = w;
-                    unit_w[j] = w;
-                } else if bsum + EPS < w {
-                    // Demoted singles: each member is a unit of its own and
-                    // may certify under its own gauge.
-                    for (x, xi) in [(u, i), (v, j)] {
-                        let wx = t.bnd[x];
-                        if !wx.is_finite() || wx <= EPS || wx > w_cap {
-                            return None;
-                        }
-                        mask ^= t.single_mask(x, wx)?;
-                        unit_w[xi] = wx;
-                    }
-                } else {
-                    return None; // exact tie: structures ambiguous
-                }
-            }
-        }
+/// Union by minimum root index: keeps roots deterministic and makes every
+/// root the smallest member of its cluster.
+fn union(parent: &mut [u32], a: u32, b: u32) {
+    let ra = find(parent, a);
+    let rb = find(parent, b);
+    if ra != rb {
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        parent[hi as usize] = lo;
     }
-
-    // Pass 3: intra-cluster cross margins. Cross-*cluster* pairs need no
-    // lookup: flood separation proves distance > radius ≥ W_x + W_y + EPS
-    // (every accepted weight is ≤ (radius − EPS) / 2).
-    for i in 0..k {
-        for j in (i + 1)..k {
-            if partner[i] == j {
-                continue; // same unit
-            }
-            let threshold = unit_w[i] + unit_w[j] + EPS;
-            if threshold > t.radius {
-                return None; // truncated ball cannot certify the gap
-            }
-            match t.near(cluster[i], cluster[j]) {
-                Some(d) if d <= threshold => {
-                    return None;
-                }
-                _ => {}
-            }
-        }
-    }
-    Some(mask)
 }
 
 #[cfg(test)]
@@ -514,6 +391,28 @@ mod tests {
         );
         let graph = graph_for_circuit(&mem.circuit);
         (mem.circuit, graph)
+    }
+
+    /// Every node within boundary-avoiding distance `r` of `src`.
+    fn neighbourhood(g: &MatchingGraph, src: NodeId, r: f64) -> Vec<NodeId> {
+        use crate::graph::HeapItem;
+        use std::collections::{BinaryHeap, HashMap};
+        let mut dist = HashMap::from([(src, 0.0)]);
+        let mut heap = BinaryHeap::from([HeapItem(0.0, src)]);
+        while let Some(HeapItem(d, u)) = heap.pop() {
+            if d > dist[&u] || u == g.boundary() {
+                continue;
+            }
+            for &ei in g.incident(u) {
+                let v = g.other_endpoint(ei as usize, u);
+                let nd = d + g.edges()[ei as usize].weight;
+                if nd <= r && dist.get(&v).is_none_or(|&old| nd < old) {
+                    dist.insert(v, nd);
+                    heap.push(HeapItem(nd, v));
+                }
+            }
+        }
+        dist.into_keys().collect()
     }
 
     #[test]
@@ -566,7 +465,6 @@ mod tests {
             let defects = sparse.defects(s);
             let a = tier.decompose(defects);
             assert!(tier.slot.iter().all(|&x| x == u32::MAX), "slot scratch");
-            assert!(tier.is_defect.iter().all(|&b| !b), "flag scratch");
             let b = tier.decompose(defects);
             assert_eq!(a, b, "decompose must be deterministic and reusable");
         }
@@ -694,15 +592,12 @@ mod tests {
                 }
                 defects.push(e.u);
                 defects.push(e.v);
+                // Guard two ball radii around each defect: one keeps
+                // distinct mechanisms in distinct flood clusters, the
+                // other pads it.
                 for u in [e.u, e.v] {
-                    guard[u] = true;
-                    for &v in tier.tables.ball(u) {
-                        guard[v as usize] = true;
-                        // Pad by one more ball so distinct mechanisms stay
-                        // in distinct flood clusters.
-                        for &w in tier.tables.ball(v as usize) {
-                            guard[w as usize] = true;
-                        }
+                    for v in neighbourhood(&g, u, 2.0 * tier.tables.radius) {
+                        guard[v] = true;
                     }
                 }
             }

@@ -30,19 +30,20 @@
 //!
 //! # Firing condition
 //!
-//! The defect list is partitioned into *units* via the CSR adjacency
-//! (O(degree) per defect): a defect with exactly one defect neighbour is
-//! **paired** with it (adjacency is symmetric, so pairing is mutual); a
-//! defect with no defect neighbours is a boundary **single**; two or more
-//! defect neighbours decline the shot. With `EPS = 1e-9` absorbing the
-//! decoders' float tolerances (accumulated rounding on these short paths
-//! is ≤ 1e-12), the shot certifies iff every unit satisfies:
+//! The defect list is partitioned into *units* via the tables' internal
+//! neighbour lists (O(degree) per defect): a defect with exactly one
+//! defect neighbour is **paired** with it (adjacency is symmetric, so
+//! pairing is mutual); a defect with no defect neighbours is a boundary
+//! **single**; two or more defect neighbours decline the shot. With
+//! `EPS = 1e-9` absorbing the decoders' float tolerances (accumulated
+//! rounding on these short paths is ≤ 1e-12), the shot certifies iff every
+//! unit satisfies:
 //!
 //! - **Single** `u`: unit weight `W = bnd(u)`, its exact shortest boundary
 //!   distance, with `W > EPS` and the flatness margin below. Mask
 //!   contribution `π(u) ^ π(boundary)`.
 //! - **Adjacent pair** `(u, v)`: let `w = d(u, v)` (exact boundary-avoiding
-//!   distance from the truncated near table) and compare with draining
+//!   distance from `u`'s truncated ball, `u < v`) and compare with draining
 //!   both to the boundary. If `w + EPS < bnd(u) + bnd(v)`, the unit is an
 //!   internal pair with `W = w` for both members. If
 //!   `bnd(u) + bnd(v) + EPS < w`, both members demote to singles (their
@@ -62,10 +63,10 @@
 //!   gradient. Degenerate weight ties — ubiquitous in uniform-noise
 //!   surface codes — therefore need no uniqueness side conditions.
 //! - **Cross margin**: for defects `x`, `y` in *different* units,
-//!   `d(x, y) > W_x + W_y + EPS` (near-table lookup, or absence from the
-//!   truncated ball when the threshold fits under the ball radius), so
-//!   neither cluster growth nor any alternative matching can couple the
-//!   units.
+//!   `d(x, y) > W_x + W_y + EPS` (a lookup in the lower endpoint's
+//!   truncated ball, or absence from it when the threshold fits under the
+//!   ball radius), so neither cluster growth nor any alternative matching
+//!   can couple the units.
 //!
 //! The certified mask is the XOR of per-unit potential gradients.
 //!
@@ -100,12 +101,12 @@
 //!
 //! # Scratch discipline
 //!
-//! Like `UnionFindDecoder`, the per-shot scratch (`is_defect` flags) is
-//! restored via the defect list itself after every call, so a `Predecoder`
-//! is reusable with zero steady-state allocation. The precomputed tables
-//! are immutable and shared across clones via `Arc` — cloning a predecoder
-//! for another worker thread costs one atomic increment plus a small flag
-//! buffer.
+//! Like `UnionFindDecoder`, the per-shot scratch (node → defect-index
+//! slots) is restored via the defect list itself after every call, so a
+//! `Predecoder` is reusable with zero steady-state allocation. The
+//! precomputed tables are immutable and shared across clones via `Arc` —
+//! cloning a predecoder for another worker thread costs one atomic
+//! increment plus a small slot buffer.
 
 use crate::cluster::ClusterTier;
 use crate::engine::{DecodeStack, DecoderFactory};
@@ -242,40 +243,62 @@ fn gauge(graph: &MatchingGraph, crossing_penalty: f64) -> (Vec<f64>, Vec<u64>, V
     (drain, pot, frus)
 }
 
+/// One node's certification record. The five per-node quantities every
+/// certification step reads sit together, so a lookup touches one record
+/// instead of five arrays.
+#[derive(Clone, Copy, Debug)]
+struct NodeRec {
+    /// Exact shortest boundary distance (`INFINITY` if detached).
+    bnd: f64,
+    /// Distance to the nearest endpoint of an edge frustrated under `pot`
+    /// (`INFINITY` when the potential explains every edge). A ball of
+    /// smaller radius contains no frustrated edge, so observable flips
+    /// inside it are path-independent.
+    frus: f64,
+    /// The same under the second gauge `pot2`. Narrow tables have no second
+    /// gauge and hold `NEG_INFINITY` here, so it never passes a margin.
+    frus2: f64,
+    /// Node potential: `π(root) = 0`, `π(child) = π(parent) ^ obs(edge)`
+    /// over a spanning forest. Certified masks are gradients of π.
+    pot: u64,
+    /// Second-gauge potential (0 in narrow tables): its frustration wall
+    /// sits along the observable-crossing columns instead of the drainage
+    /// watershed, so units straddling the π-watershed, which fail the
+    /// `frus` flatness margin, can still certify. See
+    /// [`Tables::single_mask`] / [`Tables::pair_mask`].
+    pot2: u64,
+}
+
 /// Immutable certification tables, built once per graph and shared across
 /// predecoder clones (and, via [`crate::ClusterTier`], the dense-regime
 /// cluster tier, which reuses the same radius/potential/margin machinery).
+///
+/// Three per-node structures (the last two CSR), laid out for the lookups
+/// certification and the cluster flood make:
+///
+/// - `node`: one [`NodeRec`] per node.
+/// - Upper-half balls: for source `u`, the nodes `v > u` its truncated
+///   Dijkstra reached, ascending, with their distances. Every lookup has
+///   `u < v` (defect and cluster lists ascend), so the lower half is never
+///   stored. `d(u, v)` and `d(v, u)` come from different Dijkstra runs and
+///   may differ in the last bit; each pair keeps its lower endpoint's run.
+/// - Internal neighbours: for node `u`, the far endpoint of every incident
+///   edge in incident-edge order (boundary edges and self-loops dropped,
+///   parallel edges kept), each with the pair distance
+///   `near(min, max)`, or `INFINITY` when the pair lies outside the ball.
 #[derive(Debug)]
 pub(crate) struct Tables {
     pub(crate) graph: MatchingGraph,
-    /// Truncation radius of the near tables: they cover all walks of
-    /// length ≤ `radius`, so absence of a node certifies distance > radius.
+    /// Truncation radius of the balls: they cover all walks of length
+    /// ≤ `radius`, so absence of a node certifies distance > radius.
     pub(crate) radius: f64,
-    /// Node potential: `π(root) = 0`, `π(child) = π(parent) ^ obs(edge)`
-    /// over a spanning forest. Certified masks are gradients of π.
-    pub(crate) pot: Vec<u64>,
-    /// Exact shortest boundary distance per node (`INFINITY` if detached).
-    pub(crate) bnd: Vec<f64>,
-    /// Distance to the nearest endpoint of a frustrated edge (`INFINITY`
-    /// when the potential explains every edge). A ball of smaller radius
-    /// contains no frustrated edge, so observable flips inside it are
-    /// path-independent.
-    pub(crate) frus: Vec<f64>,
-    /// Second gauge (wide tables only, else empty): a potential whose
-    /// frustration wall sits along the observable-crossing columns instead
-    /// of the drainage watershed, so units straddling the π-watershed —
-    /// which fail the `frus` flatness margin — can still certify. See
-    /// [`Tables::single_mask`] / [`Tables::pair_mask`].
-    pub(crate) pot2: Vec<u64>,
-    /// Distance to the nearest frustrated-edge endpoint under `pot2`
-    /// (empty unless the tables are widened).
-    pub(crate) frus2: Vec<f64>,
-    /// Truncated near tables, CSR over nodes: for node `n`, targets
-    /// `near_node[near_off[n]..near_off[n+1]]` (ascending) with exact
-    /// boundary-avoiding shortest distances `near_dist`.
-    near_off: Vec<u32>,
-    near_node: Vec<u32>,
-    near_dist: Vec<f64>,
+    node: Vec<NodeRec>,
+    up_off: Vec<u32>,
+    up_node: Vec<u32>,
+    up_dist: Vec<f64>,
+    nbr_off: Vec<u32>,
+    nbr_node: Vec<u32>,
+    nbr_dist: Vec<f64>,
 }
 
 impl Tables {
@@ -324,8 +347,17 @@ impl Tables {
             let (_, pot2, frus2) = gauge(graph, penalty);
             (pot2, frus2)
         } else {
-            (Vec::new(), Vec::new())
+            (vec![0; n], vec![f64::NEG_INFINITY; n])
         };
+        let node = (0..n)
+            .map(|u| NodeRec {
+                bnd: bnd[u],
+                frus: frus[u],
+                frus2: frus2[u],
+                pot: pot[u],
+                pot2: pot2[u],
+            })
+            .collect();
 
         // --- Truncation radius: certification thresholds reach at most
         // W_x + W_y for two unit weights, so 2× the median edge weight
@@ -358,11 +390,12 @@ impl Tables {
         let radius = 2.0 * base * 1.01 + 1e-6;
 
         // --- Truncated Dijkstra from every node: exact boundary-avoiding
-        // shortest distances to every node within `radius`. Absence of a
-        // target from a ball proves its distance exceeds `radius`.
-        let mut near_off = vec![0u32; n + 1];
-        let mut near_node: Vec<u32> = Vec::new();
-        let mut near_dist: Vec<f64> = Vec::new();
+        // shortest distances to every node within `radius`. Only the
+        // members above the source are kept. Absence of a target `v > u`
+        // from `u`'s ball proves their distance exceeds `radius`.
+        let mut up_off = vec![0u32; n + 1];
+        let mut up_node: Vec<u32> = Vec::new();
+        let mut up_dist: Vec<f64> = Vec::new();
         let mut dist = vec![f64::INFINITY; n];
         let mut touched: Vec<u32> = Vec::new();
         let mut heap = BinaryHeap::new();
@@ -392,9 +425,9 @@ impl Tables {
                 touched.sort_unstable();
                 for &t in &touched {
                     let tu = t as usize;
-                    if tu != src && tu != boundary {
-                        near_node.push(t);
-                        near_dist.push(dist[tu]);
+                    if tu > src && tu != boundary {
+                        up_node.push(t);
+                        up_dist.push(dist[tu]);
                     }
                 }
                 for &t in &touched {
@@ -402,59 +435,88 @@ impl Tables {
                 }
                 touched.clear();
             }
-            near_off[src + 1] = near_node.len() as u32;
+            up_off[src + 1] = up_node.len() as u32;
         }
 
-        Tables {
+        let mut tables = Tables {
             graph: graph.clone(),
             radius,
-            pot,
-            bnd,
-            frus,
-            pot2,
-            frus2,
-            near_off,
-            near_node,
-            near_dist,
+            node,
+            up_off,
+            up_node,
+            up_dist,
+            nbr_off: vec![0; n + 1],
+            nbr_node: Vec::new(),
+            nbr_dist: Vec::new(),
+        };
+
+        // --- Internal neighbours, each with its pair's ball distance.
+        let mut nbr_node = Vec::new();
+        let mut nbr_dist = Vec::new();
+        for u in 0..n {
+            if u != boundary {
+                for &ei in graph.incident(u) {
+                    let v = graph.other_endpoint(ei as usize, u);
+                    if v == u || v == boundary {
+                        continue;
+                    }
+                    nbr_node.push(v as u32);
+                    nbr_dist.push(tables.near(u.min(v), u.max(v)).unwrap_or(f64::INFINITY));
+                }
+            }
+            tables.nbr_off[u + 1] = nbr_node.len() as u32;
         }
+        tables.nbr_node = nbr_node;
+        tables.nbr_dist = nbr_dist;
+        tables
     }
 
-    /// Exact boundary-avoiding distance from `u` to `v`, or `None` when
-    /// `v` lies outside `u`'s truncated ball (distance > [`Self::radius`]).
+    /// Exact boundary-avoiding distance from `u` to `v > u` by `u`'s own
+    /// truncated Dijkstra, or `None` when `v` lies outside `u`'s ball
+    /// (distance > [`Self::radius`]).
     #[inline]
-    pub(crate) fn near(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let lo = self.near_off[u] as usize;
-        let hi = self.near_off[u + 1] as usize;
-        let slice = &self.near_node[lo..hi];
-        slice
+    fn near(&self, u: NodeId, v: NodeId) -> Option<f64> {
+        debug_assert!(u < v, "balls hold only their upper half");
+        let lo = self.up_off[u] as usize;
+        let hi = self.up_off[u + 1] as usize;
+        self.up_node[lo..hi]
             .binary_search(&(v as u32))
             .ok()
-            .map(|i| self.near_dist[lo + i])
+            .map(|i| self.up_dist[lo + i])
     }
 
-    /// All nodes within `u`'s truncated ball (ascending node id). Used by
-    /// the cluster tier's flood decomposition: two defects belong to the
-    /// same cluster iff one lies in the other's ball.
+    /// The nodes `v > u` within `u`'s truncated ball, ascending. The
+    /// cluster tier's flood joins two defects `u < v` iff `v` is here.
     #[inline]
-    pub(crate) fn ball(&self, u: NodeId) -> &[u32] {
-        let lo = self.near_off[u] as usize;
-        let hi = self.near_off[u + 1] as usize;
-        &self.near_node[lo..hi]
+    pub(crate) fn up_ball(&self, u: NodeId) -> &[u32] {
+        let lo = self.up_off[u] as usize;
+        let hi = self.up_off[u + 1] as usize;
+        &self.up_node[lo..hi]
+    }
+
+    /// `u`'s internal neighbours (incident-edge order) and, per entry, the
+    /// pair's ball distance or `INFINITY`.
+    #[inline]
+    fn neighbours(&self, u: NodeId) -> (&[u32], &[f64]) {
+        let lo = self.nbr_off[u] as usize;
+        let hi = self.nbr_off[u + 1] as usize;
+        (&self.nbr_node[lo..hi], &self.nbr_dist[lo..hi])
     }
 
     /// Gauge-aware boundary-drain mask for a single of unit weight `w`:
     /// the observable flip of draining `u` to the boundary, under whichever
     /// potential is frustration-free within radius `w` of `u` (the single's
-    /// entire growth region). `None` when neither gauge is flat there.
-    /// Wide tables only — with `frus2` absent, this is exactly the
+    /// entire growth region). `None` when neither gauge is flat there. In
+    /// narrow tables the second gauge never passes, so this is the
     /// predecoder's single-gauge flatness check.
     #[inline]
-    pub(crate) fn single_mask(&self, u: NodeId, w: f64) -> Option<u64> {
-        let b = self.graph.boundary();
-        if self.frus[u] > w + EPS {
-            Some(self.pot[u] ^ self.pot[b])
-        } else if !self.frus2.is_empty() && self.frus2[u] > w + EPS {
-            Some(self.pot2[u] ^ self.pot2[b])
+    fn single_mask(&self, u: NodeId, w: f64) -> Option<u64> {
+        let r = &self.node[u];
+        let b = &self.node[self.graph.boundary()];
+        if r.frus > w + EPS {
+            Some(r.pot ^ b.pot)
+        } else if r.frus2 > w + EPS {
+            Some(r.pot2 ^ b.pot2)
         } else {
             None
         }
@@ -465,15 +527,140 @@ impl Tables {
     /// frustration-free under a *common* gauge, whose gradient is then the
     /// flip of every walk the decoders can realise between them.
     #[inline]
-    pub(crate) fn pair_mask(&self, u: NodeId, v: NodeId, w: f64) -> Option<u64> {
-        if self.frus[u] > w + EPS && self.frus[v] > w + EPS {
-            Some(self.pot[u] ^ self.pot[v])
-        } else if !self.frus2.is_empty() && self.frus2[u] > w + EPS && self.frus2[v] > w + EPS {
-            Some(self.pot2[u] ^ self.pot2[v])
+    fn pair_mask(&self, u: NodeId, v: NodeId, w: f64) -> Option<u64> {
+        let (a, b) = (&self.node[u], &self.node[v]);
+        if a.frus > w + EPS && b.frus > w + EPS {
+            Some(a.pot ^ b.pot)
+        } else if a.frus2 > w + EPS && b.frus2 > w + EPS {
+            Some(a.pot2 ^ b.pot2)
         } else {
             None
         }
     }
+}
+
+/// The three-pass margin check of the module docs over `defects` (sorted
+/// ascending, at most [`MAX_CERT_DEFECTS`]), with every accepted unit
+/// weight capped at `w_cap`. `slot[x]` must be `x`'s index in `defects` for
+/// every member and `u32::MAX` for every other node.
+///
+/// Returns the certified observable mask, or `None` when any margin fails —
+/// never a wrong mask. The predecoder runs it on a whole shot with no cap;
+/// the cluster tier runs it per flood cluster under its separation cap.
+pub(crate) fn certify(t: &Tables, slot: &[u32], defects: &[NodeId], w_cap: f64) -> Option<u64> {
+    let k = defects.len();
+    let mut mask = 0u64;
+    // Per-defect unit weight, partner index (usize::MAX = single), and the
+    // ball distance to the partner.
+    let mut unit_w = [0.0f64; MAX_CERT_DEFECTS];
+    let mut partner = [usize::MAX; MAX_CERT_DEFECTS];
+    let mut pair_w = [f64::INFINITY; MAX_CERT_DEFECTS];
+
+    // Pass 1: O(degree) neighbour-list scan per defect — find the unique
+    // defect neighbour, if any. Adjacency is symmetric, so the induced
+    // pairing is automatically mutual: if `u`'s only defect neighbour is
+    // `v`, then `v` sees `u` too, and any *additional* neighbour of `v`
+    // declines the whole set right here. Only members are marked, so a
+    // direct edge out of the set proposes no pairing.
+    for (i, &u) in defects.iter().enumerate() {
+        let (nodes, dists) = t.neighbours(u);
+        let mut nbr = u32::MAX;
+        for (e, &v) in nodes.iter().enumerate() {
+            let j = slot[v as usize];
+            if j == u32::MAX {
+                continue;
+            }
+            if nbr != u32::MAX && nbr != j {
+                return None; // two distinct defect neighbours
+            }
+            nbr = j;
+            pair_w[i] = dists[e];
+        }
+        if nbr != u32::MAX {
+            partner[i] = nbr as usize;
+        }
+    }
+
+    // Pass 2: per-unit weights, margins, and masks. A unit flat under
+    // either gauge contributes that gauge's gradient.
+    for (i, &u) in defects.iter().enumerate() {
+        let j = partner[i];
+        if j == usize::MAX {
+            // Single unit: neutralises against the boundary at its exact
+            // boundary distance; the ball up to there must be flat.
+            let w = t.node[u].bnd;
+            if !w.is_finite() || w <= EPS || w > w_cap {
+                return None;
+            }
+            mask ^= t.single_mask(u, w)?;
+            unit_w[i] = w;
+        } else {
+            debug_assert_eq!(partner[j], i, "adjacency pairing is mutual");
+            if i < j {
+                // Adjacent pair, processed once from the smaller index.
+                // The matcher weighs the internal connection `w` against
+                // draining both defects to the boundary; whichever side
+                // wins strictly, the mask is the same gradient (the
+                // boundary potential cancels), so we certify either
+                // structure and decline only exact ties. An out-of-ball
+                // pair reads `INFINITY` and declines here.
+                let v = defects[j];
+                let w = pair_w[i];
+                if !w.is_finite() || w <= EPS || w > w_cap {
+                    return None;
+                }
+                let bsum = t.node[u].bnd + t.node[v].bnd;
+                if w + EPS < bsum {
+                    // Internal pair: clusters merge (or one drains to a
+                    // nearer boundary and the other joins it — either way
+                    // the grown region stays in the radius-`w` balls, and
+                    // the matcher strictly prefers the pair).
+                    mask ^= t.pair_mask(u, v, w)?;
+                    unit_w[i] = w;
+                    unit_w[j] = w;
+                } else if bsum + EPS < w {
+                    // Both drain to the boundary: two singles whose mutual
+                    // cross margin is exactly this inequality (pass 3
+                    // skips same-partner pairs, so it is discharged here).
+                    // Each may certify under its own gauge.
+                    for (x, xi) in [(u, i), (v, j)] {
+                        let wx = t.node[x].bnd;
+                        if !wx.is_finite() || wx <= EPS || wx > w_cap {
+                            return None;
+                        }
+                        mask ^= t.single_mask(x, wx)?;
+                        unit_w[xi] = wx;
+                    }
+                } else {
+                    return None; // exact tie: structures ambiguous
+                }
+            }
+        }
+    }
+
+    // Pass 3: cross margins — every pair of defects in different units
+    // must be farther apart than the sum of their unit weights, so neither
+    // the matcher nor cluster growth can couple them.
+    for i in 0..k {
+        for j in (i + 1)..k {
+            if partner[i] == j {
+                continue; // same unit
+            }
+            let threshold = unit_w[i] + unit_w[j] + EPS;
+            if threshold > t.radius {
+                return None; // truncated ball cannot certify the gap
+            }
+            match t.near(defects[i], defects[j]) {
+                Some(d) if d <= threshold => {
+                    return None;
+                }
+                // In-ball with margin, or outside the ball entirely
+                // (distance > radius ≥ threshold): certified.
+                _ => {}
+            }
+        }
+    }
+    Some(mask)
 }
 
 /// Tier-1 predecoder over a [`MatchingGraph`]. See the module docs for the
@@ -484,8 +671,9 @@ impl Tables {
 #[derive(Clone, Debug)]
 pub struct Predecoder {
     tables: Arc<Tables>,
-    /// Per-shot defect flags; restored via the defect list after each call.
-    is_defect: Vec<bool>,
+    /// node → index into the current defect list (`u32::MAX` = clean);
+    /// restored via the defect list after each call.
+    slot: Vec<u32>,
 }
 
 impl Predecoder {
@@ -502,7 +690,7 @@ impl Predecoder {
         let n = tables.graph.num_nodes();
         Predecoder {
             tables,
-            is_defect: vec![false; n],
+            slot: vec![u32::MAX; n],
         }
     }
 
@@ -530,153 +718,23 @@ impl Predecoder {
         if defects.len() > MAX_CERT_DEFECTS {
             return None;
         }
-        for &d in defects {
-            self.is_defect[d] = true;
+        for (i, &d) in defects.iter().enumerate() {
+            self.slot[d] = i as u32;
         }
-        let result = self.certify(defects);
+        let result = certify(&self.tables, &self.slot, defects, f64::INFINITY);
         for &d in defects {
-            self.is_defect[d] = false;
+            self.slot[d] = u32::MAX;
         }
         result
-    }
-
-    /// The certification pass proper (scratch marked by the caller).
-    fn certify(&self, defects: &[NodeId]) -> Option<u64> {
-        let t = &*self.tables;
-        let g = &t.graph;
-        let boundary = g.boundary();
-        let k = defects.len();
-        let mut mask = 0u64;
-        // Per-defect unit weight and partner index (usize::MAX = single).
-        let mut unit_w = [0.0f64; MAX_CERT_DEFECTS];
-        let mut partner = [usize::MAX; MAX_CERT_DEFECTS];
-
-        // Pass 1: O(degree) CSR neighbourhood scan per defect — find the
-        // unique defect neighbour, if any. Adjacency is symmetric, so the
-        // induced pairing is automatically mutual: if `u`'s only defect
-        // neighbour is `v`, then `v` sees `u` too, and any *additional*
-        // neighbour of `v` declines the whole shot right here.
-        for (i, &u) in defects.iter().enumerate() {
-            let mut nbr = usize::MAX;
-            for &ei in g.incident(u) {
-                let v = g.other_endpoint(ei as usize, u);
-                if v == u || v == boundary || !self.is_defect[v] {
-                    continue;
-                }
-                if nbr != usize::MAX && nbr != v {
-                    return None; // two distinct defect neighbours
-                }
-                nbr = v;
-            }
-            if nbr != usize::MAX {
-                let j = defects.binary_search(&nbr).expect("neighbour is a defect");
-                partner[i] = j;
-            }
-        }
-
-        // Pass 2: per-unit weights, margins, and masks.
-        for (i, &u) in defects.iter().enumerate() {
-            let j = partner[i];
-            if j == usize::MAX {
-                // Single unit: neutralises against the boundary at its
-                // exact boundary distance; the ball up to there must be
-                // frustration-free.
-                let w = t.bnd[u];
-                if !w.is_finite() || w <= EPS {
-                    return None;
-                }
-                if t.frus[u] <= w + EPS {
-                    return None;
-                }
-                unit_w[i] = w;
-                mask ^= t.pot[u] ^ t.pot[boundary];
-            } else {
-                debug_assert_eq!(partner[j], i, "adjacency pairing is mutual");
-                if i < j {
-                    // Adjacent pair, processed once from the smaller index.
-                    // The matcher weighs the internal connection `w` against
-                    // draining both defects to the boundary; whichever side
-                    // wins strictly, the mask is the same gradient
-                    // `π(u) ^ π(v)` (the boundary potential cancels), so we
-                    // certify either structure and decline only exact ties.
-                    let v = defects[j];
-                    let w = match t.near(u, v) {
-                        Some(w) => w,
-                        None => {
-                            return None;
-                        }
-                    };
-                    if !w.is_finite() || w <= EPS {
-                        return None;
-                    }
-                    let bsum = t.bnd[u] + t.bnd[v];
-                    if w + EPS < bsum {
-                        // Internal pair: clusters merge (or one drains to a
-                        // nearer boundary and the other joins it — either
-                        // way the grown region stays in the radius-`w`
-                        // balls, and the matcher strictly prefers the pair).
-                        for x in [u, v] {
-                            if t.frus[x] <= w + EPS {
-                                return None;
-                            }
-                        }
-                        unit_w[i] = w;
-                        unit_w[j] = w;
-                    } else if bsum + EPS < w {
-                        // Both drain to the boundary: two singles whose
-                        // mutual cross margin is exactly this inequality
-                        // (pass 3 skips same-partner pairs, so it is
-                        // discharged here).
-                        for (x, xi) in [(u, i), (v, j)] {
-                            let wx = t.bnd[x];
-                            if !wx.is_finite() || wx <= EPS {
-                                return None;
-                            }
-                            if t.frus[x] <= wx + EPS {
-                                return None;
-                            }
-                            unit_w[xi] = wx;
-                        }
-                    } else {
-                        return None; // exact tie: structures ambiguous
-                    }
-                    mask ^= t.pot[u] ^ t.pot[v];
-                }
-            }
-        }
-
-        // Pass 3: cross margins — every pair of defects in different units
-        // must be farther apart than the sum of their unit weights, so
-        // neither the matcher nor cluster growth can couple them.
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if partner[i] == j {
-                    continue; // same unit
-                }
-                let threshold = unit_w[i] + unit_w[j] + EPS;
-                if threshold > t.radius {
-                    return None; // truncated ball cannot certify the gap
-                }
-                match t.near(defects[i], defects[j]) {
-                    Some(d) if d <= threshold => {
-                        return None;
-                    }
-                    // In-ball with margin, or outside the ball entirely
-                    // (distance > radius ≥ threshold): certified.
-                    _ => {}
-                }
-            }
-        }
-        Some(mask)
     }
 }
 
 /// Gating policy for the dense-regime cluster tier.
 ///
-/// The tier's flood decomposition has a fixed per-shot cost that only pays
-/// off when shots are dense enough for certified clusters to peel real
-/// decoder work away (at d=11, p=1e-3 the decomposition costs more wall
-/// time than the full-decoder calls it saves). `Auto` makes the call per
+/// The tier's flood decomposition has a per-shot cost that only pays off
+/// when certified clusters peel enough decoder work away (at d=11, p=3e-3
+/// only 14% of defects peel and the tier saves about what it costs).
+/// `Auto` makes the call per
 /// 64-shot batch from the batch's mean defect count — a deterministic
 /// function of the sampled syndrome stream, so gating never perturbs the
 /// engine's thread-count-independence. It can change a failure count: a
@@ -697,12 +755,16 @@ pub enum ClusterGate {
 }
 
 /// Minimum mean defects per shot (over one 64-shot batch) for the `Auto`
-/// cluster gate to run the decomposition. Calibrated on the d ∈ {11, 15, 21}
-/// engine runs measured at commit 19caef5: d=11, p=1e-3 averages ≈20
-/// defects/shot and loses wall time to the tier; d=15 (≈40) and d=21 (≈95)
-/// clear the threshold. The tier does not win at d=15: re-measured at
-/// 9836c5a on a 2-core host, `Auto` read 46.4–54.6k shots/s against
-/// `Off`'s 44.1–55.5k (5–6 engine runs each), which is neutral.
+/// cluster gate to run the decomposition. It sits between the d = 11 and
+/// d = 15 means at p = 1e-3: 22.6 and 59.3 defects/shot over 4 096 shots
+/// (d = 21 reads 167.9). Through the engine on a 2-core host (2 threads,
+/// 7 paired runs per arm) `Auto` beats `Off` at d = 15 (median 56.5k vs
+/// 42.3k shots/s, 34.8 vs 46.5 CPU-µs per shot, ahead in 7/7 pairs) and at
+/// d = 21 (13.5k vs 10.3k, 7/7). The threshold is not the whole story:
+/// forcing the tier on at d = 11, p = 1e-3, where `Auto` stays shut,
+/// read 154k vs 137k shots/s, while at d = 11, p = 3e-3 (65 defects/shot,
+/// gate open) only 14% of defects peel and the tier is neutral. A mean
+/// defect count does not capture the error rate. See DESIGN.md §12.
 pub const CLUSTER_GATE_MIN_MEAN_DEFECTS: f64 = 28.0;
 
 /// [`DecoderFactory`] adapter for the engine's decode stack: it keeps the
@@ -882,8 +944,8 @@ mod tests {
         let g = memory_graph(3, 2e-3);
         let mut pre = Predecoder::new(&g);
         let a = pre.predecode(&[0, 1]);
-        // Whatever happened, the defect flags must be clean again.
-        assert!(pre.is_defect.iter().all(|&b| !b));
+        // Whatever happened, the defect slots must be clean again.
+        assert!(pre.slot.iter().all(|&s| s == u32::MAX));
         assert_eq!(pre.predecode(&[0, 1]), a);
     }
 

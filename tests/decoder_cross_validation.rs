@@ -341,6 +341,127 @@ fn golden_engine_fingerprints_cluster_on_off() {
     }
 }
 
+/// `ClusterTier::decompose` pinned by value, not only through engine
+/// counters: every shot with more than `MAX_CLUSTER_DEFECTS` defects at
+/// rotated d = 7 / 11 / 15 and on a deformed-then-enlarged d = 7 layout
+/// (a centre data qubit isolated, the patch grown right and bottom until
+/// its distance is back, as the calibration runtime does) is decomposed,
+/// and its outcome, residual union, residual clusters and cluster sizes
+/// are folded into one FNV-1a hash per configuration. Any change to the
+/// flood, the grouping or the certification that moves one bit fails here.
+#[test]
+fn cluster_decomposition_is_pinned_by_value() {
+    use caliqec::CaliqecConfig;
+    use caliqec_code::{
+        code_distance, data_coord, DeformInstruction, DeformedPatch, Lattice, Side,
+    };
+    let mut deformed = DeformedPatch::new(Lattice::Square, 7, 7);
+    deformed
+        .apply(DeformInstruction::DataQRm {
+            qubit: data_coord(3, 3),
+        })
+        .expect("the centre data qubit can be isolated");
+    for i in 0..2 * CaliqecConfig::default().delta_d {
+        if code_distance(&deformed.layout().unwrap()).min() >= 7 {
+            break;
+        }
+        let side = if i % 2 == 0 {
+            Side::Right
+        } else {
+            Side::Bottom
+        };
+        let _ = deformed.apply(DeformInstruction::PatchQAd { side });
+    }
+    let deformed = deformed.layout().unwrap();
+    assert_ne!(deformed, rotated_patch(7, 7), "the layout is deformed");
+    // (label, layout, rounds, p, batches, seed,
+    //  golden (dense shots, clusters, peeled defects, residual defects, hash))
+    type Golden = (usize, u64, u64, u64, u64);
+    let cases: [(&str, _, usize, f64, usize, u64, Golden); 4] = [
+        (
+            "rotated d=7",
+            rotated_patch(7, 7),
+            7,
+            3e-3,
+            8,
+            71,
+            (343, 830, 772, 5_676, 0x9eab_d690_3a60_89ca),
+        ),
+        (
+            "rotated d=11",
+            rotated_patch(11, 11),
+            11,
+            1e-3,
+            6,
+            111,
+            (348, 2_781, 4_836, 3_438, 0xbd00_1133_e0db_71e6),
+        ),
+        (
+            "rotated d=15",
+            rotated_patch(15, 15),
+            15,
+            1e-3,
+            4,
+            151,
+            (256, 4_964, 8_721, 6_342, 0xd7dd_d2d0_3971_54e4),
+        ),
+        (
+            "deformed+enlarged d=7",
+            deformed,
+            7,
+            3e-3,
+            8,
+            72,
+            (454, 1_275, 1_391, 8_647, 0x564a_d2b7_dad1_4cca),
+        ),
+    ];
+    for (label, layout, rounds, p, batches, seed, golden) in cases {
+        let mem = memory_circuit(&layout, &NoiseModel::uniform(p), rounds, MemoryBasis::Z);
+        let graph = graph_for_circuit(&mem.circuit);
+        let mut tier = ClusterTier::new(&graph);
+        let mut sampler = FrameSampler::new(&mem.circuit);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sparse = SparseBatch::new();
+        let mut words = Vec::new();
+        let (mut shots, mut clusters, mut peeled, mut residual) = (0usize, 0u64, 0u64, 0u64);
+        for _ in 0..batches {
+            let ev = sampler.sample_batch(&mut rng);
+            sparse.extract(&ev);
+            for s in 0..BATCH {
+                let defects = sparse.defects(s);
+                if defects.len() <= MAX_CLUSTER_DEFECTS {
+                    continue;
+                }
+                let out = tier.decompose(defects);
+                shots += 1;
+                clusters += u64::from(out.clusters);
+                peeled += u64::from(out.peeled_defects);
+                residual += u64::from(out.residual_defects);
+                words.extend([
+                    out.mask,
+                    u64::from(out.clusters),
+                    u64::from(out.peeled_clusters),
+                    u64::from(out.peeled_defects),
+                    u64::from(out.residual_defects),
+                ]);
+                words.push(tier.residual_defects().len() as u64);
+                words.extend(tier.residual_defects().iter().map(|&u| u as u64));
+                for cluster in tier.residual_clusters() {
+                    words.push(cluster.len() as u64);
+                    words.extend(cluster.iter().map(|&u| u as u64));
+                }
+                words.push(tier.cluster_sizes().len() as u64);
+                words.extend(tier.cluster_sizes().iter().map(|&s| u64::from(s)));
+            }
+        }
+        let got = (shots, clusters, peeled, residual, fnv1a_words(words));
+        assert_eq!(
+            got, golden,
+            "{label}: decomposition drifted (got {got:#x?})"
+        );
+    }
+}
+
 /// The cluster tier is a decoder variant, so its gate can change a failure
 /// count: at d = 9, p = 4e-3 every batch clears the `Auto` threshold, and
 /// on this seed a partially peeled shot decodes differently from its
