@@ -39,8 +39,6 @@ pub struct RowSpec {
 pub struct Table2Params {
     /// Rows to evaluate.
     pub rows: Vec<RowSpec>,
-    /// Retry-risk target the policies calibrate towards.
-    pub retry_target: f64,
     /// Drift-ensemble sample size.
     pub ensemble_size: usize,
     /// RNG seed.
@@ -80,7 +78,6 @@ impl Default for Table2Params {
         }
         Table2Params {
             rows,
-            retry_target: 0.01,
             ensemble_size: 500,
             seed: 2,
         }
@@ -150,7 +147,6 @@ pub fn run(params: &Table2Params) -> Table2Result {
                     DriftEra::Current => DriftDistribution::current(),
                     DriftEra::Future => DriftDistribution::future(),
                 },
-                retry_target: params.retry_target,
                 ensemble_size: params.ensemble_size,
                 ..EvalConfig::default()
             };

@@ -7,6 +7,7 @@
 //! of them with `--bin reproduce_all`. Each binary accepts only the flags
 //! it reads ([`accept_flags`]); any other argument exits 2.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -44,6 +44,7 @@
 //! patch.reintegrate_all();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

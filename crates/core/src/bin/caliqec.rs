@@ -10,7 +10,7 @@
 //! caliqec draw         [--distance D] [--lattice square|heavy-hex] [--hole R,C ...]
 //! caliqec serve        [--tenants N] [--distance D] [--windows W] [--rounds R]
 //!                      [--workers T] [--queue-bound Q] [--deadline-us U]
-//!                      [--gap-us G] [--seed S] [--p P] [--cluster] [--strict]
+//!                      [--gap-us G] [--seed S] [--p P] [--strict]
 //!                      [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
 //! caliqec help
 //! ```
@@ -29,8 +29,8 @@ use caliqec_code::{
 };
 use caliqec_device::{DeviceConfig, DeviceModel};
 use caliqec_match::{
-    graph_for_circuit, loopback_serve, ClusterGate, FaultPlan, LoopbackOptions, StreamConfig,
-    TenantSpec, Tiered, UnionFindDecoder,
+    graph_for_circuit, loopback_serve, FaultPlan, LoopbackOptions, StreamConfig, TenantSpec,
+    Tiered, UnionFindDecoder,
 };
 use caliqec_obs::{
     render_chrome_trace, render_json, render_prometheus, render_summary, verbosity, ObsSink,
@@ -133,7 +133,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "serve",
-        switches: &["cluster", "strict"],
+        switches: &["strict"],
         options: &[
             "tenants",
             "distance",
@@ -566,13 +566,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             let g = graph.clone();
             let factory: Box<dyn Fn() -> UnionFindDecoder + Send + Sync> =
                 Box::new(move || UnionFindDecoder::new(g.clone()));
-            let gate = if args.flags.contains_key("cluster") {
-                ClusterGate::On
-            } else {
-                ClusterGate::Off
-            };
             TenantSpec {
-                factory: Tiered::new(&graph, factory).with_cluster_gate(gate),
+                factory: Tiered::new(&graph, factory),
                 detectors: graph.num_detectors(),
             }
         })
@@ -685,14 +680,15 @@ USAGE:
       Render a (deformed) patch as ASCII art.
   caliqec serve [--tenants N] [--distance D] [--windows W] [--rounds R]
                 [--workers T] [--queue-bound Q] [--deadline-us U] [--gap-us G]
-                [--seed S] [--p P] [--cluster] [--strict]
+                [--seed S] [--p P] [--strict]
                 [--health-out FILE] [--metrics-out FILE] [--prom-out FILE]
                 [--quiet]
       Run the streaming decode service against deterministic loopback
       tenants: each tenant replays a distance-D memory circuit round by
       round from seed chunk_seed(S, tenant) and the shared worker pool
-      decodes the reassembled windows. --queue-bound Q bounds each
-      tenant's ingress queue (full queues reject windows — backpressure);
+      decodes the reassembled windows with union-find (no cluster
+      tier). --queue-bound Q bounds each tenant's ingress queue (full
+      queues reject windows — backpressure);
       --deadline-us U arms the three-rung shed ladder (0 disables it);
       --gap-us G paces the open-loop arrival schedule. --health-out writes
       the ServiceHealth JSON snapshot (per-tenant round accounting +

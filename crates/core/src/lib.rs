@@ -39,6 +39,7 @@
 //! assert!(report.calibrations > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -98,6 +98,16 @@ fn serve_takes_no_fault_plan() {
     );
 }
 
+#[test]
+fn serve_has_no_cluster_switch() {
+    // The service always decodes without the cluster tier; a stale script
+    // asking for it is refused rather than silently run without it.
+    assert_usage_error(
+        &["serve", "--tenants", "2", "--windows", "8", "--cluster"],
+        "--cluster",
+    );
+}
+
 /// The printed round latency is a measurement on every run, not only when
 /// an export flag happens to enable the observability sink.
 #[test]

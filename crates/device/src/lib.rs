@@ -28,6 +28,7 @@
 //! assert_eq!(characterization.len(), device.gates.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

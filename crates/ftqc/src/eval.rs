@@ -13,7 +13,6 @@ use crate::risk::{
     DriftEnsemble,
 };
 use caliqec_device::DriftDistribution;
-use caliqec_sched::{ALPHA, P_TH};
 use rand::Rng;
 
 /// Evaluation configuration shared by all policies of one Table 2 row.
@@ -24,8 +23,6 @@ pub struct EvalConfig {
     pub p0: f64,
     /// Drift-time distribution (current or future model).
     pub drift: DriftDistribution,
-    /// Retry-risk level the policies calibrate towards (1 % or 0.1 % rows).
-    pub retry_target: f64,
     /// Targeted physical error rate the schedules keep every gate below
     /// (the paper holds gates a safe margin under the 1 % threshold).
     pub p_tar: f64,
@@ -43,7 +40,6 @@ impl Default for EvalConfig {
         EvalConfig {
             p0: 1e-3,
             drift: DriftDistribution::current(),
-            retry_target: 0.01,
             p_tar: 3e-3,
             t_cali_hours: 0.1,
             delta_d: 4,
@@ -63,14 +59,6 @@ pub struct PolicyResult {
     pub exec_hours: f64,
     /// Retry risk in `[0, 1]`.
     pub retry_risk: f64,
-}
-
-/// The physical error rate at which a sustained run of `ops` operations on a
-/// distance-`d` code hits the retry target — the `p_tar` the calibration
-/// schedule must keep every gate below.
-pub fn p_tar_for_run(d: usize, ops: f64, retry_target: f64) -> f64 {
-    let per_op = retry_target / ops;
-    (P_TH * (per_op / ALPHA).powf(2.0 / (d as f64 + 1.0))).min(P_TH * 0.999)
 }
 
 /// Evaluates one policy on one benchmark at distance `d`.
@@ -164,21 +152,6 @@ mod tests {
         assert!(qecali.retry_risk <= lsc.retry_risk * 1.05);
         assert!(qecali.physical_qubits < lsc.physical_qubits / 2);
         assert!((qecali.exec_hours - nocal.exec_hours).abs() < 1e-9);
-    }
-
-    #[test]
-    fn p_tar_tightens_with_more_ops() {
-        let few = p_tar_for_run(25, 1e6, 0.01);
-        let many = p_tar_for_run(25, 1e12, 0.01);
-        assert!(many < few);
-        assert!(many > 0.0);
-    }
-
-    #[test]
-    fn p_tar_loosens_with_distance() {
-        let small = p_tar_for_run(21, 1e9, 0.01);
-        let large = p_tar_for_run(31, 1e9, 0.01);
-        assert!(large > small);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! assert!(qecali.physical_qubits < lsc.physical_qubits); // in-situ wins on qubits
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -31,7 +32,7 @@ mod risk;
 mod router;
 
 pub use arch::{physical_qubits, qubit_overhead, tile_qubits, Policy, TILES_PER_LOGICAL};
-pub use eval::{evaluate, p_tar_for_run, table2_row, EvalConfig, PolicyResult};
+pub use eval::{evaluate, table2_row, EvalConfig, PolicyResult};
 pub use exec::{base_exec_hours, exec_hours, CX_PARALLELISM, CYCLE_US};
 pub use factory::{
     distill_15_to_1, injected_error, t_error_budget, FactorySpec, LEVEL1_TILES, LEVEL1_TIMESTEPS,

@@ -34,23 +34,27 @@
 //! [`crate::UnionFindDecoder`] and [`crate::MwpmDecoder`] return for the
 //! whole defect set.
 //!
-//! # Widened tables
+//! # Tables
 //!
-//! The tier does *not* share the predecoder's tables: it builds its own
-//! with [`Tables::build_wide`](crate::predecode), whose radius is sized off
-//! the heaviest internal edge (`2 × min(max_ball_edge, 4 × median)`, with
-//! the median as a floor) instead of twice the median. On graphs with a
-//! realistic weight spread this lifts the unit cap `(radius − EPS) / 2`
-//! above *every* single-edge pair weight — the dominant cluster population
-//! at `d = 15`, `p = 1e-3`, where the predecoder-radius cap of
-//! `≈ 1.01 × median` rejects precisely the pairs whose edge weight sits
-//! above the median. The wider balls also let pass 3 resolve intra-cluster
-//! cross margins by actual distance lookups (the threshold fits under the
-//! radius) instead of declining through the truncation guard, so two
-//! merged mechanisms certify whenever their gap clears the summed unit
-//! weights. The cost — a coarser flood and a bigger one-off Dijkstra — is
-//! charged once per table build (a [`crate::Tiered`] adapter builds one
-//! prototype and its workers clone it), not per shot.
+//! Each graph has one set of certification tables (`Tables` in
+//! `predecode`), built by [`ClusterTier::new`] and shared by `Arc` across
+//! clones. [`crate::Predecoder`] is a whole-shot query on a tier over them,
+//! so [`ClusterTier::from_predecoder`] is a share, not a second build. The
+//! radius is sized off the heaviest internal edge
+//! (`2 × min(max_ball_edge, 4 × median)`, with the median as a floor)
+//! instead of twice the median. On graphs with a realistic weight spread
+//! this lifts the unit cap `(radius − EPS) / 2` above *every* single-edge
+//! pair weight — the dominant cluster population at `d = 15`, `p = 1e-3`,
+//! where a `2 × median` radius would cap units at `≈ 1.01 × median` and
+//! reject precisely the pairs whose edge weight sits above the median. The
+//! wider balls also let pass 3 resolve intra-cluster cross margins by
+//! actual distance lookups (the threshold fits under the radius) instead of
+//! declining through the truncation guard, so two merged mechanisms certify
+//! whenever their gap clears the summed unit weights. The cost — a coarser
+//! flood and a bigger one-off Dijkstra — is charged once per table build (a
+//! [`crate::Tiered`] adapter builds one prototype and its workers clone
+//! it), not per shot. The tables carry two gauges, and a unit certifies
+//! when it is flat under either.
 //!
 //! The tables are laid out for what `decompose` reads (see `Tables`): one
 //! packed record per node, only the upper half (`v > u`) of each ball, and
@@ -76,13 +80,13 @@
 //!
 //! # Scratch discipline
 //!
-//! Like the predecoder and the union-find decoder, all per-shot scratch
-//! lives in the tier and is reused: the node→slot array is restored via
-//! the defect list after the flood and via each cluster's members after
-//! its certification, and the defect- and cluster-indexed arrays are
-//! cleared and refilled per shot. A [`ClusterTier`] is reusable with zero
-//! steady-state allocation, and clones share the widened certification
-//! tables via `Arc` (one wide table build serves every clone).
+//! Like the union-find decoder, all per-shot scratch lives in the tier and
+//! is reused: the node→slot array is restored via the defect list after
+//! the flood and via each certified list's members after its
+//! certification, and the defect- and cluster-indexed arrays are cleared
+//! and refilled per shot. A [`ClusterTier`] is reusable with zero
+//! steady-state allocation, and clones share the certification tables via
+//! `Arc` (one table build serves every clone).
 
 use crate::graph::{MatchingGraph, NodeId};
 use crate::predecode::{certify, Predecoder, Tables, EPS, MAX_CERT_DEFECTS};
@@ -160,16 +164,14 @@ pub struct ClusterTier {
 }
 
 impl ClusterTier {
-    /// Builds a cluster tier with its own *widened* certification tables
-    /// (see the module docs — the radius is sized off the heaviest internal
-    /// edge, not the median). Clones share the tables via `Arc`; per-worker
-    /// instances should clone a prototype rather than rebuild.
+    /// Builds the certification tables for `graph` (a truncated Dijkstra
+    /// per node; see the module docs for the radius) and a tier over them.
+    /// Clones share the tables via `Arc`; per-worker instances should clone
+    /// a prototype rather than rebuild.
     pub fn new(graph: &MatchingGraph) -> ClusterTier {
-        let tables = Arc::new(Tables::build_wide(graph));
-        let n = tables.graph.num_nodes();
         ClusterTier {
-            tables,
-            slot: vec![u32::MAX; n],
+            tables: Arc::new(Tables::new(graph)),
+            slot: vec![u32::MAX; graph.num_nodes()],
             parent: Vec::new(),
             cluster_of: Vec::new(),
             members: Vec::new(),
@@ -180,11 +182,16 @@ impl ClusterTier {
         }
     }
 
-    /// Builds a cluster tier for the same graph `pre` was built against.
-    /// The tier needs wider tables than the predecoder's, so this runs its
-    /// own truncated-Dijkstra build — a convenience, not a cheap share.
+    /// The tier `pre` queries: a clone that shares its tables via `Arc`,
+    /// not a second build.
     pub fn from_predecoder(pre: &Predecoder) -> ClusterTier {
-        Self::new(&pre.tables().graph)
+        pre.0.clone()
+    }
+
+    /// Certifies a whole shot with no unit-weight cap: the query behind
+    /// [`Predecoder::predecode`], which applies the defect cap first.
+    pub(crate) fn certify_shot(&mut self, defects: &[NodeId]) -> Option<u64> {
+        certify_list(&self.tables, &mut self.slot, defects, f64::INFINITY)
     }
 
     /// Flood-decomposes `defects` into independent clusters, certifies and
@@ -276,7 +283,7 @@ impl ClusterTier {
         // --- Certify-and-peel, cluster by cluster. Inter-cluster cross
         // margins are discharged by flood separation (distance > radius)
         // only while both unit weights fit under half the radius; heavier
-        // units must decline. With the widened tables this cap clears
+        // units must decline. With the tables' radius this cap clears
         // every internal edge weight (see the module docs).
         let w_cap = (t.radius - EPS) / 2.0;
         let mut outcome = ClusterOutcome {
@@ -286,14 +293,7 @@ impl ClusterTier {
         for c in 0..clusters {
             let cluster = &members[cluster_off[c] as usize..cluster_off[c + 1] as usize];
             let certified = if cluster.len() <= MAX_CLUSTER_DEFECTS {
-                for (i, &u) in cluster.iter().enumerate() {
-                    slot[u] = i as u32;
-                }
-                let mask = certify(t, slot, cluster, w_cap);
-                for &u in cluster {
-                    slot[u] = u32::MAX;
-                }
-                mask
+                certify_list(t, slot, cluster, w_cap)
             } else {
                 None
             };
@@ -349,6 +349,19 @@ impl ClusterTier {
     pub fn cluster_sizes(&self) -> &[u32] {
         &self.sizes
     }
+}
+
+/// [`certify`] on `list` (sorted ascending, at most [`MAX_CERT_DEFECTS`]
+/// defects) with `slot` filled for its members, restored afterwards.
+fn certify_list(t: &Tables, slot: &mut [u32], list: &[NodeId], w_cap: f64) -> Option<u64> {
+    for (i, &u) in list.iter().enumerate() {
+        slot[u] = i as u32;
+    }
+    let mask = certify(t, slot, list, w_cap);
+    for &u in list {
+        slot[u] = u32::MAX;
+    }
+    mask
 }
 
 fn find(parent: &mut [u32], mut i: u32) -> u32 {
@@ -427,15 +440,24 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_widened_tables() {
+    fn from_predecoder_shares_the_tables() {
         let (_, g) = memory_setup(3, 1e-3);
         let pre = Predecoder::new(&g);
         let tier = ClusterTier::from_predecoder(&pre);
-        // The tier's tables are widened, not the predecoder's...
-        assert!(tier.tables.radius >= pre.tables().radius);
-        // ...but clones share them, so per-worker instances are cheap.
-        let clone = tier.clone();
-        assert!(Arc::ptr_eq(&tier.tables, &clone.tables));
+        assert!(Arc::ptr_eq(&pre.0.tables, &tier.tables));
+        // Clones share them too, so per-worker instances are cheap.
+        assert!(Arc::ptr_eq(&pre.0.tables, &pre.clone().0.tables));
+        assert!(Arc::ptr_eq(&tier.tables, &tier.clone().tables));
+    }
+
+    #[test]
+    fn predecoder_scratch_is_restored_between_calls() {
+        let (_, g) = memory_setup(3, 2e-3);
+        let mut pre = Predecoder::new(&g);
+        let a = pre.predecode(&[0, 1]);
+        // Whatever happened, the defect slots must be clean again.
+        assert!(pre.0.slot.iter().all(|&s| s == u32::MAX));
+        assert_eq!(pre.predecode(&[0, 1]), a);
     }
 
     #[test]

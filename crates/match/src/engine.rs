@@ -55,12 +55,12 @@
 //! this machinery deterministically; injection only ever fires on a
 //! chunk's first (rung-0) attempt.
 
-use crate::cluster::{cluster_hist_bucket, ClusterTier, CLUSTER_HIST_BUCKETS};
+use crate::cluster::{cluster_hist_bucket, ClusterTier, CLUSTER_HIST_BUCKETS, MAX_CLUSTER_DEFECTS};
 use crate::decode::{Decoder, LerEstimate, SampleOptions};
 use crate::error::{EngineError, ValidationError};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::graph::MatchingGraph;
-use crate::predecode::{ClusterGate, Predecoder, CLUSTER_GATE_MIN_MEAN_DEFECTS};
+use crate::predecode::{ClusterGate, CLUSTER_GATE_MIN_MEAN_DEFECTS};
 use crate::reference::ReferenceUnionFind;
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
 use caliqec_stab::{
@@ -133,7 +133,7 @@ impl<D: Decoder, F: Fn() -> D + Sync> DecoderFactory for F {
 ///
 /// Rung 0 dispatches each shot to one of three places: tier 0 (an empty
 /// syndrome, identity mask), the cluster tier (more than
-/// [`Predecoder::MAX_CERT_DEFECTS`] defects, with a tier armed and its gate
+/// [`MAX_CLUSTER_DEFECTS`] defects, with a tier armed and its gate
 /// on), or the full decoder (everything else).
 #[derive(Debug)]
 pub struct DecodeStack<D> {
@@ -411,7 +411,7 @@ impl<D: Decoder> DecodeStack<D> {
         // Shots past this bound took the cluster path below.
         let mut monolithic_bound = usize::MAX;
         if let Some(clu) = cluster.as_mut().filter(|_| cluster_ran) {
-            monolithic_bound = Predecoder::MAX_CERT_DEFECTS;
+            monolithic_bound = MAX_CLUSTER_DEFECTS;
             // Dense shots: flood-decompose, peel certified clusters, decode
             // the residual union in one full-decoder call, XOR the masks.
             // Phase time is summed per shot (decomposition vs decoding), so

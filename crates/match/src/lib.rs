@@ -22,8 +22,8 @@
 //!   service decode every window through.
 //! - [`Predecoder`]: a conservative certifier that resolves
 //!   provably-locally-matchable shots without a full decoder. No decode
-//!   stack runs it (it cost more than it saved); it stays a standalone,
-//!   proptested certifier.
+//!   stack runs it (it cost more than it saved); it stays a proptested
+//!   whole-shot query on a [`ClusterTier`], over the tier's own tables.
 //! - [`estimate_ler`]: end-to-end residual logical-error-rate estimation
 //!   using the batched Pauli-frame sampler.
 //! - [`LerEngine`]: the thread-parallel Monte-Carlo engine behind

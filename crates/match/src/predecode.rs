@@ -6,9 +6,9 @@
 //! 2-core host, certification cost 0.21 µs per shot at d = 5 and 0.47 µs
 //! at d = 7 but saved only 0.04–0.2 µs of union-find, so rung 0 sends
 //! every nonempty shot it does not cluster straight to the full decoder.
-//! [`Predecoder`] stays a standalone certifier: the benchmark harness
-//! replays it layer by layer, and its margin checks are the ones the
-//! cluster tier applies per cluster.
+//! [`Predecoder`] stays as a whole-shot query on a [`ClusterTier`]: it runs
+//! the margin checks the tier applies per cluster, on the tier's own
+//! tables, and the benchmark harness replays it layer by layer.
 //!
 //! At the physical error rates that matter for calibration sweeps, the
 //! typical shot carries a handful of defects, most of which are an isolated
@@ -55,13 +55,15 @@
 //! - **Flatness**: `frus(x) > W_x + EPS` for every defect `x`, where
 //!   `frus` is the distance to the nearest endpoint of a *frustrated*
 //!   edge — an edge whose observable mask differs from the gradient
-//!   `π(u) ^ π(v)` of the precomputed node potential. Inside a
+//!   `π(u) ^ π(v)` of a precomputed node potential. Inside a
 //!   frustration-free ball, the observable flip of *any* walk depends only
 //!   on its endpoints (two walks differ by cycles of zero observable XOR),
 //!   so every tying shortest path, every union-find peeling tree, and
 //!   every Dijkstra tie-break yields the same mask: the potential
 //!   gradient. Degenerate weight ties — ubiquitous in uniform-noise
-//!   surface codes — therefore need no uniqueness side conditions.
+//!   surface codes — therefore need no uniqueness side conditions. The
+//!   tables hold two potentials (gauges); a unit passes when it is flat
+//!   under either one, and contributes that gauge's gradient.
 //! - **Cross margin**: for defects `x`, `y` in *different* units,
 //!   `d(x, y) > W_x + W_y + EPS` (a lookup in the lower endpoint's
 //!   truncated ball, or absence from it when the threshold fits under the
@@ -101,19 +103,19 @@
 //!
 //! # Scratch discipline
 //!
-//! Like `UnionFindDecoder`, the per-shot scratch (node → defect-index
-//! slots) is restored via the defect list itself after every call, so a
-//! `Predecoder` is reusable with zero steady-state allocation. The
-//! precomputed tables are immutable and shared across clones via `Arc` —
-//! cloning a predecoder for another worker thread costs one atomic
-//! increment plus a small slot buffer.
+//! A `Predecoder` keeps no state of its own: the per-shot scratch (node →
+//! defect-index slots) lives in the [`ClusterTier`] it queries and is
+//! restored via the defect list after every call, so it is reusable with
+//! zero steady-state allocation. The precomputed tables are immutable and
+//! shared across clones via `Arc` — cloning a predecoder for another
+//! worker thread costs one atomic increment plus the tier's scratch.
 
 use crate::cluster::ClusterTier;
 use crate::engine::{DecodeStack, DecoderFactory};
 use crate::graph::{HeapItem, MatchingGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Margin absorbing decoder float tolerances; all certification
 /// inequalities must clear this gap.
@@ -255,23 +257,22 @@ struct NodeRec {
     /// smaller radius contains no frustrated edge, so observable flips
     /// inside it are path-independent.
     frus: f64,
-    /// The same under the second gauge `pot2`. Narrow tables have no second
-    /// gauge and hold `NEG_INFINITY` here, so it never passes a margin.
+    /// The same under the second gauge `pot2`.
     frus2: f64,
     /// Node potential: `π(root) = 0`, `π(child) = π(parent) ^ obs(edge)`
     /// over a spanning forest. Certified masks are gradients of π.
     pot: u64,
-    /// Second-gauge potential (0 in narrow tables): its frustration wall
-    /// sits along the observable-crossing columns instead of the drainage
-    /// watershed, so units straddling the π-watershed, which fail the
-    /// `frus` flatness margin, can still certify. See
-    /// [`Tables::single_mask`] / [`Tables::pair_mask`].
+    /// Second-gauge potential: its frustration wall sits along the
+    /// observable-crossing columns instead of the drainage watershed, so
+    /// units straddling the π-watershed, which fail the `frus` flatness
+    /// margin, can still certify. See [`Tables::single_mask`] /
+    /// [`Tables::pair_mask`].
     pot2: u64,
 }
 
-/// Immutable certification tables, built once per graph and shared across
-/// predecoder clones (and, via [`crate::ClusterTier`], the dense-regime
-/// cluster tier, which reuses the same radius/potential/margin machinery).
+/// Immutable certification tables, built once per graph and shared by
+/// `Arc` across every [`crate::ClusterTier`] clone. The standalone
+/// [`Predecoder`] is a query on such a tier, so it reads the same tables.
 ///
 /// Three per-node structures (the last two CSR), laid out for the lookups
 /// certification and the cluster flood make:
@@ -288,7 +289,7 @@ struct NodeRec {
 ///   `near(min, max)`, or `INFINITY` when the pair lies outside the ball.
 #[derive(Debug)]
 pub(crate) struct Tables {
-    pub(crate) graph: MatchingGraph,
+    boundary: NodeId,
     /// Truncation radius of the balls: they cover all walks of length
     /// ≤ `radius`, so absence of a node certifies distance > radius.
     pub(crate) radius: f64,
@@ -302,53 +303,36 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// Predecoder tables: truncation radius `2 × median edge weight` (with
-    /// headroom), the cheapest balls that still certify single-mechanism
-    /// units of median weight.
-    pub(crate) fn build(graph: &MatchingGraph) -> Tables {
-        Self::build_inner(graph, false)
-    }
-
-    /// Cluster-tier tables: the radius is widened to
-    /// `2 × max(median, min(max_ball_edge, 4 × median))` so the tier's
-    /// unit-weight cap `(radius − EPS) / 2` exceeds every internal edge
-    /// weight (any single-edge defect pair fits under it) while the
-    /// `min(·, 4 × median)` guard keeps pathological weight tails from
-    /// blowing the balls up. On a uniform-weight graph this degenerates to
-    /// the predecoder radius.
-    pub(crate) fn build_wide(graph: &MatchingGraph) -> Tables {
-        Self::build_inner(graph, true)
-    }
-
-    fn build_inner(graph: &MatchingGraph, widen: bool) -> Tables {
+    /// Builds the tables for `graph`: both gauges, then the truncated balls
+    /// at radius `2 × max(median, min(max_ball_edge, 4 × median))`, so the
+    /// cluster tier's unit-weight cap `(radius − EPS) / 2` exceeds every
+    /// internal edge weight (any single-edge defect pair fits under it)
+    /// while the `min(·, 4 × median)` guard keeps pathological weight tails
+    /// from blowing the balls up. On a uniform-weight graph the radius is
+    /// `2 × median`.
+    pub(crate) fn new(graph: &MatchingGraph) -> Tables {
         let n = graph.num_nodes();
         let boundary = graph.boundary();
         let (bnd, pot, frus) = gauge(graph, 0.0);
 
-        // --- Second gauge (wide tables only). The watershed where
-        // drainage basins of opposite crossing parity meet is exactly
-        // where π's frustrated edges concentrate — and at dense-regime
-        // error rates a steady stream of defect pairs straddles it and
-        // fails the flatness margin. A second potential rooted on a
+        // --- Second gauge. The watershed where drainage basins of opposite
+        // crossing parity meet is exactly where π's frustrated edges
+        // concentrate — and a steady stream of defect pairs straddles it
+        // and fails the flatness margin. A second potential rooted on a
         // shortest-path tree whose metric penalises observable-crossing
         // edges moves the wall: drain paths cross only when forced, so
         // frustration under π₂ hugs the crossing columns at the lattice
         // edge instead of the mid-bulk watershed. Certification then
         // accepts a unit flat under *either* gauge (each gauge's gradient
         // is the physical flip wherever that gauge is flat).
-        let (pot2, frus2) = if widen {
-            let penalty: f64 = graph
-                .edges()
-                .iter()
-                .map(|e| e.weight)
-                .filter(|w| w.is_finite())
-                .sum::<f64>()
-                + 1.0;
-            let (_, pot2, frus2) = gauge(graph, penalty);
-            (pot2, frus2)
-        } else {
-            (vec![0; n], vec![f64::NEG_INFINITY; n])
-        };
+        let penalty: f64 = graph
+            .edges()
+            .iter()
+            .map(|e| e.weight)
+            .filter(|w| w.is_finite())
+            .sum::<f64>()
+            + 1.0;
+        let (_, pot2, frus2) = gauge(graph, penalty);
         let node = (0..n)
             .map(|u| NodeRec {
                 bnd: bnd[u],
@@ -360,10 +344,11 @@ impl Tables {
             .collect();
 
         // --- Truncation radius: certification thresholds reach at most
-        // W_x + W_y for two unit weights, so 2× the median edge weight
-        // (with headroom) covers the typical single-mechanism units while
-        // keeping the per-node balls to a couple of hops. Heavier units
-        // simply fail the `threshold ≤ radius` guard and fall through.
+        // W_x + W_y for two unit weights, so twice the heaviest edge a
+        // ball path can use (with headroom, floored at the median and
+        // capped at 4× it) covers single-mechanism units while keeping the
+        // per-node balls to a few hops. Heavier units simply fail the
+        // `threshold ≤ radius` guard and fall through.
         let mut weights: Vec<f64> = graph
             .edges()
             .iter()
@@ -382,11 +367,7 @@ impl Tables {
             .filter(|e| e.u != boundary && e.v != boundary && e.weight.is_finite())
             .map(|e| e.weight)
             .fold(0.0f64, f64::max);
-        let base = if widen {
-            median.max(max_ball_edge.min(4.0 * median))
-        } else {
-            median
-        };
+        let base = median.max(max_ball_edge.min(4.0 * median));
         let radius = 2.0 * base * 1.01 + 1e-6;
 
         // --- Truncated Dijkstra from every node: exact boundary-avoiding
@@ -439,7 +420,7 @@ impl Tables {
         }
 
         let mut tables = Tables {
-            graph: graph.clone(),
+            boundary,
             radius,
             node,
             up_off,
@@ -506,13 +487,11 @@ impl Tables {
     /// Gauge-aware boundary-drain mask for a single of unit weight `w`:
     /// the observable flip of draining `u` to the boundary, under whichever
     /// potential is frustration-free within radius `w` of `u` (the single's
-    /// entire growth region). `None` when neither gauge is flat there. In
-    /// narrow tables the second gauge never passes, so this is the
-    /// predecoder's single-gauge flatness check.
+    /// entire growth region). `None` when neither gauge is flat there.
     #[inline]
     fn single_mask(&self, u: NodeId, w: f64) -> Option<u64> {
         let r = &self.node[u];
-        let b = &self.node[self.graph.boundary()];
+        let b = &self.node[self.boundary];
         if r.frus > w + EPS {
             Some(r.pot ^ b.pot)
         } else if r.frus2 > w + EPS {
@@ -663,18 +642,14 @@ pub(crate) fn certify(t: &Tables, slot: &[u32], defects: &[NodeId], w_cap: f64) 
     Some(mask)
 }
 
-/// Tier-1 predecoder over a [`MatchingGraph`]. See the module docs for the
-/// firing condition and the exactness argument.
+/// Shot-level predecoder over a [`MatchingGraph`]: a whole-shot query on a
+/// [`ClusterTier`], certified with no unit-weight cap. See the module docs
+/// for the firing condition and the exactness argument.
 ///
-/// Cloning shares the precomputed tables (via `Arc`) and allocates only
-/// fresh per-shot scratch, so per-worker instances are cheap.
+/// Cloning shares the tier's tables (via `Arc`) and allocates only fresh
+/// per-shot scratch, so per-worker instances are cheap.
 #[derive(Clone, Debug)]
-pub struct Predecoder {
-    tables: Arc<Tables>,
-    /// node → index into the current defect list (`u32::MAX` = clean);
-    /// restored via the defect list after each call.
-    slot: Vec<u32>,
-}
+pub struct Predecoder(pub(crate) ClusterTier);
 
 impl Predecoder {
     /// Shots with more defects than this can never certify (see the module
@@ -682,22 +657,11 @@ impl Predecoder {
     /// before paying any predecode bookkeeping.
     pub const MAX_CERT_DEFECTS: usize = MAX_CERT_DEFECTS;
 
-    /// Builds the certification tables for `graph`. This is the expensive
-    /// part (a truncated Dijkstra per node); share the result across
-    /// workers by cloning.
+    /// Builds the certification tables for `graph`, exactly as
+    /// [`ClusterTier::new`] does. This is the expensive part (a truncated
+    /// Dijkstra per node); share the result across workers by cloning.
     pub fn new(graph: &MatchingGraph) -> Predecoder {
-        let tables = Arc::new(Tables::build(graph));
-        let n = tables.graph.num_nodes();
-        Predecoder {
-            tables,
-            slot: vec![u32::MAX; n],
-        }
-    }
-
-    /// The shared certification tables, for the cluster tier to reuse
-    /// (one table build serves both tiers).
-    pub(crate) fn tables(&self) -> &Arc<Tables> {
-        &self.tables
+        Predecoder(ClusterTier::new(graph))
     }
 
     /// Attempts to certify and locally decode a whole shot.
@@ -712,20 +676,10 @@ impl Predecoder {
     /// by [`caliqec_stab::SparseBatch::defects`].
     pub fn predecode(&mut self, defects: &[NodeId]) -> Option<u64> {
         debug_assert!(defects.windows(2).all(|w| w[0] < w[1]));
-        if defects.is_empty() {
-            return Some(0);
-        }
         if defects.len() > MAX_CERT_DEFECTS {
             return None;
         }
-        for (i, &d) in defects.iter().enumerate() {
-            self.slot[d] = i as u32;
-        }
-        let result = certify(&self.tables, &self.slot, defects, f64::INFINITY);
-        for &d in defects {
-            self.slot[d] = u32::MAX;
-        }
-        result
+        self.0.certify_shot(defects)
     }
 }
 
@@ -785,13 +739,13 @@ pub struct Tiered<F> {
     /// as the rung-2 degradation fallback.
     fallback: MatchingGraph,
     /// Opt-in dense-regime cluster tier (see [`crate::ClusterTier`]):
-    /// shots with more than [`Predecoder::MAX_CERT_DEFECTS`] defects are
+    /// shots with more than [`crate::MAX_CLUSTER_DEFECTS`] defects are
     /// flood-decomposed and decoded per cluster instead of monolithically,
     /// subject to the gate.
     cluster: ClusterGate,
-    /// The cluster tier every [`DecoderFactory::stack`] clones (its widened
+    /// The cluster tier every [`DecoderFactory::stack`] clones (its
     /// tables are `Arc`-shared). Built on the first `stack` call, so
-    /// constructing an adapter never pays for the wide table build.
+    /// constructing an adapter never pays for the table build.
     cluster_proto: OnceLock<ClusterTier>,
 }
 
@@ -820,7 +774,7 @@ impl<F: DecoderFactory> Tiered<F> {
     }
 
     /// Arms the dense-regime cluster tier (rung 0 only) under `gate`:
-    /// shots with more defects than [`Predecoder::MAX_CERT_DEFECTS`] are
+    /// shots with more defects than [`crate::MAX_CLUSTER_DEFECTS`] are
     /// flood-decomposed into independent clusters, certified clusters are
     /// peeled locally, and only the uncertified remainder reaches the full
     /// decoder. `On` decomposes every batch; `Auto` skips batches below
@@ -937,23 +891,5 @@ mod tests {
                 "d={d}: only {certified}/{nonempty} shots certified"
             );
         }
-    }
-
-    #[test]
-    fn scratch_is_restored_between_calls() {
-        let g = memory_graph(3, 2e-3);
-        let mut pre = Predecoder::new(&g);
-        let a = pre.predecode(&[0, 1]);
-        // Whatever happened, the defect slots must be clean again.
-        assert!(pre.slot.iter().all(|&s| s == u32::MAX));
-        assert_eq!(pre.predecode(&[0, 1]), a);
-    }
-
-    #[test]
-    fn tables_are_shared_across_clones() {
-        let g = memory_graph(3, 1e-3);
-        let pre = Predecoder::new(&g);
-        let clone = pre.clone();
-        assert!(Arc::ptr_eq(&pre.tables, &clone.tables));
     }
 }

@@ -1,16 +1,12 @@
 //! The structured event journal: what happened, in a deterministic order.
 //!
-//! Workers append events to a thread-local buffer and flush the buffer as
-//! one segment at chunk boundaries; segments land on a lock-free Treiber
-//! stack (one compare-exchange per flush, no mutex on the record path).
-//! A snapshot drains the stack and sorts events by [`order_key`] — `(run,
-//! lane, chunk, seq)` — which depends only on the deterministic chunk
-//! schedule, never on thread interleaving, so two runs of the same
-//! workload produce the same journal (timestamps aside) at any thread
-//! count.
-
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+//! Workers append events to a worker-local buffer and flush it at chunk
+//! boundaries into the sink's one mutex-guarded journal (one lock per
+//! flush, none on the record path). A snapshot sorts the journal by
+//! [`order_key`] — `(run, lane, chunk, seq)` — which depends only on the
+//! deterministic chunk schedule, never on thread interleaving, so two runs
+//! of the same workload produce the same journal (timestamps aside) at any
+//! thread count.
 
 /// One journal entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -147,76 +143,6 @@ pub fn order_key(e: &Event) -> (u32, u8, u32, u32) {
     (e.run, u8::from(!e.is_coordinator()), e.chunk, e.seq)
 }
 
-/// Lock-free stack of flushed event segments (Treiber stack). Push is a
-/// single CAS loop; draining swaps the head out wholesale.
-#[derive(Debug)]
-pub(crate) struct SegStack {
-    head: AtomicPtr<SegNode>,
-}
-
-struct SegNode {
-    events: Vec<Event>,
-    next: *mut SegNode,
-}
-
-impl SegStack {
-    pub(crate) fn new() -> SegStack {
-        SegStack {
-            head: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-
-    /// Pushes one flushed segment (lock-free; called from worker threads).
-    pub(crate) fn push(&self, events: Vec<Event>) {
-        if events.is_empty() {
-            return;
-        }
-        let node = Box::into_raw(Box::new(SegNode {
-            events,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` came from Box::into_raw above and is not yet
-            // visible to any other thread until the CAS below succeeds.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => head = actual,
-            }
-        }
-    }
-
-    /// Removes and returns every flushed segment's events (in no particular
-    /// order — callers sort by [`order_key`]).
-    pub(crate) fn drain(&self) -> Vec<Event> {
-        let mut head = self.head.swap(ptr::null_mut(), Ordering::Acquire);
-        let mut out = Vec::new();
-        while !head.is_null() {
-            // SAFETY: the swap above made this thread the unique owner of
-            // the detached list; each node was created by Box::into_raw.
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            out.extend(node.events);
-        }
-        out
-    }
-}
-
-impl Drop for SegStack {
-    fn drop(&mut self) {
-        let _ = self.drain();
-    }
-}
-
-// SAFETY: the stack hands segments between threads by value; the raw
-// pointers are only ever owned by one side of a push/drain.
-unsafe impl Send for SegStack {}
-unsafe impl Sync for SegStack {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,38 +156,6 @@ mod tests {
             t_nanos: 0,
             kind: EventKind::ChunkStart { rung: 0 },
         }
-    }
-
-    #[test]
-    fn stack_round_trips_segments() {
-        let stack = SegStack::new();
-        stack.push(vec![ev(0, 1, 0), ev(0, 1, 1)]);
-        stack.push(vec![ev(0, 0, 0)]);
-        stack.push(Vec::new()); // no-op
-        let mut drained = stack.drain();
-        assert_eq!(drained.len(), 3);
-        drained.sort_by_key(order_key);
-        assert_eq!(drained[0].chunk, 0);
-        assert_eq!(drained[1], ev(0, 1, 0));
-        assert_eq!(drained[2], ev(0, 1, 1));
-        assert!(stack.drain().is_empty());
-    }
-
-    #[test]
-    fn stack_survives_concurrent_pushes() {
-        let stack = std::sync::Arc::new(SegStack::new());
-        std::thread::scope(|scope| {
-            for w in 0..4u32 {
-                let stack = stack.clone();
-                scope.spawn(move || {
-                    for c in 0..50u32 {
-                        stack.push(vec![ev(w, c, 0)]);
-                    }
-                });
-            }
-        });
-        let drained = stack.drain();
-        assert_eq!(drained.len(), 200);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   the histograms.
 //! - **Journal** ([`journal`]): structured [`Event`]s (chunk start/finish
 //!   with tier outcomes and phase timings, fault/retry/rung transitions)
-//!   buffered per worker and flushed as lock-free segments at chunk
-//!   boundaries, then merged in an order that depends only on the
+//!   buffered per worker and appended to one mutex-guarded journal at
+//!   chunk boundaries, then sorted in an order that depends only on the
 //!   deterministic chunk schedule.
 //! - **Exporters** ([`export`]): human summary table, JSON snapshot,
 //!   Chrome trace-event JSON (Perfetto-viewable worker/chunk flamegraphs),
@@ -30,6 +30,7 @@
 //! [`ObsSink::snapshot`] produces the merged [`Snapshot`] the exporters
 //! consume.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

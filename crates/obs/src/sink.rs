@@ -9,10 +9,10 @@
 //! The record path is contention-free by construction: each worker thread
 //! asks for its own [`WorkerObs`], whose metric shard only that worker
 //! writes and whose event buffer is plain worker-local memory. The only
-//! cross-thread traffic is the lock-free segment push at chunk boundaries
+//! cross-thread traffic is one journal lock per flush at chunk boundaries
 //! (see [`crate::journal`]) and the once-per-worker shard registration.
 
-use crate::journal::{order_key, Event, EventKind, SegStack};
+use crate::journal::{order_key, Event, EventKind};
 use crate::metrics::{merge_shards, Counter, Gauge, Hist, HistSnapshot, Shard};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -27,11 +27,9 @@ struct Inner {
     /// Registered worker shards (pushed once per worker handle; the lock
     /// never sits on a record path).
     shards: Mutex<Vec<Arc<Shard>>>,
-    /// Flushed journal segments, merged lazily at snapshot time.
-    journal: SegStack,
-    /// Events already drained by earlier snapshots (snapshots are
-    /// cumulative, not destructive).
-    merged: Mutex<Vec<Event>>,
+    /// Every flushed event, sorted by [`order_key`] at snapshot time
+    /// (snapshots are cumulative, not destructive).
+    journal: Mutex<Vec<Event>>,
 }
 
 /// Cloneable observability handle. `disabled()` is a no-op sink the engine
@@ -62,8 +60,7 @@ impl ObsSink {
                 epoch: Instant::now(),
                 runs: AtomicU32::new(0),
                 shards: Mutex::new(Vec::new()),
-                journal: SegStack::new(),
-                merged: Mutex::new(Vec::new()),
+                journal: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -117,9 +114,9 @@ impl ObsSink {
         }
     }
 
-    /// Merges every shard and every flushed journal segment into a
-    /// [`Snapshot`]. Returns an empty snapshot on a disabled sink.
-    /// Cumulative: events drained here stay visible to later snapshots.
+    /// Merges every shard and the flushed journal into a [`Snapshot`].
+    /// Returns an empty snapshot on a disabled sink. Cumulative: events
+    /// read here stay visible to later snapshots.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -130,14 +127,13 @@ impl ObsSink {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         let (counters, gauges, histograms) = merge_shards(&shards);
-        let mut merged = inner.merged.lock().unwrap_or_else(PoisonError::into_inner);
-        merged.extend(inner.journal.drain());
-        merged.sort_by_key(order_key);
+        let mut journal = inner.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        journal.sort_by_key(order_key);
         Snapshot {
             counters,
             gauges,
             histograms,
-            events: merged.clone(),
+            events: journal.clone(),
         }
     }
 }
@@ -249,13 +245,17 @@ impl WorkerObs {
         });
     }
 
-    /// Flushes buffered events as one segment (lock-free push). Called at
-    /// chunk boundaries so segment granularity matches the deterministic
-    /// unit of work.
+    /// Appends buffered events to the journal under its lock, keeping the
+    /// buffer's capacity. Called at chunk boundaries, so the lock is taken
+    /// once per deterministic unit of work; an empty buffer takes none.
     pub fn flush(&mut self) {
         if let Some(inner) = &self.inner {
             if !self.buf.is_empty() {
-                inner.journal.push(std::mem::take(&mut self.buf));
+                inner
+                    .journal
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .append(&mut self.buf);
             }
         }
     }
@@ -415,6 +415,29 @@ mod tests {
         let a = order_of([(0, 0), (1, 1), (2, 0), (3, 1)]);
         let b = order_of([(0, 1), (1, 0), (2, 1), (3, 0)]);
         assert_eq!(a, b, "journal order leaked thread scheduling");
+    }
+
+    #[test]
+    fn concurrent_flushes_all_reach_the_snapshot_in_order() {
+        let sink = ObsSink::enabled();
+        std::thread::scope(|scope| {
+            for w in 0..4u32 {
+                let sink = sink.clone();
+                scope.spawn(move || {
+                    let mut obs = sink.worker(w, w);
+                    for c in 0..50u32 {
+                        obs.begin_chunk(c);
+                        obs.event(EventKind::ChunkStart { rung: 0 });
+                        obs.flush();
+                    }
+                });
+            }
+        });
+        let events = sink.snapshot().events;
+        assert_eq!(events.len(), 200);
+        assert!(events
+            .windows(2)
+            .all(|w| order_key(&w[0]) < order_key(&w[1])));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! assert!(groups.frequency() >= ideal_frequency(&gates));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

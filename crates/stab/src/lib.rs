@@ -45,6 +45,7 @@
 //! assert_eq!(dem.mechanisms.len(), 1); // both X errors flip the same check
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

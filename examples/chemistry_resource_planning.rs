@@ -16,6 +16,9 @@ use caliqec_sched::distance_for;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Retry-risk target the machine is sized for.
+const RETRY_TARGET: f64 = 0.01;
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let programs = [
@@ -31,7 +34,7 @@ fn main() {
     );
     for program in &programs {
         // Size the distance so a sustained run at p ~ 2e-3 meets the target.
-        let per_op = config.retry_target / program.logical_ops();
+        let per_op = RETRY_TARGET / program.logical_ops();
         let d = distance_for(2e-3, per_op).unwrap_or(31);
         for policy in [
             Policy::NoCalibration,

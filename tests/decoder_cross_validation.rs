@@ -19,21 +19,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every shot the predecoder certifies must decode to exactly the mask
-    /// both full decoders produce — across distances, noise strengths, and
-    /// random syndromes. This is the per-shot form of the two-tier
-    /// equivalence contract: `Some(mask)` is a proof, never a heuristic.
+    /// both full decoders produce — across distances, noise strengths,
+    /// memory bases and random syndromes. This is the per-shot form of the
+    /// two-tier equivalence contract: `Some(mask)` is a proof, never a
+    /// heuristic. X memory is where the tables' second gauge certifies
+    /// most.
     #[test]
     fn predecoder_certifications_match_full_decoders(
         d_idx in 0usize..3,
         p_milli in 1u32..6,
+        x_basis in any::<bool>(),
         seed in 0u64..10_000,
     ) {
         let d = [3usize, 5, 7][d_idx];
+        let basis = if x_basis { MemoryBasis::X } else { MemoryBasis::Z };
         let mem = memory_circuit(
             &rotated_patch(d, d),
             &NoiseModel::uniform(p_milli as f64 * 1e-3),
             d,
-            MemoryBasis::Z,
+            basis,
         );
         let graph = graph_for_circuit(&mem.circuit);
         let mut pre = Predecoder::new(&graph);
@@ -48,8 +52,8 @@ proptest! {
             for s in 0..BATCH {
                 let defects = sparse.defects(s);
                 if let Some(mask) = pre.predecode(defects) {
-                    prop_assert_eq!(mask, uf.decode(defects), "UF d={} {:?}", d, defects);
-                    prop_assert_eq!(mask, mwpm.decode(defects), "MWPM d={} {:?}", d, defects);
+                    prop_assert_eq!(mask, uf.decode(defects), "UF d={} {:?} {:?}", d, basis, defects);
+                    prop_assert_eq!(mask, mwpm.decode(defects), "MWPM d={} {:?} {:?}", d, basis, defects);
                 }
             }
         }
@@ -208,6 +212,47 @@ proptest! {
             "decomposed MWPM agreed on only {}/{} dense shots (d={})",
             mwpm_agreed, mwpm_compared, d
         );
+    }
+}
+
+/// The predecoder's certification count at d = 7, p = 1e-3, pinned by
+/// value in both memory bases: of the shots it is tried on (1 to
+/// `MAX_CERT_DEFECTS` defects), how many it certifies, each with union-find's
+/// and exact matching's mask. The count moves whenever the certification
+/// tables or the margin checks change what they can prove.
+#[test]
+fn predecoder_certification_count_is_pinned() {
+    // (basis, seed, golden (shots tried, shots certified))
+    for (basis, seed, golden) in [
+        (MemoryBasis::Z, 0x7E57_0007, (876usize, 408usize)),
+        (MemoryBasis::X, 0x7E57_0008, (902, 289)),
+    ] {
+        let mem = memory_circuit(&rotated_patch(7, 7), &NoiseModel::uniform(1e-3), 7, basis);
+        let graph = graph_for_circuit(&mem.circuit);
+        let mut pre = Predecoder::new(&graph);
+        let mut uf = UnionFindDecoder::new(graph.clone());
+        let mut mwpm = MwpmDecoder::new(graph);
+        let mut sampler = FrameSampler::new(&mem.circuit);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sparse = SparseBatch::new();
+        let (mut tried, mut certified) = (0usize, 0usize);
+        for _ in 0..16 {
+            let ev = sampler.sample_batch(&mut rng);
+            sparse.extract(&ev);
+            for s in 0..BATCH {
+                let defects = sparse.defects(s);
+                if defects.is_empty() || defects.len() > Predecoder::MAX_CERT_DEFECTS {
+                    continue;
+                }
+                tried += 1;
+                if let Some(mask) = pre.predecode(defects) {
+                    certified += 1;
+                    assert_eq!(mask, uf.decode(defects), "UF {basis:?} {defects:?}");
+                    assert_eq!(mask, mwpm.decode(defects), "MWPM {basis:?} {defects:?}");
+                }
+            }
+        }
+        assert_eq!((tried, certified), golden, "{basis:?}");
     }
 }
 
