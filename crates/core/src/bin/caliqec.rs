@@ -674,8 +674,8 @@ USAGE:
       retry timelines; open it in ui.perfetto.dev or chrome://tracing.
       --prom-out FILE writes Prometheus text exposition format.
       --quiet silences stderr diagnostics and the metrics summary; the
-      CALIQEC_LOG environment variable (quiet|info|debug) sets the same
-      level when the flag is absent.
+      CALIQEC_LOG environment variable (quiet|info) sets the same level
+      when the flag is absent.
   caliqec draw [--distance D] [--lattice square|heavy-hex] [--hole R,C ...]
       Render a (deformed) patch as ASCII art.
   caliqec serve [--tenants N] [--distance D] [--windows W] [--rounds R]
@@ -689,13 +689,15 @@ USAGE:
       decodes the reassembled windows with union-find (no cluster
       tier). --queue-bound Q bounds each tenant's ingress queue (full
       queues reject windows — backpressure);
-      --deadline-us U arms the three-rung shed ladder (0 disables it);
+      --deadline-us U sheds a window dequeued later than U us after
+      admission: it is not decoded or scored (0 disables shedding);
       --gap-us G paces the open-loop arrival schedule. --health-out writes
       the ServiceHealth JSON snapshot (per-tenant round accounting +
       latency quantiles); --metrics-out / --prom-out export the
       observability sink. --strict exits 5 when any window was shed,
-      deferred, rejected, or wedged. The ingested = decoded + shed +
-      deferred round partition is asserted on every run.
+      deferred (its decode kept panicking), rejected, or wedged. The
+      ingested = decoded + shed + deferred round partition is asserted on
+      every run.
   caliqec help
 
 Every subcommand rejects flags it does not read (exit 2); --quiet is

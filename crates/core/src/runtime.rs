@@ -65,8 +65,9 @@ pub struct RuntimeReport {
     /// [`RuntimeReport::faulted_chunks`] whenever every measurement
     /// completed.
     pub retried_chunks: usize,
-    /// Total shots decoded on a degraded ladder rung (predecode disabled
-    /// or reference decoder).
+    /// Total shots decoded on a degraded ladder rung. The runtime's plain
+    /// union-find factory has no fallback graph, so that is rung 1, a
+    /// fresh bare decoder.
     pub degraded_shots: usize,
 }
 

@@ -18,27 +18,24 @@
 //!   engine's per-window core: each (worker, tenant) pair decodes through
 //!   its own [`DecodeStack`] from the tenant factory's
 //!   [`DecoderFactory::stack`].
-//! - **Deadlines** drive a three-rung shed ladder, judged by queue age at
-//!   dequeue: in-deadline windows decode in full (rung 0); windows older
-//!   than the deadline take the tier-0/cluster-peel fast path (rung 1,
-//!   counted degraded); windows older than twice the deadline are *declared
-//!   deferred* (rung 2) — no decode, honest accounting, mirroring the batch
-//!   engine's degradation-ladder semantics. `deadline: None` disables
+//! - **Deadlines** decide decode-or-shed, once, by queue age at dequeue: a
+//!   window within its deadline decodes in full; a window past it is
+//!   *shed* — no extraction, no decode, all-zero masks, counted degraded
+//!   and journaled, never silently dropped. `deadline: None` disables
 //!   shedding entirely, which is what makes golden-replay testing possible.
 //! - **Watchdog**: a supervisor thread scans per-worker heartbeats and
 //!   journals a [`Wedge`](caliqec_obs::EventKind::Wedge) when a worker sits
 //!   on one window past a 200 ms wedge deadline. It only detects: the
 //!   worker keeps its window, and the decode it finishes is the one the
 //!   window gets.
-//! - **Retry policy**: a decoder panic — on the full decode or on the
-//!   fast path — is caught by the engine's panic-isolation helper and
-//!   journaled like a batch-engine fault, but the recovery differs on
-//!   purpose. A batch chunk has no deadline, so the engine retries it
-//!   *down* its rung ladder; a stream window races a wall-clock deadline,
-//!   so the service rebuilds the same stack and retries a full decode of
-//!   the *same* window up to twice, then declares it deferred (a faulted
-//!   fast-path window is deferred at once). One executor serving both
-//!   would have to branch on its caller at every step.
+//! - **Retry policy**: a decoder panic is caught by the engine's
+//!   panic-isolation helper and journaled like a batch-engine fault, but
+//!   the recovery differs on purpose. A batch chunk has no deadline, so
+//!   the engine retries it *down* its rung ladder; a stream window races a
+//!   wall-clock deadline, so the service rebuilds the same stack and
+//!   retries a full decode of the *same* window up to twice, then declares
+//!   it deferred. One executor serving both would have to branch on its
+//!   caller at every step.
 //! - **Accounting invariant**: once drained, every ingested round is
 //!   decoded, shed, or deferred — `rounds_ingested = rounds_decoded +
 //!   rounds_shed + rounds_deferred` — and [`ServiceHealth`] exposes the
@@ -51,7 +48,6 @@
 //! and shed/deferred/rejected *counts* may vary with timing, and those are
 //! reported as distributions, never folded into the masks.
 
-use crate::decode::Decoder;
 use crate::engine::{isolate, observe_chunk_fault, DecodeStack, DecoderFactory, WindowStats};
 use crate::error::ValidationError;
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
@@ -75,8 +71,9 @@ pub struct StreamConfig {
     /// Maximum windows queued per tenant; admission past the bound is
     /// rejected ([`PushOutcome::Rejected`]).
     pub queue_bound: usize,
-    /// Per-window decode deadline, judged by queue age at dequeue. `None`
-    /// disables the shed ladder — every window decodes in full.
+    /// Per-window decode deadline, judged by queue age at dequeue: a
+    /// window past it is shed undecoded ([`Disposition::Shed`]). `None`
+    /// disables shedding — every window decodes in full.
     pub deadline: Option<Duration>,
 }
 
@@ -134,19 +131,18 @@ pub enum PushOutcome {
     },
 }
 
-/// How one admitted window was disposed of.
+/// How one admitted window was disposed of. Only [`Disposition::Decoded`]
+/// masks are a decode; the other two carry all-zero placeholders and count
+/// as degraded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Disposition {
-    /// Full decode within deadline (shed rung 0).
+    /// Dequeued within its deadline (or with none) and decoded in full.
     Decoded,
-    /// Deadline missed: tier-0/cluster-peel fast path only (shed rung 1).
-    /// Masks are best-effort — a shot keeps only the masks of the clusters
-    /// its tenant's cluster tier certifies, or an identity mask without
-    /// one — and the window counts as degraded.
-    FastPath,
-    /// Deadline missed by 2x (or the decode kept panicking): declared
-    /// deferred (shed rung 2). No decode result is kept; masks are
-    /// all-zero placeholders and the window counts as degraded.
+    /// Dequeued past its deadline: never extracted or decoded. Journaled
+    /// as a rung-1 [`Shed`](caliqec_obs::EventKind::Shed).
+    Shed,
+    /// The decode panicked on the window and on both same-window retries.
+    /// Journaled as a rung-2 [`Shed`](caliqec_obs::EventKind::Shed).
     Deferred,
 }
 
@@ -161,8 +157,8 @@ pub struct WindowResult {
     pub rounds: u32,
     /// Same-window retries spent after full-decode panics.
     pub retries: u32,
-    /// Per-shot predicted observable masks (all-zero for
-    /// [`Disposition::Deferred`]).
+    /// Per-shot predicted observable masks (all-zero unless
+    /// [`Disposition::Decoded`]).
     pub masks: [u64; BATCH],
 }
 
@@ -177,15 +173,15 @@ pub struct TenantHealth {
     pub rounds_ingested: u64,
     /// Rounds whose window decoded in full.
     pub rounds_decoded: u64,
-    /// Rounds whose window took the fast path.
+    /// Rounds whose window was shed undecoded past its deadline.
     pub rounds_shed: u64,
-    /// Rounds whose window was declared deferred.
+    /// Rounds whose window was deferred after its decode kept panicking.
     pub rounds_deferred: u64,
     /// Rounds rejected by backpressure (never ingested).
     pub rounds_rejected: u64,
 }
 
-/// Point-in-time service snapshot: queue state, the shed/deferred
+/// Point-in-time service snapshot: queue state, the decoded/shed/deferred
 /// partition, and round-latency quantiles.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceHealth {
@@ -197,9 +193,9 @@ pub struct ServiceHealth {
     pub queue_peak: usize,
     /// Windows decoded in full.
     pub windows_decoded: u64,
-    /// Windows shed to the fast path.
+    /// Windows shed undecoded past their deadline.
     pub windows_shed: u64,
-    /// Windows declared deferred.
+    /// Windows deferred after their decode kept panicking.
     pub windows_deferred: u64,
     /// Wedges the watchdog declared.
     pub wedges: u64,
@@ -421,6 +417,7 @@ impl<F: DecoderFactory + Send + Sync + 'static> StreamingDecoder<F> {
             threads: config.workers as u32,
             chunks: 0,
         });
+        coord.set(Gauge::Workers, config.workers as u64);
         coord.set(Gauge::StreamTenants, tenants.len() as u64);
         coord.flush();
         let workers = config.workers;
@@ -526,14 +523,13 @@ impl<F: DecoderFactory + Send + Sync + 'static> StreamingDecoder<F> {
             .fetch_add(rounds as u64, Ordering::Relaxed);
         t.depth.fetch_add(1, Ordering::AcqRel);
         let len = self.shared.queue_len.fetch_add(1, Ordering::AcqRel) + 1;
-        let peak = self
-            .shared
-            .queue_peak
-            .fetch_max(len, Ordering::AcqRel)
-            .max(len);
+        self.shared.queue_peak.fetch_max(len, Ordering::AcqRel);
         {
+            // Read the peak under the lock, so the last gauge write is the
+            // highest peak any push reached, however pushes interleave.
             let mut obs = lock(&self.shared.ingest_obs);
             obs.add(Counter::RoundsIngested, rounds as u64);
+            let peak = self.shared.queue_peak.load(Ordering::Acquire);
             obs.set(Gauge::StreamQueuePeak, peak as u64);
         }
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
@@ -588,14 +584,23 @@ impl<F: DecoderFactory + Send + Sync + 'static> StreamingDecoder<F> {
                 .tenants
                 .iter()
                 .enumerate()
-                .map(|(i, t)| TenantHealth {
-                    tenant: i as u32,
-                    queue_depth: t.depth.load(Ordering::Acquire),
-                    rounds_ingested: t.counts.ingested.load(Ordering::Relaxed),
-                    rounds_decoded: t.counts.decoded.load(Ordering::Relaxed),
-                    rounds_shed: t.counts.shed.load(Ordering::Relaxed),
-                    rounds_deferred: t.counts.deferred.load(Ordering::Relaxed),
-                    rounds_rejected: t.counts.rejected.load(Ordering::Relaxed),
+                .map(|(i, t)| {
+                    // Disposals before ingestion: a disposal this snapshot
+                    // sees (Acquire, against the worker's Release) has its
+                    // ingestion in view, so a live snapshot never reads
+                    // more rounds disposed than ingested.
+                    let rounds_decoded = t.counts.decoded.load(Ordering::Acquire);
+                    let rounds_shed = t.counts.shed.load(Ordering::Acquire);
+                    let rounds_deferred = t.counts.deferred.load(Ordering::Acquire);
+                    TenantHealth {
+                        tenant: i as u32,
+                        queue_depth: t.depth.load(Ordering::Acquire),
+                        rounds_ingested: t.counts.ingested.load(Ordering::Acquire),
+                        rounds_decoded,
+                        rounds_shed,
+                        rounds_deferred,
+                        rounds_rejected: t.counts.rejected.load(Ordering::Relaxed),
+                    }
                 })
                 .collect(),
         }
@@ -682,8 +687,8 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
     }
 }
 
-/// Decodes (or sheds) one window and records the outcome. The shed rung is
-/// judged once, by queue age at dequeue.
+/// Decodes or sheds one window and records the outcome. Its fate is one
+/// deadline check, by queue age at dequeue.
 fn process_job<F: DecoderFactory + Send + Sync + 'static>(
     shared: &Shared<F>,
     stacks: &mut [Option<DecodeStack<F::Decoder>>],
@@ -693,113 +698,95 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
 ) {
     let tenant = &shared.tenants[job.tenant as usize];
     let mut retries = 0u32;
-    let age = job.enqueued.elapsed();
-    let shed_rung = match shared.config.deadline {
-        None => 0u8,
-        Some(d) if age > 2 * d => 2,
-        Some(d) if age > d => 1,
-        Some(_) => 0,
-    };
+    let late = shared
+        .config
+        .deadline
+        .is_some_and(|d| job.enqueued.elapsed() > d);
 
-    let stack = stacks[job.tenant as usize].get_or_insert_with(|| tenant.factory.stack());
     let mut masks = [0u64; BATCH];
-    let disposition = match shed_rung {
-        2 => Disposition::Deferred,
-        1 => {
-            // The fast path is quarantined like the full decode, but a
-            // window already past its deadline gets no retry: a panic
-            // rebuilds the stack and defers the window.
-            let t0 = obs.clock().or_else(|| Some(Instant::now()));
-            sparse.extract(&job.events);
-            match isolate(|| fast_path_masks(stack, sparse, &mut masks)) {
-                Ok(()) => {
-                    obs.record_since(Hist::WindowDecode, t0);
-                    Disposition::FastPath
+    let disposition = if late {
+        Disposition::Shed
+    } else {
+        // Full decode, panic-isolated with bounded same-window retries
+        // (quarantine rebuilds the stack — a panicking decoder may have
+        // torn scratch state).
+        let stack = stacks[job.tenant as usize].get_or_insert_with(|| tenant.factory.stack());
+        sparse.extract(&job.events);
+        loop {
+            let mut stats = WindowStats::default();
+            let started = Instant::now();
+            let attempt = isolate(|| {
+                stack.decode_window_masks(
+                    sparse,
+                    &mut WorkerObs::disabled(),
+                    Hist::DecodeShotRung0,
+                    &mut stats,
+                    &mut masks,
+                )
+            });
+            match attempt {
+                Ok(_) => {
+                    obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
+                    obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
+                    obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
+                    if stats.clustered_shots > 0 {
+                        obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
+                    }
+                    break Disposition::Decoded;
                 }
                 Err(_) => {
-                    observe_chunk_fault(obs, 1);
+                    observe_chunk_fault(obs, 0);
                     *stack = tenant.factory.stack();
-                    Disposition::Deferred
-                }
-            }
-        }
-        _ => {
-            // Full decode, panic-isolated with bounded same-window retries
-            // (quarantine rebuilds the stack — a panicking decoder may have
-            // torn scratch state).
-            sparse.extract(&job.events);
-            loop {
-                let mut stats = WindowStats::default();
-                let started = Instant::now();
-                let attempt = isolate(|| {
-                    stack.decode_window_masks(
-                        sparse,
-                        &mut WorkerObs::disabled(),
-                        Hist::DecodeShotRung0,
-                        &mut stats,
-                        &mut masks,
-                    )
-                });
-                match attempt {
-                    Ok(_) => {
-                        obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
-                        obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
-                        obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
-                        if stats.clustered_shots > 0 {
-                            obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
-                        }
-                        break Disposition::Decoded;
+                    if retries >= MAX_RETRIES {
+                        // Retries exhausted: declare the window deferred
+                        // rather than pretend it decoded.
+                        break Disposition::Deferred;
                     }
-                    Err(_) => {
-                        observe_chunk_fault(obs, 0);
-                        *stack = tenant.factory.stack();
-                        if retries >= MAX_RETRIES {
-                            // Retries exhausted: declare the window
-                            // deferred rather than pretend it decoded.
-                            break Disposition::Deferred;
-                        }
-                        retries += 1;
-                        shared.retries.fetch_add(1, Ordering::Relaxed);
-                        obs.add(Counter::StreamRetries, 1);
-                        obs.event(EventKind::Retry { rung: 0 });
-                    }
+                    retries += 1;
+                    shared.retries.fetch_add(1, Ordering::Relaxed);
+                    obs.add(Counter::StreamRetries, 1);
+                    obs.event(EventKind::Retry { rung: 0 });
                 }
             }
         }
     };
 
-    let rounds = job.rounds as u64;
-    match disposition {
-        Disposition::Decoded => {
-            tenant.counts.decoded.fetch_add(rounds, Ordering::Relaxed);
-            shared.windows_decoded.fetch_add(1, Ordering::Relaxed);
-            obs.add(Counter::RoundsDecoded, rounds);
-        }
-        Disposition::FastPath => {
-            obs.event(EventKind::Shed {
-                patch: job.tenant,
-                window: job.window as u32,
-                rung: 1,
-            });
-            tenant.counts.shed.fetch_add(rounds, Ordering::Relaxed);
-            shared.windows_shed.fetch_add(1, Ordering::Relaxed);
-            obs.add(Counter::RoundsShed, rounds);
-            obs.add(Counter::ShotsDegraded, BATCH as u64);
-        }
-        Disposition::Deferred => {
-            // A faulted attempt may have left partial masks: discard them.
-            masks = [0u64; BATCH];
-            obs.event(EventKind::Shed {
-                patch: job.tenant,
-                window: job.window as u32,
-                rung: 2,
-            });
-            tenant.counts.deferred.fetch_add(rounds, Ordering::Relaxed);
-            shared.windows_deferred.fetch_add(1, Ordering::Relaxed);
-            obs.add(Counter::RoundsDeferred, rounds);
-            obs.add(Counter::ShotsDegraded, BATCH as u64);
-        }
+    let (rounds_by_fate, windows, counter, shed_rung) = match disposition {
+        Disposition::Decoded => (
+            &tenant.counts.decoded,
+            &shared.windows_decoded,
+            Counter::RoundsDecoded,
+            None,
+        ),
+        Disposition::Shed => (
+            &tenant.counts.shed,
+            &shared.windows_shed,
+            Counter::RoundsShed,
+            Some(1),
+        ),
+        Disposition::Deferred => (
+            &tenant.counts.deferred,
+            &shared.windows_deferred,
+            Counter::RoundsDeferred,
+            Some(2),
+        ),
+    };
+    if let Some(rung) = shed_rung {
+        // Only a decode keeps its masks: a faulted attempt may have left
+        // partial ones.
+        masks = [0u64; BATCH];
+        obs.event(EventKind::Shed {
+            patch: job.tenant,
+            window: job.window as u32,
+            rung,
+        });
+        obs.add(Counter::ShotsDegraded, BATCH as u64);
     }
+    let rounds = job.rounds as u64;
+    // Release pairs with the Acquire loads in `health`.
+    rounds_by_fate.fetch_add(rounds, Ordering::Release);
+    windows.fetch_add(1, Ordering::Relaxed);
+    obs.add(counter, rounds);
     obs.record(Hist::RoundLatency, job.enqueued.elapsed().as_nanos() as u64);
     lock(&tenant.results).push(WindowResult {
         window: job.window,
@@ -808,30 +795,6 @@ fn process_job<F: DecoderFactory + Send + Sync + 'static>(
         retries,
         masks,
     });
-}
-
-/// The rung-1 fast path: tier 0 resolves exactly; where the tenant arms a
-/// cluster tier, cluster-peelable structure resolves locally; anything left
-/// keeps an identity mask. Deterministic, bounded work, honest degradation
-/// — the masks are best-effort, never presented as a full decode.
-fn fast_path_masks<D: Decoder>(
-    stack: &mut DecodeStack<D>,
-    sparse: &SparseBatch,
-    masks: &mut [u64; BATCH],
-) {
-    for (s, mask) in masks.iter_mut().enumerate() {
-        let defects = sparse.defects(s);
-        if defects.is_empty() {
-            *mask = 0;
-            continue;
-        }
-        *mask = match stack.cluster.as_mut() {
-            // Peeled clusters contribute their certified masks; the
-            // residual is left unmatched (identity) — that's the shed.
-            Some(cluster) => cluster.decompose(defects).mask,
-            None => 0,
-        };
-    }
 }
 
 fn watchdog_loop<F: DecoderFactory + Send + Sync + 'static>(
@@ -903,7 +866,8 @@ impl Default for LoopbackOptions {
 /// [`StreamReport`].
 #[derive(Clone, Debug, Default)]
 pub struct LoopbackReport {
-    /// Shots scored against ground truth (decoded + fast-path windows).
+    /// Shots scored against ground truth (decoded windows only: a shed or
+    /// deferred window has no decode to score).
     pub shots_scored: u64,
     /// Shots whose predicted mask disagreed with the sampled observables.
     pub failures: u64,
@@ -924,8 +888,8 @@ fn truth_masks(observables: &[u64]) -> [u64; BATCH] {
 
 /// Starts a service over `tenants`, drives it from per-tenant loopback
 /// [`RoundStream`]s (tenant `t` replays `circuits[t]` from seed
-/// `chunk_seed(base_seed, t)`), shuts down, and scores every decoded or
-/// fast-path window against the sampled ground truth.
+/// `chunk_seed(base_seed, t)`), shuts down, and scores every decoded
+/// window against the sampled ground truth.
 ///
 /// # Panics
 ///
@@ -985,7 +949,7 @@ pub fn loopback_serve<F: DecoderFactory + Send + Sync + 'static>(
     let report = service.shutdown();
     for (t, results) in report.tenants.iter().enumerate() {
         for r in results {
-            if r.disposition == Disposition::Deferred {
+            if r.disposition != Disposition::Decoded {
                 continue;
             }
             let expect = &truth[t][r.window as usize];
@@ -1003,6 +967,7 @@ pub fn loopback_serve<F: DecoderFactory + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::Decoder;
     use crate::graph::MatchingGraph;
     use crate::predecode::Tiered;
     use crate::unionfind::UnionFindDecoder;
@@ -1194,9 +1159,9 @@ mod tests {
     }
 
     #[test]
-    fn delayed_arrival_defers_and_journals_shed() {
+    fn delayed_arrival_is_shed_and_journaled() {
         // The only worker naps 150 ms on window 0, so the windows queued
-        // behind it dequeue past twice their 50 ms deadline.
+        // behind it dequeue past their 50 ms deadline.
         let sink = ObsSink::enabled();
         let config = StreamConfig {
             workers: 1,
@@ -1217,18 +1182,19 @@ mod tests {
         let rs = &report.tenants[0];
         assert_eq!(rs[0].disposition, Disposition::Decoded);
         for r in &rs[1..] {
-            assert_eq!(r.disposition, Disposition::Deferred);
+            assert_eq!(r.disposition, Disposition::Shed);
             assert_eq!(r.masks, [0u64; BATCH]);
         }
-        assert_eq!(report.health.windows_deferred, 2);
+        assert_eq!(report.health.windows_shed, 2);
+        assert_eq!(report.health.windows_deferred, 0);
         let snap = sink.snapshot();
         let sheds: Vec<_> = snap
             .events
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::Shed { rung: 2, .. }))
+            .filter(|e| matches!(e.kind, EventKind::Shed { rung: 1, .. }))
             .collect();
         assert_eq!(sheds.len(), 2);
-        assert_eq!(snap.counter("rounds_deferred"), 2);
+        assert_eq!(snap.counter("rounds_shed"), 2);
         assert_eq!(
             snap.counter("rounds_ingested"),
             snap.counter("rounds_decoded")

@@ -97,14 +97,15 @@ pub enum EventKind {
         /// Batches the gate diverted to the monolithic decode path.
         off: u32,
     },
-    /// A streaming window missed its deadline and was moved down the shed
-    /// ladder (1 = tier-0/cluster-peel fast path, 2 = declared deferred).
+    /// A streaming window was disposed of without a decode: rung 1 = shed,
+    /// dequeued past its deadline; rung 2 = deferred, its decode panicked
+    /// through both same-window retries.
     Shed {
         /// Tenant patch the window belongs to.
         patch: u32,
         /// Window index within the tenant's stream.
         window: u32,
-        /// Shed-ladder rung the window was handled on.
+        /// 1 for a shed window, 2 for a deferred one.
         rung: u8,
     },
     /// The streaming watchdog declared a worker wedged (heartbeat stale

@@ -89,14 +89,15 @@ pub enum Counter {
     ChunksRung2,
     /// Rounds admitted into a streaming tenant's ingress queue.
     RoundsIngested,
-    /// Rounds decoded at full fidelity by the streaming service (rung 0 of
-    /// the shed ladder).
+    /// Rounds whose streaming window was dequeued within its deadline and
+    /// decoded in full.
     RoundsDecoded,
-    /// Rounds shed to the tier-0/cluster-peel fast path (rung 1 of the
-    /// shed ladder) after missing their deadline.
+    /// Rounds whose streaming window was dequeued past its deadline and
+    /// shed: never decoded, all-zero masks, accounted instead of silently
+    /// dropped.
     RoundsShed,
-    /// Rounds declared deferred (rung 2 of the shed ladder): no correction
-    /// produced, honestly accounted instead of silently dropped.
+    /// Rounds whose streaming window was deferred after its decode
+    /// panicked through both same-window retries: no correction produced.
     RoundsDeferred,
     /// Rounds refused at admission by backpressure (ingress queue at its
     /// configured bound). Rejected rounds are *not* counted as ingested.
@@ -162,14 +163,15 @@ impl Counter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Worker threads the engine launched.
+    /// Worker threads the engine or the streaming service launched.
     Workers,
     /// Chunks in the deterministic schedule.
     ChunksPlanned,
     /// Tenant patches registered with the streaming service.
     StreamTenants,
-    /// High-water mark of any single tenant's ingress queue depth, in
-    /// windows (never exceeds the configured queue bound).
+    /// High-water mark of the streaming service's global queue depth, in
+    /// windows summed over every tenant (at most tenants × the configured
+    /// per-tenant queue bound).
     StreamQueuePeak,
 }
 

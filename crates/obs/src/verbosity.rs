@@ -1,8 +1,8 @@
 //! Process-wide verbosity control for human-facing stderr output.
 //!
-//! Three levels: [`Verbosity::Quiet`] (nothing), [`Verbosity::Info`]
-//! (progress lines + summary tables — the interactive default), and
-//! [`Verbosity::Debug`]. Resolution order, strongest first: an explicit
+//! Two levels: [`Verbosity::Quiet`] (nothing) and [`Verbosity::Info`]
+//! (progress lines + summary tables — the interactive default).
+//! Resolution order, strongest first: an explicit
 //! [`set`] (e.g. a `--quiet` flag), then the `CALIQEC_LOG` environment
 //! variable, then the binary's [`set_default`] (scripted binaries like
 //! `fig_*`/`reproduce` default to quiet, the CLI to info).
@@ -22,26 +22,23 @@ pub enum Verbosity {
     Quiet = 0,
     /// Progress lines and summary tables.
     Info = 1,
-    /// Everything, including per-phase diagnostics.
-    Debug = 2,
 }
 
 impl Verbosity {
     fn from_u8(v: u8) -> Verbosity {
         match v {
             0 => Verbosity::Quiet,
-            1 => Verbosity::Info,
-            _ => Verbosity::Debug,
+            _ => Verbosity::Info,
         }
     }
 
-    /// Parses a `CALIQEC_LOG` value. Accepts names (`quiet`/`info`/`debug`,
-    /// plus `off`/`silent` and `verbose`) and digits `0`/`1`/`2`.
+    /// Parses a `CALIQEC_LOG` value. Accepts names (`quiet`/`info`, plus
+    /// `off`/`silent`/`none`) and digits `0`/`1`; `debug`, `verbose` and
+    /// `2` still parse, as `Info`, so older settings keep their output.
     pub fn parse(s: &str) -> Option<Verbosity> {
         match s.trim().to_ascii_lowercase().as_str() {
             "quiet" | "off" | "silent" | "none" | "0" => Some(Verbosity::Quiet),
-            "info" | "1" => Some(Verbosity::Info),
-            "debug" | "verbose" | "2" => Some(Verbosity::Debug),
+            "info" | "1" | "debug" | "verbose" | "2" => Some(Verbosity::Info),
             _ => None,
         }
     }
@@ -94,8 +91,10 @@ mod tests {
         assert_eq!(Verbosity::parse(" OFF "), Some(Verbosity::Quiet));
         assert_eq!(Verbosity::parse("0"), Some(Verbosity::Quiet));
         assert_eq!(Verbosity::parse("info"), Some(Verbosity::Info));
-        assert_eq!(Verbosity::parse("debug"), Some(Verbosity::Debug));
-        assert_eq!(Verbosity::parse("2"), Some(Verbosity::Debug));
+        // The retired debug level's spellings read as info.
+        assert_eq!(Verbosity::parse("debug"), Some(Verbosity::Info));
+        assert_eq!(Verbosity::parse("verbose"), Some(Verbosity::Info));
+        assert_eq!(Verbosity::parse("2"), Some(Verbosity::Info));
         assert_eq!(Verbosity::parse("banana"), None);
     }
 
@@ -107,7 +106,7 @@ mod tests {
         assert_eq!(level(), Verbosity::Quiet);
         assert!(!loud(Verbosity::Info));
         assert!(loud(Verbosity::Quiet));
-        set(Verbosity::Debug);
+        set(Verbosity::Info);
         assert!(loud(Verbosity::Info));
     }
 }

@@ -2,20 +2,19 @@
 //! (mask bit-identity across worker counts), a backpressure property
 //! test (queues stay bounded and every ingested round is accounted
 //! for), chaos recovery from decoders that stall or panic on their own —
-//! with matching journal evidence — and a deterministic overload
-//! acceptance run that sheds through the declared ladder while keeping
-//! the round partition exact.
+//! with matching journal evidence — late windows shed undecoded and
+//! unscored, and a deterministic overload acceptance run that sheds late
+//! windows while keeping the round partition exact.
 
 use caliqec_match::{
-    graph_for_circuit, loopback_serve, ClusterGate, ClusterTier, DecodeStack, Decoder,
-    DecoderFactory, Disposition, Edge, LoopbackOptions, MatchingGraph, Predecoder, PushOutcome,
+    graph_for_circuit, loopback_serve, Decoder, Disposition, LoopbackOptions, PushOutcome,
     StreamConfig, StreamingDecoder, TenantSpec, Tiered, UnionFindDecoder,
 };
-use caliqec_obs::{EventKind, ObsSink};
+use caliqec_obs::{EventKind, Hist, ObsSink};
 use caliqec_stab::{Basis, Circuit, Noise1, BATCH};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Once};
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 type Factory = Tiered<Box<dyn Fn() -> UnionFindDecoder + Send + Sync>>;
@@ -265,11 +264,11 @@ const DEFECT: [u64; 2] = [1, 0];
 const QUIET: [u64; 2] = [0, 0];
 
 /// A decoder that holds the only worker for 150 ms makes every window
-/// queued behind it arrive past twice its 50 ms deadline: each must land
-/// on shed rung 2 — declared deferred with zero masks and a matching
-/// `shed` journal event, never silently dropped.
+/// queued behind it dequeue past its 50 ms deadline: each must be shed
+/// with zero masks and a matching rung-1 `shed` journal event, never
+/// silently dropped.
 #[test]
-fn chaos_delayed_arrival_defers_with_journal_evidence() {
+fn chaos_delayed_arrival_is_shed_with_journal_evidence() {
     let (tenants, _) = tripwired_fleet(2, Trip::Sleep(Duration::from_millis(150)));
     let sink = ObsSink::enabled();
     let config = StreamConfig {
@@ -288,21 +287,22 @@ fn chaos_delayed_arrival_defers_with_journal_evidence() {
     let report = service.shutdown();
     assert_eq!(report.tenants[0][0].disposition, Disposition::Decoded);
     for (t, rs) in report.tenants.iter().enumerate() {
-        assert_eq!(rs.len(), 4, "deferred windows still produce results");
+        assert_eq!(rs.len(), 4, "shed windows still produce results");
         for r in rs.iter().filter(|r| (t, r.window) != (0, 0)) {
-            assert_eq!(r.disposition, Disposition::Deferred, "tenant {t}");
+            assert_eq!(r.disposition, Disposition::Shed, "tenant {t}");
             assert_eq!(r.masks, [0u64; BATCH]);
         }
     }
-    assert_eq!(report.health.windows_deferred, 7);
+    assert_eq!(report.health.windows_shed, 7);
+    assert_eq!(report.health.windows_deferred, 0);
     let snap = sink.snapshot();
-    let rung2_sheds = snap
+    let rung1_sheds = snap
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Shed { rung: 2, .. }))
+        .filter(|e| matches!(e.kind, EventKind::Shed { rung: 1, .. }))
         .count();
-    assert_eq!(rung2_sheds, 7, "one rung-2 shed event per deferred window");
-    assert_eq!(snap.counter("rounds_deferred"), 7);
+    assert_eq!(rung1_sheds, 7, "one rung-1 shed event per shed window");
+    assert_eq!(snap.counter("rounds_shed"), 7);
     assert_eq!(
         snap.counter("rounds_ingested"),
         snap.counter("rounds_decoded")
@@ -495,118 +495,60 @@ fn decoder_that_always_panics_defers_its_window() {
     assert_eq!(rung2_sheds, 1);
 }
 
-/// A decoder that returns no correction and sleeps `.0` on every nonempty
-/// syndrome.
-struct Nap(Duration);
-
-impl Decoder for Nap {
-    fn decode(&mut self, defects: &[usize]) -> u64 {
-        if !defects.is_empty() {
-            std::thread::sleep(self.0);
-        }
-        0
-    }
-}
-
-/// A factory whose stack arms a cluster tier built for a one-detector
-/// graph, under the `Auto` gate, in front of a [`Nap`] decoder: a shot the
-/// tier decomposes that fires any detector past the first indexes past the
-/// tier's tables and panics.
-struct MisfitFront {
-    cluster: ClusterTier,
-    nap: Duration,
-}
-
-impl DecoderFactory for MisfitFront {
-    type Decoder = Nap;
-
-    fn build(&self) -> Nap {
-        Nap(self.nap)
-    }
-
-    fn stack(&self) -> DecodeStack<Nap> {
-        DecodeStack {
-            cluster: Some(self.cluster.clone()),
-            gate: ClusterGate::Auto,
-            ..DecodeStack::new(self.build())
-        }
-    }
-}
-
-/// A panic on the shed fast path must be quarantined like one in the full
-/// decode — journaled, the stack rebuilt, the window deferred — not kill
-/// the worker and leave `drain()` waiting forever.
+/// A window dequeued between one and two deadlines is shed like any late
+/// window: the decoder holds the only worker for 300 ms, so the windows
+/// queued behind it dequeue about 1.5 of their 200 ms deadlines old. Each
+/// keeps all-zero masks, adds no `window_decode` sample and is left out of
+/// the loopback score — only a decode is timed and scored.
 #[test]
-fn fast_path_panic_is_quarantined_and_deferred() {
-    quiet_worker_panics();
-    let one_detector = MatchingGraph::from_edges(
-        1,
-        1,
-        vec![Edge {
-            u: 0,
-            v: 1,
-            probability: 0.01,
-            weight: (0.99f64 / 0.01).ln(),
-            observables: 1,
-        }],
-    );
-    let tenant = TenantSpec {
-        factory: MisfitFront {
-            cluster: ClusterTier::new(&one_detector),
-            nap: Duration::from_millis(300),
-        },
-        detectors: 16,
-    };
+fn late_window_is_shed_untimed_and_unscored() {
+    let (tenants, circuits) = tripwired_fleet(1, Trip::Sleep(Duration::from_millis(300)));
     let sink = ObsSink::enabled();
     let config = StreamConfig {
         workers: 1,
         queue_bound: 64,
         deadline: Some(Duration::from_millis(200)),
     };
-    let service = StreamingDecoder::start(vec![tenant], config, sink.clone()).unwrap();
-    // Window 0's shot 0 fires more detectors than the cluster tier's
-    // bound, but the window's mean stays far under the `Auto` gate's
-    // threshold, so the shot goes straight to the decoder, which holds the
-    // only worker for 300 ms.
-    let mut dense = [0u64; 16];
-    dense[..=Predecoder::MAX_CERT_DEFECTS].fill(1);
-    service.push_round(0, &dense).unwrap();
-    // The windows behind it fire detector 5 and dequeue ~300 ms old: past
-    // the deadline but inside twice it, so they take the fast path, whose
-    // cluster tier decomposes them and panics.
-    let mut sparse = [0u64; 16];
-    sparse[5] = 1;
-    for _ in 0..4 {
-        service.push_round(0, &sparse).unwrap();
+    let opts = LoopbackOptions {
+        windows_per_tenant: 4,
+        rounds_per_window: 1,
+        gap: Duration::ZERO,
+        base_seed: 3,
+    };
+    let (report, driver) = loopback_serve(tenants, &circuits, config, &opts, sink.clone()).unwrap();
+    let rs = &report.tenants[0];
+    // Window 0 trips the wire, so it decodes while the rest wait.
+    assert_eq!(rs[0].disposition, Disposition::Decoded);
+    for r in &rs[1..] {
+        assert_eq!(r.disposition, Disposition::Shed, "window {}", r.window);
+        assert_eq!(r.masks, [0u64; BATCH], "window {}", r.window);
     }
-    let (done, report) = mpsc::channel();
-    std::thread::spawn(move || {
-        service.drain();
-        let _ = done.send(service.shutdown());
-    });
-    let report = report
-        .recv_timeout(Duration::from_secs(10))
-        .expect("drain() must return: a fast-path panic may not kill the worker");
-    assert_eq!(report.tenants[0].len(), 5, "every window is disposed");
     let h = &report.health;
-    assert_eq!(h.rounds_pending(), 0);
-    let t0 = &h.tenants[0];
     assert_eq!(
-        t0.rounds_decoded + t0.rounds_shed + t0.rounds_deferred,
-        t0.rounds_ingested
+        (h.windows_decoded, h.windows_shed, h.windows_deferred),
+        (1, 3, 0)
     );
-    assert_eq!(t0.rounds_ingested, 5);
-    assert!(
-        sink.snapshot().counter("faults_panic") >= 1,
-        "at least one window must have reached the fast path and faulted"
+    let snap = sink.snapshot();
+    assert_eq!(
+        snap.hist(Hist::WindowDecode).map_or(0, |w| w.count),
+        h.windows_decoded,
+        "one window_decode sample per decoded window"
     );
+    assert_eq!(driver.shots_scored, BATCH as u64 * h.windows_decoded);
+    assert_eq!(snap.counter("shots_degraded"), 3 * BATCH as u64);
+    let rung1_sheds = snap
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Shed { rung: 1, .. }))
+        .count();
+    assert_eq!(rung1_sheds, 3);
 }
 
 /// Overload acceptance: at least 8 tenants flooding with no pacing
 /// (arrival far above sustained capacity) into short queues under a
 /// microsecond deadline. The service must keep every queue at its bound,
-/// shed through the declared ladder rather than stalling, and account for
-/// every round exactly.
+/// shed late windows rather than stalling, account for every round
+/// exactly, and export gauges that match its health snapshot.
 #[test]
 fn overload_keeps_bounded_queues_and_exact_partition() {
     let (tenants, circuits) = fleet(8);
@@ -661,4 +603,12 @@ fn overload_keeps_bounded_queues_and_exact_partition() {
             + snap.counter("rounds_shed")
             + snap.counter("rounds_deferred")
     );
+    let gauge = |name: &str| {
+        snap.gauges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    };
+    assert_eq!(gauge("workers"), Some(h.workers as u64));
+    assert_eq!(gauge("stream_queue_peak"), Some(h.queue_peak as u64));
 }
