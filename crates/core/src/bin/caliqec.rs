@@ -397,8 +397,8 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
         // Diagnostics go to stderr so the stdout trace stays bit-identical
         // to a fault-free run.
         eprintln!(
-            "decoder degradation: {} faulted chunks, {} retries, {} shots on degraded rungs",
-            report.faulted_chunks, report.retried_chunks, report.degraded_shots
+            "decoder degradation: {} faulted chunks, {} shots on degraded rungs",
+            report.faulted_chunks, report.degraded_shots
         );
     }
     if let Some(path) = args.flags.get("trace-csv") {
@@ -695,9 +695,9 @@ USAGE:
       the ServiceHealth JSON snapshot (per-tenant round accounting +
       latency quantiles); --metrics-out / --prom-out export the
       observability sink. --strict exits 5 when any window was shed,
-      deferred (its decode kept panicking), rejected, or wedged. The
-      ingested = decoded + shed + deferred round partition is asserted on
-      every run.
+      deferred (its decode panicked on every ladder rung), rejected,
+      or wedged. The ingested = decoded + shed + deferred round
+      partition is asserted on every run.
   caliqec help
 
 Every subcommand rejects flags it does not read (exit 2); --quiet is

@@ -57,14 +57,10 @@ pub struct RuntimeReport {
     pub ler_exceedances: usize,
     /// The LER target used for exceedance accounting.
     pub ler_target: f64,
-    /// Total decoder-chunk faults observed across all Monte-Carlo
-    /// measurements (zero unless faults were injected or a decoder
-    /// genuinely misbehaved).
+    /// Total decoder faults observed across all Monte-Carlo measurements,
+    /// one per degradation-ladder retry (zero unless faults were injected
+    /// or a decoder genuinely misbehaved).
     pub faulted_chunks: usize,
-    /// Total quarantined-chunk retries on the degradation ladder. Equals
-    /// [`RuntimeReport::faulted_chunks`] whenever every measurement
-    /// completed.
-    pub retried_chunks: usize,
     /// Total shots decoded on a degraded ladder rung. The runtime's plain
     /// union-find factory has no fallback graph, so that is rung 1, a
     /// fresh bare decoder.
@@ -122,8 +118,8 @@ pub fn run_runtime(
 /// `faults` arms the plan on every measurement (chaos testing; see
 /// [`caliqec_match::FaultPlan`]). The engine recovers injected faults on
 /// its degradation ladder, so the trace stays bit-identical to the
-/// fault-free run; the report's `faulted_chunks` / `retried_chunks` /
-/// `degraded_shots` counters record what happened.
+/// fault-free run; the report's `faulted_chunks` and `degraded_shots`
+/// counters record what happened.
 ///
 /// The sink is passive: it never steers the engine, so the trace is
 /// bit-identical whether `obs` is enabled or disabled — only the sink's
@@ -226,7 +222,6 @@ pub fn run_runtime_observed(
         let measured_ler = (config.mc_shots > 0).then(|| {
             let run = measure_point_ler(state, mean_p, config, k as u64, faults, obs);
             report.faulted_chunks += run.faulted_chunks;
-            report.retried_chunks += run.retried_chunks;
             report.degraded_shots += run.degraded_shots;
             run.estimate.per_shot()
         });
@@ -460,7 +455,6 @@ mod tests {
         assert_eq!(ms_clean, ms_chaos, "ladder retry must preserve the trace");
         // Chunk 0 faults once per measured trace point.
         assert_eq!(chaos.faulted_chunks, chaos.trace.len());
-        assert_eq!(chaos.faulted_chunks, chaos.retried_chunks);
         assert!(chaos.degraded_shots > 0);
         assert!(chaos.degraded());
     }

@@ -36,24 +36,28 @@
 //!
 //! - Inputs are validated up front — a malformed circuit or matching graph
 //!   returns a typed [`EngineError`] instead of panicking inside a worker.
-//! - Each chunk's sample+decode runs under `catch_unwind`. A chunk that
-//!   panics is quarantined and re-run with the **same** per-batch seed
-//!   schedule on the next rung of a degradation ladder: rung 0 is the
-//!   factory's full [`DecodeStack`], rung 1 a freshly built bare decoder,
-//!   rung 2 a [`ReferenceUnionFind`] over the factory's fallback graph.
-//!   Because the sampled shots depend only on the chunk's batch seeds, a
-//!   retry re-decodes the *identical* syndrome stream.
+//! - Every decode of one extracted 64-shot window runs on one degradation
+//!   ladder (`Ladder`), which the streaming service shares: each attempt
+//!   runs under `catch_unwind`, and a panic quarantines the worker's
+//!   rung-0 stack and re-decodes the *same* window one rung down — rung 0
+//!   is the factory's full [`DecodeStack`], rung 1 a freshly built bare
+//!   decoder, rung 2 a [`ReferenceUnionFind`] over the factory's fallback
+//!   graph. A retry re-decodes the syndrome already in hand; nothing is
+//!   re-sampled. Sampling, extraction and scoring run outside
+//!   `catch_unwind`: they execute a program [`CompiledCircuit::validate`]
+//!   accepted, and there is no lower rung for them.
 //! - A worker panic can no longer cascade: the shared mutex recovers from
-//!   poisoning via `PoisonError::into_inner`, and a chunk that faults on
-//!   every rung surfaces as one typed [`EngineError::ChunkFailed`].
+//!   poisoning via `PoisonError::into_inner`, and a window that faults on
+//!   every rung surfaces as one typed [`EngineError::ChunkFailed`] for its
+//!   chunk.
 //! - Every fault is accounted in [`EngineRun`] (`faulted_chunks`,
-//!   `retried_chunks`, `degraded_shots`, per-rung counters); when no fault
-//!   fires the results are bit-identical to the unhardened engine and all
-//!   fault counters are zero.
+//!   `degraded_shots`, per-rung counters); when no fault fires the results
+//!   are bit-identical to the unhardened engine and all fault counters are
+//!   zero.
 //!
 //! A [`FaultPlan`] makes the decode of chosen chunks panic to exercise
-//! this machinery deterministically; injection only ever fires on a
-//! chunk's first (rung-0) attempt.
+//! this machinery deterministically; an injection fires inside the rung-0
+//! attempt of its chunk's first window.
 
 use crate::cluster::{cluster_hist_bucket, ClusterTier, CLUSTER_HIST_BUCKETS, MAX_CLUSTER_DEFECTS};
 use crate::decode::{Decoder, LerEstimate, SampleOptions};
@@ -69,6 +73,7 @@ use caliqec_stab::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,8 +94,8 @@ pub trait DecoderFactory: Sync {
     type Decoder: Decoder;
 
     /// Builds one bare decoder. Rung 1 of the degradation ladder calls
-    /// this for every retry, since a panicking decoder may leave its
-    /// scratch torn.
+    /// this for every window it retries, since a panicking decoder may
+    /// leave its scratch torn.
     fn build(&self) -> Self::Decoder;
 
     /// Builds one rung-0 decoder stack: the decoder plus whatever front
@@ -208,8 +213,8 @@ impl ChunkPlan {
     }
 }
 
-/// Per-worker sampling scratch, reused across every rung of every chunk a
-/// worker touches: the narrow frame state (tail batches), the [`LANES`]-wide
+/// Per-worker sampling scratch, reused across every chunk a worker
+/// touches: the narrow frame state (tail batches), the [`LANES`]-wide
 /// lockstep state, one [`BatchEvents`] per lane, and the sparse extractor.
 struct SampleScratch {
     state: FrameState,
@@ -470,8 +475,13 @@ impl<D: Decoder> DecodeStack<D> {
 struct ChunkResult {
     batches: usize,
     failures: usize,
-    /// Ladder rung the chunk completed on.
+    /// Highest ladder rung any of the chunk's windows needed.
     rung: usize,
+    /// Faults the ladder caught in the chunk: the rungs its windows
+    /// stepped down.
+    faults: usize,
+    /// Shots of the chunk's windows decoded on a rung above 0.
+    degraded_shots: usize,
     /// Tier and gate accounting and the cluster/decode phase timers.
     stats: WindowStats,
     sample_seconds: f64,
@@ -480,12 +490,11 @@ struct ChunkResult {
 }
 
 /// Why one decode attempt did not produce a result: the message of the
-/// panic `catch_unwind` caught. Shared by the batch engine's chunk ladder
-/// and the streaming service's window retries.
+/// panic `catch_unwind` caught.
 #[derive(Clone, Debug)]
-pub(crate) struct ChunkFault(String);
+pub(crate) struct DecodeFault(String);
 
-impl fmt::Display for ChunkFault {
+impl fmt::Display for DecodeFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "panicked: {}", self.0)
     }
@@ -502,37 +511,137 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `work` panic-isolated: a caught panic becomes a [`ChunkFault`]
-/// carrying its message.
-pub(crate) fn isolate<T>(work: impl FnOnce() -> T) -> Result<T, ChunkFault> {
-    std::panic::catch_unwind(AssertUnwindSafe(work))
-        .map_err(|payload| ChunkFault(panic_message(payload)))
+/// One panic-isolated decode of `sparse` on `stack`, firing `inject` first.
+///
+/// Both injections end in a panic inside the isolated attempt, as the
+/// failures they model would: `Panic` is a decoder bug, `CorruptDefects`
+/// hands the decoder an out-of-range node id as corrupted syndrome
+/// extraction would.
+fn attempt<D: Decoder>(
+    stack: &mut DecodeStack<D>,
+    inject: Option<FaultKind>,
+    sparse: &SparseBatch,
+    obs: &mut WorkerObs,
+    decode_hist: Hist,
+    stats: &mut WindowStats,
+    masks: &mut [u64; BATCH],
+) -> Result<(), DecodeFault> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        match inject {
+            None => {}
+            Some(FaultKind::Panic) => panic!("injected decoder panic"),
+            // A corrupted syndrome stream: one defect id far past every
+            // node the decoder knows.
+            Some(FaultKind::CorruptDefects) => {
+                stack.decoder.decode(&[usize::MAX / 2]);
+            }
+        }
+        stack.decode_window_masks(sparse, obs, decode_hist, stats, masks)
+    }))
+    .map_err(|payload| DecodeFault(panic_message(payload)))
 }
 
-/// Records the journal entry and counter for one faulted attempt on `rung`.
-pub(crate) fn observe_chunk_fault(obs: &mut WorkerObs, rung: usize) {
-    obs.add(Counter::FaultsPanic, 1);
-    obs.event(EventKind::Fault {
-        kind: "panic",
-        rung: rung as u8,
-    });
+/// The degradation ladder: the one place a decode is isolated and
+/// retried, shared by the batch engine (per sampled window of a chunk)
+/// and the streaming service (per dequeued window).
+///
+/// Rung 0 decodes through the worker's cached [`DecodeStack`], built from
+/// the factory on first use. A panic is journaled, the rung-0 stack is
+/// quarantined — dropped and rebuilt on next use, since a panicking
+/// decoder may leave its scratch torn — and the same window is re-decoded
+/// one rung down: rung 1 a fresh bare decoder
+/// ([`DecoderFactory::build`]), rung 2 a [`ReferenceUnionFind`] over
+/// [`DecoderFactory::fallback_graph`]. Without a fallback graph the
+/// ladder ends at rung 1.
+pub(crate) struct Ladder<'a, F: DecoderFactory> {
+    factory: &'a F,
+    /// The worker's rung-0 stack; `None` before first use and after a
+    /// quarantine.
+    stack: Option<DecodeStack<F::Decoder>>,
+    /// Whether per-shot decode latencies reach the caller's handle. The
+    /// streaming service records none: a clock read per shot would cost
+    /// several percent of its decode.
+    shot_samples: bool,
 }
 
-/// Fault bookkeeping: per chunk in a worker, then summed in [`Shared`].
-#[derive(Clone, Copy, Debug, Default)]
-struct FaultTally {
-    faults: usize,
-    retries: usize,
-}
+impl<'a, F: DecoderFactory> Ladder<'a, F> {
+    pub(crate) fn new(factory: &'a F, shot_samples: bool) -> Ladder<'a, F> {
+        Ladder {
+            factory,
+            stack: None,
+            shot_samples,
+        }
+    }
 
-impl FaultTally {
-    fn add(&mut self, other: &FaultTally) {
-        self.faults += other.faults;
-        self.retries += other.retries;
+    /// Decodes one extracted window into `masks`, stepping down a rung
+    /// on each panic. `inject` fires inside the rung-0 attempt (fault
+    /// injection; `None` outside tests and chaos runs). Faults and
+    /// retries are journaled and counted on `obs`; `stats` receives the
+    /// tier accounting of the attempt that succeeded, never of a failed
+    /// one. Returns the rung that decoded the window, or the last fault
+    /// and its rung.
+    pub(crate) fn decode(
+        &mut self,
+        sparse: &SparseBatch,
+        inject: Option<FaultKind>,
+        obs: &mut WorkerObs,
+        stats: &mut WindowStats,
+        masks: &mut [u64; BATCH],
+    ) -> Result<usize, (DecodeFault, usize)> {
+        let fallback = self.factory.fallback_graph();
+        let last = if fallback.is_some() { 2 } else { 1 };
+        let mut untimed = WorkerObs::disabled();
+        let mut rung = 0;
+        loop {
+            let mut tried = WindowStats::default();
+            let shot_obs = if self.shot_samples {
+                &mut *obs
+            } else {
+                &mut untimed
+            };
+            let outcome = match rung {
+                0 => {
+                    let stack = self.stack.get_or_insert_with(|| self.factory.stack());
+                    let hist = Hist::DecodeShotRung0;
+                    attempt(stack, inject, sparse, shot_obs, hist, &mut tried, masks)
+                }
+                1 => {
+                    let mut bare = DecodeStack::new(self.factory.build());
+                    let hist = Hist::DecodeShotRung1;
+                    attempt(&mut bare, None, sparse, shot_obs, hist, &mut tried, masks)
+                }
+                _ => {
+                    let graph = fallback.expect("the ladder reaches rung 2 only with a fallback");
+                    let mut oracle = DecodeStack::new(ReferenceUnionFind::new(graph.clone()));
+                    let hist = Hist::DecodeShotRung2;
+                    attempt(&mut oracle, None, sparse, shot_obs, hist, &mut tried, masks)
+                }
+            };
+            let Err(fault) = outcome else {
+                stats.add(&tried);
+                return Ok(rung);
+            };
+            obs.add(Counter::FaultsPanic, 1);
+            obs.event(EventKind::Fault {
+                kind: "panic",
+                rung: rung as u8,
+            });
+            if rung == 0 {
+                self.stack = None;
+            }
+            if rung == last {
+                return Err((fault, rung));
+            }
+            rung += 1;
+            obs.add(Counter::Retries, 1);
+            obs.event(EventKind::Retry { rung: rung as u8 });
+        }
     }
 }
 
-/// Samples and decodes one chunk from its deterministic seed.
+/// Samples one chunk from its deterministic seed and decodes each 64-shot
+/// window with `decode`, which returns the rung that decoded the window.
+/// The first window `decode` cannot decode ends the chunk with its fault.
 ///
 /// The phases are timed separately and *partition* the chunk's wall time:
 /// frame sampling, word-sparse syndrome extraction plus tier-dispatch
@@ -546,26 +655,21 @@ impl FaultTally {
 /// failure count bit for bit: tier-0 skips reproduce `decode(&[]) == 0`,
 /// and every other shot reaches the decoder. An armed cluster tier is a
 /// decoder variant (see [`ClusterTier`]).
-fn run_chunk<D: Decoder>(
+fn run_chunk<E>(
     compiled: &CompiledCircuit,
     plan: &ChunkPlan,
     chunk: usize,
-    stack: &mut DecodeStack<D>,
     scratch: &mut SampleScratch,
-    obs: &mut WorkerObs,
-    rung: usize,
-) -> ChunkResult {
+    mut decode: impl FnMut(&SparseBatch, &mut WindowStats, &mut [u64; BATCH]) -> Result<usize, E>,
+) -> Result<ChunkResult, E> {
     let batches = plan.batches_in(chunk);
     let first_batch = plan.first_batch(chunk) as u64;
-    let decode_hist = match rung {
-        0 => Hist::DecodeShotRung0,
-        1 => Hist::DecodeShotRung1,
-        _ => Hist::DecodeShotRung2,
-    };
     let mut result = ChunkResult {
         batches,
         failures: 0,
-        rung,
+        rung: 0,
+        faults: 0,
+        degraded_shots: 0,
         stats: WindowStats::default(),
         sample_seconds: 0.0,
         extract_seconds: 0.0,
@@ -598,7 +702,12 @@ fn run_chunk<D: Decoder>(
             let t1 = Instant::now();
             sparse.extract(events);
             result.extract_seconds += t1.elapsed().as_secs_f64();
-            stack.decode_window_masks(sparse, obs, decode_hist, &mut result.stats, &mut masks);
+            let rung = decode(sparse, &mut result.stats, &mut masks)?;
+            result.rung = result.rung.max(rung);
+            result.faults += rung;
+            if rung > 0 {
+                result.degraded_shots += BATCH;
+            }
             // Score the predicted masks against the sampled ground truth.
             for (s, &mask) in masks.iter().enumerate() {
                 if mask != sparse.observables(s) {
@@ -610,40 +719,7 @@ fn run_chunk<D: Decoder>(
     // The tier-dispatch classification scan is syndrome accounting, so it
     // is charged to the extract phase, not to a decode phase.
     result.extract_seconds += result.stats.classify_seconds;
-    result
-}
-
-/// Runs one panic-isolated attempt at a chunk on `rung`, injecting the
-/// scheduled fault first (injections only reach rung-0 attempts).
-///
-/// Both injections end in a panic inside the isolated attempt, as the
-/// failures they model would: `Panic` is a decoder bug, `CorruptDefects`
-/// hands the decoder an out-of-range node id as corrupted syndrome
-/// extraction would.
-fn attempt_chunk<F: DecoderFactory, D: Decoder>(
-    job: &Job<'_, F>,
-    stack: &mut DecodeStack<D>,
-    scratch: &mut SampleScratch,
-    chunk: usize,
-    rung: usize,
-    obs: &mut WorkerObs,
-) -> Result<ChunkResult, ChunkFault> {
-    let injected = job
-        .faults
-        .filter(|_| rung == 0)
-        .and_then(|p| p.injection(chunk));
-    isolate(|| {
-        match injected {
-            None => {}
-            Some(FaultKind::Panic) => panic!("injected decoder panic at chunk {chunk}"),
-            // A corrupted syndrome stream: one defect id far past every
-            // node the decoder knows.
-            Some(FaultKind::CorruptDefects) => {
-                stack.decoder.decode(&[usize::MAX / 2]);
-            }
-        }
-        run_chunk(job.compiled, &job.plan, chunk, stack, scratch, obs, rung)
-    })
+    Ok(result)
 }
 
 /// Result of one [`LerEngine::try_run`]: the estimate plus
@@ -713,18 +789,17 @@ pub struct EngineRun {
     /// with exactly `i` defects; the tail is log-scaled per
     /// [`defect_hist_bucket`] (32–63, 64–127, 128–255, ≥256).
     pub defect_histogram: [u64; DEFECT_HIST_BUCKETS],
-    /// Fault events observed across all chunk attempts (a chunk that
-    /// faults on two rungs counts twice). Zero when no fault fired.
+    /// Decode faults caught across all windows (a window that faults on
+    /// two rungs counts twice). In an `Ok` run each one stepped its window
+    /// down one rung, so this is also the number of ladder retries. Zero
+    /// when no fault fired.
     pub faulted_chunks: usize,
-    /// Retry attempts launched in response to faults. In every `Ok` run
-    /// each fault triggers exactly one retry on the next rung, so
-    /// `retried_chunks == faulted_chunks` — no fault is silently dropped.
-    pub retried_chunks: usize,
-    /// Shots whose chunk completed on a rung above 0 (decoded by a
-    /// degraded configuration).
+    /// Shots of windows decoded on a rung above 0 (by a degraded
+    /// configuration), 64 per such window.
     pub degraded_shots: usize,
-    /// Chunks completed per ladder rung (`rung_chunks[0]` is the pristine
-    /// fast path; entries sum to `chunks_executed`).
+    /// Chunks per highest ladder rung any of their windows needed
+    /// (`rung_chunks[0]` is the pristine fast path; entries sum to
+    /// `chunks_executed`).
     pub rung_chunks: [usize; LADDER_RUNGS],
     /// Batches the defect-density gate sent through the cluster
     /// decomposition (counted only while a cluster tier was armed).
@@ -742,7 +817,7 @@ impl EngineRun {
         self.estimate.shots as f64 / self.wall_seconds
     }
 
-    /// True when any chunk completed on a rung above 0 (the run degraded
+    /// True when any window decoded on a rung above 0 (the run degraded
     /// but recovered). The `caliqec` CLI's `--strict` mode turns this into
     /// a nonzero exit.
     pub fn degraded(&self) -> bool {
@@ -750,9 +825,8 @@ impl EngineRun {
     }
 }
 
-/// Aggregation state shared by workers under a mutex: per-chunk results
-/// and the summed fault tally, folded into an [`EngineRun`] once by
-/// [`assemble_run`].
+/// Aggregation state shared by workers under a mutex: per-chunk results,
+/// folded into an [`EngineRun`] once by [`assemble_run`].
 struct Shared {
     /// Every executed chunk's result, including any past the cut.
     results: Vec<Option<ChunkResult>>,
@@ -761,7 +835,6 @@ struct Shared {
     cut: Option<usize>,
     /// First ladder-exhaustion error, if any; set once, ends the run.
     fatal: Option<EngineError>,
-    faults: FaultTally,
 }
 
 impl Shared {
@@ -896,7 +969,7 @@ impl LerEngine {
     ///
     /// Validates the circuit and the factory up front, then runs the
     /// hardened chunk loop. Returns a typed [`EngineError`] for invalid
-    /// inputs or a chunk that faulted on every rung of the degradation
+    /// inputs or a window that faulted on every rung of the degradation
     /// ladder; all recovered faults are reported in the returned
     /// [`EngineRun`] instead.
     pub fn try_run<F: DecoderFactory>(
@@ -933,7 +1006,6 @@ impl LerEngine {
                 results: vec![None; plan.num_chunks],
                 cut: None,
                 fatal: None,
-                faults: FaultTally::default(),
             }),
         };
         std::thread::scope(|scope| {
@@ -969,7 +1041,7 @@ fn assemble_run(
     }
     let mut stats = WindowStats::default();
     let (mut sample_seconds, mut extract_seconds) = (0.0f64, 0.0f64);
-    let (mut chunks_executed, mut degraded_shots) = (0usize, 0usize);
+    let (mut chunks_executed, mut faults, mut degraded_shots) = (0usize, 0usize, 0usize);
     let mut rung_chunks = [0usize; LADDER_RUNGS];
     for r in sh.results.iter().flatten() {
         stats.add(&r.stats);
@@ -977,9 +1049,8 @@ fn assemble_run(
         extract_seconds += r.extract_seconds;
         chunks_executed += 1;
         rung_chunks[r.rung] += 1;
-        if r.rung > 0 {
-            degraded_shots += r.batches * BATCH;
-        }
+        faults += r.faults;
+        degraded_shots += r.degraded_shots;
     }
     let included = sh.cut.map_or(plan.num_chunks, |k| k + 1);
     let mut estimate = LerEstimate::default();
@@ -987,7 +1058,6 @@ fn assemble_run(
         estimate.shots += r.batches * BATCH;
         estimate.failures += r.failures;
     }
-    let faults = sh.faults;
     Ok(EngineRun {
         estimate,
         threads,
@@ -1007,8 +1077,7 @@ fn assemble_run(
         clusters_total: stats.clusters_total,
         cluster_size_histogram: stats.cluster_size_histogram,
         defect_histogram: stats.defect_histogram,
-        faulted_chunks: faults.faults,
-        retried_chunks: faults.retries,
+        faulted_chunks: faults,
         degraded_shots,
         rung_chunks,
         cluster_gate_on: stats.cluster_gate_on,
@@ -1016,20 +1085,15 @@ fn assemble_run(
     })
 }
 
-/// Records the metrics and journal entry for a chunk that completed on
-/// `result.rung`. `attempt_started` is the [`WorkerObs::clock`] reading
-/// taken when the successful attempt began; on a disabled handle everything
-/// no-ops.
-fn observe_chunk_finish(
-    obs: &mut WorkerObs,
-    result: &ChunkResult,
-    attempt_started: Option<Instant>,
-) {
+/// Records the metrics and journal entry for a completed chunk.
+/// `chunk_started` is the [`WorkerObs::clock`] reading taken when the
+/// chunk began; on a disabled handle everything no-ops.
+fn observe_chunk_finish(obs: &mut WorkerObs, result: &ChunkResult, chunk_started: Option<Instant>) {
     if !obs.enabled() {
         return;
     }
     let stats = &result.stats;
-    let _ = obs.record_since(Hist::ChunkWall, attempt_started);
+    let _ = obs.record_since(Hist::ChunkWall, chunk_started);
     obs.add(Counter::ChunksFinished, 1);
     obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
     obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
@@ -1047,8 +1111,8 @@ fn observe_chunk_finish(
         },
         1,
     );
-    if result.rung > 0 {
-        obs.add(Counter::ShotsDegraded, shots);
+    if result.degraded_shots > 0 {
+        obs.add(Counter::ShotsDegraded, result.degraded_shots as u64);
     }
     obs.event(EventKind::ChunkFinish {
         rung: result.rung as u8,
@@ -1068,16 +1132,12 @@ fn observe_chunk_finish(
     }
 }
 
-/// The body of one worker thread: claim chunks, run each up the
-/// degradation ladder, merge results.
-///
-/// The rung-0 stack is built on the worker's first chunk and quarantined on
-/// a rung-0 fault — dropped and rebuilt from the factory on next use, since
-/// a panicking decoder may leave its scratch torn.
+/// The body of one worker thread: claim chunks, decode each window of a
+/// chunk on the worker's [`Ladder`], merge results. A window the ladder
+/// cannot decode fails the run with [`EngineError::ChunkFailed`].
 fn worker_loop<F: DecoderFactory>(job: &Job<'_, F>, mut obs: WorkerObs) {
-    let mut stack: Option<DecodeStack<F::Decoder>> = None;
+    let mut ladder = Ladder::new(job.factory, true);
     let mut scratch = SampleScratch::new(job.compiled);
-    let fallback = job.factory.fallback_graph();
     loop {
         {
             let sh = lock_shared(&job.shared);
@@ -1091,58 +1151,22 @@ fn worker_loop<F: DecoderFactory>(job: &Job<'_, F>, mut obs: WorkerObs) {
         }
         obs.begin_chunk(chunk as u32);
         obs.add(Counter::ChunksStarted, 1);
+        obs.event(EventKind::ChunkStart);
+        let chunk_started = obs.clock();
+        // A scheduled injection fires in the chunk's first window only.
+        let mut inject = job.faults.and_then(|p| p.injection(chunk));
+        let outcome = run_chunk(
+            job.compiled,
+            &job.plan,
+            chunk,
+            &mut scratch,
+            |sparse, stats, masks| ladder.decode(sparse, inject.take(), &mut obs, stats, masks),
+        );
 
-        // Degradation ladder: rung 0 = the factory's full stack; rung 1 =
-        // fresh bare decoder; rung 2 = ReferenceUnionFind over the fallback
-        // graph. Every rung re-runs the same chunk seed, so the retried
-        // syndrome stream is identical; injected faults only fire at rung 0.
-        let mut tally = FaultTally::default();
-        let mut rung = 0usize;
-        let outcome: Result<ChunkResult, (ChunkFault, usize)> = loop {
-            obs.event(EventKind::ChunkStart { rung: rung as u8 });
-            let attempt_started = obs.clock();
-            let attempt = match rung {
-                0 => {
-                    let stack = stack.get_or_insert_with(|| job.factory.stack());
-                    attempt_chunk(job, stack, &mut scratch, chunk, rung, &mut obs)
-                }
-                1 => {
-                    let mut bare = DecodeStack::new(job.factory.build());
-                    attempt_chunk(job, &mut bare, &mut scratch, chunk, rung, &mut obs)
-                }
-                _ => {
-                    let graph = fallback.expect("the ladder reaches rung 2 only with a fallback");
-                    let mut reference = DecodeStack::new(ReferenceUnionFind::new(graph.clone()));
-                    attempt_chunk(job, &mut reference, &mut scratch, chunk, rung, &mut obs)
-                }
-            };
-            match attempt {
-                Ok(result) => {
-                    observe_chunk_finish(&mut obs, &result, attempt_started);
-                    break Ok(result);
-                }
-                Err(fault) => {
-                    observe_chunk_fault(&mut obs, rung);
-                    tally.faults += 1;
-                    if rung == 0 {
-                        stack = None;
-                    }
-                    // Rung 2 without a fallback graph cannot be attempted;
-                    // stop the ladder one rung early rather than count a
-                    // phantom retry.
-                    if rung + 1 == LADDER_RUNGS || (rung + 1 == 2 && fallback.is_none()) {
-                        break Err((fault, rung));
-                    }
-                    tally.retries += 1;
-                    rung += 1;
-                    obs.add(Counter::Retries, 1);
-                    obs.event(EventKind::Retry { rung: rung as u8 });
-                }
-            }
-        };
-
+        if let Ok(result) = &outcome {
+            observe_chunk_finish(&mut obs, result, chunk_started);
+        }
         let mut sh = lock_shared(&job.shared);
-        sh.faults.add(&tally);
         match outcome {
             Ok(result) => {
                 sh.results[chunk] = Some(result);
@@ -1182,14 +1206,15 @@ pub fn estimate_ler_seeded<D: Decoder>(
     let mut estimate = LerEstimate::default();
     let mut obs = WorkerObs::disabled();
     for chunk in 0..plan.num_chunks {
-        let result = run_chunk(
+        let Ok(result) = run_chunk(
             compiled,
             &plan,
             chunk,
-            &mut stack,
             &mut scratch,
-            &mut obs,
-            0,
+            |sparse, stats, masks| {
+                stack.decode_window_masks(sparse, &mut obs, Hist::DecodeShotRung0, stats, masks);
+                Ok::<_, Infallible>(0)
+            },
         );
         estimate.shots += result.batches * BATCH;
         estimate.failures += result.failures;
@@ -1249,7 +1274,6 @@ mod tests {
             );
             assert_eq!(run.estimate, serial, "threads={threads}");
             assert_eq!(run.faulted_chunks, 0);
-            assert_eq!(run.retried_chunks, 0);
             assert_eq!(run.degraded_shots, 0);
             assert!(!run.degraded());
         }
@@ -1562,10 +1586,11 @@ mod tests {
             .expect("ladder must recover from injected faults");
         assert_eq!(faulty.estimate, clean.estimate, "retry changed the LER");
         assert_eq!(faulty.faulted_chunks, 2);
-        assert_eq!(faulty.retried_chunks, 2);
         assert!(faulty.degraded());
         assert_eq!(faulty.rung_chunks[1], 2);
-        assert!(faulty.degraded_shots > 0);
+        // Each faulted chunk holds two 64-shot windows; only the first,
+        // where the injection fires, is re-decoded on rung 1.
+        assert_eq!(faulty.degraded_shots, 2 * BATCH);
     }
 
     /// Observability must be passive: an enabled sink changes no result

@@ -1,11 +1,12 @@
 //! Deterministic fault injection for the hardened LER engine.
 //!
 //! A [`FaultPlan`] names chunk indices at which the engine's worker loop
-//! makes the chunk's decode panic — outright, or by handing the decoder a
-//! corrupted defect list. Either way the fault is a real panic inside the
-//! real `catch_unwind` of the chunk attempt, so every injection exercises
-//! exactly one quarantine + deterministic retry on the degradation ladder.
-//! Injection only fires on the *first* attempt of a chunk (rung 0).
+//! makes a decode panic — outright, or by handing the decoder a corrupted
+//! defect list. The injection fires inside the rung-0 attempt of the
+//! chunk's *first* 64-shot window, under the degradation ladder's real
+//! `catch_unwind`, so every injection exercises exactly one quarantine and
+//! one retry of that window on rung 1; the chunk's other windows decode on
+//! rung 0.
 //!
 //! The plan is plain data carried by [`LerEngine`](crate::LerEngine): when
 //! no plan is armed the hot path pays a single `Option` check per chunk and
@@ -17,7 +18,7 @@ use std::fmt;
 /// The kinds of fault the harness can inject into a chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic inside the chunk's decode (simulates a decoder bug).
+    /// Panic inside the window's decode (simulates a decoder bug).
     Panic,
     /// Feed the decoder a defect list with an out-of-range node id
     /// (simulates corrupted syndrome extraction); the decoder's index

@@ -33,8 +33,9 @@
 //!   regardless of thread count, with per-run throughput counters in
 //!   [`EngineRun`]. Hardened against decoder faults: inputs are validated
 //!   up front ([`MatchingGraph::validate`], typed
-//!   [`ValidationError`]/[`EngineError`]), each chunk runs panic-isolated
-//!   with a deterministic same-seed retry on a degradation ladder, and
+//!   [`ValidationError`]/[`EngineError`]), each 64-shot window decodes
+//!   panic-isolated on a degradation ladder that re-decodes it one rung
+//!   down after a panic (the streaming service shares it), and
 //!   [`FaultPlan`] can make chosen chunks' decodes panic (outright or on a
 //!   corrupted defect list) to prove it all works.
 //! - Calibration-aware reweighting: graphs built from a DEM keep per-edge

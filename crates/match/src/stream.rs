@@ -23,19 +23,17 @@
 //!   *shed* — no extraction, no decode, all-zero masks, counted degraded
 //!   and journaled, never silently dropped. `deadline: None` disables
 //!   shedding entirely, which is what makes golden-replay testing possible.
+//! - **Faults**: every decode runs on the batch engine's degradation
+//!   ladder, per window: a decoder panic is journaled, the stack is
+//!   quarantined and the window is re-decoded one rung down (a fresh bare
+//!   decoder, then [`ReferenceUnionFind`](crate::ReferenceUnionFind) over
+//!   the factory's fallback graph). A window that faults on every rung is
+//!   *deferred* where the engine would fail its run.
 //! - **Watchdog**: a supervisor thread scans per-worker heartbeats and
 //!   journals a [`Wedge`](caliqec_obs::EventKind::Wedge) when a worker sits
 //!   on one window past a 200 ms wedge deadline. It only detects: the
 //!   worker keeps its window, and the decode it finishes is the one the
 //!   window gets.
-//! - **Retry policy**: a decoder panic is caught by the engine's
-//!   panic-isolation helper and journaled like a batch-engine fault, but
-//!   the recovery differs on purpose. A batch chunk has no deadline, so
-//!   the engine retries it *down* its rung ladder; a stream window races a
-//!   wall-clock deadline, so the service rebuilds the same stack and
-//!   retries a full decode of the *same* window up to twice, then declares
-//!   it deferred. One executor serving both would have to branch on its
-//!   caller at every step.
 //! - **Accounting invariant**: once drained, every ingested round is
 //!   decoded, shed, or deferred — `rounds_ingested = rounds_decoded +
 //!   rounds_shed + rounds_deferred` — and [`ServiceHealth`] exposes the
@@ -43,12 +41,12 @@
 //!   [`caliqec_obs`] histograms.
 //!
 //! Determinism: the decode mask of `(tenant, window)` is a pure function of
-//! the window's detector words and the tenant's decoder — independent of
-//! worker count, queue interleaving, retries, and wedges. Only latencies
-//! and shed/deferred/rejected *counts* may vary with timing, and those are
-//! reported as distributions, never folded into the masks.
+//! the window's detector words and the ladder rung that decoded it —
+//! independent of worker count, queue interleaving, and wedges. Only
+//! latencies and shed/deferred/rejected *counts* may vary with timing, and
+//! those are reported as distributions, never folded into the masks.
 
-use crate::engine::{isolate, observe_chunk_fault, DecodeStack, DecoderFactory, WindowStats};
+use crate::engine::{DecoderFactory, Ladder, WindowStats};
 use crate::error::ValidationError;
 use caliqec_obs::{Counter, Event, EventKind, Gauge, Hist, ObsSink, WorkerObs};
 use caliqec_stab::{
@@ -91,17 +89,13 @@ impl Default for StreamConfig {
 /// declares it wedged.
 const WEDGE_DEADLINE: Duration = Duration::from_millis(200);
 
-/// Same-window retries after a full-decode panic before the window is
-/// declared deferred.
-const MAX_RETRIES: u32 = 2;
-
 /// One logical patch served by the pool: its decoder factory and the
 /// detector-word count of one decode window (the patch circuit's detector
 /// count).
 #[derive(Debug)]
 pub struct TenantSpec<F> {
-    /// Builds this tenant's decoders (one per worker that touches the
-    /// tenant, built lazily; rebuilt after a quarantined panic).
+    /// Builds this tenant's decoders (one stack per worker that touches
+    /// the tenant, built lazily; rebuilt after a quarantined panic).
     pub factory: F,
     /// Detector words per complete window.
     pub detectors: usize,
@@ -141,8 +135,9 @@ pub enum Disposition {
     /// Dequeued past its deadline: never extracted or decoded. Journaled
     /// as a rung-1 [`Shed`](caliqec_obs::EventKind::Shed).
     Shed,
-    /// The decode panicked on the window and on both same-window retries.
-    /// Journaled as a rung-2 [`Shed`](caliqec_obs::EventKind::Shed).
+    /// The decode panicked on every rung of the degradation ladder (rung
+    /// 2 with a fallback graph, rung 1 without). Journaled as a rung-2
+    /// [`Shed`](caliqec_obs::EventKind::Shed).
     Deferred,
 }
 
@@ -155,7 +150,8 @@ pub struct WindowResult {
     pub disposition: Disposition,
     /// Rounds the window was assembled from.
     pub rounds: u32,
-    /// Same-window retries spent after full-decode panics.
+    /// Ladder retries spent after decoder panics: the rung that decoded
+    /// the window, or the last rung tried when it was deferred.
     pub retries: u32,
     /// Per-shot predicted observable masks (all-zero unless
     /// [`Disposition::Decoded`]).
@@ -175,7 +171,8 @@ pub struct TenantHealth {
     pub rounds_decoded: u64,
     /// Rounds whose window was shed undecoded past its deadline.
     pub rounds_shed: u64,
-    /// Rounds whose window was deferred after its decode kept panicking.
+    /// Rounds whose window was deferred after its decode panicked on every
+    /// ladder rung.
     pub rounds_deferred: u64,
     /// Rounds rejected by backpressure (never ingested).
     pub rounds_rejected: u64,
@@ -195,11 +192,11 @@ pub struct ServiceHealth {
     pub windows_decoded: u64,
     /// Windows shed undecoded past their deadline.
     pub windows_shed: u64,
-    /// Windows deferred after their decode kept panicking.
+    /// Windows deferred after their decode panicked on every ladder rung.
     pub windows_deferred: u64,
     /// Wedges the watchdog declared.
     pub wedges: u64,
-    /// Same-window retries after decoder panics.
+    /// Ladder retries after decoder panics, summed over windows.
     pub retries: u64,
     /// Median admission-to-disposition window latency, microseconds
     /// (0 when the sink is disabled or nothing has finished).
@@ -644,10 +641,14 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
     idx: usize,
     mut obs: WorkerObs,
 ) {
-    // Per-tenant decode stacks, built lazily from the tenant's factory and
-    // rebuilt after a quarantined panic.
-    let mut stacks: Vec<Option<DecodeStack<F::Decoder>>> =
-        (0..shared.tenants.len()).map(|_| None).collect();
+    // Per-tenant ladders; each builds its rung-0 stack lazily from the
+    // tenant's factory and rebuilds it after a quarantined panic. They
+    // record no per-shot decode latency.
+    let mut ladders: Vec<Ladder<'_, F>> = shared
+        .tenants
+        .iter()
+        .map(|t| Ladder::new(&t.factory, false))
+        .collect();
     let mut sparse = SparseBatch::new();
     loop {
         let job = {
@@ -679,7 +680,7 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
             .fetch_sub(1, Ordering::AcqRel);
 
         obs.begin_chunk(job.seq as u32);
-        process_job(&shared, &mut stacks, &mut sparse, &mut obs, &job);
+        process_job(&shared, &mut ladders, &mut sparse, &mut obs, &job);
         slot.busy.store(u64::MAX, Ordering::Release);
         obs.flush();
         lock(&shared.pool).push(job.events);
@@ -688,68 +689,50 @@ fn worker_loop<F: DecoderFactory + Send + Sync + 'static>(
 }
 
 /// Decodes or sheds one window and records the outcome. Its fate is one
-/// deadline check, by queue age at dequeue.
+/// deadline check, by queue age at dequeue; a window within it decodes on
+/// its tenant's degradation ladder, and one the ladder cannot decode is
+/// deferred.
 fn process_job<F: DecoderFactory + Send + Sync + 'static>(
     shared: &Shared<F>,
-    stacks: &mut [Option<DecodeStack<F::Decoder>>],
+    ladders: &mut [Ladder<'_, F>],
     sparse: &mut SparseBatch,
     obs: &mut WorkerObs,
     job: &Job,
 ) {
     let tenant = &shared.tenants[job.tenant as usize];
-    let mut retries = 0u32;
     let late = shared
         .config
         .deadline
         .is_some_and(|d| job.enqueued.elapsed() > d);
 
     let mut masks = [0u64; BATCH];
-    let disposition = if late {
-        Disposition::Shed
+    let (disposition, rung) = if late {
+        (Disposition::Shed, 0)
     } else {
-        // Full decode, panic-isolated with bounded same-window retries
-        // (quarantine rebuilds the stack — a panicking decoder may have
-        // torn scratch state).
-        let stack = stacks[job.tenant as usize].get_or_insert_with(|| tenant.factory.stack());
         sparse.extract(&job.events);
-        loop {
-            let mut stats = WindowStats::default();
-            let started = Instant::now();
-            let attempt = isolate(|| {
-                stack.decode_window_masks(
-                    sparse,
-                    &mut WorkerObs::disabled(),
-                    Hist::DecodeShotRung0,
-                    &mut stats,
-                    &mut masks,
-                )
-            });
-            match attempt {
-                Ok(_) => {
-                    obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
-                    obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
-                    obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
-                    if stats.clustered_shots > 0 {
-                        obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
-                    }
-                    break Disposition::Decoded;
+        let mut stats = WindowStats::default();
+        let started = Instant::now();
+        match ladders[job.tenant as usize].decode(sparse, None, obs, &mut stats, &mut masks) {
+            Ok(rung) => {
+                obs.record(Hist::WindowDecode, started.elapsed().as_nanos() as u64);
+                obs.add(Counter::ShotsTier0, stats.tier0_shots as u64);
+                obs.add(Counter::ShotsTier2, stats.residual_shots as u64);
+                if stats.clustered_shots > 0 {
+                    obs.add(Counter::ShotsCluster, stats.clustered_shots as u64);
                 }
-                Err(_) => {
-                    observe_chunk_fault(obs, 0);
-                    *stack = tenant.factory.stack();
-                    if retries >= MAX_RETRIES {
-                        // Retries exhausted: declare the window deferred
-                        // rather than pretend it decoded.
-                        break Disposition::Deferred;
-                    }
-                    retries += 1;
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    obs.add(Counter::StreamRetries, 1);
-                    obs.event(EventKind::Retry { rung: 0 });
+                if rung > 0 {
+                    obs.add(Counter::ShotsDegraded, BATCH as u64);
                 }
+                (Disposition::Decoded, rung)
             }
+            Err((_, rung)) => (Disposition::Deferred, rung),
         }
     };
+    // A window that reached rung `r` was retried `r` times.
+    let retries = rung as u32;
+    if retries > 0 {
+        shared.retries.fetch_add(retries as u64, Ordering::Relaxed);
+    }
 
     let (rounds_by_fate, windows, counter, shed_rung) = match disposition {
         Disposition::Decoded => (
@@ -1229,7 +1212,7 @@ mod tests {
         assert!(report.tenants[0].iter().all(|r| r.retries == 0));
         let snap = sink.snapshot();
         assert_eq!(snap.counter("worker_wedges"), 1);
-        assert_eq!(snap.counter("stream_retries"), 0);
+        assert_eq!(snap.counter("retries"), 0);
         let wedges = snap
             .events
             .iter()

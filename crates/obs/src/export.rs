@@ -126,9 +126,7 @@ fn event_json(e: &Event) -> String {
         EventKind::RunStart { threads, chunks } => {
             let _ = write!(fields, ",\"threads\":{threads},\"chunks\":{chunks}");
         }
-        EventKind::ChunkStart { rung } => {
-            let _ = write!(fields, ",\"rung\":{rung}");
-        }
+        EventKind::ChunkStart => {}
         EventKind::ChunkFinish {
             rung,
             shots,
@@ -224,16 +222,17 @@ pub fn render_json(snap: &Snapshot) -> String {
 /// Renders the journal as Chrome trace-event JSON (the `traceEvents`
 /// format), viewable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 ///
-/// Chunk attempts become `"X"` (complete) events — one slice per
-/// start/finish pair on the worker's track — and run starts, faults and
-/// retries become `"i"` (instant) markers. `pid` is the engine run, `tid`
-/// the worker.
+/// Chunks become `"X"` (complete) events — one slice per start/finish
+/// pair on the worker's track — and run starts, faults and retries become
+/// `"i"` (instant) markers: a fault is retried inside its chunk, so it
+/// never ends the chunk's slice. `pid` is the engine run, `tid` the
+/// worker.
 pub fn render_chrome_trace(snap: &Snapshot) -> String {
     let mut items: Vec<String> = Vec::new();
     let us = |nanos: u64| nanos as f64 / 1e3;
-    // Pending ChunkStart timestamps keyed by (run, chunk); retries of a
-    // chunk nest start/finish pairs in sequence order, so a stack suffices.
-    let mut open: Vec<((u32, u32), u64)> = Vec::new();
+    // The pending ChunkStart timestamp, keyed by (run, chunk): the
+    // journal's order keeps each chunk's events together.
+    let mut open: Option<((u32, u32), u64)> = None;
     for e in &snap.events {
         match e.kind {
             EventKind::RunStart { threads, chunks } => {
@@ -242,8 +241,8 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                     us(e.t_nanos), e.run, threads, chunks
                 ));
             }
-            EventKind::ChunkStart { .. } => {
-                open.push(((e.run, e.chunk), e.t_nanos));
+            EventKind::ChunkStart => {
+                open = Some(((e.run, e.chunk), e.t_nanos));
             }
             EventKind::ChunkFinish {
                 rung,
@@ -254,10 +253,9 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                 ..
             } => {
                 let start = open
-                    .iter()
-                    .rposition(|(key, _)| *key == (e.run, e.chunk))
-                    .map(|i| open.remove(i).1)
-                    .unwrap_or(e.t_nanos);
+                    .take()
+                    .filter(|(key, _)| *key == (e.run, e.chunk))
+                    .map_or(e.t_nanos, |(_, t)| t);
                 items.push(format!(
                     "{{\"name\":\"chunk {} (rung {})\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"shots\":{},\"failures\":{},\"tier0\":{},\"tier2\":{}}}}}",
                     e.chunk,
@@ -273,20 +271,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
                 ));
             }
             EventKind::Fault { kind, rung } => {
-                // A faulted attempt never emits ChunkFinish; close its slice.
-                if let Some(i) = open.iter().rposition(|(key, _)| *key == (e.run, e.chunk)) {
-                    let (_, start) = open.remove(i);
-                    items.push(format!(
-                        "{{\"name\":\"chunk {} FAULT ({})\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"rung\":{}}}}}",
-                        e.chunk,
-                        json_escape(kind),
-                        us(start),
-                        us(e.t_nanos.saturating_sub(start)),
-                        e.run,
-                        e.worker,
-                        rung
-                    ));
-                }
                 items.push(format!(
                     "{{\"name\":\"fault:{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"chunk\":{},\"rung\":{}}}}}",
                     json_escape(kind),
@@ -423,13 +407,12 @@ mod tests {
         coord.flush();
         let mut w = sink.worker(run, 0);
         w.begin_chunk(0);
-        w.event(EventKind::ChunkStart { rung: 0 });
+        w.event(EventKind::ChunkStart);
         w.event(EventKind::Fault {
             kind: "panic",
             rung: 0,
         });
         w.event(EventKind::Retry { rung: 1 });
-        w.event(EventKind::ChunkStart { rung: 1 });
         w.event(EventKind::ChunkFinish {
             rung: 1,
             shots: 64,
@@ -458,7 +441,7 @@ mod tests {
         let s = render_summary(&sample_snapshot());
         assert!(s.contains("shots_tier2"), "{s}");
         assert!(s.contains("decode_shot_rung1"), "{s}");
-        assert!(s.contains("journal: 6 events"), "{s}");
+        assert!(s.contains("journal: 5 events"), "{s}");
     }
 
     #[test]
@@ -482,9 +465,33 @@ mod tests {
         assert!(s.starts_with("{\"traceEvents\":["));
         assert!(s.contains("\"ph\":\"X\""));
         assert!(s.contains("chunk 0 (rung 1)"));
-        assert!(s.contains("chunk 0 FAULT (panic)"));
         assert!(s.contains("\"ph\":\"i\""));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
+    }
+
+    /// A fault is retried inside its chunk: the chunk keeps one slice from
+    /// its start to its finish, and the fault is an instant marker.
+    #[test]
+    fn fault_inside_a_chunk_is_an_instant_in_one_chunk_slice() {
+        let snap = sample_snapshot();
+        let t = |tag: &str| {
+            snap.events
+                .iter()
+                .find(|e| e.kind.tag() == tag)
+                .map(|e| e.t_nanos)
+                .unwrap()
+        };
+        let (start, finish) = (t("chunk_start"), t("chunk_finish"));
+        let s = render_chrome_trace(&snap);
+        assert_eq!(s.matches("\"ph\":\"X\"").count(), 1, "{s}");
+        assert!(!s.contains("FAULT"), "{s}");
+        let slice = format!(
+            "\"name\":\"chunk 0 (rung 1)\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3}",
+            start as f64 / 1e3,
+            (finish - start) as f64 / 1e3
+        );
+        assert!(s.contains(&slice), "{slice} missing from {s}");
+        assert!(s.contains("\"name\":\"fault:panic\",\"ph\":\"i\""), "{s}");
     }
 
     #[test]

@@ -52,14 +52,13 @@ pub enum EventKind {
         /// Chunks in the deterministic schedule.
         chunks: u32,
     },
-    /// A chunk attempt began on the given ladder rung.
-    ChunkStart {
-        /// Ladder rung of this attempt.
-        rung: u8,
-    },
-    /// A chunk completed on the given rung.
+    /// A chunk began. A chunk has one attempt: a faulted window is
+    /// retried inside it, so the chunk's `Fault` and `Retry` events fall
+    /// between its `ChunkStart` and `ChunkFinish`.
+    ChunkStart,
+    /// A chunk completed.
     ChunkFinish {
-        /// Rung the chunk completed on.
+        /// Highest ladder rung any of the chunk's windows needed.
         rung: u8,
         /// Shots sampled in the chunk.
         shots: u32,
@@ -76,15 +75,16 @@ pub enum EventKind {
         /// Full-decoder time.
         decode_nanos: u64,
     },
-    /// A chunk attempt (or a streaming window's decode) failed.
+    /// One decode attempt on a window (a batch chunk's or a streaming
+    /// one) failed.
     Fault {
         /// Always `"panic"`: every fault is a panic caught by the
-        /// engine's `catch_unwind`.
+        /// degradation ladder's `catch_unwind`.
         kind: &'static str,
         /// Rung the failed attempt ran on.
         rung: u8,
     },
-    /// A faulted chunk was relaunched one rung down the ladder.
+    /// A faulted window is re-decoded one rung down the ladder.
     Retry {
         /// Rung the retry runs on.
         rung: u8,
@@ -99,7 +99,7 @@ pub enum EventKind {
     },
     /// A streaming window was disposed of without a decode: rung 1 = shed,
     /// dequeued past its deadline; rung 2 = deferred, its decode panicked
-    /// through both same-window retries.
+    /// on every rung of the degradation ladder.
     Shed {
         /// Tenant patch the window belongs to.
         patch: u32,
@@ -125,7 +125,7 @@ impl EventKind {
     pub fn tag(&self) -> &'static str {
         match self {
             EventKind::RunStart { .. } => "run_start",
-            EventKind::ChunkStart { .. } => "chunk_start",
+            EventKind::ChunkStart => "chunk_start",
             EventKind::ChunkFinish { .. } => "chunk_finish",
             EventKind::Fault { .. } => "fault",
             EventKind::Retry { .. } => "retry",
@@ -138,7 +138,7 @@ impl EventKind {
 
 /// Deterministic journal order: run, then coordinator lane before chunk
 /// lane, then chunk index, then the worker-assigned sequence number. A
-/// chunk (including all its retries) is processed by exactly one worker,
+/// chunk (including its windows' retries) is processed by exactly one worker,
 /// so the key is unique and independent of thread scheduling.
 pub fn order_key(e: &Event) -> (u32, u8, u32, u32) {
     (e.run, u8::from(!e.is_coordinator()), e.chunk, e.seq)
@@ -155,7 +155,7 @@ mod tests {
             seq,
             worker: 0,
             t_nanos: 0,
-            kind: EventKind::ChunkStart { rung: 0 },
+            kind: EventKind::ChunkStart,
         }
     }
 

@@ -63,7 +63,7 @@ pub fn bucket_hi(i: usize) -> u64 {
 pub enum Counter {
     /// Engine runs started on this sink.
     RunsStarted,
-    /// Chunks claimed by workers (counted once per chunk, not per attempt).
+    /// Chunks claimed by workers.
     ChunksStarted,
     /// Chunks that completed on some ladder rung.
     ChunksFinished,
@@ -74,18 +74,20 @@ pub enum Counter {
     /// Dense shots fully resolved by the cluster tier (every flood cluster
     /// certified and peeled — zero full-decoder calls).
     ShotsCluster,
-    /// Shots decoded on a degraded ladder rung (rung > 0).
+    /// Shots of windows decoded on a degraded ladder rung (rung > 0), plus
+    /// the shots of streaming windows shed or deferred undecoded.
     ShotsDegraded,
-    /// Chunk attempts that ended in a caught panic.
+    /// Window decode attempts that ended in a caught panic.
     FaultsPanic,
-    /// Ladder retries launched in response to faults.
+    /// Ladder retries: a faulted window re-decoded one rung down, in the
+    /// batch engine and the streaming service alike.
     Retries,
-    /// Chunks that finished on the pristine rung 0.
+    /// Chunks whose every window decoded on the pristine rung 0.
     ChunksRung0,
-    /// Chunks that finished on rung 1 (fresh bare decoder).
+    /// Chunks whose highest window rung was 1 (fresh bare decoder).
     ChunksRung1,
-    /// Chunks that finished on rung 2 (reference decoder on the fallback
-    /// graph).
+    /// Chunks whose highest window rung was 2 (reference decoder on the
+    /// fallback graph).
     ChunksRung2,
     /// Rounds admitted into a streaming tenant's ingress queue.
     RoundsIngested,
@@ -97,20 +99,18 @@ pub enum Counter {
     /// dropped.
     RoundsShed,
     /// Rounds whose streaming window was deferred after its decode
-    /// panicked through both same-window retries: no correction produced.
+    /// panicked on every ladder rung: no correction produced.
     RoundsDeferred,
     /// Rounds refused at admission by backpressure (ingress queue at its
     /// configured bound). Rejected rounds are *not* counted as ingested.
     RoundsRejected,
-    /// Same-window retries after a streaming decode panic.
-    StreamRetries,
     /// Wedged-worker detections by the streaming watchdog.
     WorkerWedges,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::RunsStarted,
         Counter::ChunksStarted,
         Counter::ChunksFinished,
@@ -128,7 +128,6 @@ impl Counter {
         Counter::RoundsShed,
         Counter::RoundsDeferred,
         Counter::RoundsRejected,
-        Counter::StreamRetries,
         Counter::WorkerWedges,
     ];
 
@@ -152,7 +151,6 @@ impl Counter {
             Counter::RoundsShed => "rounds_shed",
             Counter::RoundsDeferred => "rounds_deferred",
             Counter::RoundsRejected => "rounds_rejected",
-            Counter::StreamRetries => "stream_retries",
             Counter::WorkerWedges => "worker_wedges",
         }
     }
@@ -211,8 +209,8 @@ pub enum Hist {
     /// resolved by the cluster tier (decompose + certify + peel, no
     /// decoder call).
     ClusterShot,
-    /// Wall time of one whole chunk attempt (sample + extract + dispatch +
-    /// decode).
+    /// Wall time of one whole chunk (sample + extract + dispatch + decode,
+    /// including any ladder retries of its windows).
     ChunkWall,
     /// Streaming round latency: enqueue at admission to disposition
     /// (decoded, shed, or deferred). Includes queueing delay, so this is

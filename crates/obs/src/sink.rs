@@ -220,8 +220,8 @@ impl WorkerObs {
     }
 
     /// Starts a new chunk scope: subsequent events carry `chunk` and a
-    /// sequence number restarting at 0. Retries of the same chunk must NOT
-    /// call this again — their events continue the chunk's sequence.
+    /// sequence number restarting at 0. Ladder retries inside the chunk
+    /// must NOT call this again — their events continue its sequence.
     pub fn begin_chunk(&mut self, chunk: u32) {
         self.chunk = chunk;
         self.seq = 0;
@@ -324,7 +324,7 @@ mod tests {
         assert!(w.clock().is_none());
         w.add(Counter::ShotsTier2, 5);
         w.record(Hist::DecodeShotRung0, 100);
-        w.event(EventKind::ChunkStart { rung: 0 });
+        w.event(EventKind::ChunkStart);
         w.flush();
         let snap = sink.snapshot();
         assert!(snap.counters.is_empty());
@@ -341,7 +341,7 @@ mod tests {
 
         let mut w = sink.worker(run, 3);
         w.begin_chunk(7);
-        w.event(EventKind::ChunkStart { rung: 0 });
+        w.event(EventKind::ChunkStart);
         w.event(EventKind::Fault {
             kind: "panic",
             rung: 0,
@@ -369,7 +369,7 @@ mod tests {
         let sink = ObsSink::enabled();
         {
             let mut w = sink.worker(0, 0);
-            w.event(EventKind::ChunkStart { rung: 1 });
+            w.event(EventKind::ChunkStart);
             // no explicit flush
         }
         assert_eq!(sink.snapshot().events.len(), 1);
@@ -389,7 +389,7 @@ mod tests {
                         for &(chunk, worker) in &assignment {
                             if worker == w {
                                 obs.begin_chunk(chunk);
-                                obs.event(EventKind::ChunkStart { rung: 0 });
+                                obs.event(EventKind::ChunkStart);
                                 obs.event(EventKind::ChunkFinish {
                                     rung: 0,
                                     shots: 64,
@@ -427,7 +427,7 @@ mod tests {
                     let mut obs = sink.worker(w, w);
                     for c in 0..50u32 {
                         obs.begin_chunk(c);
-                        obs.event(EventKind::ChunkStart { rung: 0 });
+                        obs.event(EventKind::ChunkStart);
                         obs.flush();
                     }
                 });

@@ -2,13 +2,15 @@
 //! (mask bit-identity across worker counts), a backpressure property
 //! test (queues stay bounded and every ingested round is accounted
 //! for), chaos recovery from decoders that stall or panic on their own —
-//! with matching journal evidence — late windows shed undecoded and
-//! unscored, and a deterministic overload acceptance run that sheds late
-//! windows while keeping the round partition exact.
+//! down the degradation ladder, with matching journal evidence — late
+//! windows shed undecoded and unscored, and a deterministic overload
+//! acceptance run that sheds late windows while keeping the round
+//! partition exact.
 
 use caliqec_match::{
-    graph_for_circuit, loopback_serve, Decoder, Disposition, LoopbackOptions, PushOutcome,
-    StreamConfig, StreamingDecoder, TenantSpec, Tiered, UnionFindDecoder,
+    graph_for_circuit, loopback_serve, Decoder, DecoderFactory, Disposition, LoopbackOptions,
+    PushOutcome, StreamConfig, StreamReport, StreamingDecoder, TenantSpec, Tiered,
+    UnionFindDecoder,
 };
 use caliqec_obs::{EventKind, Hist, ObsSink};
 use caliqec_stab::{Basis, Circuit, Noise1, BATCH};
@@ -65,7 +67,7 @@ fn fleet(n: usize) -> (Vec<TenantSpec<Factory>>, Vec<Circuit>) {
 
 /// Flattens a report into comparable (tenant, window, disposition, masks)
 /// rows.
-fn mask_rows(report: &caliqec_match::StreamReport) -> Vec<(usize, u64, Disposition, [u64; BATCH])> {
+fn mask_rows(report: &StreamReport) -> Vec<(usize, u64, Disposition, [u64; BATCH])> {
     report
         .tenants
         .iter()
@@ -340,7 +342,7 @@ fn chaos_worker_wedge_recovers_with_journal_evidence() {
     assert_eq!(driver.shots_scored, 6 * BATCH as u64);
     let snap = sink.snapshot();
     assert_eq!(snap.counter("worker_wedges"), 1);
-    assert_eq!(snap.counter("stream_retries"), 0);
+    assert_eq!(snap.counter("retries"), 0);
     let wedge_events = snap
         .events
         .iter()
@@ -402,9 +404,10 @@ fn chaos_burst_arrival_is_rejected_at_the_bound_and_recovers() {
     );
 }
 
-/// A decoder that panics once is quarantined, rebuilt, and its window
-/// retried: the masks match a clean run bit for bit, and the one panic is
-/// journaled and counted once.
+/// A decoder that panics once is quarantined and its window retried on
+/// rung 1's rebuilt decoder: the masks match a clean run bit for bit, and
+/// the one panic is journaled and counted once. The ladder records no
+/// per-shot decode latency for the stream, on either rung.
 #[test]
 fn decoder_that_panics_once_is_retried_bit_identically() {
     quiet_worker_panics();
@@ -450,13 +453,15 @@ fn decoder_that_panics_once_is_retried_bit_identically() {
     );
     let snap = sink.snapshot();
     assert_eq!(snap.counter("faults_panic"), 1);
-    assert_eq!(snap.counter("stream_retries"), 1);
+    assert_eq!(snap.counter("retries"), 1);
+    assert_eq!(snap.decode_shot_hist().count, 0);
 }
 
-/// A decoder that panics on every nonempty syndrome exhausts its two
-/// retries: the window is deferred with zero masks after three journaled
-/// faults, while an empty window — which never reaches the decoder —
-/// still decodes, and the round partition stays exact.
+/// A decoder that panics on every nonempty syndrome, under a plain factory
+/// with no fallback graph, exhausts the ladder at rung 1: the window is
+/// deferred with zero masks after one retry and two journaled faults,
+/// while an empty window — which never reaches the decoder — still
+/// decodes, and the round partition stays exact.
 #[test]
 fn decoder_that_always_panics_defers_its_window() {
     quiet_worker_panics();
@@ -474,7 +479,7 @@ fn decoder_that_always_panics_defers_its_window() {
     let report = service.shutdown();
     let rs = &report.tenants[0];
     assert_eq!(rs[0].disposition, Disposition::Deferred);
-    assert_eq!(rs[0].retries, 2);
+    assert_eq!(rs[0].retries, 1);
     assert_eq!(rs[0].masks, [0u64; BATCH]);
     assert_eq!(rs[1].disposition, Disposition::Decoded);
     assert_eq!(rs[1].retries, 0);
@@ -485,14 +490,88 @@ fn decoder_that_always_panics_defers_its_window() {
     );
     assert_eq!(report.health.rounds_pending(), 0);
     let snap = sink.snapshot();
-    assert_eq!(snap.counter("faults_panic"), 3);
-    assert_eq!(snap.counter("stream_retries"), 2);
+    assert_eq!(snap.counter("faults_panic"), 2);
+    assert_eq!(snap.counter("retries"), 1);
     let rung2_sheds = snap
         .events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Shed { rung: 2, .. }))
         .count();
     assert_eq!(rung2_sheds, 1);
+}
+
+/// One-round window words for `fleet`'s two-detector tenants in which
+/// shots 0 and 3 fire detector 0 alone, shot 1 both detectors and shot 2
+/// detector 1 alone.
+const MIXED: [u64; 2] = [0b1011, 0b0110];
+
+/// Serves one `MIXED` window to `tenant` on one worker and returns the
+/// report.
+fn serve_mixed_window<F: DecoderFactory + Send + Sync + 'static>(
+    tenant: TenantSpec<F>,
+    sink: ObsSink,
+) -> StreamReport {
+    let config = StreamConfig {
+        workers: 1,
+        queue_bound: 64,
+        deadline: None,
+    };
+    let service = StreamingDecoder::start(vec![tenant], config, sink).unwrap();
+    service.push_round(0, &MIXED).unwrap();
+    service.drain();
+    service.shutdown()
+}
+
+/// Under a `Tiered` factory, the production shape of a stream tenant, a
+/// decoder that panics on every nonempty syndrome costs its window
+/// nothing: the ladder steps down twice and rung 2's reference union-find
+/// decodes it, with the masks a plain union-find tenant gets, and its
+/// shots count as degraded.
+#[test]
+fn tiered_tenant_whose_decoder_always_panics_decodes_on_rung_two() {
+    quiet_worker_panics();
+    let circuit = rep_circuit(0.01);
+    let plain = serve_mixed_window(tenant_for(&circuit), ObsSink::disabled());
+    let want = plain.tenants[0][0].masks;
+    assert_ne!(want, [0u64; BATCH], "the window must need corrections");
+
+    let graph = graph_for_circuit(&circuit);
+    let g = graph.clone();
+    let doomed = TenantSpec {
+        detectors: graph.num_detectors(),
+        factory: Tiered::new(&graph, move || Tripwire {
+            inner: UnionFindDecoder::new(g.clone()),
+            trip: Trip::PanicAlways,
+            armed: Arc::new(AtomicBool::new(true)),
+        }),
+    };
+    let sink = ObsSink::enabled();
+    let report = serve_mixed_window(doomed, sink.clone());
+    let r = &report.tenants[0][0];
+    assert_eq!(r.disposition, Disposition::Decoded);
+    assert_eq!(r.retries, 2);
+    assert_eq!(r.masks, want, "rung 2 must decode like union-find");
+    let h = &report.health;
+    assert_eq!((h.windows_decoded, h.windows_deferred), (1, 0));
+    assert_eq!(h.retries, 2);
+    let snap = sink.snapshot();
+    assert_eq!(snap.counter("faults_panic"), 2);
+    assert_eq!(snap.counter("retries"), 2);
+    assert_eq!(snap.counter("shots_degraded"), BATCH as u64);
+    // Only the attempt that decoded the window reaches the tier counters.
+    assert_eq!(
+        snap.counter("shots_tier0") + snap.counter("shots_tier2"),
+        BATCH as u64
+    );
+    let retry_rungs: Vec<u8> = snap
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Retry { rung } => Some(rung),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retry_rungs, vec![1, 2]);
 }
 
 /// A window dequeued between one and two deadlines is shed like any late
